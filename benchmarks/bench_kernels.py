@@ -1,10 +1,9 @@
-"""Timing comparison of the numba and numpy kernel backends.
+"""Median wall times of the numpy kernels in mono3d.kernels.
 
-Each hot kernel is run on a representative workload under both backends
-(same inputs), outputs are cross-checked, and median wall times are
-reported with the speedup factor. A composite row times a full desk
-backbone forward/backward pass, which exercises im2col and col2im the
-way training does.
+Each hot kernel runs on a representative workload, once as warmup and
+then --repeats times; the median is reported per kernel. A composite row
+times a full desk backbone forward/backward pass, which exercises im2col
+and col2im the way training does.
 
 Usage: python3 benchmarks/bench_kernels.py [--repeats N] [--quick]
 """
@@ -84,6 +83,7 @@ def _desk_step(quick):
 
 
 def _median_time(fn, repeats):
+    fn()  # warmup
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
@@ -98,36 +98,14 @@ def main():
     ap.add_argument("--quick", action="store_true", help="smaller workloads")
     args = ap.parse_args()
 
-    backends = ["numpy"]
-    try:
-        kernels.set_backend("numba")
-        backends.append("numba")
-    except RuntimeError as exc:
-        print(f"numba backend unavailable ({exc}); timing numpy only")
+    rows = [(name, _median_time(fn, args.repeats)) for name, fn in build_workloads(args.quick)]
 
-    rows = []
-    for name, fn in build_workloads(args.quick):
-        results = {}
-        for backend in backends:
-            kernels.set_backend(backend)
-            fn()  # warmup; also triggers JIT compilation for numba
-            results[backend] = (_median_time(fn, args.repeats), fn())
-        if len(backends) == 2:
-            diff = float(np.max(np.abs(results["numba"][1] - results["numpy"][1])))
-            speedup = results["numpy"][0] / results["numba"][0]
-        else:
-            diff, speedup = 0.0, float("nan")
-        rows.append((name, results, diff, speedup))
-
-    width = max(len(r[0]) for r in rows)
-    header = f"{'kernel'.ljust(width)}  numpy[ms]  numba[ms]  speedup  max|diff|"
+    width = max(len(name) for name, _ in rows)
+    header = f"{'kernel'.ljust(width)}  median[ms]"
     print(header)
     print("-" * len(header))
-    for name, results, diff, speedup in rows:
-        t_np = results["numpy"][0] * 1e3
-        t_nb = results.get("numba", (float("nan"),))[0] * 1e3
-        print(f"{name.ljust(width)}  {t_np:9.3f}  {t_nb:9.3f}  {speedup:6.2f}x  {diff:.3e}")
-    kernels.set_backend("auto")
+    for name, t in rows:
+        print(f"{name.ljust(width)}  {t * 1e3:10.3f}")
 
 
 if __name__ == "__main__":

@@ -14,7 +14,6 @@ from .errors import ConfigError
 # full-size training defaults (KITTI regime); toy runs override via TOY_PROFILE
 DEFAULTS = {
     "command": "",
-    "data_dir": "",
     "out_dir": "out",
     "checkpoint": "",
     "image": "",

@@ -1,58 +1,26 @@
-"""Hot numeric kernels: numba-jitted fast path with a pure-numpy fallback.
+"""Hot numeric kernels, one numpy implementation each.
 
-Backend is picked once at import from the MONO3D_KERNELS environment
-variable: "numba", "numpy", or "auto" (default; numba when importable).
-`set_backend` switches at runtime, mainly for tests and benchmarks.
-
-For im2col, col2im and the bilinear gather/scatter, both paths compute
-each output element with the same operation order so they agree to the
-last bit on gathers and to ~1 ulp on scatter-adds. `raster_iou` has one
-numpy implementation, a per-row interval count, on either backend.
+im2col/col2im carry conv2d forward and backward; bilinear_gather and
+bilinear_scatter carry RoI sampling and its adjoint. `raster_iou`
+counts lattice points per row by interval and is the independent check
+on the polygon-clipping IoU in `geometry`.
 """
-
-import os
 
 import numpy as np
 
-try:
-    import numba
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is an optional extra
-    _HAVE_NUMBA = False
-
-
-def _resolve(name):
-    if name == "auto":
-        return "numba" if _HAVE_NUMBA else "numpy"
-    if name == "numba" and not _HAVE_NUMBA:
-        raise RuntimeError("MONO3D_KERNELS=numba but numba is not importable")
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"unknown kernel backend {name!r}")
-    return name
-
-
-_BACKEND = _resolve(os.environ.get("MONO3D_KERNELS", "auto"))
-
 
 def active_backend():
-    return _BACKEND
+    """Always "numpy".
+
+    Exists only because perfbench/run.py records it as the `kernel_backend`
+    run fact, and perfbench/ is the frozen benchmark harness that program
+    changes do not edit.
+    """
+    return "numpy"
 
 
-def set_backend(name):
-    """Switch kernel backend ("numba" or "numpy"). Returns the previous one."""
-    global _BACKEND
-    prev = _BACKEND
-    _BACKEND = _resolve(name)
-    return prev
-
-
-# ---------------------------------------------------------------------------
-# numpy implementations
-# ---------------------------------------------------------------------------
-
-
-def _im2col_numpy(xp, kh, kw, sh, sw, oh, ow):
+def im2col(xp, kh, kw, sh, sw, oh, ow):
+    """Patch matrix [N, C, kh*kw, oh*ow] from padded input [N, C, Hp, Wp]."""
     n, c, hp, wp = xp.shape
     sn, sc, sy, sx = xp.strides
     view = np.lib.stride_tricks.as_strided(
@@ -64,7 +32,8 @@ def _im2col_numpy(xp, kh, kw, sh, sw, oh, ow):
     return np.ascontiguousarray(view.reshape(n, c, kh * kw, oh * ow))
 
 
-def _col2im_numpy(cols, hp, wp, kh, kw, sh, sw, oh, ow):
+def col2im(cols, hp, wp, kh, kw, sh, sw, oh, ow):
+    """Scatter-add inverse of im2col; returns padded-input gradient."""
     n, c = cols.shape[0], cols.shape[1]
     xp = np.zeros((n, c, hp, wp), dtype=cols.dtype)
     cols6 = cols.reshape(n, c, kh, kw, oh, ow)
@@ -74,7 +43,12 @@ def _col2im_numpy(cols, hp, wp, kh, kw, sh, sw, oh, ow):
     return xp
 
 
-def _bilinear_gather_numpy(x, iy0, iy1, fy, ix0, ix1, fx):
+def bilinear_gather(x, iy0, iy1, fy, ix0, ix1, fx):
+    """Separable bilinear sampling on the last two axes.
+
+    iy0/iy1 are floor/ceil row indices per output row, fy the fractional
+    weight of iy1 (same for columns). Indices must be pre-clamped.
+    """
     w00 = (1.0 - fy)[:, None] * (1.0 - fx)[None, :]
     w01 = (1.0 - fy)[:, None] * fx[None, :]
     w10 = fy[:, None] * (1.0 - fx)[None, :]
@@ -86,7 +60,8 @@ def _bilinear_gather_numpy(x, iy0, iy1, fy, ix0, ix1, fx):
     return v00 * w00 + v01 * w01 + v10 * w10 + v11 * w11
 
 
-def _bilinear_scatter_numpy(g, iy0, iy1, fy, ix0, ix1, fx, h, w):
+def bilinear_scatter(g, iy0, iy1, fy, ix0, ix1, fx, h, w):
+    """Adjoint of bilinear_gather: scatter output grads to an HxW map."""
     n, c = g.shape[0], g.shape[1]
     w00 = (1.0 - fy)[:, None] * (1.0 - fx)[None, :]
     w01 = (1.0 - fy)[:, None] * fx[None, :]
@@ -192,131 +167,6 @@ def _raster_iou_scanline(boxes_a, boxes_b, n_grid):
             union = n_a + n_b - inter
             out[p] = inter / union if union > 0 else 0.0
     return out
-
-
-_numpy_impl = {
-    "im2col": _im2col_numpy,
-    "col2im": _col2im_numpy,
-    "bilinear_gather": _bilinear_gather_numpy,
-    "bilinear_scatter": _bilinear_scatter_numpy,
-}
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-if _HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _im2col_numba(xp, kh, kw, sh, sw, oh, ow):
-        n, c, hp, wp = xp.shape
-        cols = np.empty((n, c, kh * kw, oh * ow), dtype=xp.dtype)
-        for b in range(n):
-            for ch in range(c):
-                for i in range(kh):
-                    for j in range(kw):
-                        k = i * kw + j
-                        for y in range(oh):
-                            row = y * sh + i
-                            for x in range(ow):
-                                cols[b, ch, k, y * ow + x] = xp[b, ch, row, x * sw + j]
-        return cols
-
-    @numba.njit(cache=True)
-    def _col2im_numba(cols, hp, wp, kh, kw, sh, sw, oh, ow):
-        n, c = cols.shape[0], cols.shape[1]
-        xp = np.zeros((n, c, hp, wp), dtype=cols.dtype)
-        # accumulation order (i, j) outer matches the numpy slice loop
-        for i in range(kh):
-            for j in range(kw):
-                k = i * kw + j
-                for b in range(n):
-                    for ch in range(c):
-                        for y in range(oh):
-                            row = y * sh + i
-                            for x in range(ow):
-                                xp[b, ch, row, x * sw + j] += cols[b, ch, k, y * ow + x]
-        return xp
-
-    @numba.njit(cache=True)
-    def _bilinear_gather_numba(x, iy0, iy1, fy, ix0, ix1, fx):
-        n, c = x.shape[0], x.shape[1]
-        oh, ow = iy0.shape[0], ix0.shape[0]
-        out = np.empty((n, c, oh, ow), dtype=x.dtype)
-        for b in range(n):
-            for ch in range(c):
-                for i in range(oh):
-                    wy1 = fy[i]
-                    wy0 = 1.0 - wy1
-                    for j in range(ow):
-                        wx1 = fx[j]
-                        wx0 = 1.0 - wx1
-                        out[b, ch, i, j] = (
-                            x[b, ch, iy0[i], ix0[j]] * (wy0 * wx0)
-                            + x[b, ch, iy0[i], ix1[j]] * (wy0 * wx1)
-                            + x[b, ch, iy1[i], ix0[j]] * (wy1 * wx0)
-                            + x[b, ch, iy1[i], ix1[j]] * (wy1 * wx1)
-                        )
-        return out
-
-    @numba.njit(cache=True)
-    def _bilinear_scatter_numba(g, iy0, iy1, fy, ix0, ix1, fx, h, w):
-        n, c = g.shape[0], g.shape[1]
-        oh, ow = iy0.shape[0], ix0.shape[0]
-        dx = np.zeros((n, c, h, w), dtype=g.dtype)
-        for b in range(n):
-            for ch in range(c):
-                for i in range(oh):
-                    wy1 = fy[i]
-                    wy0 = 1.0 - wy1
-                    for j in range(ow):
-                        wx1 = fx[j]
-                        wx0 = 1.0 - wx1
-                        gv = g[b, ch, i, j]
-                        dx[b, ch, iy0[i], ix0[j]] += gv * (wy0 * wx0)
-                        dx[b, ch, iy0[i], ix1[j]] += gv * (wy0 * wx1)
-                        dx[b, ch, iy1[i], ix0[j]] += gv * (wy1 * wx0)
-                        dx[b, ch, iy1[i], ix1[j]] += gv * (wy1 * wx1)
-        return dx
-
-    _numba_impl = {
-        "im2col": _im2col_numba,
-        "col2im": _col2im_numba,
-        "bilinear_gather": _bilinear_gather_numba,
-        "bilinear_scatter": _bilinear_scatter_numba,
-    }
-else:  # pragma: no cover
-    _numba_impl = {}
-
-
-def _dispatch(name):
-    impl = _numba_impl if _BACKEND == "numba" else _numpy_impl
-    return impl[name]
-
-
-def im2col(xp, kh, kw, sh, sw, oh, ow):
-    """Patch matrix [N, C, kh*kw, oh*ow] from padded input [N, C, Hp, Wp]."""
-    return _dispatch("im2col")(xp, kh, kw, sh, sw, oh, ow)
-
-
-def col2im(cols, hp, wp, kh, kw, sh, sw, oh, ow):
-    """Scatter-add inverse of im2col; returns padded-input gradient."""
-    return _dispatch("col2im")(cols, hp, wp, kh, kw, sh, sw, oh, ow)
-
-
-def bilinear_gather(x, iy0, iy1, fy, ix0, ix1, fx):
-    """Separable bilinear sampling on the last two axes.
-
-    iy0/iy1 are floor/ceil row indices per output row, fy the fractional
-    weight of iy1 (same for columns). Indices must be pre-clamped.
-    """
-    return _dispatch("bilinear_gather")(x, iy0, iy1, fy, ix0, ix1, fx)
-
-
-def bilinear_scatter(g, iy0, iy1, fy, ix0, ix1, fx, h, w):
-    """Adjoint of bilinear_gather: scatter output grads to an HxW map."""
-    return _dispatch("bilinear_scatter")(g, iy0, iy1, fy, ix0, ix1, fx, h, w)
 
 
 def raster_iou(boxes_a, boxes_b, n_grid):

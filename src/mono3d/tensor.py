@@ -8,7 +8,7 @@ so repeated `backward` calls accumulate into leaf `.grad` buffers;
 training steps to drop the recorded graph.
 
 Everything runs in float64 by default; finite-difference checks are not
-trustworthy below that. Pass dtype=np.float32 for the fast path.
+trustworthy below that.
 """
 
 import math

