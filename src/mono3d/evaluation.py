@@ -6,6 +6,12 @@ once; precision is sampled at the 40 recall levels {i/40} through the
 precision envelope and averaged. Ground truth outside the evaluated
 difficulty bucket is ignored rather than missed: a prediction that only
 overlaps an ignored box consumes it and drops out of the count.
+
+IoU is computed once per same-class prediction x ground-truth pair per
+image (`geometry.iou_pairs`, one footprint intersection giving both the
+3D and the BEV value), and those tables, the difficulty of each
+ground-truth box and each class's score order are shared by both
+metrics and every report cell.
 """
 
 import os
@@ -14,7 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .geometry import Box3D, iou_3d, iou_bev
+from .geometry import Box3D, iou_pairs
+# unused here; perfbench/spans.py wraps evaluation.iou_3d / iou_bev by name
+from .geometry import iou_3d, iou_bev
 from .heads import CLASS_NAMES
 from .kitti import ParseError, parse_calib_file, parse_label_file
 
@@ -49,6 +57,12 @@ class EvalConfig:
 
     def __post_init__(self):
         for set_name, pairs in self.threshold_sets:
+            names = [cls for cls, _ in pairs]
+            if sorted(names) != sorted(CLASS_NAMES):
+                raise UsageError(
+                    f"threshold set {set_name} must give one threshold per class "
+                    f"{CLASS_NAMES}, got {tuple(names)}"
+                )
             for cls, thr in pairs:
                 if not (0.0 < thr <= 1.0):
                     raise UsageError(
@@ -63,46 +77,62 @@ def _box_of(rec):
     return Box3D(location=rec.location, dimensions=rec.dimensions, yaw=rec.rotation_y)
 
 
-def _greedy_curve(predictions, ground_truth, cls, difficulty, metric, iou_threshold):
+@dataclass(frozen=True)
+class _ClassData:
+    """One class's matching inputs, shared by every report cell.
+
+    Within an image the class's predictions and ground truth are indexed
+    in input order. `flat` holds (image, prediction index, score) in
+    descending score order, ties in input order; `levels[image]` the
+    difficulty level of each ground-truth box; `tables[image][metric]`
+    the prediction x ground-truth IoU rows, for images with both.
+    """
+
+    flat: list
+    levels: dict
+    tables: dict
+
+
+def _prepare(predictions, ground_truth, classes):
+    """class -> _ClassData; every IoU, difficulty and sort done once."""
+    images = sorted(set(predictions) | set(ground_truth))
+    prepared = {}
+    for cls in classes:
+        flat, levels, tables = [], {}, {}
+        for img in images:
+            preds = [rec for rec in predictions.get(img, []) if rec.type == cls]
+            gts = [rec for rec in ground_truth.get(img, []) if rec.type == cls]
+            for idx, rec in enumerate(preds):
+                if rec.score is None:
+                    raise UsageError(f"prediction without score in image {img}")
+                flat.append((img, idx, rec.score))
+            levels[img] = [_LEVEL[assign_difficulty(rec)] for rec in gts]
+            if preds and gts:
+                t3d, tbev = iou_pairs([_box_of(r) for r in preds], [_box_of(r) for r in gts])
+                tables[img] = {"3D": t3d.tolist(), "BEV": tbev.tolist()}
+        flat.sort(key=lambda item: -item[2])  # stable: ties keep input order
+        prepared[cls] = _ClassData(flat=flat, levels=levels, tables=tables)
+    return prepared
+
+
+def _greedy_curve(data, difficulty, metric, iou_threshold):
     """One matching pass -> (PR points, counted GT, matched GT, class preds)."""
     target = _LEVEL[difficulty]
-    iou_fn = iou_3d if metric == "3D" else iou_bev
-    images = sorted(set(predictions) | set(ground_truth))
-
-    flat = []
-    for img in images:
-        for idx, rec in enumerate(predictions.get(img, [])):
-            if rec.type != cls:
-                continue
-            if rec.score is None:
-                raise UsageError(f"prediction without score in image {img}")
-            flat.append((img, idx, rec))
-    flat.sort(key=lambda item: -item[2].score)  # stable: ties keep input order
-
-    counted = {}
-    ignored = {}
-    npos = 0
-    for img in images:
-        for j, rec in enumerate(ground_truth.get(img, [])):
-            if rec.type != cls:
-                continue
-            bucket = counted if _LEVEL[assign_difficulty(rec)] <= target else ignored
-            bucket.setdefault(img, []).append((j, _box_of(rec)))
-            if bucket is counted:
-                npos += 1
+    npos = sum(level <= target for levels in data.levels.values() for level in levels)
     if npos == 0:
-        return [], 0, 0, len(flat)
+        return [], 0, 0, len(data.flat)
 
     taken = set()
     points = []
     tp = fp = 0
-    for img, _, rec in flat:
-        pbox = _box_of(rec)
+    for img, idx, _ in data.flat:
+        levels = data.levels[img]
+        row = data.tables[img][metric][idx] if levels else []
         best_iou, best_key = -1.0, None
-        for j, gbox in counted.get(img, []):
-            if (img, j) in taken:
+        for j, level in enumerate(levels):
+            if level > target or (img, j) in taken:
                 continue
-            v = iou_fn(pbox, gbox)
+            v = row[j]
             if v > best_iou:
                 best_iou, best_key = v, (img, j)
         if best_key is not None and best_iou >= iou_threshold:
@@ -111,10 +141,10 @@ def _greedy_curve(predictions, ground_truth, cls, difficulty, metric, iou_thresh
             points.append((tp / npos, tp / (tp + fp)))
             continue
         ign_iou, ign_key = -1.0, None
-        for j, gbox in ignored.get(img, []):
-            if (img, j) in taken:
+        for j, level in enumerate(levels):
+            if level <= target or (img, j) in taken:
                 continue
-            v = iou_fn(pbox, gbox)
+            v = row[j]
             if v > ign_iou:
                 ign_iou, ign_key = v, (img, j)
         if ign_key is not None and ign_iou >= iou_threshold:
@@ -122,7 +152,7 @@ def _greedy_curve(predictions, ground_truth, cls, difficulty, metric, iou_thresh
             continue
         fp += 1
         points.append((tp / npos, tp / (tp + fp)))
-    return points, npos, tp, len(flat)
+    return points, npos, tp, len(data.flat)
 
 
 def _mean_envelope(points):
@@ -153,9 +183,8 @@ def ap_r40(predictions, ground_truth, cls, difficulty, metric="3D", iou_threshol
         raise UsageError(f"unknown metric {metric!r}")
     if not (0.0 < iou_threshold <= 1.0):
         raise UsageError("iou_threshold must be in (0, 1]")
-    points, npos, _, _ = _greedy_curve(
-        predictions, ground_truth, cls, difficulty, metric, iou_threshold
-    )
+    data = _prepare(predictions, ground_truth, (cls,))[cls]
+    points, npos, _, _ = _greedy_curve(data, difficulty, metric, iou_threshold)
     if npos == 0:
         return None
     return _mean_envelope(points)
@@ -284,6 +313,7 @@ def evaluate_split(pred_dir, gt_dir, calib_dir=None, cfg=None):
             except (ParseError, OSError) as exc:
                 errors.append(f"{calib_path}: {exc}")
 
+    prepared = _prepare(predictions, ground_truth, CLASS_NAMES)
     cells = {}
     for set_name, pairs in cfg.threshold_sets:
         thresholds = dict(pairs)
@@ -291,7 +321,7 @@ def evaluate_split(pred_dir, gt_dir, calib_dir=None, cfg=None):
             for cls in CLASS_NAMES:
                 for difficulty in DIFFICULTIES:
                     points, npos, matched, n_pred = _greedy_curve(
-                        predictions, ground_truth, cls, difficulty, metric, thresholds[cls]
+                        prepared[cls], difficulty, metric, thresholds[cls]
                     )
                     ap = _mean_envelope(points) if npos > 0 else None
                     cells[(set_name, metric, cls, difficulty)] = ApCell(

@@ -5,7 +5,9 @@ location is the bottom-face center, yaw rotates around the camera Y
 axis. The footprint (bird's-eye view) lives in the (x, z) ground plane;
 its rotated-rectangle intersection is computed exactly by convex polygon
 clipping, with an independent rasterization estimate available as a
-cross-check.
+cross-check. `iou_pairs` computes the BEV and 3D IoU tables of two box
+lists from one intersection per pair; `iou_bev` and `iou_3d` are its
+1x1 case.
 """
 
 import math
@@ -103,20 +105,6 @@ def convex_clip(subject, clip):
     return [] if len(output) < 3 else [np.array(p) for p in output]
 
 
-def iou_bev(box_a, box_b):
-    """Exact rotated-footprint IoU via polygon clipping."""
-    fa = bev_footprint(box_a)
-    fb = bev_footprint(box_b)
-    area_a = polygon_area(fa)
-    area_b = polygon_area(fb)
-    if area_a <= 0.0 or area_b <= 0.0:
-        return 0.0
-    inter_poly = convex_clip(fa, fb)
-    inter = max(polygon_area(inter_poly), 0.0)
-    union = area_a + area_b - inter
-    return inter / union if union > 0.0 else 0.0
-
-
 def _vertical_overlap(box_a, box_b):
     # y grows downward; a box occupies [y - h, y]
     top = max(box_a.location[1] - box_a.dimensions[0], box_b.location[1] - box_b.dimensions[0])
@@ -124,20 +112,44 @@ def _vertical_overlap(box_a, box_b):
     return max(0.0, bottom - top)
 
 
+def iou_pairs(boxes_a, boxes_b):
+    """IoU of every pair of two box lists -> (iou_3d [A, B], iou_bev [A, B]).
+
+    Each footprint and its area are computed once per box, and the exact
+    footprint intersection (polygon clipping) once per pair; the BEV IoU
+    and the volumetric IoU (footprint intersection x vertical overlap)
+    are both derived from it. A box with a zero-area footprint has IoU
+    0.0 with everything.
+    """
+    feet_a = [bev_footprint(b) for b in boxes_a]
+    feet_b = [bev_footprint(b) for b in boxes_b]
+    areas_a = [polygon_area(f) for f in feet_a]
+    areas_b = [polygon_area(f) for f in feet_b]
+    out_3d = np.zeros((len(boxes_a), len(boxes_b)))
+    out_bev = np.zeros((len(boxes_a), len(boxes_b)))
+    for i, (box_a, fa, area_a) in enumerate(zip(boxes_a, feet_a, areas_a)):
+        if area_a <= 0.0:
+            continue
+        for j, (box_b, fb, area_b) in enumerate(zip(boxes_b, feet_b, areas_b)):
+            if area_b <= 0.0:
+                continue
+            inter = max(polygon_area(convex_clip(fa, fb)), 0.0)
+            union = area_a + area_b - inter
+            out_bev[i, j] = inter / union if union > 0.0 else 0.0
+            inter_vol = inter * _vertical_overlap(box_a, box_b)
+            union = area_a * box_a.dimensions[0] + area_b * box_b.dimensions[0] - inter_vol
+            out_3d[i, j] = inter_vol / union if union > 0.0 else 0.0
+    return out_3d, out_bev
+
+
+def iou_bev(box_a, box_b):
+    """Exact rotated-footprint IoU via polygon clipping."""
+    return float(iou_pairs([box_a], [box_b])[1][0, 0])
+
+
 def iou_3d(box_a, box_b):
     """Volumetric IoU: footprint intersection x vertical overlap."""
-    fa = bev_footprint(box_a)
-    fb = bev_footprint(box_b)
-    area_a = polygon_area(fa)
-    area_b = polygon_area(fb)
-    if area_a <= 0.0 or area_b <= 0.0:
-        return 0.0
-    inter_bev = max(polygon_area(convex_clip(fa, fb)), 0.0)
-    inter_vol = inter_bev * _vertical_overlap(box_a, box_b)
-    vol_a = area_a * box_a.dimensions[0]
-    vol_b = area_b * box_b.dimensions[0]
-    union = vol_a + vol_b - inter_vol
-    return inter_vol / union if union > 0.0 else 0.0
+    return float(iou_pairs([box_a], [box_b])[0][0, 0])
 
 
 def _footprint_rows(boxes):

@@ -162,6 +162,28 @@ def _match_prefix(flat_prefix, gts_by_image, cls, target_level, pair_iou, iou_th
     return tp, fp
 
 
+def match_counts_bruteforce(preds_by_image, gts_by_image, cls, difficulty, pair_iou, iou_threshold):
+    """(counted GT, matched GT, class predictions) of one greedy pass
+    over all predictions in descending score order (ties in input order)."""
+    target_level = {"Easy": 0, "Moderate": 1, "Hard": 2, "Ignored": 3}[difficulty]
+    images = sorted(set(preds_by_image) | set(gts_by_image))
+    flat = [
+        (img, idx, p)
+        for img in images
+        for idx, p in enumerate(preds_by_image.get(img, []))
+        if p.type == cls
+    ]
+    flat.sort(key=lambda item: -item[2].score)
+    npos = sum(
+        1
+        for img in images
+        for g in gts_by_image.get(img, [])
+        if g.type == cls and _difficulty_level(g) <= target_level
+    )
+    tp, _ = _match_prefix(flat, gts_by_image, cls, target_level, pair_iou, iou_threshold)
+    return npos, tp, len(flat)
+
+
 def ap_r40_bruteforce(preds_by_image, gts_by_image, cls, difficulty, pair_iou, iou_threshold):
     """AP|R40 by exhaustive re-matching of every score-prefix.
 

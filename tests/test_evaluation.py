@@ -16,7 +16,7 @@ from mono3d.evaluation import (
 )
 from mono3d.geometry import Box3D, iou_3d, iou_bev
 from mono3d.heads import CLASS_NAMES, wrap_angle
-from mono3d.kitti import CameraCalib, LabelRecord, write_calib, write_labels
+from mono3d.kitti import CameraCalib, LabelRecord, parse_label_file, write_calib, write_labels
 
 import oracles
 
@@ -274,6 +274,12 @@ def test_ap_rejects_bad_arguments():
 def test_eval_config_threshold_validation():
     with pytest.raises(UsageError):
         EvalConfig(threshold_sets=(("bad", (("Car", 0.0), ("Pedestrian", 0.5), ("Cyclist", 0.5))),))
+    with pytest.raises(UsageError):  # Pedestrian and Cyclist left out
+        EvalConfig(threshold_sets=(("x", (("Car", 0.7),)),))
+    with pytest.raises(UsageError):  # a class the evaluator does not know
+        EvalConfig(threshold_sets=(("x", OFFICIAL_IOU + (("Truck", 0.7),)),))
+    with pytest.raises(UsageError):  # Car given twice
+        EvalConfig(threshold_sets=(("x", OFFICIAL_IOU + (("Car", 0.5),)),))
     with pytest.raises(UsageError):
         EvalConfig(metrics=("2D",))
 
@@ -307,6 +313,62 @@ def test_split_gt_as_predictions_all_100(tmp_path):
     defined = [c for c in report.cells.values() if c.ap is not None]
     assert defined and all(c.ap == 100.0 for c in defined)
     assert all(c.missed == 0 for c in defined)
+
+
+def test_split_cells_bitwise_vs_bruteforce(tmp_path):
+    rng = np.random.default_rng(15)
+    gt, preds = _corpus(rng, n_images=12)
+    ped, cyc = _BASE_DIMS["Pedestrian"], _BASE_DIMS["Cyclist"]
+    # predictions of a class (Cyclist) with no ground truth in the image;
+    # the top Car prediction has the right footprint at the wrong height,
+    # a hit in BEV but not in 3D
+    gt["000100"] = [_record()]
+    preds["000100"] = [
+        _record(loc=(0.0, 0.7, 20.0), score=0.85),
+        _record(loc=(0.1, 1.5, 20.1), score=0.8),
+        _record(cls="Cyclist", dims=cyc, loc=(4.0, 1.5, 15.0), score=0.6),
+    ]
+    # ground truth with no prediction of its class (Pedestrian)
+    gt["000101"] = [
+        _record(cls="Pedestrian", dims=ped, loc=(2.0, 1.6, 12.0)),
+        _record(loc=(5.0, 1.5, 30.0)),
+    ]
+    preds["000101"] = [_record(loc=(5.1, 1.5, 30.2), score=0.5)]
+    # tied top scores, a false positive between two hits, and a zero-width
+    # prediction (zero-area footprint) on a ground-truth box: its IoU row
+    # is all 0.0
+    gt["000102"] = [_record(), _record(loc=(3.0, 1.5, 20.0), h2d=30.0, occ=1)]
+    preds["000102"] = [
+        _record(loc=(0.2, 1.5, 20.0), score=1.0),
+        _record(loc=(-9.0, 1.5, 40.0), score=1.0),
+        _record(loc=(3.0, 1.5, 20.3), score=1.0),
+        _record(dims=(1.5, 0.0, 3.9), score=0.9),
+    ]
+    # two predictions on one ignored box: only the first drops out
+    gt["000103"] = [_record(loc=(9.0, 1.5, 25.0), h2d=20.0)]
+    preds["000103"] = [
+        _record(loc=(9.0, 1.5, 25.1), score=0.85),
+        _record(loc=(9.1, 1.5, 25.0), score=0.8),
+    ]
+    # what is on disk: labels are written to two decimals
+    gt = {img: parse_label_file(write_labels(recs)) for img, recs in gt.items()}
+    preds = {img: parse_label_file(write_labels(recs)) for img, recs in preds.items()}
+    pred_dir, gt_dir = _write_split(tmp_path, gt, preds)
+    report = evaluate_split(pred_dir, gt_dir)
+    assert report.errors == [] and len(report.cells) == 36
+    checked = 0
+    for (set_name, metric, cls, diff), cell in report.cells.items():
+        thr = dict(OFFICIAL_IOU if set_name == "official" else RELAXED_IOU)[cls]
+        pair = _pair_iou(metric)
+        want = oracles.ap_r40_bruteforce(preds, gt, cls, diff, pair, thr)
+        n_gt, matched, n_pred = oracles.match_counts_bruteforce(preds, gt, cls, diff, pair, thr)
+        assert (cell.n_gt, cell.matched, cell.n_pred) == (n_gt, matched, n_pred)
+        if want is None:
+            assert cell.ap is None and n_gt == 0
+        else:
+            assert cell.ap == want
+            checked += 1
+    assert checked >= 24
 
 
 def test_split_empty_prediction_dir(tmp_path):

@@ -12,6 +12,7 @@ from mono3d.geometry import (
     convex_clip,
     iou_3d,
     iou_bev,
+    iou_pairs,
     polygon_area,
     raster_iou_reference,
 )
@@ -177,6 +178,29 @@ def test_iou_symmetry():
         a, b = _rand_box(rng), _rand_box(rng)
         assert abs(iou_bev(a, b) - iou_bev(b, a)) < 1e-12
         assert abs(iou_3d(a, b) - iou_3d(b, a)) < 1e-12
+    # the pair tables: B x A is the transpose of A x B, both metrics
+    boxes_a = [_rand_box(rng) for _ in range(7)]
+    boxes_b = [Box3D(b.location, b.dimensions, b.yaw + 0.3) for b in boxes_a[:3]]
+    boxes_b += [_rand_box(rng) for _ in range(6)]
+    for ab, ba in zip(iou_pairs(boxes_a, boxes_b), iou_pairs(boxes_b, boxes_a)):
+        assert ab.shape == (7, 9) and ba.shape == (9, 7)
+        assert np.max(np.abs(ab - ba.T)) < 1e-12
+        assert np.count_nonzero(ab) >= 3
+
+
+def test_iou_pairs_empty_and_zero_area():
+    boxes = [_box(), _box(x=0.5, yaw=0.3), _box(z=0.2, h=2.0)]
+    for table in iou_pairs([], boxes):
+        assert table.shape == (0, 3)
+    for table in iou_pairs(boxes, []):
+        assert table.shape == (3, 0)
+    # a zero-width or zero-length footprint has zero area: IoU exactly 0.0
+    for flat in (_box(w=0.0, yaw=0.4), _box(l=0.0, x=0.1)):
+        for row in iou_pairs([flat], boxes):
+            assert row.tolist() == [[0.0, 0.0, 0.0]]
+        for col in iou_pairs(boxes, [flat]):
+            assert col.tolist() == [[0.0], [0.0], [0.0]]
+        assert iou_bev(flat, boxes[0]) == 0.0 and iou_3d(boxes[0], flat) == 0.0
 
 
 def test_iou_rigid_invariance():
