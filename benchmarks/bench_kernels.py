@@ -29,6 +29,18 @@ def _bilinear_args(rng, n, c, h, w, oh, ow):
     return iy0, iy1, ys - iy0, ix0, ix1, xs - ix0
 
 
+def _roi_args(rng, n, h, w, m, r):
+    """m RoIs of r x r samples spread over an n-image h x w map."""
+    bidx = rng.integers(0, n, size=m)
+    ys = rng.uniform(0.0, h - 1.0, size=(m, r))
+    xs = rng.uniform(0.0, w - 1.0, size=(m, r))
+    iy0 = np.floor(ys).astype(np.int64)
+    ix0 = np.floor(xs).astype(np.int64)
+    iy1 = np.minimum(iy0 + 1, h - 1)
+    ix1 = np.minimum(ix0 + 1, w - 1)
+    return bidx, iy0, iy1, ys - iy0, ix0, ix1, xs - ix0
+
+
 def build_workloads(quick):
     rng = np.random.default_rng(0)
     scale = 2 if quick else 1
@@ -42,6 +54,12 @@ def build_workloads(quick):
     feat = rng.normal(size=(2, 64, gh, gw))
     grid = _bilinear_args(rng, 2, 64, gh, gw, 56, 56)
     gout = rng.normal(size=(2, 64, 56, 56))
+
+    # a toy training batch: 16 ground-truth RoIs on the 8 x 64 x 16 x 24 map
+    rn, rh, rw = 8, 16, 24
+    rmap = rng.normal(size=(rn, 64, rh, rw))
+    rois = _roi_args(rng, rn, rh, rw, 16, 7)
+    rout = rng.normal(size=(16, 64, 7, 7))
 
     n_pairs = 64 // scale
     boxes_a = np.column_stack(
@@ -60,6 +78,8 @@ def build_workloads(quick):
         ("col2im", lambda: kernels.col2im(cols, hp, wp, 3, 3, 1, 1, oh, ow)),
         ("bilinear_gather", lambda: kernels.bilinear_gather(feat, *grid)),
         ("bilinear_scatter", lambda: kernels.bilinear_scatter(gout, *grid, gh, gw)),
+        ("roi_gather", lambda: kernels.roi_gather(rmap, *rois)),
+        ("roi_scatter", lambda: kernels.roi_scatter(rout, *rois, rn, rh, rw)),
         ("raster_iou", lambda: kernels.raster_iou(boxes_a, boxes_b, 256 // scale)),
         ("desk_fwd_bwd", _desk_step(quick)),
     ]

@@ -66,7 +66,7 @@ def polygon_area(poly):
     if len(poly) < 3:
         return 0.0
     x, y = poly[:, 0], poly[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    xn, yn = np.concatenate((x[1:], x[:1])), np.concatenate((y[1:], y[:1]))
     return 0.5 * float(np.sum(x * yn - xn * y))
 
 

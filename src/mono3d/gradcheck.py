@@ -224,10 +224,16 @@ def _check_neck(rng):
 
 
 def _check_roi_crop(rng):
-    feat = _t(rng, 1, 3, 8, 8)
-    det = Detection2D(class_id=0, score=1.0, center=(13.0, 17.0), size=(10.0, 12.0))
-    r = _t(rng, 3, 7, 7)
-    return grad_check(_projected(lambda a: roi_crop(a, det), r), feat, eps=EPS, max_entries=24, rng=rng)
+    feat = _t(rng, 2, 3, 8, 8)
+    dets = [
+        Detection2D(class_id=0, score=1.0, center=(13.0, 17.0), size=(10.0, 12.0)),
+        Detection2D(class_id=1, score=1.0, center=(20.0, 9.0), size=(14.0, 8.0)),
+        Detection2D(class_id=2, score=1.0, center=(6.0, 25.0), size=(9.0, 11.0)),
+    ]
+    r = _t(rng, 3, 3, 7, 7)
+    return grad_check(
+        _projected(lambda a: roi_crop(a, dets, [0, 1, 1])[0], r), feat, eps=EPS, max_entries=24, rng=rng
+    )
 
 
 def _check_heads2d(rng):

@@ -170,30 +170,32 @@ def decode_heatmap_peaks(heatmap, offset2d, size2d, k=50, threshold=0.0):
     return dets
 
 
-def roi_crop(feat, box2d, out_size=(ROI_SIZE, ROI_SIZE), image_index=0):
-    """RoI-aligned bilinear crop of a 2D box from the stride-4 map.
+def roi_crop(feat, dets, image_index, out_size=(ROI_SIZE, ROI_SIZE)):
+    """RoI-aligned bilinear crops of 2D boxes from the stride-4 map.
 
-    The box (input pixels) maps to feature coords at 1/stride; r x r
-    half-pixel sample centers span it: x = x1 + (j + 0.5) * bw / r - 0.5
-    in array index space, clamped at borders. Differentiable w.r.t. feat.
+    Box m (input pixels) comes from image image_index[m] and maps to
+    feature coords at 1/stride, clipped to the map; r x r half-pixel sample
+    centers span it (see tensor.roi_align). Returns (rois [V, C, r, r],
+    valid [M] bool): a box with no area inside the map is invalid and gets
+    no RoI, so rois holds the valid boxes in order. Differentiable w.r.t. feat.
     """
     if feat.ndim != 4:
         raise DimensionError(f"expected [N, C, h, w] features, got {feat.shape}")
+    image_index = np.asarray(image_index, dtype=np.int64)
+    if image_index.shape != (len(dets),):
+        raise DimensionError(f"{len(dets)} boxes but image_index of shape {image_index.shape}")
     h, w = feat.shape[2], feat.shape[3]
-    ry, rx = out_size
-    u, v = box2d.center
-    bw, bh = box2d.size
-    x1 = max((u - bw / 2.0) / OUTPUT_STRIDE, 0.0)
-    x2 = min((u + bw / 2.0) / OUTPUT_STRIDE, float(w))
-    y1 = max((v - bh / 2.0) / OUTPUT_STRIDE, 0.0)
-    y2 = min((v + bh / 2.0) / OUTPUT_STRIDE, float(h))
-    if x2 - x1 <= 0.0 or y2 - y1 <= 0.0:
-        raise DegenerateGeometryError(
-            f"box {box2d.center}+-{box2d.size} has no area inside the {h}x{w} map"
-        )
-    ys = y1 + (np.arange(ry) + 0.5) * (y2 - y1) / ry - 0.5
-    xs = x1 + (np.arange(rx) + 0.5) * (x2 - x1) / rx - 0.5
-    return T.sample_bilinear_grid(feat, ys, xs)[image_index]
+    centers = np.array([d.center for d in dets], dtype=np.float64).reshape(-1, 2)
+    sizes = np.array([d.size for d in dets], dtype=np.float64).reshape(-1, 2)
+    u, v = centers[:, 0], centers[:, 1]
+    bw, bh = sizes[:, 0], sizes[:, 1]
+    x1 = np.maximum((u - bw / 2.0) / OUTPUT_STRIDE, 0.0)
+    x2 = np.minimum((u + bw / 2.0) / OUTPUT_STRIDE, float(w))
+    y1 = np.maximum((v - bh / 2.0) / OUTPUT_STRIDE, 0.0)
+    y2 = np.minimum((v + bh / 2.0) / OUTPUT_STRIDE, float(h))
+    valid = (x2 - x1 > 0.0) & (y2 - y1 > 0.0)
+    boxes = np.stack([x1, y1, x2, y2], axis=1)[valid]
+    return T.roi_align(feat, boxes, image_index[valid], out_size), valid
 
 
 class Heads3D(Module):
@@ -208,8 +210,6 @@ class Heads3D(Module):
         self.fc_bias = Linear(mid_ch, 2, rng)
 
     def __call__(self, rois):
-        if rois.ndim == 3:
-            rois = T.reshape(rois, (1,) + rois.shape)
         if rois.ndim != 4:
             raise DimensionError(f"expected [M, C, r, r] RoIs, got {rois.shape}")
         m = rois.shape[0]

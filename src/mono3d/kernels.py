@@ -1,7 +1,8 @@
 """Hot numeric kernels, one numpy implementation each.
 
 im2col/col2im carry conv2d forward and backward; bilinear_gather and
-bilinear_scatter carry RoI sampling and its adjoint. `raster_iou`
+bilinear_scatter carry grid resampling and its adjoint, roi_gather and
+roi_scatter the batched RoI-align and its adjoint. `raster_iou`
 counts lattice points per row by interval and is the independent check
 on the polygon-clipping IoU in `geometry`.
 """
@@ -73,6 +74,55 @@ def bilinear_scatter(g, iy0, iy1, fy, ix0, ix1, fx, h, w):
     np.add.at(dx, (slice(None), slice(None), iy1[:, None], ix0[None, :]), g * w10)
     np.add.at(dx, (slice(None), slice(None), iy1[:, None], ix1[None, :]), g * w11)
     return dx
+
+
+def _corner_weights(fy, fx):
+    """Bilinear corner weights [M, ry, rx] per RoI, as in bilinear_gather."""
+    w00 = (1.0 - fy)[:, :, None] * (1.0 - fx)[:, None, :]
+    w01 = (1.0 - fy)[:, :, None] * fx[:, None, :]
+    w10 = fy[:, :, None] * (1.0 - fx)[:, None, :]
+    w11 = fy[:, :, None] * fx[:, None, :]
+    return w00, w01, w10, w11
+
+
+def roi_gather(x, bidx, iy0, iy1, fy, ix0, ix1, fx):
+    """Per-RoI separable bilinear sampling: x [N, C, H, W] -> [M, C, ry, rx].
+
+    RoI m reads only image bidx[m]; iy0/iy1/fy are its [M, ry] floor/ceil
+    rows and fraction, ix0/ix1/fx its [M, rx] columns (pre-clamped). Each
+    RoI gets the same float expressions as bilinear_gather on its image.
+    """
+    b = bidx[:, None, None]
+    rows0, rows1 = iy0[:, :, None], iy1[:, :, None]
+    cols0, cols1 = ix0[:, None, :], ix1[:, None, :]
+    w00, w01, w10, w11 = (wk[..., None] for wk in _corner_weights(fy, fx))
+    v00 = x[b, :, rows0, cols0]  # [M, ry, rx, C]
+    v01 = x[b, :, rows0, cols1]
+    v10 = x[b, :, rows1, cols0]
+    v11 = x[b, :, rows1, cols1]
+    out = v00 * w00 + v01 * w01 + v10 * w10 + v11 * w11
+    return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+
+
+def roi_scatter(g, bidx, iy0, iy1, fy, ix0, ix1, fx, n, h, w):
+    """Adjoint of roi_gather: RoI grads [M, C, ry, rx] -> map grad [N, C, H, W].
+
+    One weighted bincount over every RoI, corner and channel; RoI m adds
+    only into image bidx[m].
+    """
+    c = g.shape[1]
+    cell = bidx[:, None, None] * (h * w)
+    chan = np.arange(c)[:, None, None, None] * (n * h * w)
+    gc = g.transpose(1, 0, 2, 3)  # [C, M, ry, rx]: writes run along one channel
+    corners = zip(
+        ((iy0, ix0), (iy0, ix1), (iy1, ix0), (iy1, ix1)), _corner_weights(fy, fx)
+    )
+    flat, vals = [], []
+    for (iy, ix), wk in corners:
+        flat.append((chan + (cell + iy[:, :, None] * w + ix[:, None, :])).ravel())
+        vals.append((gc * wk).ravel())
+    dx = np.bincount(np.concatenate(flat), np.concatenate(vals), minlength=c * n * h * w)
+    return np.ascontiguousarray(dx.reshape(c, n, h, w).transpose(1, 0, 2, 3))
 
 
 def _footprint_extent(box):

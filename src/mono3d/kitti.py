@@ -76,6 +76,8 @@ class SplitSpec:
 
 
 def _token_columns(line):
+    """(1-based column, token) of each whitespace-separated token; only
+    error paths call it, to place a ParseError."""
     cols = []
     i = 0
     while i < len(line):
@@ -89,17 +91,21 @@ def _token_columns(line):
     return cols
 
 
-def _parse_float(token, line_no, col):
+def _parse_float(tokens, k, line, line_no):
     try:
-        return float(token)
+        return float(tokens[k])
     except ValueError:
-        raise ParseError(f"expected a number, got {token!r}", line_no, col) from None
+        raise ParseError(
+            f"expected a number, got {tokens[k]!r}", line_no, _token_columns(line)[k][0]
+        ) from None
 
 
-def _parse_int(token, line_no, col):
-    value = _parse_float(token, line_no, col)
+def _parse_int(tokens, k, line, line_no):
+    value = _parse_float(tokens, k, line, line_no)
     if value != int(value):
-        raise ParseError(f"expected an integer, got {token!r}", line_no, col)
+        raise ParseError(
+            f"expected an integer, got {tokens[k]!r}", line_no, _token_columns(line)[k][0]
+        )
     return int(value)
 
 
@@ -107,23 +113,21 @@ def parse_label_file(text):
     """Text -> list of LabelRecord; 15 fields per line, 16 with a score."""
     records = []
     for line_no, line in enumerate(text.splitlines(), start=1):
-        tokens = _token_columns(line)
+        tokens = line.split()
         if not tokens:
             continue
         if len(tokens) not in (LABEL_FIELDS_GT, LABEL_FIELDS_PRED):
             raise ParseError(
                 f"expected {LABEL_FIELDS_GT} or {LABEL_FIELDS_PRED} fields, got {len(tokens)}",
                 line_no,
-                tokens[0][0],
+                _token_columns(line)[0][0],
             )
-        cols = [c for c, _ in tokens]
-        vals = [t for _, t in tokens]
-        nums = [_parse_float(v, line_no, c) for c, v in zip(cols[1:], vals[1:])]
+        nums = [_parse_float(tokens, k, line, line_no) for k in range(1, len(tokens))]
         records.append(
             LabelRecord(
-                type=vals[0],
+                type=tokens[0],
                 truncated=nums[0],
-                occluded=_parse_int(vals[2], line_no, cols[2]),
+                occluded=_parse_int(tokens, 2, line, line_no),
                 alpha=nums[2],
                 bbox=tuple(nums[3:7]),
                 dimensions=tuple(nums[7:10]),
@@ -158,13 +162,13 @@ def write_labels(records):
 def parse_calib_file(text):
     """Find the P2 line (12 reals) and build the calibration."""
     for line_no, line in enumerate(text.splitlines(), start=1):
-        tokens = _token_columns(line)
-        if not tokens or tokens[0][1].rstrip(":") != "P2":
+        tokens = line.split()
+        if not tokens or tokens[0].rstrip(":") != "P2":
             continue
-        nums = tokens[1:]
-        if len(nums) != 12:
-            raise ParseError(f"P2 needs 12 values, got {len(nums)}", line_no, tokens[0][0])
-        vals = [_parse_float(v, line_no, c) for c, v in nums]
+        n_vals = len(tokens) - 1
+        if n_vals != 12:
+            raise ParseError(f"P2 needs 12 values, got {n_vals}", line_no, _token_columns(line)[0][0])
+        vals = [_parse_float(tokens, k, line, line_no) for k in range(1, 13)]
         return CameraCalib(np.array(vals).reshape(3, 4))
     raise ParseError("no P2 line found in calibration text")
 

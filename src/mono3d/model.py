@@ -84,20 +84,23 @@ class Detector(Module):
                 threshold=score_threshold,
             )
             drops = {}
-            dets3d = []
+            kept = []
             for det in dets2d:
                 if det.size[1] <= MIN_H2D_PIXELS:
                     drops["h2d_degenerate"] = drops.get("h2d_degenerate", 0) + 1
-                    continue
-                try:
-                    roi = roi_crop(feat, det)
-                except DegenerateGeometryError:
-                    drops["roi_degenerate"] = drops.get("roi_degenerate", 0) + 1
-                    continue
-                out3d = self.heads3d(roi)
-                det3d = decode_box3d(det, out3d, calib, roi_index=0, drop_count=drops)
-                if det3d is not None:
-                    dets3d.append(det3d)
+                else:
+                    kept.append(det)
+            rois, valid = roi_crop(feat, kept, np.zeros(len(kept), dtype=np.int64))
+            if not valid.all():
+                drops["roi_degenerate"] = drops.get("roi_degenerate", 0) + int(np.sum(~valid))
+            live = [det for det, ok in zip(kept, valid) if ok]
+            dets3d = []
+            if live:
+                out3d = self.heads3d(rois)
+                for j, det in enumerate(live):
+                    det3d = decode_box3d(det, out3d, calib, roi_index=j, drop_count=drops)
+                    if det3d is not None:
+                        dets3d.append(det3d)
         return dets3d, drops
 
     def loss_terms(self, images, targets, calibs):
@@ -127,7 +130,7 @@ class Detector(Module):
             "size2d": l1_masked(out2d.size2d, size_gt, mask),
         }
 
-        rois, cls_ids, off3_gt, size3_gt = [], [], [], []
+        dets, image_index, cls_ids, off3_gt, size3_gt = [], [], [], [], []
         bin_gt, res_gt, depth_gt, h2d, f_v = [], [], [], [], []
         for i, t in enumerate(targets):
             for m in range(t.n_objects):
@@ -137,7 +140,8 @@ class Detector(Module):
                     center=(float(t.center2d[m, 0]), float(t.center2d[m, 1])),
                     size=(float(t.size2d[m, 0]), float(t.size2d[m, 1])),
                 )
-                rois.append(roi_crop(feat, det, image_index=i))
+                dets.append(det)
+                image_index.append(i)
                 cls_ids.append(det.class_id)
                 off3_gt.append(t.offset3d[m])
                 size3_gt.append(t.size3d[m])
@@ -147,12 +151,19 @@ class Detector(Module):
                 h2d.append(det.size[1])
                 f_v.append(calibs[i].f_v)
 
-        if not rois:
+        if not dets:
             for term in ("offset3d", "w3d", "l3d", "h3d", "angle", "depth"):
                 terms[term] = _zero_scalar()
             return {term: terms[term] for term in LOSS_TERMS}
 
-        out3d = self.heads3d(T.stack(rois))
+        rois, valid = roi_crop(feat, dets, image_index)
+        if not valid.all():
+            bad = dets[int(np.argmin(valid))]
+            raise DegenerateGeometryError(
+                f"ground-truth box {bad.center}+-{bad.size} has no area inside the "
+                f"{feat.shape[2]}x{feat.shape[3]} map"
+            )
+        out3d = self.heads3d(rois)
         m_total = len(cls_ids)
         cls = np.asarray(cls_ids)
         onehot = np.zeros((m_total, self.num_classes, 1))

@@ -497,7 +497,10 @@ def _bilinear_axis(src, limit):
 
 
 def sample_bilinear_grid(x, ys, xs):
-    """Sample x[N,C,H,W] at the separable grid ys x xs (index coords, clamped)."""
+    """Sample x[N,C,H,W] at the separable grid ys x xs (index coords, clamped).
+
+    One grid for every image, as bilinear_resize needs; RoI crops use roi_align.
+    """
     n, c, h, w = x.shape
     iy0, iy1, fy = _bilinear_axis(np.asarray(ys, dtype=np.float64), h)
     ix0, ix1, fx = _bilinear_axis(np.asarray(xs, dtype=np.float64), w)
@@ -507,6 +510,40 @@ def sample_bilinear_grid(x, ys, xs):
         return (kernels.bilinear_scatter(np.ascontiguousarray(g), iy0, iy1, fy, ix0, ix1, fx, h, w),)
 
     return _record("bilinear", out, (x,), vjp)
+
+
+def roi_align(x, boxes, batch_idx, out_size=(7, 7)):
+    """RoIAlign: each box of x[N,C,H,W] sampled on an ry x rx grid -> [M,C,ry,rx].
+
+    boxes[M, 4] are (x1, y1, x2, y2) in map units, pixel edges (the whole
+    map is (0, 0, W, H)); the half-pixel sample centers are
+    y = y1 + (i + 0.5) * (y2 - y1) / ry - 0.5 in index space, clamped at
+    the border. RoI m reads only image batch_idx[m], and its gradient
+    flows only into that image.
+    """
+    if x.ndim != 4:
+        raise DimensionError(f"expected [N, C, h, w] features, got {x.shape}")
+    boxes = np.asarray(boxes, dtype=np.float64)
+    batch_idx = np.asarray(batch_idx, dtype=np.int64)
+    if boxes.ndim != 2 or boxes.shape[1] != 4 or batch_idx.shape != boxes.shape[:1]:
+        raise DimensionError(
+            f"expected boxes [M, 4] and batch_idx [M], got {boxes.shape} and {batch_idx.shape}"
+        )
+    n, _, h, w = x.shape
+    if np.any((batch_idx < 0) | (batch_idx >= n)):
+        raise UsageError(f"batch_idx outside [0, {n}): {batch_idx}")
+    ry, rx = out_size
+    x1, y1, x2, y2 = (boxes[:, k, None] for k in range(4))
+    ys = y1 + (np.arange(ry) + 0.5) * (y2 - y1) / ry - 0.5
+    xs = x1 + (np.arange(rx) + 0.5) * (x2 - x1) / rx - 0.5
+    iy0, iy1, fy = _bilinear_axis(ys, h)
+    ix0, ix1, fx = _bilinear_axis(xs, w)
+    out = kernels.roi_gather(x.data, batch_idx, iy0, iy1, fy, ix0, ix1, fx)
+
+    def vjp(g):
+        return (kernels.roi_scatter(g, batch_idx, iy0, iy1, fy, ix0, ix1, fx, n, h, w),)
+
+    return _record("roi_align", out, (x,), vjp)
 
 
 def bilinear_resize(x, out_h, out_w, align_corners=False):

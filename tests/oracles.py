@@ -267,3 +267,41 @@ def raster_iou_pointwise(boxes_a, boxes_b, n_grid):
         union = np.count_nonzero(in_a) + np.count_nonzero(in_b) - inter
         out[p] = inter / union if union > 0 else 0.0
     return out
+
+
+def roi_align_pointwise(fmap, centers, sizes, image_index, stride, out_size):
+    """RoIAlign crops one sample at a time -> [M, C, ry, rx].
+
+    Box m is (center, size) in input pixels on image image_index[m] of
+    fmap [N, C, h, w]. Its edges divide by the stride and are clipped to
+    the map; sample (i, j) sits at the half-pixel center
+    y1 + (i + 0.5) * (y2 - y1) / ry - 0.5 in index space (same for x),
+    clamped to the border, and blends its four neighbours bilinearly.
+    """
+    _, c, h, w = fmap.shape
+    ry, rx = out_size
+    out = np.zeros((len(centers), c, ry, rx))
+    for m, ((u, v), (bw, bh), n) in enumerate(zip(centers, sizes, image_index)):
+        x1 = max((u - bw / 2.0) / stride, 0.0)
+        x2 = min((u + bw / 2.0) / stride, float(w))
+        y1 = max((v - bh / 2.0) / stride, 0.0)
+        y2 = min((v + bh / 2.0) / stride, float(h))
+        for i in range(ry):
+            sy = min(max(y1 + (i + 0.5) * (y2 - y1) / ry - 0.5, 0.0), h - 1.0)
+            r0 = int(math.floor(sy))
+            r1 = min(r0 + 1, h - 1)
+            fy = sy - r0
+            for j in range(rx):
+                sx = min(max(x1 + (j + 0.5) * (x2 - x1) / rx - 0.5, 0.0), w - 1.0)
+                c0 = int(math.floor(sx))
+                c1 = min(c0 + 1, w - 1)
+                fx = sx - c0
+                for ch in range(c):
+                    img = fmap[n, ch]
+                    out[m, ch, i, j] = (
+                        img[r0, c0] * (1 - fy) * (1 - fx)
+                        + img[r0, c1] * (1 - fy) * fx
+                        + img[r1, c0] * fy * (1 - fx)
+                        + img[r1, c1] * fy * fx
+                    )
+    return out

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from mono3d import tensor as T
-from mono3d.errors import DegenerateGeometryError, UsageError
+from mono3d.errors import DegenerateGeometryError, DimensionError, UsageError
 from mono3d.heads import (
     CLASS_PRIORS,
     NUM_ANGLE_BINS,
+    OUTPUT_STRIDE,
     Detection2D,
     Heads2D,
     Heads3D,
@@ -23,6 +24,8 @@ from mono3d.heads import (
 )
 from mono3d.kitti import CameraCalib
 from mono3d.tensor import Tensor
+
+import oracles
 
 
 def _zero_params(module):
@@ -174,19 +177,25 @@ def test_suppression_keeps_plateau_cells():
 # ---------------------------------------------------------------------------
 
 
+def _box(center, size):
+    return Detection2D(0, 1.0, center, size)
+
+
 def test_roi_whole_map_identity():
     rng = np.random.default_rng(10)
-    fmap = rng.normal(size=(1, 3, 7, 7))
+    fmap = rng.normal(size=(2, 3, 7, 7))
     # box spanning the full 7x7 map in input pixels (28x28 box centered at 14)
-    box = Detection2D(0, 1.0, (14.0, 14.0), (28.0, 28.0))
-    out = roi_crop(Tensor(fmap), box, out_size=(7, 7))
-    assert np.max(np.abs(out.data - fmap[0])) < 1e-12
+    box = _box((14.0, 14.0), (28.0, 28.0))
+    out, valid = roi_crop(Tensor(fmap), [box, box], [1, 0], out_size=(7, 7))
+    assert valid.tolist() == [True, True]
+    assert np.max(np.abs(out.data - fmap[::-1])) < 1e-12
 
 
 def test_roi_constant_map():
-    fmap = np.full((1, 2, 6, 6), 3.25)
-    box = Detection2D(0, 1.0, (9.0, 13.0), (6.0, 9.0))
-    out = roi_crop(Tensor(fmap), box, out_size=(5, 5))
+    fmap = np.full((2, 2, 6, 6), 3.25)
+    boxes = [_box((9.0, 13.0), (6.0, 9.0)), _box((2.0, 22.0), (12.0, 9.0))]
+    out, _ = roi_crop(Tensor(fmap), boxes, [0, 1], out_size=(5, 5))
+    assert out.shape == (2, 2, 5, 5)
     assert np.allclose(out.data, 3.25, atol=1e-12)
 
 
@@ -194,28 +203,86 @@ def test_roi_half_pixel_ramp_shift():
     # ramp f[y][x] = x in feature coords; shifting the box by half a feature
     # pixel (2 input px) must shift every sample by exactly 0.5
     fmap = np.tile(np.arange(16.0), (1, 1, 16, 1))
-    base = Detection2D(0, 1.0, (24.0, 32.0), (16.0, 16.0))
-    shifted = Detection2D(0, 1.0, (26.0, 32.0), (16.0, 16.0))
-    a = roi_crop(Tensor(fmap), base, out_size=(4, 4)).data
-    b = roi_crop(Tensor(fmap), shifted, out_size=(4, 4)).data
-    assert np.max(np.abs((b - a) - 0.5)) < 1e-12
+    base = _box((24.0, 32.0), (16.0, 16.0))
+    shifted = _box((26.0, 32.0), (16.0, 16.0))
+    out, _ = roi_crop(Tensor(fmap), [base, shifted], [0, 0], out_size=(4, 4))
+    assert np.max(np.abs((out.data[1] - out.data[0]) - 0.5)) < 1e-12
 
 
 def test_roi_zero_area_rejected():
-    fmap = Tensor(np.zeros((1, 2, 6, 6)))
-    with pytest.raises(DegenerateGeometryError):
-        roi_crop(fmap, Detection2D(0, 1.0, (-40.0, 12.0), (8.0, 8.0)))
-    with pytest.raises(DegenerateGeometryError):
-        roi_crop(fmap, Detection2D(0, 1.0, (12.0, 12.0), (0.0, 8.0)))
+    fmap = Tensor(np.random.default_rng(9).normal(size=(1, 2, 6, 6)))
+    outside = _box((-40.0, 12.0), (8.0, 8.0))
+    flat = _box((12.0, 12.0), (0.0, 8.0))
+    inside = _box((12.0, 12.0), (8.0, 8.0))
+    out, valid = roi_crop(fmap, [outside, inside, flat], [0, 0, 0])
+    assert valid.tolist() == [False, True, False]
+    alone, _ = roi_crop(fmap, [inside], [0])
+    assert out.shape == (1, 2, 7, 7) and np.array_equal(out.data, alone.data)
+    none, valid = roi_crop(fmap, [], [])
+    assert none.shape == (0, 2, 7, 7) and valid.shape == (0,)
+
+
+def test_roi_rejects_mismatched_image_index():
+    fmap = Tensor(np.zeros((2, 2, 6, 6)))
+    box = _box((12.0, 12.0), (8.0, 8.0))
+    with pytest.raises(DimensionError):
+        roi_crop(fmap, [box, box], [0])
+    with pytest.raises(UsageError):
+        roi_crop(fmap, [box], [2])
+
+
+def _border_boxes():
+    """Boxes on a 10x12 map (40x48 input px) clipped at every border, plus interior ones."""
+    return [
+        ((-3.0, 20.0), (14.0, 10.0)),  # left
+        ((45.0, 17.0), (12.0, 9.0)),  # right
+        ((20.0, -2.0), (10.0, 13.0)),  # top
+        ((18.0, 37.0), (9.0, 11.0)),  # bottom
+        ((1.0, 39.0), (11.0, 8.0)),  # bottom-left corner
+        ((24.0, 20.0), (60.0, 50.0)),  # whole map and past it
+        ((13.0, 17.0), (10.0, 12.0)),
+        ((30.5, 9.25), (3.0, 2.5)),  # smaller than a feature pixel
+    ]
+
+
+def test_roi_crop_matches_pointwise_oracle():
+    fmap = np.random.default_rng(30).normal(size=(3, 4, 10, 12))
+    spec = _border_boxes()
+    image_index = [0, 1, 2, 0, 1, 2, 1, 0]
+    dets = [_box(c, s) for c, s in spec]
+    out, valid = roi_crop(Tensor(fmap), dets, image_index, out_size=(7, 5))
+    assert valid.all()
+    expected = oracles.roi_align_pointwise(
+        fmap, [c for c, _ in spec], [s for _, s in spec], image_index, OUTPUT_STRIDE, (7, 5)
+    )
+    assert out.shape == expected.shape
+    assert np.max(np.abs(out.data - expected)) < 1e-12
+
+
+def test_roi_grad_only_into_owning_images():
+    feat = Tensor(np.random.default_rng(31).normal(size=(3, 4, 10, 12)), requires_grad=True)
+    dets = [_box(c, s) for c, s in _border_boxes()]
+    image_index = [0, 2, 2, 0, 2, 0, 0, 2]
+    out, _ = roi_crop(feat, dets, image_index)
+    probe = np.random.default_rng(32).normal(size=out.shape)
+    T.backward(T.sum_(out * probe))
+    assert np.all(feat.grad[1] == 0.0)
+    assert np.all(np.any(feat.grad[[0, 2]] != 0.0, axis=(1, 2, 3)))
+    # the gradient is the adjoint of the crop: <crop(x), p> = <x, grad>
+    assert abs(np.sum(out.data * probe) - np.sum(feat.data * feat.grad)) < 1e-9
 
 
 def test_roi_grad_check():
-    feat = Tensor(np.random.default_rng(11).normal(size=(1, 2, 8, 8)), requires_grad=True)
-    probe = Tensor(np.random.default_rng(12).normal(size=(2, 7, 7)))
-    box = Detection2D(0, 1.0, (13.0, 17.0), (14.0, 10.0))
+    feat = Tensor(np.random.default_rng(11).normal(size=(2, 2, 8, 8)), requires_grad=True)
+    probe = Tensor(np.random.default_rng(12).normal(size=(3, 2, 7, 7)))
+    dets = [
+        _box((13.0, 17.0), (14.0, 10.0)),
+        _box((22.0, 8.0), (12.0, 14.0)),
+        _box((5.0, 27.0), (10.0, 9.0)),
+    ]
 
     def f(t):
-        return T.sum_(roi_crop(t, box) * probe)
+        return T.sum_(roi_crop(t, dets, [1, 0, 1])[0] * probe)
 
     assert T.grad_check(f, feat, max_entries=30, rng=np.random.default_rng(13)) < 1e-4
 
@@ -236,10 +303,10 @@ def test_heads3d_shapes():
     assert out.bias_mu.shape == (5,)
 
 
-def test_heads3d_single_roi_promoted():
+def test_heads3d_rejects_unbatched_roi():
     heads = Heads3D(8, 3, np.random.default_rng(16))
-    out = heads(Tensor(np.random.default_rng(17).normal(size=(8, 7, 7))))
-    assert out.offset3d.shape == (1, 2)
+    with pytest.raises(DimensionError):
+        heads(Tensor(np.random.default_rng(17).normal(size=(8, 7, 7))))
 
 
 def test_heads3d_zero_weights_give_priors_and_uniform_bins():

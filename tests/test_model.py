@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,10 +6,12 @@ import pytest
 
 from mono3d import tensor as T
 from mono3d.backbone import BackboneConfig, StageConfig
-from mono3d.errors import ConfigError, DimensionError, UsageError
+from mono3d.errors import ConfigError, DegenerateGeometryError, DimensionError, UsageError
+from mono3d.heads import MIN_H2D_PIXELS, Heads3D, decode_box3d, decode_heatmap_peaks, roi_crop
 from mono3d.losses import LOSS_TERMS, assign_targets, make_weights, total_loss
 from mono3d.model import Detector, load_checkpoint, manifest_path, save_checkpoint
 from mono3d.synth import make_default_calib, synth_scene
+from mono3d.train import build_synth_dataset, train_detector
 
 IMAGE_SIZE = (96, 64)  # (W, H)
 
@@ -91,6 +94,15 @@ def test_loss_terms_empty_scene(desk):
     assert float(terms["heatmap"].data) > 0.0
 
 
+def test_loss_terms_zero_area_gt_box_raises(desk, scene):
+    calib, batch, targets = scene
+    size2d = targets[1].size2d.copy()
+    size2d[0, 0] = 0.0
+    flat = dataclasses.replace(targets[1], size2d=size2d)
+    with pytest.raises(DegenerateGeometryError):
+        desk.loss_terms(batch, [targets[0], flat], calib)
+
+
 def test_backward_reaches_every_parameter(scene):
     calib, batch, targets = scene
     det = Detector("desk", seed=0)
@@ -125,6 +137,103 @@ def test_infer_untrained_is_quiet_and_deterministic(desk, scene):
         assert a.score == b.score and a.location == b.location
     with pytest.raises(UsageError):
         desk.infer(batch, calib)
+
+
+@pytest.fixture(scope="module")
+def toy_checkpoint(tmp_path_factory):
+    """Desk detector after 10 epochs on 8 toy scenes, through a checkpoint;
+    about half of its k=50 peaks have a box inside the map."""
+    data = build_synth_dataset(8, IMAGE_SIZE, seed=7, n_objects=2, z_range=(4.5, 8.0), focal=120.0)
+    trained = Detector("desk", seed=0)
+    train_detector(trained, data, epochs=10, batch_size=8, lr=2.5e-4, decay_epochs=(150, 180))
+    path = tmp_path_factory.mktemp("toy") / "model.ckpt"
+    save_checkpoint(path, trained)
+    calib = data[0].calib
+    images = [synth_scene(s, 2, calib, IMAGE_SIZE, z_range=(4.5, 8.0))[0] for s in (7, 21, 22)]
+    return path, calib, images
+
+
+def _load(path):
+    det = Detector("desk", seed=0)
+    load_checkpoint(path, det)
+    return det
+
+
+def _infer_per_peak(det, image, calib, k):
+    """Reference loop: crop, 3D heads and decode one peak at a time."""
+    with T.no_grad():
+        feat = det.features(image)
+        out2d = det.heads2d(feat)
+        peaks = decode_heatmap_peaks(
+            out2d.heatmap.data[0], out2d.offset2d.data[0], out2d.size2d.data[0], k=k
+        )
+        drops, dets3d = {}, []
+        for peak in peaks:
+            if peak.size[1] <= MIN_H2D_PIXELS:
+                drops["h2d_degenerate"] = drops.get("h2d_degenerate", 0) + 1
+                continue
+            roi, valid = roi_crop(feat, [peak], [0])
+            if not valid[0]:
+                drops["roi_degenerate"] = drops.get("roi_degenerate", 0) + 1
+                continue
+            d3 = decode_box3d(peak, det.heads3d(roi), calib, roi_index=0, drop_count=drops)
+            if d3 is not None:
+                dets3d.append(d3)
+    return dets3d, drops
+
+
+def _count_heads3d_calls(monkeypatch):
+    calls = []
+    orig = Heads3D.__call__
+
+    def counted(self, rois):
+        calls.append(rois.shape[0])
+        return orig(self, rois)
+
+    monkeypatch.setattr(Heads3D, "__call__", counted)
+    return calls
+
+
+def test_batched_infer_matches_per_peak_loop(toy_checkpoint, monkeypatch):
+    path, calib, images = toy_checkpoint
+    det = _load(path)
+    reasons = set()
+    for image in images:
+        want, want_drops = _infer_per_peak(det, image, calib, k=50)
+        calls = _count_heads3d_calls(monkeypatch)
+        got, drops = det.infer(image, calib, k=50)
+        monkeypatch.undo()
+        assert calls == [len(got) + drops.get("nonpositive_depth", 0)]
+        assert drops == want_drops
+        assert len(got) + sum(drops.values()) == 50
+        assert len(got) == len(want) > 0
+        for a, b in zip(got, want):
+            assert a.class_id == b.class_id
+            np.testing.assert_allclose(
+                a.location + a.dimensions + (a.yaw, a.score, a.depth_sigma),
+                b.location + b.dimensions + (b.yaw, b.score, b.depth_sigma),
+                rtol=1e-9,
+                atol=0.0,
+            )
+        reasons.update(drops)
+    assert {"h2d_degenerate", "roi_degenerate"} <= reasons
+
+
+@pytest.mark.parametrize(
+    "size_bias, reason", [((10.0, 0.0), "h2d_degenerate"), ((0.0, 10.0), "roi_degenerate")]
+)
+def test_infer_without_surviving_peaks_skips_heads3d(toy_checkpoint, monkeypatch, size_bias, reason):
+    # a constant predicted 2D size of (w, h) = size_bias at every cell
+    path, calib, images = toy_checkpoint
+    det = _load(path)
+    det.heads2d.size.conv2.weight.data[...] = 0.0
+    det.heads2d.size.conv2.bias.data[...] = size_bias
+    want, want_drops = _infer_per_peak(det, images[0], calib, k=50)
+    calls = _count_heads3d_calls(monkeypatch)
+    got, drops = det.infer(images[0], calib, k=50)
+    assert got == [] and want == []
+    assert drops == want_drops == {reason: 50}
+    assert calls == []
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):
