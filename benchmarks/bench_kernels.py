@@ -19,16 +19,6 @@ from mono3d.model import Detector
 from mono3d.tensor import Tensor
 
 
-def _bilinear_args(rng, n, c, h, w, oh, ow):
-    ys = rng.uniform(0.0, h - 1.0, size=oh)
-    xs = rng.uniform(0.0, w - 1.0, size=ow)
-    iy0 = np.floor(ys).astype(np.int64)
-    ix0 = np.floor(xs).astype(np.int64)
-    iy1 = np.minimum(iy0 + 1, h - 1)
-    ix1 = np.minimum(ix0 + 1, w - 1)
-    return iy0, iy1, ys - iy0, ix0, ix1, xs - ix0
-
-
 def _roi_args(rng, n, h, w, m, r):
     """m RoIs of r x r samples spread over an n-image h x w map."""
     bidx = rng.integers(0, n, size=m)
@@ -50,10 +40,11 @@ def build_workloads(quick):
     xp = rng.normal(size=(n, c, hp, wp))
     cols = rng.normal(size=(n, c, 9, oh * ow))
 
-    gh, gw = 96 // scale, 96 // scale
-    feat = rng.normal(size=(2, 64, gh, gw))
-    grid = _bilinear_args(rng, 2, 64, gh, gw, 56, 56)
-    gout = rng.normal(size=(2, 64, 56, 56))
+    # the neck's largest toy-step resize: 8 x 64 x 8 x 12 -> 16 x 24
+    gh, gw = 8 // scale, 12 // scale
+    feat = rng.normal(size=(8, 64, gh, gw))
+    wy, wx = T._interp_matrix(2 * gh, gh), T._interp_matrix(2 * gw, gw)
+    gout = rng.normal(size=(8, 64, 2 * gh, 2 * gw))
 
     # a toy training batch: 16 ground-truth RoIs on the 8 x 64 x 16 x 24 map
     rn, rh, rw = 8, 16, 24
@@ -76,8 +67,8 @@ def build_workloads(quick):
     return [
         ("im2col", lambda: kernels.im2col(xp, 3, 3, 1, 1, oh, ow)),
         ("col2im", lambda: kernels.col2im(cols, hp, wp, 3, 3, 1, 1, oh, ow)),
-        ("bilinear_gather", lambda: kernels.bilinear_gather(feat, *grid)),
-        ("bilinear_scatter", lambda: kernels.bilinear_scatter(gout, *grid, gh, gw)),
+        ("bilinear_gather", lambda: kernels.bilinear_gather(feat, wy, wx)),
+        ("bilinear_scatter", lambda: kernels.bilinear_scatter(gout, wy, wx)),
         ("roi_gather", lambda: kernels.roi_gather(rmap, *rois)),
         ("roi_scatter", lambda: kernels.roi_scatter(rout, *rois, rn, rh, rw)),
         ("raster_iou", lambda: kernels.raster_iou(boxes_a, boxes_b, 256 // scale)),

@@ -81,6 +81,8 @@ def _check_value(key, value):
     if isinstance(default, list):
         if not isinstance(value, list) or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value):
             raise ConfigError(f"config key {key!r} wants a list of numbers, got {value!r}")
+        if not all(float(v).is_integer() for v in value):
+            raise ConfigError(f"config key {key!r} wants a list of integers, got {value!r}")
         return [int(v) for v in value]
     raise ConfigError(f"config key {key!r} has unsupported default type")
 

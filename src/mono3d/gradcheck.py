@@ -175,14 +175,6 @@ def _check_conv2d(rng):
     return max(worst, grad_check(_projected(lambda a: T.conv2d(a, wd, None, stride=1, padding=1, groups=2), r3), x, eps=EPS))
 
 
-def _check_bilinear_grid(rng):
-    x = _t(rng, 1, 2, 5, 5)
-    ys = rng.uniform(0.2, 3.6, size=4)
-    xs = rng.uniform(0.2, 3.6, size=4)
-    r = _t(rng, 1, 2, 4, 4)
-    return grad_check(_projected(lambda a: T.sample_bilinear_grid(a, ys, xs), r), x, eps=EPS)
-
-
 def _check_bilinear_resize(rng):
     x = _t(rng, 1, 2, 4, 4)
     r = _t(rng, 1, 2, 7, 6)
@@ -346,7 +338,6 @@ OP_CHECKS = (
     ("softmax_lastdim", _check_softmax),
     ("layer_norm", _check_layer_norm),
     ("conv2d", _check_conv2d),
-    ("sample_bilinear_grid", _check_bilinear_grid),
     ("bilinear_resize", _check_bilinear_resize),
     ("linear", _check_linear),
     ("attention_block", _check_attention_block),

@@ -1,10 +1,12 @@
 """Hot numeric kernels, one numpy implementation each.
 
-im2col/col2im carry conv2d forward and backward; bilinear_gather and
-bilinear_scatter carry grid resampling and its adjoint, roi_gather and
-roi_scatter the batched RoI-align and its adjoint. `raster_iou`
-counts lattice points per row by interval and is the independent check
-on the polygon-clipping IoU in `geometry`.
+im2col/col2im carry conv2d forward and backward. bilinear_gather and
+bilinear_scatter are the resize `wy @ x @ wx.T` and its adjoint
+`wy.T @ g @ wx` for the interpolation matrices of
+`tensor.bilinear_resize`; they keep their names because perfbench wraps
+them by name. roi_gather and roi_scatter carry the batched RoI-align and
+its adjoint. `raster_iou` counts lattice points per row by interval and
+is the independent check on the polygon-clipping IoU in `geometry`.
 """
 
 import numpy as np
@@ -44,40 +46,22 @@ def col2im(cols, hp, wp, kh, kw, sh, sw, oh, ow):
     return xp
 
 
-def bilinear_gather(x, iy0, iy1, fy, ix0, ix1, fx):
-    """Separable bilinear sampling on the last two axes.
+def bilinear_gather(x, wy, wx):
+    """Separable resampling of the last two axes: wy @ x @ wx.T.
 
-    iy0/iy1 are floor/ceil row indices per output row, fy the fractional
-    weight of iy1 (same for columns). Indices must be pre-clamped.
+    wy [oh, H] and wx [ow, W] are interpolation matrices, so
+    x [N, C, H, W] -> [N, C, oh, ow].
     """
-    w00 = (1.0 - fy)[:, None] * (1.0 - fx)[None, :]
-    w01 = (1.0 - fy)[:, None] * fx[None, :]
-    w10 = fy[:, None] * (1.0 - fx)[None, :]
-    w11 = fy[:, None] * fx[None, :]
-    v00 = x[:, :, iy0[:, None], ix0[None, :]]
-    v01 = x[:, :, iy0[:, None], ix1[None, :]]
-    v10 = x[:, :, iy1[:, None], ix0[None, :]]
-    v11 = x[:, :, iy1[:, None], ix1[None, :]]
-    return v00 * w00 + v01 * w01 + v10 * w10 + v11 * w11
+    return wy @ x @ wx.T
 
 
-def bilinear_scatter(g, iy0, iy1, fy, ix0, ix1, fx, h, w):
-    """Adjoint of bilinear_gather: scatter output grads to an HxW map."""
-    n, c = g.shape[0], g.shape[1]
-    w00 = (1.0 - fy)[:, None] * (1.0 - fx)[None, :]
-    w01 = (1.0 - fy)[:, None] * fx[None, :]
-    w10 = fy[:, None] * (1.0 - fx)[None, :]
-    w11 = fy[:, None] * fx[None, :]
-    dx = np.zeros((n, c, h, w), dtype=g.dtype)
-    np.add.at(dx, (slice(None), slice(None), iy0[:, None], ix0[None, :]), g * w00)
-    np.add.at(dx, (slice(None), slice(None), iy0[:, None], ix1[None, :]), g * w01)
-    np.add.at(dx, (slice(None), slice(None), iy1[:, None], ix0[None, :]), g * w10)
-    np.add.at(dx, (slice(None), slice(None), iy1[:, None], ix1[None, :]), g * w11)
-    return dx
+def bilinear_scatter(g, wy, wx):
+    """Adjoint of bilinear_gather: wy.T @ g @ wx, [N, C, oh, ow] -> [N, C, H, W]."""
+    return wy.T @ g @ wx
 
 
 def _corner_weights(fy, fx):
-    """Bilinear corner weights [M, ry, rx] per RoI, as in bilinear_gather."""
+    """Bilinear weights [M, ry, rx] of the corners 00, 01, 10, 11 per RoI."""
     w00 = (1.0 - fy)[:, :, None] * (1.0 - fx)[:, None, :]
     w01 = (1.0 - fy)[:, :, None] * fx[:, None, :]
     w10 = fy[:, :, None] * (1.0 - fx)[:, None, :]
@@ -90,7 +74,9 @@ def roi_gather(x, bidx, iy0, iy1, fy, ix0, ix1, fx):
 
     RoI m reads only image bidx[m]; iy0/iy1/fy are its [M, ry] floor/ceil
     rows and fraction, ix0/ix1/fx its [M, rx] columns (pre-clamped). Each
-    RoI gets the same float expressions as bilinear_gather on its image.
+    sample is v00 * w00 + v01 * w01 + v10 * w10 + v11 * w11, summed in that
+    order: vab = x[bidx, :, iya, ixb], w00 = (1 - fy) * (1 - fx),
+    w01 = (1 - fy) * fx, w10 = fy * (1 - fx) and w11 = fy * fx.
     """
     b = bidx[:, None, None]
     rows0, rows1 = iy0[:, :, None], iy1[:, :, None]

@@ -1,4 +1,4 @@
-"""KITTI-format text I/O: labels, calibration, predictions, splits, PPM.
+"""KITTI-format text I/O: labels, calibration, predictions, PPM.
 
 Label lines are 15 whitespace-separated fields (16 with a trailing score
 for predictions): type, truncated, occluded, alpha, bbox (left top right
@@ -8,7 +8,6 @@ report malformed input with 1-based line and column, never by crashing.
 """
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,12 +66,6 @@ class LabelRecord:
     location: tuple  # (x, y, z) meters
     rotation_y: float
     score: float = None
-
-
-@dataclass
-class SplitSpec:
-    train_ids: list
-    val_ids: list
 
 
 def _token_columns(line):
@@ -231,34 +224,6 @@ def _det_to_box(det):
         class_id=det.class_id,
         score=det.score,
     )
-
-
-def make_split(train_text, val_text, expected_sizes=(3712, 3769)):
-    """Two id files (one 6-digit frame id per line) -> validated SplitSpec."""
-
-    def read_ids(text, name):
-        ids = []
-        for line_no, line in enumerate(text.splitlines(), start=1):
-            token = line.strip()
-            if not token:
-                continue
-            if not (token.isdigit() and len(token) == 6):
-                raise ParseError(f"{name}: expected a 6-digit frame id, got {token!r}", line_no, 1)
-            ids.append(token)
-        return ids
-
-    train_ids = read_ids(train_text, "train")
-    val_ids = read_ids(val_text, "val")
-    dup = sorted(set(train_ids) & set(val_ids))
-    if dup:
-        raise UsageError(f"train/val overlap on ids: {', '.join(dup[:10])}")
-    if (len(train_ids), len(val_ids)) != expected_sizes:
-        warnings.warn(
-            f"split sizes ({len(train_ids)}, {len(val_ids)}) differ from the "
-            f"standard {expected_sizes}",
-            stacklevel=2,
-        )
-    return SplitSpec(train_ids=train_ids, val_ids=val_ids)
 
 
 def write_ppm(path, image):

@@ -496,22 +496,6 @@ def _bilinear_axis(src, limit):
     return i0, i1, s - i0
 
 
-def sample_bilinear_grid(x, ys, xs):
-    """Sample x[N,C,H,W] at the separable grid ys x xs (index coords, clamped).
-
-    One grid for every image, as bilinear_resize needs; RoI crops use roi_align.
-    """
-    n, c, h, w = x.shape
-    iy0, iy1, fy = _bilinear_axis(np.asarray(ys, dtype=np.float64), h)
-    ix0, ix1, fx = _bilinear_axis(np.asarray(xs, dtype=np.float64), w)
-    out = kernels.bilinear_gather(x.data, iy0, iy1, fy, ix0, ix1, fx)
-
-    def vjp(g):
-        return (kernels.bilinear_scatter(np.ascontiguousarray(g), iy0, iy1, fy, ix0, ix1, fx, h, w),)
-
-    return _record("bilinear", out, (x,), vjp)
-
-
 def roi_align(x, boxes, batch_idx, out_size=(7, 7)):
     """RoIAlign: each box of x[N,C,H,W] sampled on an ry x rx grid -> [M,C,ry,rx].
 
@@ -546,22 +530,38 @@ def roi_align(x, boxes, batch_idx, out_size=(7, 7)):
     return _record("roi_align", out, (x,), vjp)
 
 
-def bilinear_resize(x, out_h, out_w, align_corners=False):
-    """Resize NCHW maps with exact bilinear weights.
+def _interp_matrix(out_n, n):
+    """[out_n, n] bilinear weights at half-pixel centers, clamped at the border.
 
-    align_corners=False uses half-pixel centers: src = (i + 0.5) * H/out - 0.5,
-    clamped to the border. out == in is an exact identity either way.
+    Row i holds 1 - f at floor(src) and f at floor(src) + 1, with
+    src = (i + 0.5) * n / out_n - 0.5; where the clamp makes the two
+    columns equal the weights add, so every row sums to 1.
+    """
+    i0, i1, f = _bilinear_axis((np.arange(out_n) + 0.5) * (n / out_n) - 0.5, n)
+    rows = np.arange(out_n)
+    m = np.zeros((out_n, n))
+    m[rows, i0] += 1.0 - f
+    m[rows, i1] += f
+    return m
+
+
+def bilinear_resize(x, out_h, out_w):
+    """Resize NCHW maps with exact bilinear weights: Wy @ x @ Wx.T.
+
+    Half-pixel centers, clamped to the border (see _interp_matrix).
+    out == in gives identity matrices, so the resize is then an exact
+    identity.
     """
     if out_h < 1 or out_w < 1:
         raise DimensionError("bilinear_resize target size must be >= 1")
-    n, c, h, w = x.shape
-    if align_corners:
-        ys = np.arange(out_h) * ((h - 1) / (out_h - 1)) if out_h > 1 else np.zeros(1)
-        xs = np.arange(out_w) * ((w - 1) / (out_w - 1)) if out_w > 1 else np.zeros(1)
-    else:
-        ys = (np.arange(out_h) + 0.5) * (h / out_h) - 0.5
-        xs = (np.arange(out_w) + 0.5) * (w / out_w) - 0.5
-    return sample_bilinear_grid(x, ys, xs)
+    _, _, h, w = x.shape
+    wy, wx = _interp_matrix(out_h, h), _interp_matrix(out_w, w)
+    out = kernels.bilinear_gather(x.data, wy, wx)
+
+    def vjp(g):
+        return (kernels.bilinear_scatter(g, wy, wx),)
+
+    return _record("bilinear", out, (x,), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,7 @@ def test_unknown_key_rejected():
         ("variant", 5, "string"),
         ("decay_epochs", "90,120", "list"),
         ("decay_epochs", [90, True], "list"),
+        ("decay_epochs", [90.7, 120.2], "integer"),
     ],
 )
 def test_type_mismatch_rejected(key, value, want):

@@ -11,7 +11,6 @@ from mono3d.kitti import (
     LabelRecord,
     compute_alpha,
     format_label_line,
-    make_split,
     parse_calib_file,
     parse_label_file,
     read_ppm,
@@ -261,44 +260,6 @@ def test_behind_camera_excluded_with_diagnostic():
 
 def test_write_predictions_empty():
     assert write_predictions([], _calib(), (1242, 375), CLASS_NAMES) == ""
-
-
-# ---------------------------------------------------------------------------
-# splits
-# ---------------------------------------------------------------------------
-
-
-def test_standard_split_sizes():
-    train = "\n".join(f"{i:06d}" for i in range(3712))
-    val = "\n".join(f"{i:06d}" for i in range(3712, 3712 + 3769))
-    import warnings as warnings_mod
-
-    with warnings_mod.catch_warnings():
-        warnings_mod.simplefilter("error")
-        split = make_split(train, val)
-    assert len(split.train_ids) == 3712
-    assert len(split.val_ids) == 3769
-
-
-def test_split_overlap_rejected():
-    with pytest.raises(UsageError) as exc_info:
-        make_split("000001\n000002\n", "000002\n000003\n", expected_sizes=(2, 2))
-    assert "000002" in str(exc_info.value)
-
-
-def test_split_size_warning():
-    with pytest.warns(UserWarning):
-        make_split("000001\n", "000002\n", expected_sizes=(2, 1))
-    with pytest.warns(UserWarning):
-        make_split("000001\n", "", expected_sizes=(1, 1))  # empty val path
-
-
-def test_split_bad_ids():
-    with pytest.raises(ParseError):
-        make_split("12345\n", "000001\n", expected_sizes=(1, 1))
-    with pytest.raises(ParseError) as exc_info:
-        make_split("000001\n", "abc123\n", expected_sizes=(1, 1))
-    assert exc_info.value.line == 1
 
 
 # ---------------------------------------------------------------------------

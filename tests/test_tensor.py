@@ -191,6 +191,11 @@ def test_bilinear_constant():
     assert np.allclose(out.data, 2.5, atol=1e-14)
 
 
+# (h, w, out_h, out_w): the neck's toy-step upsamplings, a non-integer
+# ratio, a downscale and a 1x1 target
+_RESIZE_CASES = ((2, 3, 4, 6), (8, 12, 16, 24), (5, 7, 8, 11), (6, 6, 4, 3), (4, 5, 1, 1))
+
+
 def test_bilinear_2x2_to_4x4_golden():
     img = np.array([[0.0, 1.0], [2.0, 3.0]])
     expected = oracles.bilinear_resize_direct(img, 4, 4)
@@ -200,6 +205,23 @@ def test_bilinear_2x2_to_4x4_golden():
     assert out.data[0, 0, 0, 0] == 0.0
     assert out.data[0, 0, 3, 3] == 3.0
     assert out.data[0, 0, 1, 1] == pytest.approx(0.75 * 0.75 * 0 + 0.75 * 0.25 * 1 + 0.25 * 0.75 * 2 + 0.25 * 0.25 * 3)
+    # the same oracle at the other shapes
+    rng = np.random.default_rng(9)
+    for h, w, oh, ow in _RESIZE_CASES:
+        img = rng.normal(size=(h, w))
+        out = T.bilinear_resize(Tensor(img[None, None]), oh, ow)
+        assert out.shape == (1, 1, oh, ow)
+        err = np.max(np.abs(out.data[0, 0] - oracles.bilinear_resize_direct(img, oh, ow)))
+        assert err < 1e-12, ((h, w, oh, ow), err)
+
+
+def test_bilinear_resize_adjoint():
+    rng = np.random.default_rng(10)
+    x = Tensor(rng.normal(size=(3, 4, 5, 7)), requires_grad=True)
+    g = rng.normal(size=(3, 4, 8, 11))
+    out = T.bilinear_resize(x, 8, 11)
+    T.backward(T.sum_(out * Tensor(g)))
+    assert abs(np.sum(out.data * g) - np.sum(x.data * x.grad)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
