@@ -87,7 +87,6 @@ def _desk_step(quick):
         T.backward(loss)
         out = feats[0].data.copy()
         det.zero_grads()
-        T.reset_tape()
         return out
 
     return run

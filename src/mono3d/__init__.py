@@ -4,7 +4,7 @@ A single RGB image goes through an attention-pyramid backbone, a
 top-down aggregation neck, and CenterNet-style 2D plus RoI 3D heads;
 depth is projected from the estimated 3D height through the camera
 geometry with propagated uncertainty. Everything runs on a small
-tape-based autodiff engine over numpy.
+reverse-mode autodiff engine over numpy whose graph lives on its tensors.
 """
 
 __version__ = "0.1.0"

@@ -429,5 +429,4 @@ def run_suite(seeds=20, include_pipeline=True, fault_op=None, seed0=0):
     finally:
         if fault_op:
             T.clear_faults()
-        T.reset_tape()
     return SuiteResult(rows=rows, threshold=THRESHOLD)

@@ -40,10 +40,6 @@ def wrap_angle(a):
     return a - 2.0 * math.pi * math.ceil((a - math.pi) / (2.0 * math.pi))
 
 
-def angle_bin_centers():
-    return -math.pi + (np.arange(NUM_ANGLE_BINS) + 0.5) * (2.0 * math.pi / NUM_ANGLE_BINS)
-
-
 def encode_angle(alpha):
     """Observation angle -> (bin index, residual); exact round trip."""
     a = wrap_angle(alpha)

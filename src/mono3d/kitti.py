@@ -8,7 +8,7 @@ report malformed input with 1-based line and column, never by crashing.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

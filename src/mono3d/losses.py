@@ -256,9 +256,6 @@ class TaskWeights:
     def __getitem__(self, term):
         return self.values[LOSS_TERMS.index(term)]
 
-    def as_dict(self):
-        return dict(zip(LOSS_TERMS, self.values))
-
 
 def make_weights(tier2=1.0, tier3=1.0):
     vals = []

@@ -1,11 +1,13 @@
-"""Dense float64 tensors with taped reverse-mode differentiation.
+"""Dense float64 tensors with reverse-mode differentiation.
 
-Forward ops append nodes to a module-level tape; `backward` replays the
-tape in exact reverse recording order, which is a valid topological order
-by construction. Gradients of intermediate values live in a per-call map,
-so repeated `backward` calls accumulate into leaf `.grad` buffers;
-`zero_grads` / `Tensor.zero_grad` reset them. Call `reset_tape` between
-training steps to drop the recorded graph.
+Each op output that gradients can flow through owns its graph node
+(inputs, vector-Jacobian product, sequence number). Nodes do not point
+back at their outputs, so a graph is freed with the last tensor that
+reaches it and nothing is reset between training steps. `backward` runs
+the nodes reachable from the loss in descending sequence order, the
+reverse of recording order and so a valid topological order. Gradients
+of intermediate values live in a per-call map, so repeated `backward`
+calls on a live loss accumulate into leaf `.grad` buffers.
 
 Everything runs in float64 by default; finite-difference checks are not
 trustworthy below that.
@@ -19,10 +21,9 @@ from scipy.special import erf as _erf
 from . import kernels
 from .errors import DimensionError, NumericError, UsageError
 
-CHECK_FINITE = True
-
-_tape = []
 _recording = True
+_seq = 0  # sequence number of the last recorded node
+_seq_at_reset = 0
 
 # op names whose backward rule is deliberately corrupted (gradcheck negative
 # control, wired to the CLI fault-injection flag)
@@ -30,11 +31,15 @@ _fault_ops = set()
 
 
 def reset_tape():
-    _tape.clear()
+    """Restart the `tape_length` count; frees nothing. Kept, like
+    `kernels.active_backend`, only because perfbench/ reads it."""
+    global _seq_at_reset
+    _seq_at_reset = _seq
 
 
 def tape_length():
-    return len(_tape)
+    """Graph nodes recorded since the last `reset_tape` (perfbench counter)."""
+    return _seq - _seq_at_reset
 
 
 def inject_fault(op_name):
@@ -46,7 +51,7 @@ def clear_faults():
 
 
 class no_grad:
-    """Context manager that disables tape recording."""
+    """Context manager that disables graph recording."""
 
     def __enter__(self):
         global _recording
@@ -61,23 +66,22 @@ class no_grad:
 
 
 class _Node:
-    __slots__ = ("out", "inputs", "vjp", "name")
+    __slots__ = ("inputs", "vjp", "seq")
 
-    def __init__(self, out, inputs, vjp, name):
-        self.out = out
+    def __init__(self, inputs, vjp, seq):
         self.inputs = inputs
         self.vjp = vjp
-        self.name = name
+        self.seq = seq
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "_node_id")
+    __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data, requires_grad=False, dtype=np.float64):
         self.data = np.asarray(data, dtype=dtype)
         self.requires_grad = requires_grad
         self.grad = None
-        self._node_id = None  # set when produced by a recorded op
+        self._node = None  # set when produced by a recorded op
 
     # -- basic introspection ------------------------------------------------
 
@@ -167,11 +171,12 @@ def _as_tensor(x, dtype=np.float64):
 
 
 def _record(name, out_data, inputs, vjp):
-    """Wrap op output; append a tape node when grads can flow."""
-    if CHECK_FINITE and not np.all(np.isfinite(out_data)):
+    """Wrap op output; give it a graph node when grads can flow."""
+    global _seq
+    if not np.all(np.isfinite(out_data)):
         raise NumericError(f"non-finite values in output of {name}")
     out = Tensor(out_data, dtype=out_data.dtype)
-    needs = _recording and any(t.requires_grad or t._node_id is not None for t in inputs)
+    needs = _recording and any(t.requires_grad or t._node is not None for t in inputs)
     if needs:
         out.requires_grad = True
         if name in _fault_ops:
@@ -180,8 +185,8 @@ def _record(name, out_data, inputs, vjp):
             def vjp(g, _inner=inner):
                 return tuple(None if gi is None else gi * 1.01 for gi in _inner(g))
 
-        out._node_id = len(_tape)
-        _tape.append(_Node(out, inputs, vjp, name))
+        _seq += 1
+        out._node = _Node(inputs, vjp, _seq)
     return out
 
 
@@ -572,23 +577,30 @@ def bilinear_resize(x, out_h, out_w):
 def backward(loss):
     """Populate .grad of every requires_grad leaf reachable from `loss`.
 
-    Walks the tape strictly in reverse recording order. Leaf gradients
-    accumulate across calls; use zero_grads to reset.
+    Runs the nodes reachable from the loss in descending sequence order,
+    the reverse of recording order. Leaf gradients accumulate across
+    calls; use Tensor.zero_grad to reset.
     """
     if not isinstance(loss, Tensor) or loss.size != 1:
         raise UsageError("backward expects a scalar Tensor")
-    if loss._node_id is None:
-        raise UsageError("loss is not connected to the tape")
-    grads = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(_tape[: loss._node_id + 1]):
-        g = grads.pop(id(node.out), None)
+    if loss._node is None:
+        raise UsageError("loss is not connected to a recorded graph")
+    seen, stack = {loss._node}, [loss._node]
+    while stack:
+        for t in stack.pop().inputs:
+            if t._node is not None and t._node not in seen:
+                seen.add(t._node)
+                stack.append(t._node)
+    grads = {loss._node: np.ones_like(loss.data)}
+    for node in sorted(seen, key=lambda node: node.seq, reverse=True):
+        g = grads.pop(node, None)
         if g is None:
             continue
         for t, gi in zip(node.inputs, node.vjp(g)):
             if gi is None:
                 continue
-            if t._node_id is not None:
-                key = id(t)
+            if t._node is not None:
+                key = t._node
                 if key in grads:
                     grads[key] = grads[key] + gi
                 else:
@@ -597,11 +609,6 @@ def backward(loss):
                 if t.grad is None:
                     t.grad = np.zeros_like(t.data)
                 t.grad += gi
-
-
-def zero_grads(tensors):
-    for t in tensors:
-        t.grad = None
 
 
 def grad_check(f, x, eps=1e-5, max_entries=None, rng=None, select="random"):
@@ -621,13 +628,12 @@ def grad_check(f, x, eps=1e-5, max_entries=None, rng=None, select="random"):
         raise UsageError("eps outside the trustworthy range [1e-7, 1e-3]")
     x.requires_grad = True
     x.zero_grad()
-    mark = tape_length()
     out = f(x)
     if out.size != 1:
         raise UsageError("grad_check needs a scalar-valued function")
     backward(out)
+    del out  # frees the graph before the finite-difference loop
     analytic = np.zeros_like(x.data) if x.grad is None else x.grad.copy()
-    del _tape[mark:]
 
     flat = x.data.reshape(-1)
     idxs = np.arange(flat.size)

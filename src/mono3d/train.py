@@ -141,7 +141,7 @@ def train_detector(
             detector.zero_grads()
             T.backward(total)
             opt.step()
-            T.reset_tape()
+            del terms, total  # the graph goes with them, before the next forward
             batches += 1
         for name in LOSS_TERMS:
             history[name].append(sums[name] / batches)

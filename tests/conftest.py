@@ -4,9 +4,7 @@ from mono3d import tensor as T
 
 
 @pytest.fixture(autouse=True)
-def fresh_tape():
-    T.reset_tape()
+def no_faults():
     T.clear_faults()
     yield
-    T.reset_tape()
     T.clear_faults()

@@ -4,9 +4,21 @@ Everything here is deliberately naive (plain loops, series expansions) and
 shares no code with the package paths it checks.
 """
 
+import gc
 import math
 
 import numpy as np
+
+
+def live_graph_nodes(collect=True):
+    """Autodiff graph nodes alive in the process, found by the garbage
+    collector rather than by any counter of the engine. `collect=False`
+    skips the collection, so only what reference counting freed is gone."""
+    from mono3d.tensor import _Node
+
+    if collect:
+        gc.collect()
+    return sum(isinstance(o, _Node) for o in gc.get_objects())
 
 
 def conv2d_direct(x, w, b, stride, padding, groups=1):

@@ -218,7 +218,7 @@ def test_l1_empty_mask_zero_loss_and_grad():
     pred = Tensor(np.random.default_rng(2).normal(size=(2, 3, 3)), requires_grad=True)
     out = l1_masked(pred, np.zeros((2, 3, 3)), np.zeros((3, 3)))
     assert float(out.data) == 0.0
-    assert out._node_id is None  # constant: not connected to the tape
+    assert out._node is None  # constant: not connected to a graph
 
 
 def test_l1_mean_over_masked_elements():

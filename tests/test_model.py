@@ -6,12 +6,20 @@ import pytest
 
 from mono3d import tensor as T
 from mono3d.backbone import BackboneConfig, StageConfig
-from mono3d.errors import ConfigError, DegenerateGeometryError, DimensionError, UsageError
+from mono3d.errors import (
+    ConfigError,
+    DegenerateGeometryError,
+    DimensionError,
+    NumericError,
+    UsageError,
+)
 from mono3d.heads import MIN_H2D_PIXELS, Heads3D, decode_box3d, decode_heatmap_peaks, roi_crop
 from mono3d.losses import LOSS_TERMS, assign_targets, make_weights, total_loss
 from mono3d.model import Detector, load_checkpoint, manifest_path, save_checkpoint
 from mono3d.synth import make_default_calib, synth_scene
 from mono3d.train import build_synth_dataset, train_detector
+
+import oracles
 
 IMAGE_SIZE = (96, 64)  # (W, H)
 
@@ -90,8 +98,17 @@ def test_loss_terms_empty_scene(desk):
     terms = desk.loss_terms(T.stack([img]), [targets], calib)
     for name in ("offset2d", "size2d", "offset3d", "w3d", "l3d", "h3d", "angle", "depth"):
         assert float(terms[name].data) == 0.0, name
-        assert terms[name]._node_id is None, name
+        assert terms[name]._node is None, name
     assert float(terms["heatmap"].data) > 0.0
+
+
+def test_failed_loss_terms_leaves_no_nodes(scene):
+    calib, batch, targets = scene
+    det = Detector(_tiny_config(), seed=0)
+    dict(det.named_parameters())["heads3d.fc_size.bias"].data[0] = np.nan
+    with pytest.raises(NumericError, match="output of add"):
+        det.loss_terms(batch, targets, calib)
+    assert oracles.live_graph_nodes() == 0
 
 
 def test_loss_terms_zero_area_gt_box_raises(desk, scene):

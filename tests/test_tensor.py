@@ -264,6 +264,48 @@ def test_backward_disconnected_loss():
         T.backward(Tensor(1.0, requires_grad=True))
 
 
+def test_backward_through_nodes_recorded_before_reset_tape():
+    c = np.array([5.0, 7.0])
+    w = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    y = w * c
+    T.reset_tape()
+    T.backward(T.sum_(y))
+    assert np.array_equal(w.grad, c)
+
+
+def test_tape_length_counts_nodes_since_reset():
+    w = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    T.reset_tape()
+    y = T.sum_(w * 3.0)
+    with T.no_grad():
+        w * 3.0
+    assert T.tape_length() == 2
+    T.backward(y)
+    T.reset_tape()
+    assert T.tape_length() == 0
+
+
+def test_graph_freed_with_its_last_tensor():
+    w = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    assert oracles.live_graph_nodes() == 0
+    y = w * 2.0
+    loss = T.sum_(T.exp(y) + y)
+    assert oracles.live_graph_nodes() == 4
+    del y
+    assert oracles.live_graph_nodes() == 4  # the loss still reaches y's node
+    T.backward(loss)
+    del loss
+    # freed by reference counting alone: the graph holds no cycle
+    assert oracles.live_graph_nodes(collect=False) == 0
+
+
+def test_failed_forward_leaves_no_nodes():
+    w = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    with pytest.raises(NumericError):
+        (w - 5.0) * np.inf
+    assert oracles.live_graph_nodes() == 0
+
+
 def test_grad_check_linear_is_exact():
     x = Tensor(np.linspace(-1, 1, 8), requires_grad=True)
     err = T.grad_check(lambda t: T.sum_(t * 3.0), x)

@@ -11,6 +11,8 @@ from mono3d.model import Detector
 from mono3d.tensor import Tensor
 from mono3d.train import CSV_HEADER, Adam, build_synth_dataset, lr_factor, train_detector
 
+import oracles
+
 
 def _tiny_detector(seed=0):
     stages = tuple(
@@ -49,7 +51,6 @@ def test_adam_minimizes_quadratic():
         x.grad = None
         T.backward(loss)
         opt.step()
-        T.reset_tape()
     assert np.allclose(x.data, [3.0, 1.0], atol=1e-3)
 
 
@@ -60,7 +61,6 @@ def test_adam_skips_gradless_params():
     loss = T.sum_(x * x)
     T.backward(loss)
     opt.step()
-    T.reset_tape()
     assert y.grad is None and y.data[0] == 4.0
     assert x.data[0] != 1.0
     with pytest.raises(UsageError):
@@ -100,6 +100,15 @@ def test_train_detector_deterministic(toy_data):
     res_a = train_detector(_tiny_detector(), toy_data, epochs=3, batch_size=2, lr=1e-4, seed=3)
     res_b = train_detector(_tiny_detector(), toy_data, epochs=3, batch_size=2, lr=1e-4, seed=3)
     assert res_a.csv_text == res_b.csv_text
+
+
+def test_train_detector_frees_each_batch_graph(toy_data):
+    live = []
+    train_detector(
+        _tiny_detector(), toy_data, epochs=2, batch_size=1, lr=1e-4,
+        progress=lambda epoch, history, weights: live.append(oracles.live_graph_nodes()),
+    )
+    assert live == [0, 0]
 
 
 def test_train_detector_validation(toy_data):
