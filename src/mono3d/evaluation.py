@@ -8,10 +8,11 @@ difficulty bucket is ignored rather than missed: a prediction that only
 overlaps an ignored box consumes it and drops out of the count.
 
 IoU is computed once per same-class prediction x ground-truth pair per
-image (`geometry.iou_pairs`, one footprint intersection giving both the
-3D and the BEV value), and those tables, the difficulty of each
-ground-truth box and each class's score order are shared by both
-metrics and every report cell.
+image, and all those pairs of a split go to one batched
+`geometry.pair_iou` call (one footprint intersection gives both the 3D
+and the BEV value). Each image's table is sliced back out of it; the
+tables, the difficulty of each ground-truth box and each class's score
+order are shared by both metrics and every report cell.
 """
 
 import os
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .geometry import Box3D, iou_pairs
+from .geometry import Box3D, pair_iou
 # unused here; perfbench/spans.py wraps evaluation.iou_3d / iou_bev by name
 from .geometry import iou_3d, iou_bev
 from .heads import CLASS_NAMES
@@ -94,9 +95,15 @@ class _ClassData:
 
 
 def _prepare(predictions, ground_truth, classes):
-    """class -> _ClassData; every IoU, difficulty and sort done once."""
+    """class -> _ClassData; every IoU, difficulty and sort done once.
+
+    The same-class prediction x ground-truth pairs of every image and
+    class go to one `pair_iou` call; each image's rows are sliced back
+    out of its result.
+    """
     images = sorted(set(predictions) | set(ground_truth))
     prepared = {}
+    boxes_a, boxes_b, ia, ib, blocks = [], [], [], [], []
     for cls in classes:
         flat, levels, tables = [], {}, {}
         for img in images:
@@ -108,10 +115,23 @@ def _prepare(predictions, ground_truth, classes):
                 flat.append((img, idx, rec.score))
             levels[img] = [_LEVEL[assign_difficulty(rec)] for rec in gts]
             if preds and gts:
-                t3d, tbev = iou_pairs([_box_of(r) for r in preds], [_box_of(r) for r in gts])
-                tables[img] = {"3D": t3d.tolist(), "BEV": tbev.tolist()}
+                ia.append(np.repeat(np.arange(len(preds)) + len(boxes_a), len(gts)))
+                ib.append(np.tile(np.arange(len(gts)) + len(boxes_b), len(preds)))
+                blocks.append((tables, img, len(preds), len(gts)))
+                boxes_a.extend(_box_of(r) for r in preds)
+                boxes_b.extend(_box_of(r) for r in gts)
         flat.sort(key=lambda item: -item[2])  # stable: ties keep input order
         prepared[cls] = _ClassData(flat=flat, levels=levels, tables=tables)
+    if blocks:
+        t3d, tbev = pair_iou(boxes_a, boxes_b, np.concatenate(ia), np.concatenate(ib))
+        start = 0
+        for tables, img, n_pred, n_gt in blocks:
+            rows = slice(start, start + n_pred * n_gt)
+            tables[img] = {
+                "3D": t3d[rows].reshape(n_pred, n_gt).tolist(),
+                "BEV": tbev[rows].reshape(n_pred, n_gt).tolist(),
+            }
+            start = rows.stop
     return prepared
 
 
@@ -157,15 +177,12 @@ def _greedy_curve(data, difficulty, metric, iou_threshold):
 
 def _mean_envelope(points):
     """Mean over the 40 recall levels of max precision at recall >= level."""
-    recalls = np.array([r for r, _ in points])
-    precisions = [p for _, p in points]
-    suffix_max = [0.0] * (len(points) + 1)
-    for i in range(len(points) - 1, -1, -1):
-        suffix_max[i] = max(precisions[i], suffix_max[i + 1])
+    recalls = np.array([r for r, _ in points], dtype=np.float64)
+    precisions = np.array([p for _, p in points] + [0.0])
+    suffix_max = np.maximum.accumulate(precisions[::-1])[::-1]
     total = 0.0
-    for r in RECALL_POINTS:
-        idx = int(np.searchsorted(recalls, r, side="left"))
-        total += suffix_max[idx]
+    for v in suffix_max[np.searchsorted(recalls, RECALL_POINTS, side="left")].tolist():
+        total += v  # left to right, as the AP oracle adds
     return total / 40.0 * 100.0
 
 

@@ -5,9 +5,12 @@ location is the bottom-face center, yaw rotates around the camera Y
 axis. The footprint (bird's-eye view) lives in the (x, z) ground plane;
 its rotated-rectangle intersection is computed exactly by convex polygon
 clipping, with an independent rasterization estimate available as a
-cross-check. `iou_pairs` computes the BEV and 3D IoU tables of two box
-lists from one intersection per pair; `iou_bev` and `iou_3d` are its
-1x1 case.
+cross-check. Footprints, areas and clips are batched: `pair_iou` takes
+two box lists and the index arrays of the pairs to compare, computes
+each footprint once per box and clips all the pairs as arrays, with
+every value bit-equal to the scalar Sutherland-Hodgman clip and
+`np.sum` area of one pair. `iou_pairs` is its all-pairs table, and
+`iou_bev` and `iou_3d` its one-pair case.
 """
 
 import math
@@ -23,6 +26,12 @@ from .errors import DegenerateGeometryError
 _X_SIGNS = np.array([1, 1, -1, -1, 1, 1, -1, -1], dtype=np.float64)
 _Y_LEVELS = np.array([0, 0, 0, 0, -1, -1, -1, -1], dtype=np.float64)
 _Z_SIGNS = np.array([1, -1, -1, 1, 1, -1, -1, 1], dtype=np.float64)
+# footprint corner signs along the length and the width
+_FOOT_X = np.array([1.0, -1.0, -1.0, 1.0])
+_FOOT_Z = np.array([1.0, 1.0, -1.0, -1.0])
+# pairs per convex_clip call: bounds the working arrays, so memory does
+# not grow with the number of pairs of a split
+_CLIP_BLOCK = 256
 
 
 @dataclass
@@ -49,107 +58,178 @@ def box3d_corners(box):
     return np.stack([x, ly, z], axis=1) + loc
 
 
-def bev_footprint(box):
-    """Counter-clockwise footprint rectangle [4, 2] in the (x, z) plane."""
-    h, w, l = box.dimensions
-    c, s = math.cos(box.yaw), math.sin(box.yaw)
-    lx = np.array([l / 2.0, -l / 2.0, -l / 2.0, l / 2.0])
-    lz = np.array([w / 2.0, w / 2.0, -w / 2.0, -w / 2.0])
-    x = c * lx + s * lz + box.location[0]
-    z = -s * lx + c * lz + box.location[2]
-    return np.stack([x, z], axis=1)
+def bev_footprints(boxes):
+    """Counter-clockwise footprint rectangles [N, 4, 2] in the (x, z) plane."""
+    rows = _footprint_rows(boxes)
+    c = np.array([math.cos(v) for v in rows[:, 4]], dtype=np.float64)[:, None]
+    s = np.array([math.sin(v) for v in rows[:, 4]], dtype=np.float64)[:, None]
+    lx = rows[:, 2:3] * _FOOT_X
+    lz = rows[:, 3:4] * _FOOT_Z
+    x = c * lx + s * lz + rows[:, 0:1]
+    z = -s * lx + c * lz + rows[:, 1:2]
+    return np.stack([x, z], axis=2)
 
 
-def polygon_area(poly):
-    """Shoelace area; positive for counter-clockwise vertex order."""
-    poly = np.asarray(poly, dtype=np.float64)
-    if len(poly) < 3:
-        return 0.0
-    x, y = poly[:, 0], poly[:, 1]
-    xn, yn = np.concatenate((x[1:], x[:1])), np.concatenate((y[1:], y[:1]))
-    return 0.5 * float(np.sum(x * yn - xn * y))
+def _sum_like_numpy(terms, counts):
+    """Row sums of terms [P, W] (0.0 past each row's count), each added in
+    the order np.sum adds a 1-D float64 array of counts[p] terms.
 
-
-def convex_clip(subject, clip):
-    """Sutherland-Hodgman: subject polygon clipped by a convex CCW polygon.
-
-    Returns the intersection vertex list (possibly empty). Inputs with
-    fewer than 3 vertices yield an empty result.
+    Under 8 terms numpy adds left to right from 0.0. From 8 terms on it
+    keeps eight running sums over the whole blocks of 8, joins them as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), adds that to 0.0 and then the
+    tail left to right. This holds up to 128 terms, numpy's pairwise block.
     """
-    subject = [tuple(p) for p in np.asarray(subject, dtype=np.float64)] if len(subject) else []
-    clip = np.asarray(clip, dtype=np.float64)
-    if len(subject) < 3 or len(clip) < 3:
-        return []
-    output = subject
-    for i in range(len(clip)):
-        ax, ay = clip[i]
-        bx, by = clip[(i + 1) % len(clip)]
-        ex, ey = bx - ax, by - ay
-        inputs = output
-        output = []
-        if not inputs:
-            break
-        prev = inputs[-1]
+    width = terms.shape[1]
+    seq = np.zeros(len(terms))
+    for k in range(width):
+        seq = seq + terms[:, k]
+    if width < 8:
+        return seq
+    whole = (counts - counts % 8)[:, None]
+    r = terms[:, :8]
+    for i in range(8, width - 7, 8):
+        r = r + np.where(i + 8 <= whole, terms[:, i : i + 8], 0.0)
+    tree = ((r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3])) + ((r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7]))
+    res = 0.0 + tree
+    for k in range(8, width):
+        res = res + np.where(k >= whole[:, 0], terms[:, k], 0.0)
+    return np.where(counts >= 8, res, seq)
+
+
+def polygon_area(polys, counts):
+    """Shoelace areas [P] of polygons polys[p, :counts[p]] (positive for
+    counter-clockwise order); fewer than 3 vertices give 0.0.
+
+    Each area is bit-equal to 0.5 * np.sum of that polygon's terms.
+    """
+    polys = np.asarray(polys, dtype=np.float64)
+    counts = np.asarray(counts)
+    col = np.arange(polys.shape[1])
+    nxt = polys[np.arange(len(polys))[:, None], np.where(col + 1 < counts[:, None], col + 1, 0)]
+    x, y = polys[..., 0], polys[..., 1]
+    terms = np.where(col < counts[:, None], x * nxt[..., 1] - nxt[..., 0] * y, 0.0)
+    return np.where(counts >= 3, 0.5 * _sum_like_numpy(terms, counts), 0.0)
+
+
+def convex_clip(subjects, clips):
+    """Sutherland-Hodgman, batched: subjects[p] clipped by the convex
+    counter-clockwise polygon clips[p].
+
+    subjects [P, m, 2], clips [P, k, 2] -> (vertices [P, W, 2], counts [P]).
+    Row p's intersection is vertices[p, :counts[p]], in the order the
+    scalar algorithm emits it, with zeros past the count. Results with
+    fewer than 3 vertices, and inputs with m < 3 or k < 3, have count 0.
+    W is the largest count: at most m + k in exact arithmetic, more where
+    rounding puts vertices on both sides of an edge (a box clipped by its
+    half-turn twin gives 9).
+    """
+    poly = np.asarray(subjects, dtype=np.float64)
+    clips = np.asarray(clips, dtype=np.float64)
+    n_pairs, m = poly.shape[:2]
+    k = clips.shape[1]
+    if m < 3 or k < 3:
+        return np.zeros((n_pairs, 0, 2)), np.zeros(n_pairs, dtype=np.intp)
+    counts = np.full(n_pairs, m, dtype=np.intp)
+    rows = np.arange(n_pairs)[:, None]
+    edges = clips[:, np.r_[1:k, 0]] - clips
+    for i in range(k):
+        ax, ay = clips[:, i, 0:1], clips[:, i, 1:2]
+        ex, ey = edges[:, i, 0:1], edges[:, i, 1:2]
+        width = poly.shape[1]
+        col = np.arange(width)
+        valid = col < counts[:, None]
         # cross(edge, p - a) >= 0 means p lies left of (inside) a CCW edge
-        cp_prev = ex * (prev[1] - ay) - ey * (prev[0] - ax)
-        for cur in inputs:
-            cp_cur = ex * (cur[1] - ay) - ey * (cur[0] - ax)
-            if (cp_cur >= 0.0) != (cp_prev >= 0.0):
-                t = cp_prev / (cp_prev - cp_cur)
-                output.append(
-                    (prev[0] + t * (cur[0] - prev[0]), prev[1] + t * (cur[1] - prev[1]))
-                )
-            if cp_cur >= 0.0:
-                output.append(cur)
-            prev, cp_prev = cur, cp_cur
-    return [] if len(output) < 3 else [np.array(p) for p in output]
+        cp = ex * (poly[..., 1] - ay) - ey * (poly[..., 0] - ax)
+        prev_idx = np.where(col == 0, counts[:, None] - 1, col - 1)
+        cp_prev, prev = cp[rows, prev_idx], poly[rows, prev_idx]
+        inside = cp >= 0.0
+        # each vertex emits its crossing, then itself: two slots per vertex
+        slots = np.empty((n_pairs, width, 2, 2))
+        keep = np.empty((n_pairs, width, 2), dtype=bool)
+        keep[..., 0] = valid & (inside != (cp_prev >= 0.0))
+        keep[..., 1] = valid & inside
+        # t is 0.0 in the dropped slots, which keeps them finite
+        t = np.where(keep[..., 0], cp_prev, 0.0) / np.where(keep[..., 0], cp_prev - cp, 1.0)
+        slots[:, :, 0] = prev + t[..., None] * (poly - prev)
+        slots[:, :, 1] = poly
+        keep = keep.reshape(n_pairs, 2 * width)
+        counts = keep.sum(axis=1)
+        # a stable compaction of the kept slots is the scalar output list
+        order = np.argsort(~keep, axis=1, kind="stable")[:, : counts.max(initial=0)]
+        poly = slots.reshape(n_pairs, 2 * width, 2)[rows, order]
+    counts[counts < 3] = 0
+    poly[np.arange(poly.shape[1]) >= counts[:, None]] = 0.0
+    return poly, counts
 
 
-def _vertical_overlap(box_a, box_b):
+def _box_arrays(boxes):
+    """Footprints [N, 4, 2], footprint areas [N], bottom y [N], height [N]."""
+    feet = bev_footprints(boxes)
+    area = polygon_area(feet, np.full(len(feet), 4))
+    y = np.array([b.location[1] for b in boxes], dtype=np.float64)
+    h = np.array([b.dimensions[0] for b in boxes], dtype=np.float64)
+    return feet, area, y, h
+
+
+def _ratio(num, den):
+    return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
+
+
+def pair_iou(boxes_a, boxes_b, ia, ib):
+    """IoU of the box pairs (boxes_a[ia[p]], boxes_b[ib[p]]) ->
+    (iou_3d [P], iou_bev [P]).
+
+    Footprints and their areas are computed once per box, and the exact
+    footprint intersections clipped in blocks of _CLIP_BLOCK pairs; the
+    BEV IoU and the volumetric IoU (footprint intersection x vertical
+    overlap) are both derived from one intersection. A box with a
+    zero-area footprint has IoU 0.0 with everything. Every value is
+    bit-equal to the scalar clip-and-sum of one pair.
+    """
+    feet_a, area_a, y_a, h_a = _box_arrays(boxes_a)
+    feet_b, area_b, y_b, h_b = _box_arrays(boxes_b)
+    ia = np.asarray(ia, dtype=np.intp)
+    ib = np.asarray(ib, dtype=np.intp)
+    live = ~((area_a[ia] <= 0.0) | (area_b[ib] <= 0.0))
+    ia, ib = ia[live], ib[live]
+    inter = np.empty(len(ia))
+    for start in range(0, len(ia), _CLIP_BLOCK):
+        block = slice(start, start + _CLIP_BLOCK)
+        inter[block] = polygon_area(*convex_clip(feet_a[ia[block]], feet_b[ib[block]]))
+    # max/min as Python's max(a, b)/min(a, b) decide them (b only where
+    # b > a, b < a), not np.maximum/np.minimum, so NaN and signed zeros
+    # come out as in the one-pair formula; a negative area counts as 0.0
+    inter = np.where(0.0 > inter, 0.0, inter)
     # y grows downward; a box occupies [y - h, y]
-    top = max(box_a.location[1] - box_a.dimensions[0], box_b.location[1] - box_b.dimensions[0])
-    bottom = min(box_a.location[1], box_b.location[1])
-    return max(0.0, bottom - top)
+    top_a, top_b = y_a[ia] - h_a[ia], y_b[ib] - h_b[ib]
+    top = np.where(top_b > top_a, top_b, top_a)
+    bottom = np.where(y_b[ib] < y_a[ia], y_b[ib], y_a[ia])
+    depth = bottom - top
+    inter_vol = inter * np.where(depth > 0.0, depth, 0.0)
+    out_3d, out_bev = np.zeros(len(live)), np.zeros(len(live))
+    out_bev[live] = _ratio(inter, area_a[ia] + area_b[ib] - inter)
+    union = area_a[ia] * h_a[ia] + area_b[ib] * h_b[ib] - inter_vol
+    out_3d[live] = _ratio(inter_vol, union)
+    return out_3d, out_bev
 
 
 def iou_pairs(boxes_a, boxes_b):
-    """IoU of every pair of two box lists -> (iou_3d [A, B], iou_bev [A, B]).
-
-    Each footprint and its area are computed once per box, and the exact
-    footprint intersection (polygon clipping) once per pair; the BEV IoU
-    and the volumetric IoU (footprint intersection x vertical overlap)
-    are both derived from it. A box with a zero-area footprint has IoU
-    0.0 with everything.
-    """
-    feet_a = [bev_footprint(b) for b in boxes_a]
-    feet_b = [bev_footprint(b) for b in boxes_b]
-    areas_a = [polygon_area(f) for f in feet_a]
-    areas_b = [polygon_area(f) for f in feet_b]
-    out_3d = np.zeros((len(boxes_a), len(boxes_b)))
-    out_bev = np.zeros((len(boxes_a), len(boxes_b)))
-    for i, (box_a, fa, area_a) in enumerate(zip(boxes_a, feet_a, areas_a)):
-        if area_a <= 0.0:
-            continue
-        for j, (box_b, fb, area_b) in enumerate(zip(boxes_b, feet_b, areas_b)):
-            if area_b <= 0.0:
-                continue
-            inter = max(polygon_area(convex_clip(fa, fb)), 0.0)
-            union = area_a + area_b - inter
-            out_bev[i, j] = inter / union if union > 0.0 else 0.0
-            inter_vol = inter * _vertical_overlap(box_a, box_b)
-            union = area_a * box_a.dimensions[0] + area_b * box_b.dimensions[0] - inter_vol
-            out_3d[i, j] = inter_vol / union if union > 0.0 else 0.0
-    return out_3d, out_bev
+    """IoU of every pair of two box lists -> (iou_3d [A, B], iou_bev [A, B])."""
+    n_a, n_b = len(boxes_a), len(boxes_b)
+    ia = np.repeat(np.arange(n_a), n_b)
+    ib = np.tile(np.arange(n_b), n_a)
+    t3d, tbev = pair_iou(boxes_a, boxes_b, ia, ib)
+    return t3d.reshape(n_a, n_b), tbev.reshape(n_a, n_b)
 
 
 def iou_bev(box_a, box_b):
     """Exact rotated-footprint IoU via polygon clipping."""
-    return float(iou_pairs([box_a], [box_b])[1][0, 0])
+    return float(pair_iou([box_a], [box_b], [0], [0])[1][0])
 
 
 def iou_3d(box_a, box_b):
     """Volumetric IoU: footprint intersection x vertical overlap."""
-    return float(iou_pairs([box_a], [box_b])[0][0, 0])
+    return float(pair_iou([box_a], [box_b], [0], [0])[0][0])
 
 
 def _footprint_rows(boxes):

@@ -174,6 +174,20 @@ def _match_prefix(flat_prefix, gts_by_image, cls, target_level, pair_iou, iou_th
     return tp, fp
 
 
+def _once_per_pair(pair_iou):
+    """pair_iou, called once per (prediction, ground truth) record pair;
+    later calls with the same two records return the first value."""
+    values = {}
+
+    def cached(pred, gt):
+        key = (id(pred), id(gt))
+        if key not in values:
+            values[key] = pair_iou(pred, gt)
+        return values[key]
+
+    return cached
+
+
 def match_counts_bruteforce(preds_by_image, gts_by_image, cls, difficulty, pair_iou, iou_threshold):
     """(counted GT, matched GT, class predictions) of one greedy pass
     over all predictions in descending score order (ties in input order)."""
@@ -222,6 +236,8 @@ def ap_r40_bruteforce(preds_by_image, gts_by_image, cls, difficulty, pair_iou, i
     if npos == 0:
         return None
 
+    # every prefix re-matches from scratch; only the overlaps are reused
+    pair_iou = _once_per_pair(pair_iou)
     points = []
     for k in range(1, len(flat) + 1):
         tp, fp = _match_prefix(flat[:k], gts_by_image, cls, target_level, pair_iou, iou_threshold)
@@ -317,3 +333,83 @@ def roi_align_pointwise(fmap, centers, sizes, image_index, stride, out_size):
                         + img[r1, c1] * fy * fx
                     )
     return out
+
+
+def bev_footprint_scalar(box):
+    """One box's counter-clockwise footprint [4, 2] in the (x, z) plane."""
+    h, w, l = box.dimensions
+    c, s = math.cos(box.yaw), math.sin(box.yaw)
+    lx = np.array([l / 2.0, -l / 2.0, -l / 2.0, l / 2.0])
+    lz = np.array([w / 2.0, w / 2.0, -w / 2.0, -w / 2.0])
+    x = c * lx + s * lz + box.location[0]
+    z = -s * lx + c * lz + box.location[2]
+    return np.stack([x, z], axis=1)
+
+
+def polygon_area_scalar(poly):
+    """Shoelace area of one polygon, summed by np.sum."""
+    poly = np.asarray(poly, dtype=np.float64)
+    if len(poly) < 3:
+        return 0.0
+    x, y = poly[:, 0], poly[:, 1]
+    xn, yn = np.concatenate((x[1:], x[:1])), np.concatenate((y[1:], y[:1]))
+    return 0.5 * float(np.sum(x * yn - xn * y))
+
+
+def convex_clip_scalar(subject, clip):
+    """Sutherland-Hodgman on one pair, one vertex at a time: subject
+    polygon clipped by a convex CCW polygon -> vertex list (empty when
+    fewer than 3 remain, or when either input has fewer than 3)."""
+    subject = [tuple(p) for p in np.asarray(subject, dtype=np.float64)] if len(subject) else []
+    clip = np.asarray(clip, dtype=np.float64)
+    if len(subject) < 3 or len(clip) < 3:
+        return []
+    output = subject
+    for i in range(len(clip)):
+        ax, ay = clip[i]
+        bx, by = clip[(i + 1) % len(clip)]
+        ex, ey = bx - ax, by - ay
+        inputs = output
+        output = []
+        if not inputs:
+            break
+        prev = inputs[-1]
+        cp_prev = ex * (prev[1] - ay) - ey * (prev[0] - ax)
+        for cur in inputs:
+            cp_cur = ex * (cur[1] - ay) - ey * (cur[0] - ax)
+            if (cp_cur >= 0.0) != (cp_prev >= 0.0):
+                t = cp_prev / (cp_prev - cp_cur)
+                output.append(
+                    (prev[0] + t * (cur[0] - prev[0]), prev[1] + t * (cur[1] - prev[1]))
+                )
+            if cp_cur >= 0.0:
+                output.append(cur)
+            prev, cp_prev = cur, cp_cur
+    return [] if len(output) < 3 else [np.array(p) for p in output]
+
+
+def iou_pairs_scalar(boxes_a, boxes_b):
+    """(iou_3d [A, B], iou_bev [A, B]) with one scalar clip per pair;
+    a zero-area footprint gives 0.0 with everything."""
+    out_3d = np.zeros((len(boxes_a), len(boxes_b)))
+    out_bev = np.zeros((len(boxes_a), len(boxes_b)))
+    for i, a in enumerate(boxes_a):
+        fa = bev_footprint_scalar(a)
+        area_a = polygon_area_scalar(fa)
+        if area_a <= 0.0:
+            continue
+        for j, b in enumerate(boxes_b):
+            fb = bev_footprint_scalar(b)
+            area_b = polygon_area_scalar(fb)
+            if area_b <= 0.0:
+                continue
+            inter = max(polygon_area_scalar(convex_clip_scalar(fa, fb)), 0.0)
+            union = area_a + area_b - inter
+            out_bev[i, j] = inter / union if union > 0.0 else 0.0
+            # y grows downward; a box occupies [y - h, y]
+            top = max(a.location[1] - a.dimensions[0], b.location[1] - b.dimensions[0])
+            bottom = min(a.location[1], b.location[1])
+            inter_vol = inter * max(0.0, bottom - top)
+            union = area_a * a.dimensions[0] + area_b * b.dimensions[0] - inter_vol
+            out_3d[i, j] = inter_vol / union if union > 0.0 else 0.0
+    return out_3d, out_bev

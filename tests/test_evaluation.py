@@ -10,11 +10,12 @@ from mono3d.evaluation import (
     EvalConfig,
     OFFICIAL_IOU,
     RELAXED_IOU,
+    _prepare,
     ap_r40,
     assign_difficulty,
     evaluate_split,
 )
-from mono3d.geometry import Box3D, iou_3d, iou_bev
+from mono3d.geometry import Box3D, iou_3d, iou_bev, iou_pairs
 from mono3d.heads import CLASS_NAMES, wrap_angle
 from mono3d.kitti import CameraCalib, LabelRecord, parse_label_file, write_calib, write_labels
 
@@ -369,6 +370,36 @@ def test_split_cells_bitwise_vs_bruteforce(tmp_path):
             assert cell.ap == want
             checked += 1
     assert checked >= 24
+
+
+def test_prepare_split_tables_equal_per_image_iou_pairs():
+    rng = np.random.default_rng(16)
+    gt, preds = _corpus(rng, n_images=60)
+    ped = _BASE_DIMS["Pedestrian"]
+    # predictions only, ground truth only, and a zero-area (zero-length)
+    # prediction on a ground-truth box
+    gt["000900"], preds["000900"] = [], [_record(score=0.7), _record(cls="Cyclist", score=0.2)]
+    gt["000901"] = [_record(), _record(cls="Pedestrian", dims=ped, loc=(2.0, 1.6, 12.0))]
+    gt["000902"] = [_record(), _record(loc=(3.0, 1.5, 20.0))]
+    preds["000902"] = [_record(dims=(1.5, 1.6, 0.0), score=0.9), _record(loc=(0.1, 1.5, 20.0), score=0.5)]
+    prepared = _prepare(preds, gt, CLASS_NAMES)
+    n_pairs = 0
+    for cls in CLASS_NAMES:
+        want = {}
+        for img in sorted(set(gt) | set(preds)):
+            p = [Box3D(r.location, r.dimensions, r.rotation_y) for r in preds.get(img, []) if r.type == cls]
+            g = [Box3D(r.location, r.dimensions, r.rotation_y) for r in gt.get(img, []) if r.type == cls]
+            if p and g:
+                t3d, tbev = iou_pairs(p, g)
+                want[img] = {"3D": t3d.tolist(), "BEV": tbev.tolist()}
+                n_pairs += len(p) * len(g)
+        assert prepared[cls].tables == want
+    # the split's pairs cross a clip-block boundary (256 pairs)
+    assert n_pairs > 256
+    assert "000900" not in prepared["Car"].tables and "000901" not in prepared["Car"].tables
+    zero_area = prepared["Car"].tables["000902"]
+    assert zero_area["3D"][0] == [0.0, 0.0] and zero_area["BEV"][0] == [0.0, 0.0]
+    assert zero_area["BEV"][1][0] > 0.5
 
 
 def test_split_empty_prediction_dir(tmp_path):

@@ -7,12 +7,13 @@ from mono3d import kernels
 from mono3d.errors import DegenerateGeometryError
 from mono3d.geometry import (
     Box3D,
-    bev_footprint,
+    bev_footprints,
     box3d_corners,
     convex_clip,
     iou_3d,
     iou_bev,
     iou_pairs,
+    pair_iou,
     polygon_area,
     raster_iou_reference,
 )
@@ -30,6 +31,18 @@ def _rand_box(rng):
         dimensions=(rng.uniform(0.5, 3), rng.uniform(0.5, 3), rng.uniform(0.5, 6)),
         yaw=rng.uniform(-math.pi, math.pi),
     )
+
+
+def _feet(*boxes):
+    return bev_footprints(list(boxes))
+
+
+def _areas(verts, counts=None):
+    """Areas of a [P, n, 2] polygon batch; every vertex counts by default."""
+    verts = np.asarray(verts, dtype=np.float64)
+    if counts is None:
+        counts = np.full(len(verts), verts.shape[1])
+    return polygon_area(verts, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -57,8 +70,7 @@ def test_yaw_quarter_turn_swaps_footprint_axes():
 
 
 def test_yaw_pi_same_footprint():
-    a = bev_footprint(_box(w=1.0, l=3.0, yaw=0.0))
-    b = bev_footprint(_box(w=1.0, l=3.0, yaw=math.pi))
+    a, b = _feet(_box(w=1.0, l=3.0, yaw=0.0), _box(w=1.0, l=3.0, yaw=math.pi))
     assert sorted(map(tuple, np.round(a, 12))) == sorted(map(tuple, np.round(b, 12)))
 
 
@@ -70,8 +82,10 @@ def test_corner_translation():
 
 def test_footprint_is_ccw():
     rng = np.random.default_rng(0)
-    for _ in range(50):
-        assert polygon_area(bev_footprint(_rand_box(rng))) > 0
+    feet = bev_footprints([_rand_box(rng) for _ in range(50)])
+    assert feet.shape == (50, 4, 2)
+    assert np.all(_areas(feet) > 0)
+    assert bev_footprints([]).shape == (0, 4, 2)
 
 
 def test_degenerate_dimensions_rejected():
@@ -86,51 +100,104 @@ def test_degenerate_dimensions_rejected():
 
 def test_clip_by_itself_preserves_area():
     rng = np.random.default_rng(1)
-    for _ in range(30):
-        poly = bev_footprint(_rand_box(rng))
-        clipped = convex_clip(poly, poly)
-        assert abs(polygon_area(clipped) - polygon_area(poly)) < 1e-12
+    feet = bev_footprints([_rand_box(rng) for _ in range(30)])
+    verts, counts = convex_clip(feet, feet)
+    assert np.all(counts >= 4)
+    assert np.max(np.abs(_areas(verts, counts) - _areas(feet))) < 1e-12
 
 
 def test_clip_disjoint_squares_empty():
-    a = bev_footprint(_box(x=0.0, z=0.0))
-    b = bev_footprint(_box(x=5.0, z=0.0))
-    assert convex_clip(a, b) == []
+    verts, counts = convex_clip(_feet(_box(x=0.0, z=0.0)), _feet(_box(x=5.0, z=0.0)))
+    assert counts.tolist() == [0]
+    assert not verts.any()
+    assert _areas(verts, counts).tolist() == [0.0]
 
 
 def test_clip_degenerate_inputs_empty():
-    square = bev_footprint(_box())
-    assert convex_clip([], square) == []
-    assert convex_clip(square[:2], square) == []
-    assert convex_clip(square, square[:1]) == []
+    square = _feet(_box())
+    for subject, clip in ((square[:, :0], square), (square[:, :2], square), (square, square[:, :1])):
+        verts, counts = convex_clip(subject, clip)
+        assert counts.tolist() == [0]
+        assert _areas(verts, counts).tolist() == [0.0]
+    # no pairs at all
+    verts, counts = convex_clip(square[:0], square[:0])
+    assert counts.shape == (0,) and _areas(verts, counts).shape == (0,)
 
 
 def test_clip_unit_square_45_degrees_octagon():
     # analytic: the intersection is a regular octagon of area 2*(sqrt(2)-1)
-    a = bev_footprint(_box(yaw=0.0))
-    b = bev_footprint(_box(yaw=math.pi / 4))
-    octagon = convex_clip(a, b)
-    assert len(octagon) == 8
-    assert abs(polygon_area(octagon) - 2.0 * (math.sqrt(2.0) - 1.0)) < 1e-12
+    verts, counts = convex_clip(_feet(_box(yaw=0.0)), _feet(_box(yaw=math.pi / 4)))
+    assert counts.tolist() == [8]
+    assert verts.shape == (1, 8, 2)
+    assert abs(_areas(verts, counts)[0] - 2.0 * (math.sqrt(2.0) - 1.0)) < 1e-12
 
 
 def test_clip_area_bounded_by_inputs():
     rng = np.random.default_rng(2)
-    for _ in range(100):
-        fa = bev_footprint(_rand_box(rng))
-        fb = bev_footprint(_rand_box(rng))
-        inter = polygon_area(convex_clip(fa, fb))
-        assert inter <= min(polygon_area(fa), polygon_area(fb)) + 1e-12
-        assert inter >= -1e-12
+    fa = bev_footprints([_rand_box(rng) for _ in range(100)])
+    fb = bev_footprints([_rand_box(rng) for _ in range(100)])
+    inter = _areas(*convex_clip(fa, fb))
+    assert np.all(inter <= np.minimum(_areas(fa), _areas(fb)) + 1e-12)
+    assert np.all(inter >= -1e-12)
 
 
 def test_clip_contained_square():
-    outer = bev_footprint(_box(w=4.0, l=4.0))
-    inner = bev_footprint(_box(w=1.0, l=1.0))
-    got = convex_clip(inner, outer)
-    assert abs(polygon_area(got) - 1.0) < 1e-12
-    got2 = convex_clip(outer, inner)
-    assert abs(polygon_area(got2) - 1.0) < 1e-12
+    outer, inner = _feet(_box(w=4.0, l=4.0), _box(w=1.0, l=1.0))
+    got = _areas(*convex_clip(np.stack([inner, outer]), np.stack([outer, inner])))
+    assert np.max(np.abs(got - 1.0)) < 1e-12
+
+
+def test_batched_clip_area_and_iou_bitwise_vs_scalar_oracle():
+    rng = np.random.default_rng(12)
+    same = _rand_box(rng)
+    special = [
+        # the 45 degree octagon: 8 vertices, numpy's tree-summed area
+        (_box(), _box(yaw=math.pi / 4)),
+        # a box and its half-turn twin: rounding leaves 9 vertices
+        (_box(w=1.0, l=2.0, yaw=1.0), _box(w=1.0, l=2.0, yaw=1.0 + math.pi)),
+        # contained, both ways; identical; disjoint
+        (_box(w=1.0, l=1.0), _box(w=4.0, l=4.0)),
+        (_box(w=4.0, l=4.0, yaw=0.3), _box(w=1.0, l=1.0)),
+        (same, same),
+        (_box(), _box(x=5.0)),
+        # a shared edge, axis-aligned and rotated
+        (_box(w=1.0, l=2.0), _box(x=2.0, w=1.0, l=2.0)),
+        (
+            _box(w=1.0, l=2.0, yaw=0.7),
+            _box(x=math.sin(0.7), z=math.cos(0.7), w=1.0, l=2.0, yaw=0.7),
+        ),
+        # zero-width and zero-length footprints
+        (_box(w=0.0, yaw=0.4), _box()),
+        (_box(), _box(l=0.0, x=0.1)),
+    ]
+    pairs = special + [(_rand_box(rng), _rand_box(rng)) for _ in range(200)]
+    # random pairs with nearby centres, so that most of them overlap
+    for a, b in pairs[len(special) : len(special) + 100]:
+        b.location = (a.location[0] + rng.normal(), b.location[1], a.location[2] + rng.normal())
+    boxes_a, boxes_b = [a for a, _ in pairs], [b for _, b in pairs]
+    fa, fb = bev_footprints(boxes_a), bev_footprints(boxes_b)
+    verts, counts = convex_clip(fa, fb)
+    areas = polygon_area(verts, counts)
+    want_areas = []
+    for p, (a, b) in enumerate(pairs):
+        assert np.array_equal(fa[p], oracles.bev_footprint_scalar(a))
+        want = oracles.convex_clip_scalar(fa[p], fb[p])
+        assert counts[p] == len(want), p
+        assert np.array_equal(verts[p, : counts[p]], np.reshape(want, (-1, 2))), p
+        assert not verts[p, counts[p] :].any()
+        want_areas.append(oracles.polygon_area_scalar(want))
+    assert np.array_equal(areas, want_areas)
+    assert np.array_equal(_areas(fa), [oracles.polygon_area_scalar(f) for f in fa])
+    assert counts[0] == 8 and counts[1] == 9 and counts[5] == 0
+    assert np.count_nonzero(counts[len(special) :]) >= 80
+    # the IoU tables of the special boxes and 20 random ones, and the pairs
+    got = iou_pairs(boxes_a[:30], boxes_b[:30])
+    want = oracles.iou_pairs_scalar(boxes_a[:30], boxes_b[:30])
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    diag = pair_iou(boxes_a[:30], boxes_b[:30], np.arange(30), np.arange(30))
+    for g, w in zip(diag, want):
+        assert np.array_equal(g, np.diag(w))
 
 
 # ---------------------------------------------------------------------------
