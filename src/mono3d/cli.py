@@ -246,14 +246,15 @@ def _parse_set(values):
 
 def _add_common(sub):
     sub.add_argument("--config", default=None, help="flat JSON config file")
-    sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--out", default=None, help="output directory")
+    sub.add_argument("--set", action="append", metavar="KEY=VALUE", help="override any config key")
+
+
+def _add_model(sub):
+    """Flags that choose the Detector of train-toy and infer."""
+    sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--variant", choices=("desk", "b1", "b2"), default=None)
     sub.add_argument("--no-attention", action="store_true")
-    sub.add_argument("--thresholds", choices=("official", "relaxed", "both"), default=None)
-    sub.add_argument("--k", type=int, default=None)
-    sub.add_argument("--score-threshold", type=float, default=None)
-    sub.add_argument("--set", action="append", metavar="KEY=VALUE", help="override any config key")
 
 
 def build_parser():
@@ -262,12 +263,14 @@ def build_parser():
 
     p = commands.add_parser("gradcheck", help="finite-difference check of every backward rule")
     _add_common(p)
+    p.add_argument("--seed", type=int, default=None, help="first seed of each component")
     p.add_argument("--inject-fault", default=None, metavar="OP", help="corrupt one backward rule")
     p.add_argument("--seeds", type=int, default=None, help="seeds per component")
     p.add_argument("--no-pipeline", action="store_true", help="skip the end-to-end check")
 
     p = commands.add_parser("train-toy", help="overfit the desk model on synthetic scenes")
     _add_common(p)
+    _add_model(p)
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--batch-size", type=int, default=None)
@@ -275,9 +278,12 @@ def build_parser():
 
     p = commands.add_parser("infer", help="run a checkpoint on one image")
     _add_common(p)
+    _add_model(p)
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--image", default=None, help="PPM image path")
     p.add_argument("--calib", default=None, help="calib file path")
+    p.add_argument("--k", type=int, default=None, help="peaks decoded per image")
+    p.add_argument("--score-threshold", type=float, default=None)
     p.add_argument("--no-overlay", action="store_true")
 
     p = commands.add_parser("eval", help="AP evaluation of a prediction directory")
@@ -285,6 +291,7 @@ def build_parser():
     p.add_argument("--pred", default=None, help="prediction directory")
     p.add_argument("--gt", default=None, help="ground-truth label directory")
     p.add_argument("--calib-dir", default=None)
+    p.add_argument("--thresholds", choices=("official", "relaxed", "both"), default=None)
 
     p = commands.add_parser("synth", help="generate a synthetic scene corpus")
     _add_common(p)

@@ -148,25 +148,23 @@ def _greedy_curve(data, difficulty, metric, iou_threshold):
     for img, idx, _ in data.flat:
         levels = data.levels[img]
         row = data.tables[img][metric][idx] if levels else []
+        # best open counted and best open ignored ground truth, in one pass
         best_iou, best_key = -1.0, None
+        ign_iou, ign_key = -1.0, None
         for j, level in enumerate(levels):
-            if level > target or (img, j) in taken:
+            if (img, j) in taken:
                 continue
             v = row[j]
-            if v > best_iou:
-                best_iou, best_key = v, (img, j)
+            if level <= target:
+                if v > best_iou:
+                    best_iou, best_key = v, (img, j)
+            elif v > ign_iou:
+                ign_iou, ign_key = v, (img, j)
         if best_key is not None and best_iou >= iou_threshold:
             taken.add(best_key)
             tp += 1
             points.append((tp / npos, tp / (tp + fp)))
             continue
-        ign_iou, ign_key = -1.0, None
-        for j, level in enumerate(levels):
-            if level <= target or (img, j) in taken:
-                continue
-            v = row[j]
-            if v > ign_iou:
-                ign_iou, ign_key = v, (img, j)
         if ign_key is not None and ign_iou >= iou_threshold:
             taken.add(ign_key)
             continue

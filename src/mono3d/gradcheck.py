@@ -16,7 +16,7 @@ import numpy as np
 from . import tensor as T
 from .backbone import ConvFFN, EncoderBlock
 from .errors import UsageError
-from .heads import Detection2D, Heads2D, Heads3D, gup_depth, roi_crop
+from .heads import Boxes2D, Heads2D, Heads3D, gup_depth, roi_crop
 from .losses import angle_loss, assign_targets, depth_loss, focal_loss, l1_masked, laplacian_nll, total_loss, make_weights
 from .model import Detector
 from .neck import Neck, NeckConfig
@@ -217,14 +217,15 @@ def _check_neck(rng):
 
 def _check_roi_crop(rng):
     feat = _t(rng, 2, 3, 8, 8)
-    dets = [
-        Detection2D(class_id=0, score=1.0, center=(13.0, 17.0), size=(10.0, 12.0)),
-        Detection2D(class_id=1, score=1.0, center=(20.0, 9.0), size=(14.0, 8.0)),
-        Detection2D(class_id=2, score=1.0, center=(6.0, 25.0), size=(9.0, 11.0)),
-    ]
+    boxes = Boxes2D(
+        class_id=np.array([0, 1, 2]),
+        score=np.ones(3),
+        center=np.array([[13.0, 17.0], [20.0, 9.0], [6.0, 25.0]]),
+        size=np.array([[10.0, 12.0], [14.0, 8.0], [9.0, 11.0]]),
+    )
     r = _t(rng, 3, 3, 7, 7)
     return grad_check(
-        _projected(lambda a: roi_crop(a, dets, [0, 1, 1])[0], r), feat, eps=EPS, max_entries=24, rng=rng
+        _projected(lambda a: roi_crop(a, boxes, [0, 1, 1])[0], r), feat, eps=EPS, max_entries=24, rng=rng
     )
 
 

@@ -36,8 +36,8 @@ MIN_H2D_PIXELS = 1.0
 
 
 def wrap_angle(a):
-    """Wrap to the half-open interval (-pi, pi]."""
-    return a - 2.0 * math.pi * math.ceil((a - math.pi) / (2.0 * math.pi))
+    """Wrap to the half-open interval (-pi, pi]; elementwise on arrays."""
+    return a - 2.0 * math.pi * np.ceil((a - math.pi) / (2.0 * math.pi))
 
 
 def encode_angle(alpha):
@@ -62,11 +62,19 @@ class Heads2DOutput:
 
 
 @dataclass
-class Detection2D:
-    class_id: int
-    score: float
-    center: tuple  # (u, v) input-image pixels
-    size: tuple  # (w_2d, h_2d) input-image pixels
+class Boxes2D:
+    """K 2D boxes as parallel arrays; boxes[rows] selects rows by index or mask."""
+
+    class_id: np.ndarray  # [K] int
+    score: np.ndarray  # [K]
+    center: np.ndarray  # [K, 2] (u, v) input-image pixels
+    size: np.ndarray  # [K, 2] (w_2d, h_2d) input-image pixels
+
+    def __len__(self):
+        return len(self.class_id)
+
+    def __getitem__(self, rows):
+        return Boxes2D(self.class_id[rows], self.score[rows], self.center[rows], self.size[rows])
 
 
 @dataclass
@@ -132,7 +140,7 @@ def suppress_non_peaks(heatmap):
 
 
 def decode_heatmap_peaks(heatmap, offset2d, size2d, k=50, threshold=0.0):
-    """Peaks of a single-image heatmap [C, h, w] -> Detection2D list.
+    """Peaks of a single-image heatmap [C, h, w] -> Boxes2D.
 
     Survivors of 3x3 suppression above threshold, top-k by score with ties
     broken by flat (class, row, col) index; centers are (cell + offset)
@@ -151,23 +159,20 @@ def decode_heatmap_peaks(heatmap, offset2d, size2d, k=50, threshold=0.0):
     peaks = suppress_non_peaks(hm)
     flat = peaks.reshape(-1)
     order = np.argsort(-flat, kind="stable")[:k]
-    dets = []
-    for idx in order:
-        score = float(flat[idx])
-        if score <= threshold or score <= 0.0:
-            break
-        cls, rem = divmod(int(idx), hm.shape[1] * hm.shape[2])
-        row, col = divmod(rem, hm.shape[2])
-        u = (col + float(off[0, row, col])) * OUTPUT_STRIDE
-        v = (row + float(off[1, row, col])) * OUTPUT_STRIDE
-        w2d = float(size[0, row, col])
-        h2d = float(size[1, row, col])
-        dets.append(Detection2D(class_id=cls, score=score, center=(u, v), size=(w2d, h2d)))
-    return dets
+    order = order[flat[order] > threshold]  # a prefix: scores descend
+    cls, row, col = np.unravel_index(order, hm.shape)
+    u = (col + off[0, row, col]) * OUTPUT_STRIDE
+    v = (row + off[1, row, col]) * OUTPUT_STRIDE
+    return Boxes2D(
+        class_id=cls,
+        score=flat[order],
+        center=np.stack([u, v], axis=1),
+        size=np.stack([size[0, row, col], size[1, row, col]], axis=1),
+    )
 
 
-def roi_crop(feat, dets, image_index, out_size=(ROI_SIZE, ROI_SIZE)):
-    """RoI-aligned bilinear crops of 2D boxes from the stride-4 map.
+def roi_crop(feat, boxes, image_index, out_size=(ROI_SIZE, ROI_SIZE)):
+    """RoI-aligned bilinear crops of Boxes2D rows from the stride-4 map.
 
     Box m (input pixels) comes from image image_index[m] and maps to
     feature coords at 1/stride, clipped to the map; r x r half-pixel sample
@@ -178,20 +183,18 @@ def roi_crop(feat, dets, image_index, out_size=(ROI_SIZE, ROI_SIZE)):
     if feat.ndim != 4:
         raise DimensionError(f"expected [N, C, h, w] features, got {feat.shape}")
     image_index = np.asarray(image_index, dtype=np.int64)
-    if image_index.shape != (len(dets),):
-        raise DimensionError(f"{len(dets)} boxes but image_index of shape {image_index.shape}")
+    if image_index.shape != (len(boxes),):
+        raise DimensionError(f"{len(boxes)} boxes but image_index of shape {image_index.shape}")
     h, w = feat.shape[2], feat.shape[3]
-    centers = np.array([d.center for d in dets], dtype=np.float64).reshape(-1, 2)
-    sizes = np.array([d.size for d in dets], dtype=np.float64).reshape(-1, 2)
-    u, v = centers[:, 0], centers[:, 1]
-    bw, bh = sizes[:, 0], sizes[:, 1]
+    u, v = boxes.center[:, 0], boxes.center[:, 1]
+    bw, bh = boxes.size[:, 0], boxes.size[:, 1]
     x1 = np.maximum((u - bw / 2.0) / OUTPUT_STRIDE, 0.0)
     x2 = np.minimum((u + bw / 2.0) / OUTPUT_STRIDE, float(w))
     y1 = np.maximum((v - bh / 2.0) / OUTPUT_STRIDE, 0.0)
     y2 = np.minimum((v + bh / 2.0) / OUTPUT_STRIDE, float(h))
     valid = (x2 - x1 > 0.0) & (y2 - y1 > 0.0)
-    boxes = np.stack([x1, y1, x2, y2], axis=1)[valid]
-    return T.roi_align(feat, boxes, image_index[valid], out_size), valid
+    rects = np.stack([x1, y1, x2, y2], axis=1)[valid]
+    return T.roi_align(feat, rects, image_index[valid], out_size), valid
 
 
 class Heads3D(Module):
@@ -251,47 +254,49 @@ def gup_depth(h3d_mu, h3d_sigma, h2d, f, bias_mu, bias_sigma):
     return depth_mu, depth_sigma
 
 
-def decode_box3d(det2d, out3d, calib, roi_index=0, drop_count=None):
-    """One Detection2D + 3D head outputs + calib -> Detection3D.
+def decode_box3d(boxes, out3d, calib):
+    """Boxes2D + their 3D head outputs (row i for box i) + calib ->
+    (Detection3D list in box order, number of boxes dropped for a
+    non-positive projected depth).
 
-    Degenerate 2D heights (<= 1 px) return None and bump drop_count
-    ["h2d_degenerate"] when a counter dict is supplied.
+    Every box must have a positive 2D height.
     """
-    i = roi_index
-    h2d = det2d.size[1]
-    if h2d <= MIN_H2D_PIXELS:
-        if drop_count is not None:
-            drop_count["h2d_degenerate"] = drop_count.get("h2d_degenerate", 0) + 1
-        return None
-    off = out3d.offset3d.data[i]
-    u = det2d.center[0] + float(off[0])
-    v = det2d.center[1] + float(off[1])
-
-    cls = det2d.class_id
-    dims = CLASS_PRIORS[cls] + out3d.size_residuals.data[i, cls]
-    h3d, w3d, l3d = (float(x) for x in dims)
-    h_sigma = float(np.exp(out3d.h_log_sigma.data[i]))
-    bias_mu = float(out3d.bias_mu.data[i])
-    bias_sigma = float(np.exp(out3d.bias_log_sigma.data[i]))
-    z, depth_sigma = gup_depth(h3d, h_sigma, h2d, calib.f_v, bias_mu, bias_sigma)
-    if z <= 0.0:
-        if drop_count is not None:
-            drop_count["nonpositive_depth"] = drop_count.get("nonpositive_depth", 0) + 1
-        return None
-
+    rows = np.arange(len(boxes))
+    cls = boxes.class_id
+    off = out3d.offset3d.data
+    u = boxes.center[:, 0] + off[:, 0]
+    v = boxes.center[:, 1] + off[:, 1]
+    dims = CLASS_PRIORS[cls] + out3d.size_residuals.data[rows, cls]
+    h3d = dims[:, 0]
+    z, depth_sigma = gup_depth(
+        h3d,
+        np.exp(out3d.h_log_sigma.data),
+        boxes.size[:, 1],
+        calib.f_v,
+        out3d.bias_mu.data,
+        np.exp(out3d.bias_log_sigma.data),
+    )
     x = (u - calib.c_u) * z / calib.f_u
     y = (v - calib.c_v) * z / calib.f_v + h3d / 2.0
 
-    logits = out3d.angle_logits.data[i]
-    b = int(np.argmax(logits))
-    alpha = decode_angle(b, float(out3d.angle_residuals.data[i, b]))
-    yaw = wrap_angle(alpha + math.atan2(x, z))
-    score = det2d.score * math.exp(-depth_sigma)
-    return Detection3D(
-        class_id=cls,
-        score=score,
-        location=(x, y, z),
-        dimensions=(h3d, w3d, l3d),
-        yaw=yaw,
-        depth_sigma=depth_sigma,
+    b = np.argmax(out3d.angle_logits.data, axis=1)
+    alpha = decode_angle(b, out3d.angle_residuals.data[rows, b])
+    yaw = wrap_angle(alpha + np.arctan2(x, z))
+    score = boxes.score * np.exp(-depth_sigma)
+    drop = z <= 0.0
+    keep = ~drop
+    fields = zip(
+        cls[keep].tolist(),
+        score[keep].tolist(),
+        np.stack([x, y, z], axis=1)[keep].tolist(),
+        dims[keep].tolist(),
+        yaw[keep].tolist(),
+        depth_sigma[keep].tolist(),
     )
+    dets = [
+        Detection3D(
+            class_id=c, score=s, location=tuple(loc), dimensions=tuple(d), yaw=a, depth_sigma=ds
+        )
+        for c, s, loc, d, a, ds in fields
+    ]
+    return dets, int(np.sum(drop))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError, UsageError
-from .geometry import box3d_corners
+from .geometry import Box3D, box3d_corners
 
 LABEL_FIELDS_GT = 15
 LABEL_FIELDS_PRED = 16
@@ -187,8 +187,7 @@ def write_predictions(dets, calib, image_size, class_names, drop_count=None):
     width, height = image_size
     lines = []
     for det in dets:
-        box = _det_to_box(det)
-        corners = box3d_corners(box)
+        corners = box3d_corners(Box3D(det.location, det.dimensions, det.yaw))
         if det.location[2] <= 0.0 or np.any(corners[:, 2] <= 0.0):
             if drop_count is not None:
                 drop_count["behind_camera"] = drop_count.get("behind_camera", 0) + 1
@@ -212,18 +211,6 @@ def write_predictions(dets, calib, image_size, class_names, drop_count=None):
         )
         lines.append(format_label_line(rec))
     return "".join(line + "\n" for line in lines)
-
-
-def _det_to_box(det):
-    from .geometry import Box3D
-
-    return Box3D(
-        location=det.location,
-        dimensions=det.dimensions,
-        yaw=det.yaw,
-        class_id=det.class_id,
-        score=det.score,
-    )
 
 
 def write_ppm(path, image):

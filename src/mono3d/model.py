@@ -18,7 +18,7 @@ from .heads import (
     CLASS_NAMES,
     CLASS_PRIORS,
     MIN_H2D_PIXELS,
-    Detection2D,
+    Boxes2D,
     Heads2D,
     Heads3D,
     decode_box3d,
@@ -26,17 +26,13 @@ from .heads import (
     gup_depth,
     roi_crop,
 )
-from .losses import LOSS_TERMS, angle_loss, depth_loss, focal_loss, l1_masked, laplacian_nll
+from .losses import LOSS_TERMS, _zero_scalar, angle_loss, depth_loss, focal_loss, l1_masked, laplacian_nll
 from .neck import Neck, NeckConfig
 from .nn import Module
 from .tensor import Tensor
 
 CHECKPOINT_DTYPE = "<f4"
 CHECKPOINT_FORMAT = "mono3d-flat-f32"
-
-
-def _zero_scalar():
-    return Tensor(np.zeros(()))
 
 
 class Detector(Module):
@@ -76,7 +72,7 @@ class Detector(Module):
             if feat.shape[0] != 1:
                 raise UsageError(f"infer takes a single image, got batch of {feat.shape[0]}")
             out2d = self.heads2d(feat)
-            dets2d = decode_heatmap_peaks(
+            peaks = decode_heatmap_peaks(
                 out2d.heatmap.data[0],
                 out2d.offset2d.data[0],
                 out2d.size2d.data[0],
@@ -84,23 +80,18 @@ class Detector(Module):
                 threshold=score_threshold,
             )
             drops = {}
-            kept = []
-            for det in dets2d:
-                if det.size[1] <= MIN_H2D_PIXELS:
-                    drops["h2d_degenerate"] = drops.get("h2d_degenerate", 0) + 1
-                else:
-                    kept.append(det)
+            flat = peaks.size[:, 1] <= MIN_H2D_PIXELS
+            if flat.any():
+                drops["h2d_degenerate"] = int(np.sum(flat))
+            kept = peaks[~flat]
             rois, valid = roi_crop(feat, kept, np.zeros(len(kept), dtype=np.int64))
             if not valid.all():
-                drops["roi_degenerate"] = drops.get("roi_degenerate", 0) + int(np.sum(~valid))
-            live = [det for det, ok in zip(kept, valid) if ok]
+                drops["roi_degenerate"] = int(np.sum(~valid))
             dets3d = []
-            if live:
-                out3d = self.heads3d(rois)
-                for j, det in enumerate(live):
-                    det3d = decode_box3d(det, out3d, calib, roi_index=j, drop_count=drops)
-                    if det3d is not None:
-                        dets3d.append(det3d)
+            if valid.any():
+                dets3d, dropped = decode_box3d(kept[valid], self.heads3d(rois), calib)
+                if dropped:
+                    drops["nonpositive_depth"] = dropped
         return dets3d, drops
 
     def loss_terms(self, images, targets, calibs):
@@ -130,62 +121,53 @@ class Detector(Module):
             "size2d": l1_masked(out2d.size2d, size_gt, mask),
         }
 
-        dets, image_index, cls_ids, off3_gt, size3_gt = [], [], [], [], []
-        bin_gt, res_gt, depth_gt, h2d, f_v = [], [], [], [], []
-        for i, t in enumerate(targets):
-            for m in range(t.n_objects):
-                det = Detection2D(
-                    class_id=int(t.class_ids[m]),
-                    score=1.0,
-                    center=(float(t.center2d[m, 0]), float(t.center2d[m, 1])),
-                    size=(float(t.size2d[m, 0]), float(t.size2d[m, 1])),
-                )
-                dets.append(det)
-                image_index.append(i)
-                cls_ids.append(det.class_id)
-                off3_gt.append(t.offset3d[m])
-                size3_gt.append(t.size3d[m])
-                bin_gt.append(int(t.angle_bin[m]))
-                res_gt.append(float(t.angle_res[m]))
-                depth_gt.append(float(t.depth[m]))
-                h2d.append(det.size[1])
-                f_v.append(calibs[i].f_v)
-
-        if not dets:
+        counts = [t.n_objects for t in targets]
+        m_total = sum(counts)
+        if m_total == 0:
             for term in ("offset3d", "w3d", "l3d", "h3d", "angle", "depth"):
                 terms[term] = _zero_scalar()
             return {term: terms[term] for term in LOSS_TERMS}
 
-        rois, valid = roi_crop(feat, dets, image_index)
+        def gather(field):
+            return np.concatenate([getattr(t, field) for t in targets])
+
+        gt = Boxes2D(
+            class_id=gather("class_ids"),
+            score=np.ones(m_total),
+            center=gather("center2d"),
+            size=gather("size2d"),
+        )
+        rois, valid = roi_crop(feat, gt, np.repeat(np.arange(b), counts))
         if not valid.all():
-            bad = dets[int(np.argmin(valid))]
+            bad = int(np.argmin(valid))
             raise DegenerateGeometryError(
-                f"ground-truth box {bad.center}+-{bad.size} has no area inside the "
-                f"{feat.shape[2]}x{feat.shape[3]} map"
+                f"ground-truth box {tuple(gt.center[bad])}+-{tuple(gt.size[bad])} has no area "
+                f"inside the {feat.shape[2]}x{feat.shape[3]} map"
             )
         out3d = self.heads3d(rois)
-        m_total = len(cls_ids)
-        cls = np.asarray(cls_ids)
+        cls = gt.class_id
         onehot = np.zeros((m_total, self.num_classes, 1))
         onehot[np.arange(m_total), cls, 0] = 1.0
         dims = T.sum_(out3d.size_residuals * onehot, axis=1) + CLASS_PRIORS[cls]
-        size3 = np.stack(size3_gt)
+        size3 = gather("size3d")
         ones_vec = np.ones(m_total)
-        terms["offset3d"] = l1_masked(out3d.offset3d, np.stack(off3_gt), np.ones((m_total, 1)))
+        terms["offset3d"] = l1_masked(out3d.offset3d, gather("offset3d"), np.ones((m_total, 1)))
         terms["w3d"] = l1_masked(dims[:, 1], size3[:, 1], ones_vec)
         terms["l3d"] = l1_masked(dims[:, 2], size3[:, 2], ones_vec)
         h_sigma = T.exp(out3d.h_log_sigma)
         terms["h3d"] = laplacian_nll(dims[:, 0], h_sigma, size3[:, 0])
-        terms["angle"] = angle_loss(out3d.angle_logits, out3d.angle_residuals, bin_gt, res_gt)
+        terms["angle"] = angle_loss(
+            out3d.angle_logits, out3d.angle_residuals, gather("angle_bin"), gather("angle_res")
+        )
         depth_mu, depth_sigma = gup_depth(
             dims[:, 0],
             h_sigma,
-            np.asarray(h2d),
-            np.asarray(f_v),
+            gt.size[:, 1],
+            np.repeat([c.f_v for c in calibs], counts),
             out3d.bias_mu,
             T.exp(out3d.bias_log_sigma),
         )
-        terms["depth"] = depth_loss(depth_mu, depth_sigma, np.asarray(depth_gt))
+        terms["depth"] = depth_loss(depth_mu, depth_sigma, gather("depth"))
         return {term: terms[term] for term in LOSS_TERMS}
 
 

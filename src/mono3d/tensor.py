@@ -104,17 +104,11 @@ class Tensor:
     def item(self):
         return float(self.data)
 
-    def numpy(self):
-        return self.data
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
     def zero_grad(self):
         self.grad = None
-
-    def detach(self):
-        return Tensor(self.data, requires_grad=False, dtype=self.data.dtype)
 
     # -- operator sugar -----------------------------------------------------
 

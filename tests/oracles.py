@@ -413,3 +413,43 @@ def iou_pairs_scalar(boxes_a, boxes_b):
             union = area_a * a.dimensions[0] + area_b * b.dimensions[0] - inter_vol
             out_3d[i, j] = inter_vol / union if union > 0.0 else 0.0
     return out_3d, out_bev
+
+
+def decode_box3d_scalar(class_id, score, center, size, out3d, calib, row=0):
+    """One 2D box and row `row` of its 3D head outputs, decoded alone in
+    Python floats -> Detection3D, or None when the projected depth is not
+    positive. Depth is f_v * h3d / h2d + bias, with sigma
+    sqrt((f_v * sigma_h / h2d)^2 + sigma_bias^2)."""
+    from mono3d.heads import CLASS_PRIORS, NUM_ANGLE_BINS, Detection3D
+
+    def wrap(a):
+        return a - 2.0 * math.pi * math.ceil((a - math.pi) / (2.0 * math.pi))
+
+    off = out3d.offset3d.data[row]
+    u = float(center[0]) + float(off[0])
+    v = float(center[1]) + float(off[1])
+    dims = CLASS_PRIORS[class_id] + out3d.size_residuals.data[row, class_id]
+    h3d, w3d, l3d = (float(x) for x in dims)
+    h_sigma = float(np.exp(out3d.h_log_sigma.data[row]))
+    bias_mu = float(out3d.bias_mu.data[row])
+    bias_sigma = float(np.exp(out3d.bias_log_sigma.data[row]))
+    scale = calib.f_v / float(size[1])
+    z = h3d * scale + bias_mu
+    s_h = h_sigma * scale
+    depth_sigma = math.sqrt(s_h * s_h + bias_sigma * bias_sigma)
+    if z <= 0.0:
+        return None
+
+    x = (u - calib.c_u) * z / calib.f_u
+    y = (v - calib.c_v) * z / calib.f_v + h3d / 2.0
+    b = int(np.argmax(out3d.angle_logits.data[row]))
+    width = 2.0 * math.pi / NUM_ANGLE_BINS
+    alpha = wrap(-math.pi + (b + 0.5) * width + float(out3d.angle_residuals.data[row, b]))
+    return Detection3D(
+        class_id=int(class_id),
+        score=float(score) * math.exp(-depth_sigma),
+        location=(x, y, z),
+        dimensions=(h3d, w3d, l3d),
+        yaw=wrap(alpha + math.atan2(x, z)),
+        depth_sigma=depth_sigma,
+    )

@@ -22,13 +22,13 @@ from mono3d.backbone import Backbone, backbone_config
 from mono3d.cli import main
 from mono3d.errors import ParseError
 from mono3d.evaluation import DIFFICULTIES, OFFICIAL_IOU, RELAXED_IOU, ap_r40
-from mono3d.geometry import Box3D, box3d_corners, iou_3d, iou_bev, raster_iou_reference
+from mono3d.geometry import Box3D, box3d_corners, iou_3d, iou_bev, pair_iou, raster_iou_reference
 from mono3d.gradcheck import run_suite
 from mono3d.heads import (
     CLASS_NAMES,
     CLASS_PRIORS,
     NUM_ANGLE_BINS,
-    Detection2D,
+    Boxes2D,
     Heads3DOutput,
     decode_box3d,
     gup_depth,
@@ -116,7 +116,8 @@ def test_criterion_03_rotated_iou_vs_raster_oracle():
     t0 = time.perf_counter()
     raster = raster_iou_reference(boxes_a, boxes_b, n_grid=2000)
     elapsed = time.perf_counter() - t0
-    analytic = np.array([iou_bev(a, b) for a, b in zip(boxes_a, boxes_b)])
+    pairs = np.arange(len(boxes_a))
+    analytic = pair_iou(boxes_a, boxes_b, pairs, pairs)[1]
     assert np.max(np.abs(analytic - raster)) < 2e-3
     assert elapsed < 60.0
     # co-centered unit squares at 45 degrees: octagon overlap, IoU = 1/sqrt(2)
@@ -222,12 +223,10 @@ def test_criterion_05_encode_decode_round_trip():
         bias_mu=Tensor(bias),
         bias_log_sigma=Tensor(np.full(m, -30.0)),
     )
-    for j, box in enumerate(boxes):
-        det2d = Detection2D(
-            int(targets.class_ids[j]), 1.0, tuple(targets.center2d[j]), tuple(targets.size2d[j])
-        )
-        d = decode_box3d(det2d, out, calib, roi_index=j)
-        assert d is not None
+    boxes2d = Boxes2D(targets.class_ids, np.ones(m), targets.center2d, targets.size2d)
+    dets, dropped = decode_box3d(boxes2d, out, calib)
+    assert dropped == 0 and len(dets) == m
+    for d, box in zip(dets, boxes):
         assert max(abs(a - b) for a, b in zip(d.location, box.location)) <= 1e-6
         assert max(abs(a - b) for a, b in zip(d.dimensions, box.dimensions)) <= 1e-6
         assert abs(wrap_angle(d.yaw - box.yaw)) <= 1e-6

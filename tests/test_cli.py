@@ -39,10 +39,31 @@ def test_unknown_flag_exits_2():
     assert exc.value.code == 2
 
 
-def test_bad_variant_choice_exits_2():
+def test_bad_variant_choice_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["synth", "--variant", "b7"])
+        main(["train-toy", "--variant", "b7"])
     assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth", "--seed", "5"],
+        ["synth", "--variant", "b2"],
+        ["gradcheck", "--variant", "desk"],
+        ["eval", "--seed", "1"],
+        ["eval", "--k", "3"],
+        ["train-toy", "--thresholds", "both"],
+        ["train-toy", "--k", "3"],
+        ["infer", "--thresholds", "official"],
+    ],
+)
+def test_flag_the_subcommand_does_not_read_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_set_without_equals_exits_2(tmp_path, capsys):

@@ -311,7 +311,8 @@ def test_iou_matches_raster_oracle():
             )
         boxes_a.append(a)
         boxes_b.append(b)
-    analytic = np.array([iou_bev(a, b) for a, b in zip(boxes_a, boxes_b)])
+    pairs = np.arange(len(boxes_a))
+    analytic = pair_iou(boxes_a, boxes_b, pairs, pairs)[1]
     raster = raster_iou_reference(boxes_a, boxes_b, n_grid=2000)
     assert np.max(np.abs(analytic - raster)) < 2e-3
 

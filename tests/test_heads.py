@@ -9,7 +9,7 @@ from mono3d.heads import (
     CLASS_PRIORS,
     NUM_ANGLE_BINS,
     OUTPUT_STRIDE,
-    Detection2D,
+    Boxes2D,
     Heads2D,
     Heads3D,
     Heads3DOutput,
@@ -95,11 +95,10 @@ def test_decode_single_spike():
     size[1, 2, 5] = 12.0
     dets = decode_heatmap_peaks(hm, off, size, k=10, threshold=0.1)
     assert len(dets) == 1
-    d = dets[0]
-    assert d.class_id == 0 and d.score == 1.0
+    assert dets.class_id.tolist() == [0] and dets.score.tolist() == [1.0]
     # cell (row 2, col 5), zero offset -> input pixel (u, v) = (4*5, 4*2)
-    assert d.center == (20.0, 8.0)
-    assert d.size == (20.0, 12.0)
+    assert dets.center.tolist() == [[20.0, 8.0]]
+    assert dets.size.tolist() == [[20.0, 12.0]]
 
 
 def test_decode_offset_applied():
@@ -108,7 +107,7 @@ def test_decode_offset_applied():
     off[0, 2, 5] = 0.25
     off[1, 2, 5] = 0.5
     dets = decode_heatmap_peaks(hm, off, size, k=5, threshold=0.1)
-    assert dets[0].center == ((5 + 0.25) * 4, (2 + 0.5) * 4)
+    assert dets.center.tolist() == [[(5 + 0.25) * 4, (2 + 0.5) * 4]]
 
 
 def test_decode_adjacent_suppression():
@@ -116,8 +115,7 @@ def test_decode_adjacent_suppression():
     hm[0, 3, 3] = 0.9
     hm[0, 3, 4] = 0.8
     dets = decode_heatmap_peaks(hm, off, size, k=10, threshold=0.1)
-    assert len(dets) == 1
-    assert dets[0].score == 0.9
+    assert dets.score.tolist() == [0.9]
 
 
 def test_decode_equal_ties_kept():
@@ -125,13 +123,14 @@ def test_decode_equal_ties_kept():
     hm[0, 3, 3] = 0.9
     hm[0, 3, 4] = 0.9
     dets = decode_heatmap_peaks(hm, off, size, k=10, threshold=0.1)
-    assert len(dets) == 2
-    assert {(d.center) for d in dets} == {(12.0, 12.0), (16.0, 12.0)}
+    # equal scores keep flat-index order
+    assert dets.center.tolist() == [[12.0, 12.0], [16.0, 12.0]]
 
 
 def test_decode_uniform_below_threshold_empty():
     hm, off, size = _dense(fill=0.3)
-    assert decode_heatmap_peaks(hm, off, size, k=10, threshold=0.5) == []
+    empty = decode_heatmap_peaks(hm, off, size, k=10, threshold=0.5)
+    assert len(empty) == 0 and empty.center.shape == (0, 2) and empty.size.shape == (0, 2)
 
 
 def test_decode_topk_and_order():
@@ -145,7 +144,7 @@ def test_decode_topk_and_order():
             hm[0, r, c] = scores[i, j]
     dets = decode_heatmap_peaks(hm, off, size, k=5, threshold=0.0)
     assert len(dets) == 5
-    got = [d.score for d in dets]
+    got = dets.score.tolist()
     assert got == sorted(got, reverse=True)
     assert np.allclose(got, np.sort(scores.reshape(-1))[::-1][:5])
 
@@ -154,7 +153,7 @@ def test_decode_multiclass_channel_mapping():
     hm, off, size = _dense(c=3)
     hm[2, 1, 1] = 0.7
     dets = decode_heatmap_peaks(hm, off, size, k=3, threshold=0.2)
-    assert len(dets) == 1 and dets[0].class_id == 2
+    assert dets.class_id.tolist() == [2]
 
 
 def test_decode_validation():
@@ -177,23 +176,30 @@ def test_suppression_keeps_plateau_cells():
 # ---------------------------------------------------------------------------
 
 
-def _box(center, size):
-    return Detection2D(0, 1.0, center, size)
+def _boxes(*specs):
+    """(center, size) pairs in input pixels -> Boxes2D of class 0."""
+    n = len(specs)
+    return Boxes2D(
+        class_id=np.zeros(n, dtype=np.intp),
+        score=np.ones(n),
+        center=np.array([c for c, _ in specs], dtype=np.float64).reshape(n, 2),
+        size=np.array([s for _, s in specs], dtype=np.float64).reshape(n, 2),
+    )
 
 
 def test_roi_whole_map_identity():
     rng = np.random.default_rng(10)
     fmap = rng.normal(size=(2, 3, 7, 7))
     # box spanning the full 7x7 map in input pixels (28x28 box centered at 14)
-    box = _box((14.0, 14.0), (28.0, 28.0))
-    out, valid = roi_crop(Tensor(fmap), [box, box], [1, 0], out_size=(7, 7))
+    box = ((14.0, 14.0), (28.0, 28.0))
+    out, valid = roi_crop(Tensor(fmap), _boxes(box, box), [1, 0], out_size=(7, 7))
     assert valid.tolist() == [True, True]
     assert np.max(np.abs(out.data - fmap[::-1])) < 1e-12
 
 
 def test_roi_constant_map():
     fmap = np.full((2, 2, 6, 6), 3.25)
-    boxes = [_box((9.0, 13.0), (6.0, 9.0)), _box((2.0, 22.0), (12.0, 9.0))]
+    boxes = _boxes(((9.0, 13.0), (6.0, 9.0)), ((2.0, 22.0), (12.0, 9.0)))
     out, _ = roi_crop(Tensor(fmap), boxes, [0, 1], out_size=(5, 5))
     assert out.shape == (2, 2, 5, 5)
     assert np.allclose(out.data, 3.25, atol=1e-12)
@@ -203,32 +209,32 @@ def test_roi_half_pixel_ramp_shift():
     # ramp f[y][x] = x in feature coords; shifting the box by half a feature
     # pixel (2 input px) must shift every sample by exactly 0.5
     fmap = np.tile(np.arange(16.0), (1, 1, 16, 1))
-    base = _box((24.0, 32.0), (16.0, 16.0))
-    shifted = _box((26.0, 32.0), (16.0, 16.0))
-    out, _ = roi_crop(Tensor(fmap), [base, shifted], [0, 0], out_size=(4, 4))
+    base = ((24.0, 32.0), (16.0, 16.0))
+    shifted = ((26.0, 32.0), (16.0, 16.0))
+    out, _ = roi_crop(Tensor(fmap), _boxes(base, shifted), [0, 0], out_size=(4, 4))
     assert np.max(np.abs((out.data[1] - out.data[0]) - 0.5)) < 1e-12
 
 
 def test_roi_zero_area_rejected():
     fmap = Tensor(np.random.default_rng(9).normal(size=(1, 2, 6, 6)))
-    outside = _box((-40.0, 12.0), (8.0, 8.0))
-    flat = _box((12.0, 12.0), (0.0, 8.0))
-    inside = _box((12.0, 12.0), (8.0, 8.0))
-    out, valid = roi_crop(fmap, [outside, inside, flat], [0, 0, 0])
+    outside = ((-40.0, 12.0), (8.0, 8.0))
+    flat = ((12.0, 12.0), (0.0, 8.0))
+    inside = ((12.0, 12.0), (8.0, 8.0))
+    out, valid = roi_crop(fmap, _boxes(outside, inside, flat), [0, 0, 0])
     assert valid.tolist() == [False, True, False]
-    alone, _ = roi_crop(fmap, [inside], [0])
+    alone, _ = roi_crop(fmap, _boxes(inside), [0])
     assert out.shape == (1, 2, 7, 7) and np.array_equal(out.data, alone.data)
-    none, valid = roi_crop(fmap, [], [])
+    none, valid = roi_crop(fmap, _boxes(), [])
     assert none.shape == (0, 2, 7, 7) and valid.shape == (0,)
 
 
 def test_roi_rejects_mismatched_image_index():
     fmap = Tensor(np.zeros((2, 2, 6, 6)))
-    box = _box((12.0, 12.0), (8.0, 8.0))
+    box = ((12.0, 12.0), (8.0, 8.0))
     with pytest.raises(DimensionError):
-        roi_crop(fmap, [box, box], [0])
+        roi_crop(fmap, _boxes(box, box), [0])
     with pytest.raises(UsageError):
-        roi_crop(fmap, [box], [2])
+        roi_crop(fmap, _boxes(box), [2])
 
 
 def _border_boxes():
@@ -249,8 +255,7 @@ def test_roi_crop_matches_pointwise_oracle():
     fmap = np.random.default_rng(30).normal(size=(3, 4, 10, 12))
     spec = _border_boxes()
     image_index = [0, 1, 2, 0, 1, 2, 1, 0]
-    dets = [_box(c, s) for c, s in spec]
-    out, valid = roi_crop(Tensor(fmap), dets, image_index, out_size=(7, 5))
+    out, valid = roi_crop(Tensor(fmap), _boxes(*spec), image_index, out_size=(7, 5))
     assert valid.all()
     expected = oracles.roi_align_pointwise(
         fmap, [c for c, _ in spec], [s for _, s in spec], image_index, OUTPUT_STRIDE, (7, 5)
@@ -261,9 +266,8 @@ def test_roi_crop_matches_pointwise_oracle():
 
 def test_roi_grad_only_into_owning_images():
     feat = Tensor(np.random.default_rng(31).normal(size=(3, 4, 10, 12)), requires_grad=True)
-    dets = [_box(c, s) for c, s in _border_boxes()]
     image_index = [0, 2, 2, 0, 2, 0, 0, 2]
-    out, _ = roi_crop(feat, dets, image_index)
+    out, _ = roi_crop(feat, _boxes(*_border_boxes()), image_index)
     probe = np.random.default_rng(32).normal(size=out.shape)
     T.backward(T.sum_(out * probe))
     assert np.all(feat.grad[1] == 0.0)
@@ -275,14 +279,14 @@ def test_roi_grad_only_into_owning_images():
 def test_roi_grad_check():
     feat = Tensor(np.random.default_rng(11).normal(size=(2, 2, 8, 8)), requires_grad=True)
     probe = Tensor(np.random.default_rng(12).normal(size=(3, 2, 7, 7)))
-    dets = [
-        _box((13.0, 17.0), (14.0, 10.0)),
-        _box((22.0, 8.0), (12.0, 14.0)),
-        _box((5.0, 27.0), (10.0, 9.0)),
-    ]
+    boxes = _boxes(
+        ((13.0, 17.0), (14.0, 10.0)),
+        ((22.0, 8.0), (12.0, 14.0)),
+        ((5.0, 27.0), (10.0, 9.0)),
+    )
 
     def f(t):
-        return T.sum_(roi_crop(t, dets, [1, 0, 1])[0] * probe)
+        return T.sum_(roi_crop(t, boxes, [1, 0, 1])[0] * probe)
 
     assert T.grad_check(f, feat, max_entries=30, rng=np.random.default_rng(13)) < 1e-4
 
@@ -456,13 +460,20 @@ def _calib():
     return CameraCalib(np.array([[700.0, 0, 620, 0], [0, 700.0, 190, 0], [0, 0, 1, 0]]))
 
 
+def _decode_one(score, center, size, out, calib):
+    """One class-0 box through the batched decode -> its Detection3D."""
+    box = Boxes2D(np.zeros(1, dtype=np.intp), np.array([score]), np.array([center]), np.array([size]))
+    dets, dropped = decode_box3d(box, out, calib)
+    assert dropped == 0 and len(dets) == 1
+    return dets[0]
+
+
 def test_decode_box3d_pinhole_identity():
     calib = _calib()
     prior_h = CLASS_PRIORS[0, 0]
     h2d = 70.0
-    det = Detection2D(0, 0.9, (calib.c_u, calib.c_v), (100.0, h2d))
     out = _out3d_from_values(h_log_sigma=-30.0)
-    d = decode_box3d(det, out, calib)
+    d = _decode_one(0.9, (calib.c_u, calib.c_v), (100.0, h2d), out, calib)
     x, y, z = d.location
     assert abs(x) < 1e-12
     expected_z = 700.0 * prior_h / h2d
@@ -474,27 +485,19 @@ def test_decode_box3d_pinhole_identity():
 
 def test_decode_box3d_yaw_zero_case():
     calib = _calib()
-    det = Detection2D(0, 0.9, (calib.c_u, calib.c_v), (100.0, 70.0))
     bin_idx, res = encode_angle(0.0)
-    d = decode_box3d(det, _out3d_from_values(bin_idx=bin_idx, residual=res), calib)
+    out = _out3d_from_values(bin_idx=bin_idx, residual=res)
+    d = _decode_one(0.9, (calib.c_u, calib.c_v), (100.0, 70.0), out, calib)
     assert abs(d.yaw - 0.0) < 1e-12
 
 
 def test_decode_box3d_score_uncertainty_discount():
     calib = _calib()
-    det = Detection2D(0, 0.8, (calib.c_u, calib.c_v), (100.0, 70.0))
-    d = decode_box3d(det, _out3d_from_values(h_log_sigma=-30.0, bias_log_sigma=-30.0), calib)
+    center, size = (calib.c_u, calib.c_v), (100.0, 70.0)
+    d = _decode_one(0.8, center, size, _out3d_from_values(h_log_sigma=-30.0, bias_log_sigma=-30.0), calib)
     assert abs(d.score - 0.8) < 1e-6
-    d2 = decode_box3d(det, _out3d_from_values(h_log_sigma=-30.0, bias_log_sigma=0.0), calib)
+    d2 = _decode_one(0.8, center, size, _out3d_from_values(h_log_sigma=-30.0, bias_log_sigma=0.0), calib)
     assert abs(d2.score - 0.8 * math.exp(-1.0)) < 1e-9
-
-
-def test_decode_box3d_drops_degenerate_h2d():
-    calib = _calib()
-    det = Detection2D(0, 0.8, (100.0, 100.0), (40.0, 0.5))
-    drops = {}
-    assert decode_box3d(det, _out3d_from_values(), calib, drop_count=drops) is None
-    assert drops["h2d_degenerate"] == 1
 
 
 def test_decode_box3d_yaw_in_range():
@@ -502,9 +505,52 @@ def test_decode_box3d_yaw_in_range():
     rng = np.random.default_rng(28)
     for _ in range(50):
         u = rng.uniform(0, 1240)
-        det = Detection2D(0, 0.5, (u, 200.0), (80.0, 60.0))
         bin_idx = int(rng.integers(0, NUM_ANGLE_BINS))
         res = rng.uniform(-0.25, 0.25)
-        d = decode_box3d(det, _out3d_from_values(bin_idx=bin_idx, residual=res), calib)
+        out = _out3d_from_values(bin_idx=bin_idx, residual=res)
+        d = _decode_one(0.5, (u, 200.0), (80.0, 60.0), out, calib)
         assert -math.pi < d.yaw <= math.pi
         assert d.location[2] > 0
+
+
+def test_decode_box3d_batch_drops_nonpositive_depth_in_order():
+    calib = _calib()
+    rng = np.random.default_rng(29)
+    m, behind = 7, 3
+    boxes = Boxes2D(
+        class_id=rng.integers(0, len(CLASS_PRIORS), m),
+        score=rng.uniform(0.1, 1.0, m),
+        center=np.stack([rng.uniform(0, 1240, m), rng.uniform(0, 375, m)], axis=1),
+        size=rng.uniform(5.0, 120.0, (m, 2)),
+    )
+    bias_mu = rng.normal(size=m)
+    # the projected depth f_v * h3d / h2d is at most ~250 m here
+    bias_mu[behind] = -1e4
+    out = Heads3DOutput(
+        offset3d=Tensor(rng.normal(scale=3.0, size=(m, 2))),
+        angle_logits=Tensor(rng.normal(size=(m, NUM_ANGLE_BINS))),
+        angle_residuals=Tensor(rng.uniform(-0.3, 0.3, (m, NUM_ANGLE_BINS))),
+        size_residuals=Tensor(rng.normal(scale=0.1, size=(m, len(CLASS_PRIORS), 3))),
+        h_log_sigma=Tensor(rng.normal(scale=0.5, size=m)),
+        bias_mu=Tensor(bias_mu),
+        bias_log_sigma=Tensor(rng.normal(scale=0.5, size=m)),
+    )
+    dets, dropped = decode_box3d(boxes, out, calib)
+    assert dropped == 1
+    want = [
+        oracles.decode_box3d_scalar(
+            boxes.class_id[i], boxes.score[i], boxes.center[i], boxes.size[i], out, calib, row=i
+        )
+        for i in range(m)
+    ]
+    assert [w is None for w in want] == [i == behind for i in range(m)]
+    want = [w for w in want if w is not None]
+    assert len(dets) == len(want) == m - 1
+    for a, b in zip(dets, want):
+        assert a.class_id == b.class_id
+        np.testing.assert_allclose(
+            a.location + a.dimensions + (a.yaw, a.score, a.depth_sigma),
+            b.location + b.dimensions + (b.yaw, b.score, b.depth_sigma),
+            rtol=1e-12,
+            atol=0.0,
+        )

@@ -453,9 +453,8 @@ def test_target_decode_round_trip():
         targets.heatmap, targets.offset2d_map, targets.size2d_map, k=5, threshold=0.5
     )
     assert len(dets2d) == 1
-    det = dets2d[0]
-    assert abs(det.center[0] - targets.center2d[0, 0]) < 1e-9
-    assert abs(det.center[1] - targets.center2d[0, 1]) < 1e-9
+    assert abs(dets2d.center[0, 0] - targets.center2d[0, 0]) < 1e-9
+    assert abs(dets2d.center[0, 1] - targets.center2d[0, 1]) < 1e-9
 
     h2d = targets.size2d[0, 1]
     h3d = box.dimensions[0]
@@ -475,8 +474,9 @@ def test_target_decode_round_trip():
         bias_mu=Tensor(np.array([bias_gt])),
         bias_log_sigma=Tensor(np.array([-40.0])),
     )
-    decoded = decode_box3d(det, perfect, calib)
-    assert decoded is not None
+    decoded_all, dropped = decode_box3d(dets2d, perfect, calib)
+    assert dropped == 0 and len(decoded_all) == 1
+    decoded = decoded_all[0]
     assert np.max(np.abs(np.array(decoded.location) - box.location)) < 1e-6
     assert np.max(np.abs(np.array(decoded.dimensions) - box.dimensions)) < 1e-6
     assert abs(decoded.yaw - box.yaw) < 1e-6

@@ -13,7 +13,7 @@ from mono3d.errors import (
     NumericError,
     UsageError,
 )
-from mono3d.heads import MIN_H2D_PIXELS, Heads3D, decode_box3d, decode_heatmap_peaks, roi_crop
+from mono3d.heads import MIN_H2D_PIXELS, Heads3D, decode_heatmap_peaks, roi_crop
 from mono3d.losses import LOSS_TERMS, assign_targets, make_weights, total_loss
 from mono3d.model import Detector, load_checkpoint, manifest_path, save_checkpoint
 from mono3d.synth import make_default_calib, synth_scene
@@ -177,7 +177,7 @@ def _load(path):
 
 
 def _infer_per_peak(det, image, calib, k):
-    """Reference loop: crop, 3D heads and decode one peak at a time."""
+    """Reference loop: crop, 3D heads and scalar decode one peak at a time."""
     with T.no_grad():
         feat = det.features(image)
         out2d = det.heads2d(feat)
@@ -185,16 +185,21 @@ def _infer_per_peak(det, image, calib, k):
             out2d.heatmap.data[0], out2d.offset2d.data[0], out2d.size2d.data[0], k=k
         )
         drops, dets3d = {}, []
-        for peak in peaks:
-            if peak.size[1] <= MIN_H2D_PIXELS:
+        for i in range(len(peaks)):
+            if peaks.size[i, 1] <= MIN_H2D_PIXELS:
                 drops["h2d_degenerate"] = drops.get("h2d_degenerate", 0) + 1
                 continue
-            roi, valid = roi_crop(feat, [peak], [0])
+            roi, valid = roi_crop(feat, peaks[[i]], [0])
             if not valid[0]:
                 drops["roi_degenerate"] = drops.get("roi_degenerate", 0) + 1
                 continue
-            d3 = decode_box3d(peak, det.heads3d(roi), calib, roi_index=0, drop_count=drops)
-            if d3 is not None:
+            d3 = oracles.decode_box3d_scalar(
+                peaks.class_id[i], peaks.score[i], peaks.center[i], peaks.size[i],
+                det.heads3d(roi), calib,
+            )
+            if d3 is None:
+                drops["nonpositive_depth"] = drops.get("nonpositive_depth", 0) + 1
+            else:
                 dets3d.append(d3)
     return dets3d, drops
 
