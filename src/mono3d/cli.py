@@ -1,13 +1,20 @@
 """Command line entry point: gradcheck | train-toy | infer | eval | synth.
 
-Every command resolves its configuration as defaults <- profile <-
---config file <- flags, echoes the resolved config into the output
-directory, writes only inside that directory, and is deterministic given
-(config, seed). Exit codes: 0 success, 1 failed check or pipeline error,
-2 bad invocation (flags, config file, missing inputs).
+Each command's parameter list is the list of config keys it reads; every
+flag's dest is one of those keys, and `mono3d <command> --help` lists
+them with their defaults. A command resolves its keys as defaults <-
+profile <- --config file <- --set <- flags. An override of a key the
+command does not read is a bad invocation; a config file may hold keys
+of other commands, which are dropped. After the command returns, `main`
+echoes `command` plus the resolved keys as config.json into the output
+directory. Every command writes only inside that directory and is
+deterministic given (config, seed). Exit codes: 0 success, 1 failed
+check or pipeline error, 2 bad invocation (flags, config keys, config
+file, missing inputs).
 """
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -34,11 +41,6 @@ from .tensor import Tensor
 from .train import build_synth_dataset, train_detector
 
 _CLASS_COLORS = ((255, 64, 64), (64, 255, 64), (64, 128, 255))
-
-
-def _ensure_out(cfg):
-    os.makedirs(cfg["out_dir"], exist_ok=True)
-    return cfg["out_dir"]
 
 
 def _write_text(path, text):
@@ -98,116 +100,102 @@ def _read_text(path):
         return fh.read()
 
 
-def cmd_synth(cfg):
-    out_dir = _ensure_out(cfg)
+def cmd_synth(out_dir, n_images, image_width, image_height, data_seed, n_objects, z_min, z_max, focal):
+    os.makedirs(out_dir, exist_ok=True)
     samples = build_synth_dataset(
-        cfg["n_images"],
-        (cfg["image_width"], cfg["image_height"]),
-        seed=cfg["data_seed"],
-        n_objects=cfg["n_objects"],
-        z_range=(cfg["z_min"], cfg["z_max"]),
-        focal=cfg["focal"],
+        n_images, (image_width, image_height), seed=data_seed,
+        n_objects=n_objects, z_range=(z_min, z_max), focal=focal,
     )
     ids = _write_scenes(out_dir, samples)
-    echo_config(cfg, out_dir)
-    n_objects = sum(len(s.labels) for s in samples)
-    print(f"wrote {len(ids)} scenes ({n_objects} objects) under {out_dir}")
+    n_labels = sum(len(s.labels) for s in samples)
+    print(f"wrote {len(ids)} scenes ({n_labels} objects) under {out_dir}")
     return 0
 
 
-def cmd_train_toy(cfg):
-    out_dir = _ensure_out(cfg)
+def cmd_train_toy(
+    out_dir, n_images, image_width, image_height, data_seed, n_objects, z_min, z_max, focal,
+    variant, attention, seed,
+    epochs, batch_size, lr, warmup_epochs, decay_epochs, decay, htl_ramp,
+):
+    os.makedirs(out_dir, exist_ok=True)
     samples = build_synth_dataset(
-        cfg["n_images"],
-        (cfg["image_width"], cfg["image_height"]),
-        seed=cfg["data_seed"],
-        n_objects=cfg["n_objects"],
-        z_range=(cfg["z_min"], cfg["z_max"]),
-        focal=cfg["focal"],
+        n_images, (image_width, image_height), seed=data_seed,
+        n_objects=n_objects, z_range=(z_min, z_max), focal=focal,
     )
-    detector = Detector(cfg["variant"], use_attention=cfg["attention"], seed=cfg["seed"])
+    detector = Detector(variant, use_attention=attention, seed=seed)
+    csv_path = os.path.join(out_dir, "loss.csv")
     result = train_detector(
         detector,
         samples,
-        epochs=cfg["epochs"],
-        batch_size=cfg["batch_size"],
-        lr=cfg["lr"],
-        warmup_epochs=cfg["warmup_epochs"],
-        decay_epochs=tuple(cfg["decay_epochs"]),
-        decay=cfg["decay"],
-        htl_ramp=cfg["htl_ramp"],
-        seed=cfg["seed"],
-        csv_path=os.path.join(out_dir, "loss.csv"),
+        epochs=epochs,
+        batch_size=batch_size,
+        lr=lr,
+        warmup_epochs=warmup_epochs,
+        decay_epochs=tuple(decay_epochs),
+        decay=decay,
+        htl_ramp=htl_ramp,
+        seed=seed,
+        csv_path=csv_path,
     )
     ckpt_path = os.path.join(out_dir, "model.ckpt")
     save_checkpoint(ckpt_path, detector)
     _write_scenes(out_dir, samples)
-    echo_config(cfg, out_dir)
     heat = result.history["heatmap"]
-    print(f"trained {cfg['variant']} for {cfg['epochs']} epochs on {len(samples)} scenes")
+    print(f"trained {variant} for {epochs} epochs on {len(samples)} scenes")
     print(f"heatmap loss: epoch-1 {heat[0]:.6g} -> final {heat[-1]:.6g} (ratio {heat[-1] / heat[0]:.4g})")
     print(f"task weights: {[f'{w:.3g}' for w in result.final_weights.values]}")
     print(f"checkpoint {ckpt_path}")
-    print(f"loss csv {os.path.join(out_dir, 'loss.csv')}")
+    print(f"loss csv {csv_path}")
     return 0
 
 
-def cmd_infer(cfg):
-    if not cfg["checkpoint"]:
+def cmd_infer(out_dir, checkpoint, image, calib, variant, attention, seed, k, score_threshold, overlay):
+    if not checkpoint:
         raise ConfigError("infer needs --checkpoint")
-    if not cfg["image"]:
+    if not image:
         raise ConfigError("infer needs --image")
-    if not cfg["calib"]:
+    if not calib:
         raise ConfigError("infer needs --calib")
-    out_dir = _ensure_out(cfg)
-    image_u8 = read_ppm(cfg["image"])
-    calib = parse_calib_file(_read_text(cfg["calib"]))
-    detector = Detector(cfg["variant"], use_attention=cfg["attention"], seed=cfg["seed"])
-    load_checkpoint(cfg["checkpoint"], detector)
-    image = Tensor(image_u8.astype(np.float64).transpose(2, 0, 1) / 255.0)
-    dets, drops = detector.infer(image, calib, k=cfg["k"], score_threshold=cfg["score_threshold"])
+    os.makedirs(out_dir, exist_ok=True)
+    image_u8 = read_ppm(image)
+    camera = parse_calib_file(_read_text(calib))
+    detector = Detector(variant, use_attention=attention, seed=seed)
+    load_checkpoint(checkpoint, detector)
+    pixels = Tensor(image_u8.astype(np.float64).transpose(2, 0, 1) / 255.0)
+    dets, drops = detector.infer(pixels, camera, k=k, score_threshold=score_threshold)
     height, width = image_u8.shape[:2]
     pred_drops = {}
-    text = write_predictions(dets, calib, (width, height), CLASS_NAMES, drop_count=pred_drops)
-    stem = os.path.splitext(os.path.basename(cfg["image"]))[0]
+    text = write_predictions(dets, camera, (width, height), CLASS_NAMES, drop_count=pred_drops)
+    stem = os.path.splitext(os.path.basename(image))[0]
     os.makedirs(os.path.join(out_dir, "predictions"), exist_ok=True)
     pred_path = os.path.join(out_dir, "predictions", stem + ".txt")
     _write_text(pred_path, text)
-    echo_config(cfg, out_dir)
     print(f"{len(dets)} detections -> {pred_path}")
     if drops or pred_drops:
         print(f"dropped: {dict(sorted({**drops, **pred_drops}.items()))}")
-    if cfg["overlay"]:
+    if overlay:
         overlay_path = os.path.join(out_dir, stem + "_overlay.ppm")
-        write_ppm(overlay_path, render_overlay(image_u8, dets, calib))
+        write_ppm(overlay_path, render_overlay(image_u8, dets, camera))
         print(f"overlay {overlay_path}")
     return 0
 
 
-def cmd_eval(cfg):
-    if not cfg["pred_dir"]:
+def cmd_eval(out_dir, pred_dir, gt_dir, calib_dir, thresholds):
+    if not pred_dir:
         raise ConfigError("eval needs --pred")
-    if not cfg["gt_dir"]:
+    if not gt_dir:
         raise ConfigError("eval needs --gt")
-    out_dir = _ensure_out(cfg)
+    os.makedirs(out_dir, exist_ok=True)
     sets = {"official": OFFICIAL_IOU, "relaxed": RELAXED_IOU}
-    if cfg["thresholds"] == "both":
-        chosen = (("official", OFFICIAL_IOU), ("relaxed", RELAXED_IOU))
-    else:
-        chosen = ((cfg["thresholds"], sets[cfg["thresholds"]]),)
+    chosen = tuple(sets.items()) if thresholds == "both" else ((thresholds, sets[thresholds]),)
     report = evaluate_split(
-        cfg["pred_dir"],
-        cfg["gt_dir"],
-        calib_dir=cfg["calib_dir"] or None,
-        cfg=EvalConfig(threshold_sets=chosen),
+        pred_dir, gt_dir, calib_dir=calib_dir or None, cfg=EvalConfig(threshold_sets=chosen)
     )
     text = report.to_text()
     _write_text(os.path.join(out_dir, "eval_report.txt"), text)
-    records = report.to_records()
     with open(os.path.join(out_dir, "eval_records.jsonl"), "w", encoding="ascii") as fh:
-        for rec in records:
+        for rec in report.to_records():
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
-    echo_config(cfg, out_dir)
     print(text, end="")
     if report.errors:
         print(f"{len(report.errors)} file errors:", file=sys.stderr)
@@ -216,17 +204,13 @@ def cmd_eval(cfg):
     return 0
 
 
-def cmd_gradcheck(cfg):
-    out_dir = _ensure_out(cfg)
+def cmd_gradcheck(out_dir, gradcheck_seeds, pipeline, fault_op, seed):
+    os.makedirs(out_dir, exist_ok=True)
     result = run_suite(
-        seeds=cfg["gradcheck_seeds"],
-        include_pipeline=cfg["pipeline"],
-        fault_op=cfg["fault_op"] or None,
-        seed0=cfg["seed"],
+        seeds=gradcheck_seeds, include_pipeline=pipeline, fault_op=fault_op or None, seed0=seed
     )
     text = result.to_text()
     _write_text(os.path.join(out_dir, "gradcheck.txt"), text)
-    echo_config(cfg, out_dir)
     print(text, end="")
     return 0 if result.passed else 1
 
@@ -246,81 +230,18 @@ def _parse_set(values):
 
 def _add_common(sub):
     sub.add_argument("--config", default=None, help="flat JSON config file")
-    sub.add_argument("--out", default=None, help="output directory")
-    sub.add_argument("--set", action="append", metavar="KEY=VALUE", help="override any config key")
+    sub.add_argument("--out", dest="out_dir", default=None, help="output directory")
+    sub.add_argument(
+        "--set", action="append", metavar="KEY=VALUE", help="override a config key listed below"
+    )
 
 
 def _add_model(sub):
     """Flags that choose the Detector of train-toy and infer."""
     sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--variant", choices=("desk", "b1", "b2"), default=None)
-    sub.add_argument("--no-attention", action="store_true")
+    sub.add_argument("--no-attention", dest="attention", action="store_false", default=None)
 
-
-def build_parser():
-    parser = argparse.ArgumentParser(prog="mono3d", description=__doc__.splitlines()[0])
-    commands = parser.add_subparsers(dest="command", required=True)
-
-    p = commands.add_parser("gradcheck", help="finite-difference check of every backward rule")
-    _add_common(p)
-    p.add_argument("--seed", type=int, default=None, help="first seed of each component")
-    p.add_argument("--inject-fault", default=None, metavar="OP", help="corrupt one backward rule")
-    p.add_argument("--seeds", type=int, default=None, help="seeds per component")
-    p.add_argument("--no-pipeline", action="store_true", help="skip the end-to-end check")
-
-    p = commands.add_parser("train-toy", help="overfit the desk model on synthetic scenes")
-    _add_common(p)
-    _add_model(p)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--n-images", type=int, default=None)
-
-    p = commands.add_parser("infer", help="run a checkpoint on one image")
-    _add_common(p)
-    _add_model(p)
-    p.add_argument("--checkpoint", default=None)
-    p.add_argument("--image", default=None, help="PPM image path")
-    p.add_argument("--calib", default=None, help="calib file path")
-    p.add_argument("--k", type=int, default=None, help="peaks decoded per image")
-    p.add_argument("--score-threshold", type=float, default=None)
-    p.add_argument("--no-overlay", action="store_true")
-
-    p = commands.add_parser("eval", help="AP evaluation of a prediction directory")
-    _add_common(p)
-    p.add_argument("--pred", default=None, help="prediction directory")
-    p.add_argument("--gt", default=None, help="ground-truth label directory")
-    p.add_argument("--calib-dir", default=None)
-    p.add_argument("--thresholds", choices=("official", "relaxed", "both"), default=None)
-
-    p = commands.add_parser("synth", help="generate a synthetic scene corpus")
-    _add_common(p)
-    p.add_argument("--n-images", type=int, default=None)
-    p.add_argument("--n-objects", type=int, default=None)
-    return parser
-
-
-_FLAG_KEYS = (
-    ("seed", "seed"),
-    ("out", "out_dir"),
-    ("variant", "variant"),
-    ("thresholds", "thresholds"),
-    ("k", "k"),
-    ("score_threshold", "score_threshold"),
-    ("epochs", "epochs"),
-    ("lr", "lr"),
-    ("batch_size", "batch_size"),
-    ("n_images", "n_images"),
-    ("n_objects", "n_objects"),
-    ("checkpoint", "checkpoint"),
-    ("image", "image"),
-    ("calib", "calib"),
-    ("pred", "pred_dir"),
-    ("gt", "gt_dir"),
-    ("calib_dir", "calib_dir"),
-    ("inject_fault", "fault_op"),
-    ("seeds", "gradcheck_seeds"),
-)
 
 _COMMANDS = {
     "gradcheck": cmd_gradcheck,
@@ -329,24 +250,75 @@ _COMMANDS = {
     "eval": cmd_eval,
     "synth": cmd_synth,
 }
+_PROFILES = {"train-toy": TOY_PROFILE}
+
+
+def _resolve(command, file_cfg=None, overrides=None):
+    """The config of one command: its parameters are the keys it reads."""
+    keys = inspect.signature(_COMMANDS[command]).parameters
+    return resolve_config(
+        file_cfg=file_cfg, overrides=overrides, profile=_PROFILES.get(command), keys=keys,
+        command=command,
+    )
+
+
+def _add_command(commands, name, summary):
+    defaults = _resolve(name)
+    keys = ", ".join(f"{key}={json.dumps(value)}" for key, value in defaults.items())
+    sub = commands.add_parser(name, help=summary, epilog=f"config keys (default): {keys}")
+    _add_common(sub)
+    return sub
+
+
+def build_parser():
+    parser = argparse.ArgumentParser(prog="mono3d", description=__doc__.splitlines()[0])
+    commands = parser.add_subparsers(dest="command", required=True)
+
+    p = _add_command(commands, "gradcheck", "finite-difference check of every backward rule")
+    p.add_argument("--seed", type=int, default=None, help="first seed of each component")
+    p.add_argument("--inject-fault", dest="fault_op", default=None, metavar="OP",
+                   help="corrupt one backward rule")
+    p.add_argument("--seeds", dest="gradcheck_seeds", type=int, default=None,
+                   help="seeds per component")
+    p.add_argument("--no-pipeline", dest="pipeline", action="store_false", default=None,
+                   help="skip the end-to-end check")
+
+    p = _add_command(commands, "train-toy", "overfit the desk model on synthetic scenes")
+    _add_model(p)
+    p.add_argument("--epochs", type=int, default=None)
+    p.add_argument("--lr", type=float, default=None)
+    p.add_argument("--batch-size", type=int, default=None)
+    p.add_argument("--n-images", type=int, default=None)
+
+    p = _add_command(commands, "infer", "run a checkpoint on one image")
+    _add_model(p)
+    p.add_argument("--checkpoint", default=None)
+    p.add_argument("--image", default=None, help="PPM image path")
+    p.add_argument("--calib", default=None, help="calib file path")
+    p.add_argument("--k", type=int, default=None, help="peaks decoded per image")
+    p.add_argument("--score-threshold", type=float, default=None)
+    p.add_argument("--no-overlay", dest="overlay", action="store_false", default=None)
+
+    p = _add_command(commands, "eval", "AP evaluation of a prediction directory")
+    p.add_argument("--pred", dest="pred_dir", default=None, help="prediction directory")
+    p.add_argument("--gt", dest="gt_dir", default=None, help="ground-truth label directory")
+    p.add_argument("--calib-dir", default=None)
+    p.add_argument("--thresholds", choices=("official", "relaxed", "both"), default=None)
+
+    p = _add_command(commands, "synth", "generate a synthetic scene corpus")
+    p.add_argument("--n-images", type=int, default=None)
+    p.add_argument("--n-objects", type=int, default=None)
+    return parser
 
 
 def resolve_from_args(args):
-    overrides = _parse_set(getattr(args, "set", None))
-    for attr, key in _FLAG_KEYS:
-        value = getattr(args, attr, None)
-        if value is not None:
+    """Flags beat --set, which beats --config; every flag's dest is its config key."""
+    overrides = _parse_set(args.set)
+    for key, value in vars(args).items():
+        if key not in ("command", "config", "set") and value is not None:
             overrides[key] = value
-    if getattr(args, "no_attention", False):
-        overrides["attention"] = False
-    if getattr(args, "no_overlay", False):
-        overrides["overlay"] = False
-    if getattr(args, "no_pipeline", False):
-        overrides["pipeline"] = False
-    overrides["command"] = args.command
     file_cfg = load_config_file(args.config) if args.config else None
-    profile = TOY_PROFILE if args.command == "train-toy" else None
-    return resolve_config(file_cfg=file_cfg, overrides=overrides, profile=profile)
+    return _resolve(args.command, file_cfg=file_cfg, overrides=overrides)
 
 
 def main(argv=None):
@@ -354,7 +326,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         cfg = resolve_from_args(args)
-        return _COMMANDS[args.command](cfg)
+        code = _COMMANDS[args.command](**cfg)
+        echo_config({"command": args.command, **cfg}, cfg["out_dir"])
+        return code
     except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

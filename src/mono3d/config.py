@@ -1,10 +1,13 @@
 """Run configuration: a flat JSON object with layered overrides.
 
-Precedence, lowest to highest: built-in defaults, then a config file,
-then explicit overrides (CLI flags). The fully resolved configuration is
-echoed as JSON into the run's output directory so every run is
-reproducible from its artifacts. The toy-training profile scales the
-full-size optimizer settings down to the synthetic desk regime.
+Precedence, lowest to highest: built-in defaults, then a profile, then a
+config file, then explicit overrides (CLI flags). A run resolves only
+the keys its command reads: an override of any other key is an error,
+while a config file may hold the keys of other commands, which are
+type-checked and then dropped. The resolved keys are echoed as JSON into
+the run's output directory so every run is reproducible from its
+artifacts. The toy-training profile scales the full-size optimizer
+settings down to the synthetic desk regime.
 """
 
 import json
@@ -13,7 +16,6 @@ from .errors import ConfigError
 
 # full-size training defaults (KITTI regime); toy runs override via TOY_PROFILE
 DEFAULTS = {
-    "command": "",
     "out_dir": "out",
     "checkpoint": "",
     "image": "",
@@ -99,25 +101,32 @@ def load_config_file(path):
     return {key: _check_value(key, value) for key, value in raw.items()}
 
 
-def resolve_config(file_cfg=None, overrides=None, profile=None):
-    """defaults <- profile <- file <- overrides; validates every layer."""
-    cfg = dict(DEFAULTS)
-    for layer in (profile, file_cfg, overrides):
-        if not layer:
-            continue
-        for key, value in layer.items():
-            cfg[key] = _check_value(key, value)
-    if cfg["thresholds"] not in _THRESHOLD_CHOICES:
+def resolve_config(file_cfg=None, overrides=None, profile=None, keys=None, command="this command"):
+    """defaults <- profile <- file <- overrides, for `keys` (default: all).
+
+    Every layer is type-checked. An override of a key outside `keys` is
+    an error that names `command`; the profile and the file may hold other
+    keys, which are left out of the result.
+    """
+    layers = [{key: _check_value(key, value) for key, value in (layer or {}).items()}
+              for layer in (profile, file_cfg, overrides)]
+    cfg = {key: DEFAULTS[key] for key in (DEFAULTS if keys is None else keys)}
+    for key in layers[-1]:
+        if key not in cfg:
+            raise ConfigError(f"{command} does not read config key {key!r}")
+    for layer in layers:
+        cfg.update((key, value) for key, value in layer.items() if key in cfg)
+    if "thresholds" in cfg and cfg["thresholds"] not in _THRESHOLD_CHOICES:
         raise ConfigError(
             f"thresholds must be one of {_THRESHOLD_CHOICES}, got {cfg['thresholds']!r}"
         )
-    if cfg["z_min"] <= 0 or cfg["z_max"] <= cfg["z_min"]:
+    if "z_min" in cfg and (cfg["z_min"] <= 0 or cfg["z_max"] <= cfg["z_min"]):
         raise ConfigError(f"bad depth range [{cfg['z_min']}, {cfg['z_max']}]")
     for key in ("lr", "decay", "focal"):
-        if cfg[key] <= 0:
+        if key in cfg and cfg[key] <= 0:
             raise ConfigError(f"config key {key!r} must be positive, got {cfg[key]}")
     for key in ("batch_size", "epochs", "n_images", "image_width", "image_height", "k"):
-        if cfg[key] < 1:
+        if key in cfg and cfg[key] < 1:
             raise ConfigError(f"config key {key!r} must be >= 1, got {cfg[key]}")
     return cfg
 

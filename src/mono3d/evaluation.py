@@ -54,7 +54,6 @@ def assign_difficulty(rec):
 @dataclass(frozen=True)
 class EvalConfig:
     threshold_sets: tuple = (("official", OFFICIAL_IOU), ("relaxed", RELAXED_IOU))
-    metrics: tuple = METRICS
 
     def __post_init__(self):
         for set_name, pairs in self.threshold_sets:
@@ -69,9 +68,6 @@ class EvalConfig:
                     raise UsageError(
                         f"iou threshold for {cls} in set {set_name} must be in (0, 1]"
                     )
-        for metric in self.metrics:
-            if metric not in METRICS:
-                raise UsageError(f"unknown metric {metric!r}")
 
 
 def _box_of(rec):
@@ -260,18 +256,6 @@ class EvalReport:
             )
         return records
 
-    def to_kv_lines(self):
-        lines = []
-        for rec in self.to_records():
-            ap = "n/a" if rec["ap"] is None else f"{rec['ap']:.6f}"
-            lines.append(
-                f"thresholds={rec['thresholds']} metric={rec['metric']} "
-                f"class={rec['class']} difficulty={rec['difficulty']} ap={ap} "
-                f"n_gt={rec['n_gt']} n_pred={rec['n_pred']} "
-                f"matched={rec['matched']} missed={rec['missed']}"
-            )
-        return lines
-
 
 def _image_ids(gt_dir):
     try:
@@ -332,7 +316,7 @@ def evaluate_split(pred_dir, gt_dir, calib_dir=None, cfg=None):
     cells = {}
     for set_name, pairs in cfg.threshold_sets:
         thresholds = dict(pairs)
-        for metric in cfg.metrics:
+        for metric in METRICS:
             for cls in CLASS_NAMES:
                 for difficulty in DIFFICULTIES:
                     points, npos, matched, n_pred = _greedy_curve(

@@ -124,9 +124,8 @@ class Heads2D(Module):
         )
 
 
-def suppress_non_peaks(heatmap):
+def suppress_non_peaks(hm):
     """Zero cells that are not 3x3-neighborhood maxima (ties kept)."""
-    hm = heatmap.data if isinstance(heatmap, Tensor) else heatmap
     pad = np.pad(hm, [(0, 0)] * (hm.ndim - 2) + [(1, 1), (1, 1)], constant_values=-np.inf)
     windows = np.stack(
         [
@@ -139,8 +138,8 @@ def suppress_non_peaks(heatmap):
     return np.where(keep, hm, 0.0)
 
 
-def decode_heatmap_peaks(heatmap, offset2d, size2d, k=50, threshold=0.0):
-    """Peaks of a single-image heatmap [C, h, w] -> Boxes2D.
+def decode_heatmap_peaks(hm, off, size, k=50, threshold=0.0):
+    """Peaks of a single-image heatmap array [C, h, w] -> Boxes2D.
 
     Survivors of 3x3 suppression above threshold, top-k by score with ties
     broken by flat (class, row, col) index; centers are (cell + offset)
@@ -150,9 +149,6 @@ def decode_heatmap_peaks(heatmap, offset2d, size2d, k=50, threshold=0.0):
         raise UsageError("k must be >= 1")
     if not (0.0 <= threshold < 1.0):
         raise UsageError("threshold must lie in [0, 1)")
-    hm = heatmap.data if isinstance(heatmap, Tensor) else np.asarray(heatmap)
-    off = offset2d.data if isinstance(offset2d, Tensor) else np.asarray(offset2d)
-    size = size2d.data if isinstance(size2d, Tensor) else np.asarray(size2d)
     if hm.ndim != 3:
         raise DimensionError(f"expected [C, h, w] heatmap, got shape {hm.shape}")
 

@@ -27,6 +27,8 @@ class CameraCalib:
         self.P2 = np.asarray(self.P2, dtype=np.float64)
         if self.P2.shape != (3, 4):
             raise UsageError(f"P2 must be 3x4, got {self.P2.shape}")
+        if not np.isfinite(self.P2).all():
+            raise UsageError("P2 entries must be finite")
         if self.f_u <= 0 or self.f_v <= 0:
             raise UsageError(f"focal lengths must be positive, got {self.f_u}, {self.f_v}")
 
@@ -93,15 +95,6 @@ def _parse_float(tokens, k, line, line_no):
         ) from None
 
 
-def _parse_int(tokens, k, line, line_no):
-    value = _parse_float(tokens, k, line, line_no)
-    if value != int(value):
-        raise ParseError(
-            f"expected an integer, got {tokens[k]!r}", line_no, _token_columns(line)[k][0]
-        )
-    return int(value)
-
-
 def parse_label_file(text):
     """Text -> list of LabelRecord; 15 fields per line, 16 with a score."""
     records = []
@@ -116,11 +109,15 @@ def parse_label_file(text):
                 _token_columns(line)[0][0],
             )
         nums = [_parse_float(tokens, k, line, line_no) for k in range(1, len(tokens))]
+        if not nums[1].is_integer():  # also rejects nan and inf
+            raise ParseError(
+                f"expected an integer, got {tokens[2]!r}", line_no, _token_columns(line)[2][0]
+            )
         records.append(
             LabelRecord(
                 type=tokens[0],
                 truncated=nums[0],
-                occluded=_parse_int(tokens, 2, line, line_no),
+                occluded=int(nums[1]),
                 alpha=nums[2],
                 bbox=tuple(nums[3:7]),
                 dimensions=tuple(nums[7:10]),
@@ -162,7 +159,10 @@ def parse_calib_file(text):
         if n_vals != 12:
             raise ParseError(f"P2 needs 12 values, got {n_vals}", line_no, _token_columns(line)[0][0])
         vals = [_parse_float(tokens, k, line, line_no) for k in range(1, 13)]
-        return CameraCalib(np.array(vals).reshape(3, 4))
+        try:
+            return CameraCalib(np.array(vals).reshape(3, 4))
+        except UsageError as exc:
+            raise ParseError(str(exc), line_no, _token_columns(line)[0][0]) from None
     raise ParseError("no P2 line found in calibration text")
 
 

@@ -1,5 +1,6 @@
 """End-to-end CLI runs through main() with argv lists; exit codes 0/1/2."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -7,7 +8,10 @@ import sys
 
 import pytest
 
-from mono3d.cli import main
+from mono3d.cli import _COMMANDS, build_parser, main, resolve_from_args
+from mono3d.config import DEFAULTS
+
+KITTI_FULL = os.path.join(os.path.dirname(__file__), "..", "configs", "kitti_full.json")
 
 
 def _read(path):
@@ -22,6 +26,18 @@ def _read_bytes(path):
 
 def _listdir(path):
     return sorted(os.listdir(path))
+
+
+def _keys_read(command):
+    return set(inspect.signature(_COMMANDS[command]).parameters)
+
+
+def _echoed(out, command):
+    """config.json of a run, checked to hold `command` plus the command's keys."""
+    cfg = json.loads(_read(out / "config.json"))
+    assert cfg["command"] == command
+    assert set(cfg) == {"command"} | _keys_read(command)
+    return cfg
 
 
 # -- argument parsing ---------------------------------------------------------
@@ -76,6 +92,48 @@ def test_set_unknown_key_exits_2(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv,key",
+    [
+        (["synth", "--set", "seed=5"], "seed"),
+        (["synth", "--set", "variant=b2"], "variant"),
+        (["eval", "--set", "lr=5"], "lr"),
+        (["eval", "--set", "z_min=-1"], "z_min"),  # named before any range check
+        (["infer", "--set", "epochs=3"], "epochs"),
+    ],
+)
+def test_set_key_the_command_does_not_read_exits_2(argv, key, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert f"{argv[0]} does not read config key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_every_config_key_is_read_by_some_command():
+    read = set().union(*(_keys_read(command) for command in _COMMANDS))
+    assert read == set(DEFAULTS)
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_help_lists_the_keys_the_command_reads(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    listed = text.split("config keys (default): ")[1]
+    assert {item.split("=")[0] for item in listed.split(", ") if "=" in item} == _keys_read(command)
+
+
+@pytest.mark.parametrize("command", ["train-toy", "infer", "eval"])
+def test_shared_config_file_resolves_to_the_command_keys(command):
+    cfg = resolve_from_args(build_parser().parse_args([command, "--config", KITTI_FULL]))
+    assert set(cfg) == _keys_read(command)
+    with open(KITTI_FULL, "r", encoding="ascii") as fh:
+        shared = json.load(fh)
+    for key in set(shared) & set(cfg):
+        assert cfg[key] == shared[key]
+
+
 def test_missing_config_file_exits_2(tmp_path):
     assert main(["synth", "--config", str(tmp_path / "none.json")]) == 2
 
@@ -97,8 +155,7 @@ def test_synth_writes_corpus(tmp_path, capsys):
     assert _listdir(out / "labels") == ["000000.txt", "000001.txt", "000002.txt"]
     assert _listdir(out / "calibs") == ["000000.txt", "000001.txt", "000002.txt"]
     assert _read(out / "split.txt").split() == ["000000", "000001", "000002"]
-    cfg = json.loads(_read(out / "config.json"))
-    assert cfg["command"] == "synth"
+    cfg = _echoed(out, "synth")
     assert cfg["n_images"] == 3 and cfg["n_objects"] == 1
     assert "wrote 3 scenes" in capsys.readouterr().out
 
@@ -165,6 +222,7 @@ def test_eval_ground_truth_as_predictions_is_perfect(corpus, tmp_path, capsys):
     assert {rec["thresholds"] for rec in records} == {"official", "relaxed"}
     defined = [rec for rec in records if rec["n_gt"] > 0]
     assert defined and all(rec["ap"] == 100.0 for rec in defined)
+    assert _echoed(out, "eval")["calib_dir"] == str(corpus / "calibs")
 
 
 def test_eval_threshold_flag_narrows_report(corpus, tmp_path):
@@ -234,8 +292,7 @@ def test_train_toy_writes_artifacts(toy_run):
 
 
 def test_train_toy_applies_profile_under_flags(toy_run):
-    cfg = json.loads(_read(toy_run / "config.json"))
-    assert cfg["command"] == "train-toy"
+    cfg = _echoed(toy_run, "train-toy")
     assert cfg["epochs"] == 2  # flag beats profile
     assert cfg["lr"] == 2.5e-4  # profile beats full-scale default
     assert cfg["decay_epochs"] == [150, 180]
@@ -246,6 +303,19 @@ def test_train_toy_deterministic(toy_run, tmp_path):
     assert main(TRAIN_ARGS + ["--out", str(out)]) == 0
     assert _read(out / "loss.csv") == _read(toy_run / "loss.csv")
     assert _read_bytes(out / "model.ckpt") == _read_bytes(toy_run / "model.ckpt")
+
+
+def test_train_toy_from_shared_config_echoes_only_its_keys(tmp_path):
+    out = tmp_path / "run"
+    code = main(
+        ["train-toy", "--config", KITTI_FULL, "--variant", "desk", "--epochs", "1",
+         "--n-images", "1", "--batch-size", "1", "--set", "image_width=96",
+         "--set", "image_height=64", "--out", str(out)]
+    )
+    assert code == 0
+    cfg = _echoed(out, "train-toy")
+    assert "thresholds" not in cfg and "k" not in cfg and "score_threshold" not in cfg
+    assert cfg["htl_ramp"] == 20 and cfg["decay_epochs"] == [90, 120]  # file beats profile
 
 
 def test_infer_missing_flags_exit_2(tmp_path, capsys):
@@ -281,6 +351,7 @@ def test_infer_writes_predictions_and_overlay(toy_run, tmp_path, capsys):
     assert code == 0
     assert os.path.exists(out / "predictions" / "000000.txt")
     assert os.path.exists(out / "000000_overlay.ppm")
+    assert _echoed(out, "infer")["score_threshold"] == 0.0
     assert "detections ->" in capsys.readouterr().out
 
 
@@ -326,7 +397,8 @@ def test_gradcheck_quick_suite_passes(tmp_path, capsys):
     text = capsys.readouterr().out
     assert _read(out / "gradcheck.txt") == text
     assert "all components passed" in text
-    assert json.loads(_read(out / "config.json"))["command"] == "gradcheck"
+    cfg = _echoed(out, "gradcheck")
+    assert cfg["gradcheck_seeds"] == 1 and cfg["pipeline"] is False
 
 
 def test_gradcheck_fault_injection_fails_and_names_op(tmp_path, capsys):

@@ -120,8 +120,22 @@ def test_shipped_full_scale_config_validates():
     assert (cfg["image_width"], cfg["image_height"]) == (1280, 380)
 
 
+def test_keys_restrict_resolution_and_overrides():
+    keys = ("out_dir", "z_min", "z_max", "lr")
+    cfg = resolve_config(file_cfg={"lr": 3e-4, "k": 5}, profile=TOY_PROFILE, keys=keys)
+    assert cfg == {"out_dir": "out", "z_min": 4.5, "z_max": 8.0, "lr": 3e-4}
+    with pytest.raises(ConfigError, match="synth does not read config key 'k'"):
+        resolve_config(overrides={"k": 5}, keys=keys, command="synth")
+    with pytest.raises(ConfigError, match="unknown config key"):  # unknown before unread
+        resolve_config(overrides={"bogus": 1}, keys=keys)
+    with pytest.raises(ConfigError, match="wants a number"):  # file keys are still type-checked
+        resolve_config(file_cfg={"k": "five"}, keys=keys)
+    # a file key outside `keys` is neither applied nor range-checked
+    assert resolve_config(file_cfg={"z_min": -1.0, "k": 0}, keys=("lr",)) == {"lr": 1.25e-3}
+
+
 def test_echo_config_writes_sorted_json(tmp_path):
-    cfg = resolve_config(overrides={"command": "synth", "seed": 3})
+    cfg = {"command": "synth", **resolve_config(overrides={"seed": 3})}
     path = echo_config(cfg, str(tmp_path))
     text = open(path).read()
     assert json.loads(text) == cfg

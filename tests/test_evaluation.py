@@ -281,8 +281,6 @@ def test_eval_config_threshold_validation():
         EvalConfig(threshold_sets=(("x", OFFICIAL_IOU + (("Truck", 0.7),)),))
     with pytest.raises(UsageError):  # Car given twice
         EvalConfig(threshold_sets=(("x", OFFICIAL_IOU + (("Car", 0.5),)),))
-    with pytest.raises(UsageError):
-        EvalConfig(metrics=("2D",))
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +426,21 @@ def test_split_malformed_pred_itemized(tmp_path):
     assert report.n_images == 3  # evaluation continued
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "1e400"])
+def test_split_non_finite_occlusion_itemized(tmp_path, token):
+    rng = np.random.default_rng(10)
+    gt, _ = _corpus(rng, n_images=3)
+    preds = {img: [replace(r, score=1.0) for r in recs] for img, recs in gt.items()}
+    pred_dir, gt_dir = _write_split(tmp_path, gt, preds)
+    bad = f"{sorted(gt)[0]}.txt"
+    with open(f"{pred_dir}/{bad}", "w") as fh:
+        fh.write(f"Car 0.00 {token} -1.58 587.01 173.33 614.12 200.12 1.65 1.67 3.64 -0.65 1.71 46.70 -1.59 0.9\n")
+    report = evaluate_split(pred_dir, gt_dir)
+    assert len(report.errors) == 1
+    assert bad in report.errors[0] and "line 1, column" in report.errors[0]
+    assert report.n_images == 3
+
+
 def test_split_malformed_gt_drops_image(tmp_path):
     rng = np.random.default_rng(11)
     gt, _ = _corpus(rng, n_images=3)
@@ -457,6 +470,30 @@ def test_split_calib_validation(tmp_path):
     assert ids[1] in report.errors[0]
 
 
+@pytest.mark.parametrize(
+    "p2, message",
+    [
+        ("0 0 48 0 0 700 190 0 0 0 1 0", "focal lengths must be positive"),
+        ("700 0 620 0 0 700 nan 0 0 0 1 0", "finite"),
+    ],
+)
+def test_split_bad_calib_values_itemized(tmp_path, p2, message):
+    rng = np.random.default_rng(12)
+    gt, _ = _corpus(rng, n_images=2)
+    preds = {img: [replace(r, score=1.0) for r in recs] for img, recs in gt.items()}
+    pred_dir, gt_dir = _write_split(tmp_path, gt, preds)
+    calib_dir = tmp_path / "calib"
+    calib_dir.mkdir()
+    ids = sorted(gt)
+    calib = CameraCalib(np.array([[700.0, 0, 620, 0], [0, 700.0, 190, 0], [0, 0, 1, 0]]))
+    (calib_dir / f"{ids[0]}.txt").write_text(write_calib(calib))
+    (calib_dir / f"{ids[1]}.txt").write_text("P2: " + p2 + "\n")
+    report = evaluate_split(pred_dir, gt_dir, str(calib_dir))
+    assert len(report.errors) == 1
+    assert ids[1] in report.errors[0] and message in report.errors[0]
+    assert "(line 1" in report.errors[0]
+
+
 def test_split_missing_gt_dir_raises(tmp_path):
     with pytest.raises(UsageError):
         evaluate_split(str(tmp_path), str(tmp_path / "nope"))
@@ -476,9 +513,6 @@ def test_split_report_outputs(tmp_path):
     records = report.to_records()
     assert len(records) == 36
     assert {r["metric"] for r in records} == {"3D", "BEV"}
-    kv = report.to_kv_lines()
-    assert len(kv) == 36
-    assert all("ap=" in line and "class=" in line for line in kv)
 
 
 def test_split_deterministic(tmp_path):

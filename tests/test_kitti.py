@@ -89,6 +89,15 @@ def test_non_integer_occlusion_rejected():
     assert exc_info.value.column == line.index("0.5") + 1
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "1e400"])
+def test_non_finite_occlusion_rejected_with_column(token):
+    line = f"Car 0.00 {token} " + REFERENCE_LINE.split(" ", 3)[3]
+    with pytest.raises(ParseError) as exc_info:
+        parse_label_file(REFERENCE_LINE + "\n" + line + "\n")
+    assert exc_info.value.line == 2
+    assert exc_info.value.column == line.index(token) + 1
+
+
 def test_parse_never_crashes_on_noise():
     for text in ("Car", "1 2 3", "\x00\x01", "Car " + "x " * 14):
         with pytest.raises(ParseError) as exc_info:
@@ -163,6 +172,20 @@ def test_calib_found_among_other_lines():
     assert parse_calib_file(text).f_u == 700.0
 
 
+@pytest.mark.parametrize(
+    "p2, message",
+    [
+        ("0 0 48 0 0 700 190 0 0 0 1 0", "focal lengths must be positive"),
+        ("nan 0 620 0 0 700 190 0 0 0 1 0", "finite"),
+        ("700 0 620 0 0 700 inf 0 0 0 1 0", "finite"),
+    ],
+)
+def test_calib_bad_p2_is_parse_error_at_its_line(p2, message):
+    with pytest.raises(ParseError, match=message) as exc_info:
+        parse_calib_file("P0: 1 0 0 0 0 1 0 0 0 0 1 0\nP2: " + p2 + "\n")
+    assert exc_info.value.line == 2
+
+
 def test_calib_round_trip_bit_exact():
     rng = np.random.default_rng(1)
     p2 = rng.normal(size=(3, 4)) * 100.0
@@ -185,6 +208,8 @@ def test_calib_errors():
         parse_calib_file("P2: " + " ".join(["x"] * 12))
     with pytest.raises(UsageError):
         CameraCalib(np.zeros((3, 4)))  # non-positive focal
+    with pytest.raises(UsageError):
+        CameraCalib(np.array([[700.0, 0, 620, 0], [0, 700.0, np.nan, 0], [0, 0, 1, 0]]))
     with pytest.raises(UsageError):
         CameraCalib(np.zeros((4, 4)))
 
