@@ -228,14 +228,6 @@ def _parse_set(values):
     return out
 
 
-def _add_common(sub):
-    sub.add_argument("--config", default=None, help="flat JSON config file")
-    sub.add_argument("--out", dest="out_dir", default=None, help="output directory")
-    sub.add_argument(
-        "--set", action="append", metavar="KEY=VALUE", help="override a config key listed below"
-    )
-
-
 def _add_model(sub):
     """Flags that choose the Detector of train-toy and infer."""
     sub.add_argument("--seed", type=int, default=None)
@@ -263,10 +255,15 @@ def _resolve(command, file_cfg=None, overrides=None):
 
 
 def _add_command(commands, name, summary):
+    """A subparser with the flags of every command and its config keys as epilog."""
     defaults = _resolve(name)
     keys = ", ".join(f"{key}={json.dumps(value)}" for key, value in defaults.items())
     sub = commands.add_parser(name, help=summary, epilog=f"config keys (default): {keys}")
-    _add_common(sub)
+    sub.add_argument("--config", default=None, help="flat JSON config file")
+    sub.add_argument("--out", dest="out_dir", default=None, help="output directory")
+    sub.add_argument(
+        "--set", action="append", metavar="KEY=VALUE", help="override a config key listed below"
+    )
     return sub
 
 
