@@ -156,7 +156,6 @@ def cmd_infer(out_dir, checkpoint, image, calib, variant, attention, seed, k, sc
         raise ConfigError("infer needs --image")
     if not calib:
         raise ConfigError("infer needs --calib")
-    os.makedirs(out_dir, exist_ok=True)
     image_u8 = read_ppm(image)
     camera = parse_calib_file(_read_text(calib))
     detector = Detector(variant, use_attention=attention, seed=seed)

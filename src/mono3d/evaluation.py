@@ -10,9 +10,13 @@ overlaps an ignored box consumes it and drops out of the count.
 IoU is computed once per same-class prediction x ground-truth pair per
 image, and all those pairs of a split go to one batched
 `geometry.pair_iou` call (one footprint intersection gives both the 3D
-and the BEV value). Each image's table is sliced back out of it; the
-tables, the difficulty of each ground-truth box and each class's score
-order are shared by both metrics and every report cell.
+and the BEV value; pairs whose footprints are apart are not clipped).
+Only the pairs with IoU > 0 are kept: each prediction gets, per metric,
+the list of (ground-truth index, IoU) of the boxes it overlaps, and a
+matching pass walks only those. Every threshold is in (0, 1], so a
+zero-IoU pair can never match. The lists, the difficulty of each
+ground-truth box and each class's score order are shared by both
+metrics and every report cell.
 """
 
 import os
@@ -81,27 +85,29 @@ class _ClassData:
     Within an image the class's predictions and ground truth are indexed
     in input order. `flat` holds (image, prediction index, score) in
     descending score order, ties in input order; `levels[image]` the
-    difficulty level of each ground-truth box; `tables[image][metric]`
-    the prediction x ground-truth IoU rows, for images with both.
+    difficulty level of each ground-truth box; `candidates[image][metric]`
+    one list per prediction of (ground-truth index, IoU) for the boxes
+    with IoU > 0, in ground-truth order, for images with both.
     """
 
     flat: list
     levels: dict
-    tables: dict
+    candidates: dict
 
 
 def _prepare(predictions, ground_truth, classes):
     """class -> _ClassData; every IoU, difficulty and sort done once.
 
     The same-class prediction x ground-truth pairs of every image and
-    class go to one `pair_iou` call; each image's rows are sliced back
-    out of its result.
+    class go to one `pair_iou` call; the pairs with IoU > 0 are picked
+    out of its result and appended to their prediction's lists.
     """
     images = sorted(set(predictions) | set(ground_truth))
     prepared = {}
-    boxes_a, boxes_b, ia, ib, blocks = [], [], [], [], []
+    boxes_a, boxes_b, gt_index, ia, ib = [], [], [], [], []
+    lists = {metric: [] for metric in METRICS}  # per prediction in boxes_a
     for cls in classes:
-        flat, levels, tables = [], {}, {}
+        flat, levels, candidates = [], {}, {}
         for img in images:
             preds = [rec for rec in predictions.get(img, []) if rec.type == cls]
             gts = [rec for rec in ground_truth.get(img, []) if rec.type == cls]
@@ -113,66 +119,68 @@ def _prepare(predictions, ground_truth, classes):
             if preds and gts:
                 ia.append(np.repeat(np.arange(len(preds)) + len(boxes_a), len(gts)))
                 ib.append(np.tile(np.arange(len(gts)) + len(boxes_b), len(preds)))
-                blocks.append((tables, img, len(preds), len(gts)))
+                candidates[img] = {metric: [[] for _ in preds] for metric in METRICS}
+                for metric in METRICS:
+                    lists[metric].extend(candidates[img][metric])
                 boxes_a.extend(_box_of(r) for r in preds)
                 boxes_b.extend(_box_of(r) for r in gts)
+                gt_index.extend(range(len(gts)))
         flat.sort(key=lambda item: -item[2])  # stable: ties keep input order
-        prepared[cls] = _ClassData(flat=flat, levels=levels, tables=tables)
-    if blocks:
-        t3d, tbev = pair_iou(boxes_a, boxes_b, np.concatenate(ia), np.concatenate(ib))
-        start = 0
-        for tables, img, n_pred, n_gt in blocks:
-            rows = slice(start, start + n_pred * n_gt)
-            tables[img] = {
-                "3D": t3d[rows].reshape(n_pred, n_gt).tolist(),
-                "BEV": tbev[rows].reshape(n_pred, n_gt).tolist(),
-            }
-            start = rows.stop
+        prepared[cls] = _ClassData(flat=flat, levels=levels, candidates=candidates)
+    if ia:
+        ia, ib = np.concatenate(ia), np.concatenate(ib)
+        t3d, tbev = pair_iou(boxes_a, boxes_b, ia, ib)
+        for metric, iou in (("3D", t3d), ("BEV", tbev)):
+            hit = np.flatnonzero(iou > 0.0)
+            rows = lists[metric]
+            # pairs run by prediction, then ground truth: each list is in gt order
+            for a, b, v in zip(ia[hit].tolist(), ib[hit].tolist(), iou[hit].tolist()):
+                rows[a].append((gt_index[b], v))
     return prepared
 
 
 def _greedy_curve(data, difficulty, metric, iou_threshold):
-    """One matching pass -> (PR points, counted GT, matched GT, class preds)."""
+    """One matching pass -> (recalls, precisions, counted GT, matched GT,
+    class preds); recalls and precisions have one entry per counted
+    prediction, in score order."""
     target = _LEVEL[difficulty]
     npos = sum(level <= target for levels in data.levels.values() for level in levels)
     if npos == 0:
-        return [], 0, 0, len(data.flat)
+        return None, None, 0, 0, len(data.flat)
 
     taken = set()
-    points = []
-    tp = fp = 0
+    hits = []  # 1 for a true positive, 0 for a false one
     for img, idx, _ in data.flat:
         levels = data.levels[img]
-        row = data.tables[img][metric][idx] if levels else []
-        # best open counted and best open ignored ground truth, in one pass
+        row = data.candidates[img][metric][idx] if img in data.candidates else ()
+        # best open counted and best open ignored ground truth at or above
+        # the threshold, first index on ties, in one pass
         best_iou, best_key = -1.0, None
         ign_iou, ign_key = -1.0, None
-        for j, level in enumerate(levels):
-            if (img, j) in taken:
+        for j, v in row:
+            if v < iou_threshold or (img, j) in taken:
                 continue
-            v = row[j]
-            if level <= target:
+            if levels[j] <= target:
                 if v > best_iou:
                     best_iou, best_key = v, (img, j)
             elif v > ign_iou:
                 ign_iou, ign_key = v, (img, j)
-        if best_key is not None and best_iou >= iou_threshold:
+        if best_key is not None:
             taken.add(best_key)
-            tp += 1
-            points.append((tp / npos, tp / (tp + fp)))
-            continue
-        if ign_key is not None and ign_iou >= iou_threshold:
+            hits.append(1)
+        elif ign_key is not None:
             taken.add(ign_key)
-            continue
-        fp += 1
-        points.append((tp / npos, tp / (tp + fp)))
-    return points, npos, tp, len(data.flat)
+        else:
+            hits.append(0)
+    tp = np.cumsum(hits, dtype=np.int64)
+    matched = int(tp[-1]) if hits else 0
+    # integer true division is correctly rounded, as tp / npos in Python
+    return tp / npos, tp / np.arange(1, len(tp) + 1), npos, matched, len(data.flat)
 
 
-def _mean_envelope(points):
+def _mean_envelope(recalls, precisions):
     """Mean over the 40 recall levels of max precision at recall >= level."""
-    recalls = np.array([r for r, _ in points], dtype=np.float64)
-    precisions = np.array([p for _, p in points] + [0.0])
+    precisions = np.append(precisions, 0.0)
     suffix_max = np.maximum.accumulate(precisions[::-1])[::-1]
     total = 0.0
     for v in suffix_max[np.searchsorted(recalls, RECALL_POINTS, side="left")].tolist():
@@ -195,10 +203,10 @@ def ap_r40(predictions, ground_truth, cls, difficulty, metric="3D", iou_threshol
     if not (0.0 < iou_threshold <= 1.0):
         raise UsageError("iou_threshold must be in (0, 1]")
     data = _prepare(predictions, ground_truth, (cls,))[cls]
-    points, npos, _, _ = _greedy_curve(data, difficulty, metric, iou_threshold)
+    recalls, precisions, npos, _, _ = _greedy_curve(data, difficulty, metric, iou_threshold)
     if npos == 0:
         return None
-    return _mean_envelope(points)
+    return _mean_envelope(recalls, precisions)
 
 
 @dataclass(frozen=True)
@@ -319,10 +327,10 @@ def evaluate_split(pred_dir, gt_dir, calib_dir=None, cfg=None):
         for metric in METRICS:
             for cls in CLASS_NAMES:
                 for difficulty in DIFFICULTIES:
-                    points, npos, matched, n_pred = _greedy_curve(
+                    recalls, precisions, npos, matched, n_pred = _greedy_curve(
                         prepared[cls], difficulty, metric, thresholds[cls]
                     )
-                    ap = _mean_envelope(points) if npos > 0 else None
+                    ap = _mean_envelope(recalls, precisions) if npos > 0 else None
                     cells[(set_name, metric, cls, difficulty)] = ApCell(
                         ap=ap, n_gt=npos, n_pred=n_pred, matched=matched
                     )

@@ -9,8 +9,9 @@ cross-check. Footprints, areas and clips are batched: `pair_iou` takes
 two box lists and the index arrays of the pairs to compare, computes
 each footprint once per box and clips all the pairs as arrays, with
 every value bit-equal to the scalar Sutherland-Hodgman clip and
-`np.sum` area of one pair. `iou_pairs` is its all-pairs table, and
-`iou_bev` and `iou_3d` its one-pair case.
+`np.sum` area of one pair. Pairs whose footprints' axis-aligned extents
+are apart are never clipped: their IoU is 0.0. `iou_pairs` is its
+all-pairs table, and `iou_bev` and `iou_3d` its one-pair case.
 """
 
 import math
@@ -32,6 +33,10 @@ _FOOT_Z = np.array([1.0, 1.0, -1.0, -1.0])
 # pairs per convex_clip call: bounds the working arrays, so memory does
 # not grow with the number of pairs of a split
 _CLIP_BLOCK = 256
+# footprints whose axis-aligned extents are apart by more than this,
+# times the larger of 1 and the largest coordinate magnitude of the
+# pair, have an empty clip: the clip's rounding is ~1e-15 of that scale
+_APART_MARGIN = 1e-9
 
 
 @dataclass
@@ -163,12 +168,15 @@ def convex_clip(subjects, clips):
 
 
 def _box_arrays(boxes):
-    """Footprints [N, 4, 2], footprint areas [N], bottom y [N], height [N]."""
+    """Footprints [N, 4, 2], footprint areas [N], bottom y [N], height [N],
+    footprint extents lo [N, 2] and hi [N, 2] in (x, z), and the largest
+    coordinate magnitude [N] of each footprint."""
     feet = bev_footprints(boxes)
     area = polygon_area(feet, np.full(len(feet), 4))
     y = np.array([b.location[1] for b in boxes], dtype=np.float64)
     h = np.array([b.dimensions[0] for b in boxes], dtype=np.float64)
-    return feet, area, y, h
+    reach = np.abs(feet).max(axis=(1, 2), initial=1.0)
+    return feet, area, y, h, feet.min(axis=1), feet.max(axis=1), reach
 
 
 def _ratio(num, den):
@@ -183,14 +191,19 @@ def pair_iou(boxes_a, boxes_b, ia, ib):
     footprint intersections clipped in blocks of _CLIP_BLOCK pairs; the
     BEV IoU and the volumetric IoU (footprint intersection x vertical
     overlap) are both derived from one intersection. A box with a
-    zero-area footprint has IoU 0.0 with everything. Every value is
-    bit-equal to the scalar clip-and-sum of one pair.
+    zero-area footprint has IoU 0.0 with everything, and so has a pair
+    whose footprints' axis-aligned extents are apart, in x or z, by more
+    than _APART_MARGIN times the larger of 1 and the pair's largest
+    coordinate magnitude; neither kind of pair is clipped. Every value
+    is bit-equal to the scalar clip-and-sum of one pair.
     """
-    feet_a, area_a, y_a, h_a = _box_arrays(boxes_a)
-    feet_b, area_b, y_b, h_b = _box_arrays(boxes_b)
+    feet_a, area_a, y_a, h_a, lo_a, hi_a, reach_a = _box_arrays(boxes_a)
+    feet_b, area_b, y_b, h_b, lo_b, hi_b, reach_b = _box_arrays(boxes_b)
     ia = np.asarray(ia, dtype=np.intp)
     ib = np.asarray(ib, dtype=np.intp)
-    live = ~((area_a[ia] <= 0.0) | (area_b[ib] <= 0.0))
+    margin = (_APART_MARGIN * np.maximum(reach_a[ia], reach_b[ib]))[:, None]
+    apart = ((lo_b[ib] - hi_a[ia] > margin) | (lo_a[ia] - hi_b[ib] > margin)).any(axis=1)
+    live = ~((area_a[ia] <= 0.0) | (area_b[ib] <= 0.0) | apart)
     ia, ib = ia[live], ib[live]
     inter = np.empty(len(ia))
     for start in range(0, len(ia), _CLIP_BLOCK):

@@ -95,8 +95,30 @@ def _parse_float(tokens, k, line, line_no):
         ) from None
 
 
+def _label_numbers(tokens, line, line_no):
+    """The float fields tokens[1:] of one label line; a field that is not
+    a finite number raises ParseError at its column."""
+    try:
+        nums = list(map(float, tokens[1:]))
+    except ValueError:
+        # field by field, to raise at the first bad one's column
+        nums = [_parse_float(tokens, k, line, line_no) for k in range(1, len(tokens))]
+    # one check per record: the sum is finite unless a field is not, or
+    # finite fields overflow it, which the scan below lets through
+    if not math.isfinite(sum(nums)):
+        for k, v in enumerate(nums, start=1):
+            if not math.isfinite(v):
+                raise ParseError(
+                    f"expected a finite number, got {tokens[k]!r}",
+                    line_no,
+                    _token_columns(line)[k][0],
+                )
+    return nums
+
+
 def parse_label_file(text):
-    """Text -> list of LabelRecord; 15 fields per line, 16 with a score."""
+    """Text -> list of LabelRecord; 15 fields per line, 16 with a score.
+    Every number field must be finite."""
     records = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         tokens = line.split()
@@ -108,8 +130,8 @@ def parse_label_file(text):
                 line_no,
                 _token_columns(line)[0][0],
             )
-        nums = [_parse_float(tokens, k, line, line_no) for k in range(1, len(tokens))]
-        if not nums[1].is_integer():  # also rejects nan and inf
+        nums = _label_numbers(tokens, line, line_no)
+        if not nums[1].is_integer():
             raise ParseError(
                 f"expected an integer, got {tokens[2]!r}", line_no, _token_columns(line)[2][0]
             )

@@ -334,6 +334,7 @@ def test_infer_missing_checkpoint_file_exits_2(toy_run, tmp_path):
         ]
     )
     assert code == 2
+    assert not (tmp_path / "o").exists()
 
 
 def test_infer_writes_predictions_and_overlay(toy_run, tmp_path, capsys):

@@ -349,6 +349,20 @@ def test_split_cells_bitwise_vs_bruteforce(tmp_path):
         _record(loc=(9.0, 1.5, 25.1), score=0.85),
         _record(loc=(9.1, 1.5, 25.0), score=0.8),
     ]
+    # duplicate ground truth (a Moderate box and an Easy copy: equal IoUs,
+    # so the first-index tie-break decides) next to an ignored box; the
+    # top prediction overlaps all three equally, the last one mostly the
+    # ignored box
+    gt["000104"] = [
+        _record(h2d=30.0, occ=1),
+        _record(),
+        _record(loc=(1.2, 1.5, 20.0), h2d=20.0),
+    ]
+    preds["000104"] = [
+        _record(loc=(0.6, 1.5, 20.0), score=0.95),
+        _record(loc=(0.05, 1.5, 20.0), score=0.9),
+        _record(loc=(1.1, 1.5, 20.0), score=0.7),
+    ]
     # what is on disk: labels are written to two decimals
     gt = {img: parse_label_file(write_labels(recs)) for img, recs in gt.items()}
     preds = {img: parse_label_file(write_labels(recs)) for img, recs in preds.items()}
@@ -381,7 +395,7 @@ def test_prepare_split_tables_equal_per_image_iou_pairs():
     gt["000902"] = [_record(), _record(loc=(3.0, 1.5, 20.0))]
     preds["000902"] = [_record(dims=(1.5, 1.6, 0.0), score=0.9), _record(loc=(0.1, 1.5, 20.0), score=0.5)]
     prepared = _prepare(preds, gt, CLASS_NAMES)
-    n_pairs = 0
+    n_pairs = n_kept = 0
     for cls in CLASS_NAMES:
         want = {}
         for img in sorted(set(gt) | set(preds)):
@@ -389,15 +403,28 @@ def test_prepare_split_tables_equal_per_image_iou_pairs():
             g = [Box3D(r.location, r.dimensions, r.rotation_y) for r in gt.get(img, []) if r.type == cls]
             if p and g:
                 t3d, tbev = iou_pairs(p, g)
-                want[img] = {"3D": t3d.tolist(), "BEV": tbev.tolist()}
+                # exactly the entries > 0, in ground-truth order
+                want[img] = {
+                    metric: [[(j, v) for j, v in enumerate(row) if v > 0.0] for row in table.tolist()]
+                    for metric, table in (("3D", t3d), ("BEV", tbev))
+                }
                 n_pairs += len(p) * len(g)
-        assert prepared[cls].tables == want
-    # the split's pairs cross a clip-block boundary (256 pairs)
-    assert n_pairs > 256
-    assert "000900" not in prepared["Car"].tables and "000901" not in prepared["Car"].tables
-    zero_area = prepared["Car"].tables["000902"]
-    assert zero_area["3D"][0] == [0.0, 0.0] and zero_area["BEV"][0] == [0.0, 0.0]
-    assert zero_area["BEV"][1][0] > 0.5
+                n_kept += np.count_nonzero(tbev)
+        got = prepared[cls].candidates
+        assert got == want
+        # == on floats > 0 is bit equality; the indices are ints
+        for img, metrics in got.items():
+            for rows in metrics.values():
+                for row in rows:
+                    assert all(type(j) is int and type(v) is float for j, v in row)
+    # the split's pairs cross a clip-block boundary (256 pairs), and most
+    # of them do not overlap
+    assert n_pairs > 256 and 0 < n_kept < n_pairs // 2
+    assert "000900" not in prepared["Car"].candidates and "000901" not in prepared["Car"].candidates
+    zero_area = prepared["Car"].candidates["000902"]
+    assert zero_area["3D"][0] == [] and zero_area["BEV"][0] == []
+    j, v = zero_area["BEV"][1][0]
+    assert j == 0 and v > 0.5
 
 
 def test_split_empty_prediction_dir(tmp_path):
@@ -438,6 +465,22 @@ def test_split_non_finite_occlusion_itemized(tmp_path, token):
     report = evaluate_split(pred_dir, gt_dir)
     assert len(report.errors) == 1
     assert bad in report.errors[0] and "line 1, column" in report.errors[0]
+    assert report.n_images == 3
+
+
+@pytest.mark.parametrize("score", ["nan", "inf", "1e400"])
+def test_split_non_finite_score_itemized(tmp_path, score):
+    rng = np.random.default_rng(10)
+    gt, _ = _corpus(rng, n_images=3)
+    preds = {img: [replace(r, score=1.0) for r in recs] for img, recs in gt.items()}
+    pred_dir, gt_dir = _write_split(tmp_path, gt, preds)
+    bad = f"{sorted(gt)[0]}.txt"
+    line = f"Car 0.00 0 -1.58 587.01 173.33 614.12 200.12 1.65 1.67 3.64 -0.65 1.71 46.70 -1.59 {score}"
+    with open(f"{pred_dir}/{bad}", "w") as fh:
+        fh.write(line + "\n")
+    report = evaluate_split(pred_dir, gt_dir)
+    assert len(report.errors) == 1
+    assert bad in report.errors[0] and f"line 1, column {line.index(score) + 1}" in report.errors[0]
     assert report.n_images == 3
 
 

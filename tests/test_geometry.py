@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mono3d import kernels
+from mono3d import geometry, kernels
 from mono3d.errors import DegenerateGeometryError
 from mono3d.geometry import (
     Box3D,
@@ -198,6 +198,54 @@ def test_batched_clip_area_and_iou_bitwise_vs_scalar_oracle():
     diag = pair_iou(boxes_a[:30], boxes_b[:30], np.arange(30), np.arange(30))
     for g, w in zip(diag, want):
         assert np.array_equal(g, np.diag(w))
+
+
+def test_separated_pairs_skip_the_clip_and_stay_bitwise(monkeypatch):
+    clipped = []
+    clip = geometry.convex_clip
+
+    def counting_clip(subjects, clips):
+        clipped.append(len(subjects))
+        return clip(subjects, clips)
+
+    monkeypatch.setattr(geometry, "convex_clip", counting_clip)
+    n_culled = n_clipped = 0
+    # near the origin and 1 km out, where the margin scales with the coordinates
+    for x0, z0 in ((0.0, 0.0), (1000.0, 40.0)):
+        for yaw_a, yaw_b in ((0.0, 0.0), (0.3, -1.1)):
+            a = _box(x=x0, y=1.5, z=z0, h=1.5, w=1.6, l=3.9, yaw=yaw_a)
+            foot_a, foot_b = bev_footprints([a, _box(w=1.6, l=3.9, yaw=yaw_b)])
+            lo_a, hi_a = foot_a.min(axis=0), foot_a.max(axis=0)
+            lo_b, hi_b = foot_b.min(axis=0), foot_b.max(axis=0)
+            for axis in (0, 1):
+                for side in (1, -1):
+                    # 0 is touching edges, 1e-9 is _APART_MARGIN
+                    for gap in (0.0, 1e-12, 1e-9, 1e-6, 1e-3):
+                        at = [x0, z0]
+                        if side > 0:
+                            at[axis] = hi_a[axis] - lo_b[axis] + gap
+                        else:
+                            at[axis] = lo_a[axis] - hi_b[axis] - gap
+                        b = _box(x=at[0], y=1.2, z=at[1], h=1.5, w=1.6, l=3.9, yaw=yaw_b)
+                        scale = max(1.0, np.abs(bev_footprints([a, b])).max())
+                        clipped.clear()
+                        got = pair_iou([a], [b], [0], [0])
+                        want = oracles.iou_pairs_scalar([a], [b])
+                        for g, w in zip(got, want):
+                            assert np.array_equal(g, w[0]) and g[0] == 0.0
+                        if gap > 2 * geometry._APART_MARGIN * scale:
+                            assert sum(clipped) == 0, (x0, yaw_a, axis, side, gap)
+                            n_culled += 1
+                        elif gap < geometry._APART_MARGIN * scale / 2:
+                            assert sum(clipped) == 1, (x0, yaw_a, axis, side, gap)
+                            n_clipped += 1
+    # the rest are within a factor 2 of the margin: bitwise either way
+    assert n_culled == 24 and n_clipped == 48
+    # a touching axis-aligned edge is clipped and has area exactly 0.0
+    a, b = _box(w=1.6, l=3.9), _box(x=3.9, w=1.6, l=3.9)
+    assert bev_footprints([b])[0].min(axis=0)[0] == bev_footprints([a])[0].max(axis=0)[0]
+    clipped.clear()
+    assert pair_iou([a], [b], [0], [0])[1][0] == 0.0 and clipped == [1]
 
 
 # ---------------------------------------------------------------------------

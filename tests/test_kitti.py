@@ -98,6 +98,27 @@ def test_non_finite_occlusion_rejected_with_column(token):
     assert exc_info.value.column == line.index(token) + 1
 
 
+# field index (0 is the type) of a dimension (w), a location (z) and the score
+@pytest.mark.parametrize("field", [9, 13, 15])
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400"])
+def test_non_finite_field_rejected_with_column(field, token):
+    tokens = (REFERENCE_LINE + " 0.9").split(" ")
+    tokens[field] = token
+    line = " ".join(tokens)
+    with pytest.raises(ParseError) as exc_info:
+        parse_label_file(REFERENCE_LINE + "\n" + line + "\n")
+    assert exc_info.value.line == 2
+    assert exc_info.value.column == len(" ".join(tokens[:field])) + 2
+    assert "finite" in str(exc_info.value)
+
+
+def test_finite_fields_whose_sum_overflows_accepted():
+    tokens = REFERENCE_LINE.split(" ")
+    tokens[4] = tokens[5] = "1e308"
+    (rec,) = parse_label_file(" ".join(tokens))
+    assert rec.bbox[:2] == (1e308, 1e308)
+
+
 def test_parse_never_crashes_on_noise():
     for text in ("Car", "1 2 3", "\x00\x01", "Car " + "x " * 14):
         with pytest.raises(ParseError) as exc_info:
