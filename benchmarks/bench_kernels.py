@@ -52,18 +52,6 @@ def build_workloads(quick):
     rois = _roi_args(rng, rn, rh, rw, 16, 7)
     rout = rng.normal(size=(16, 64, 7, 7))
 
-    n_pairs = 64 // scale
-    boxes_a = np.column_stack(
-        [
-            rng.uniform(-10, 10, n_pairs),
-            rng.uniform(5, 40, n_pairs),
-            rng.uniform(1.2, 2.4, n_pairs),
-            rng.uniform(0.6, 1.1, n_pairs),
-            rng.uniform(-np.pi, np.pi, n_pairs),
-        ]
-    )
-    boxes_b = boxes_a + rng.normal(scale=0.4, size=boxes_a.shape)
-
     return [
         ("im2col", lambda: kernels.im2col(xp, 3, 3, 1, 1, oh, ow)),
         ("col2im", lambda: kernels.col2im(cols, hp, wp, 3, 3, 1, 1, oh, ow)),
@@ -71,7 +59,6 @@ def build_workloads(quick):
         ("bilinear_scatter", lambda: kernels.bilinear_scatter(gout, wy, wx)),
         ("roi_gather", lambda: kernels.roi_gather(rmap, *rois)),
         ("roi_scatter", lambda: kernels.roi_scatter(rout, *rois, rn, rh, rw)),
-        ("raster_iou", lambda: kernels.raster_iou(boxes_a, boxes_b, 256 // scale)),
         ("desk_fwd_bwd", _desk_step(quick)),
     ]
 

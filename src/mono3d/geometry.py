@@ -4,8 +4,7 @@ Boxes follow the KITTI camera-frame convention: y points down, the
 location is the bottom-face center, yaw rotates around the camera Y
 axis. The footprint (bird's-eye view) lives in the (x, z) ground plane;
 its rotated-rectangle intersection is computed exactly by convex polygon
-clipping, with an independent rasterization estimate available as a
-cross-check. Footprints, areas and clips are batched: `pair_iou` takes
+clipping. Footprints, areas and clips are batched: `pair_iou` takes
 two box lists and the index arrays of the pairs to compare, computes
 each footprint once per box and clips all the pairs as arrays, with
 every value bit-equal to the scalar Sutherland-Hodgman clip and
@@ -19,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .errors import DegenerateGeometryError
 
 # corner layout: bottom face first (y=0 plane), then top (y=-h);
@@ -65,7 +63,11 @@ def box3d_corners(box):
 
 def bev_footprints(boxes):
     """Counter-clockwise footprint rectangles [N, 4, 2] in the (x, z) plane."""
-    rows = _footprint_rows(boxes)
+    # (cx, cz, half_l, half_w, yaw) per box; dimensions are (h, w, l)
+    rows = np.array(
+        [(b.location[0], b.location[2], b.dimensions[2] / 2.0, b.dimensions[1] / 2.0, b.yaw) for b in boxes],
+        dtype=np.float64,
+    ).reshape(-1, 5)
     c = np.array([math.cos(v) for v in rows[:, 4]], dtype=np.float64)[:, None]
     s = np.array([math.sin(v) for v in rows[:, 4]], dtype=np.float64)[:, None]
     lx = rows[:, 2:3] * _FOOT_X
@@ -244,21 +246,3 @@ def iou_3d(box_a, box_b):
     """Volumetric IoU: footprint intersection x vertical overlap."""
     return float(pair_iou([box_a], [box_b], [0], [0])[0][0])
 
-
-def _footprint_rows(boxes):
-    rows = np.empty((len(boxes), 5), dtype=np.float64)
-    for i, b in enumerate(boxes):
-        h, w, l = b.dimensions
-        rows[i] = (b.location[0], b.location[2], l / 2.0, w / 2.0, b.yaw)
-    return rows
-
-
-def raster_iou_reference(boxes_a, boxes_b, n_grid=2000):
-    """Grid-sampling estimate of footprint IoU, paired over two box lists.
-
-    Completely independent of the clipping path: the points of an
-    n_grid x n_grid lattice over each pair's joint bounding rectangle that
-    lie inside each rotated rectangle, and inside both, are counted per
-    lattice row as one interval of columns, not tested one by one.
-    """
-    return kernels.raster_iou(_footprint_rows(boxes_a), _footprint_rows(boxes_b), n_grid)

@@ -19,7 +19,7 @@ from .errors import UsageError
 from .heads import Boxes2D, Heads2D, Heads3D, gup_depth, roi_crop
 from .losses import angle_loss, assign_targets, depth_loss, focal_loss, l1_masked, laplacian_nll, total_loss, make_weights
 from .model import Detector
-from .neck import Neck, NeckConfig
+from .neck import Neck
 from .nn import LayerNorm, Linear
 from .synth import make_default_calib, synth_scene
 from .tensor import Tensor, grad_check
@@ -205,7 +205,7 @@ def _check_conv_ffn(rng):
 
 
 def _check_neck(rng):
-    neck = Neck([4, 8, 12, 16], NeckConfig(out_channels=8, slice_channels=8), rng)
+    neck = Neck([4, 8, 12, 16], rng, width=8)
     maps = [_t(rng, 1, 4, 8, 8), _t(rng, 1, 8, 4, 4), _t(rng, 1, 12, 2, 2), _t(rng, 1, 16, 1, 1)]
     r = _t(rng, 1, 8, 8, 8)
 

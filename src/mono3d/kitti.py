@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import ParseError, UsageError
 from .geometry import Box3D, box3d_corners
+from .heads import wrap_angle
 
 LABEL_FIELDS_GT = 15
 LABEL_FIELDS_PRED = 16
@@ -195,8 +196,7 @@ def write_calib(calib):
 
 def compute_alpha(yaw, x, z):
     """Observation angle from global yaw: alpha = r_y - atan2(x, z)."""
-    a = yaw - math.atan2(x, z)
-    return a - 2.0 * math.pi * math.ceil((a - math.pi) / (2.0 * math.pi))
+    return float(wrap_angle(yaw - math.atan2(x, z)))
 
 
 def write_predictions(dets, calib, image_size, class_names, drop_count=None):

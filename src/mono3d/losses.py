@@ -32,7 +32,6 @@ LOSS_TERMS = (
 )
 TIER1 = ("heatmap", "offset2d", "size2d")
 TIER2 = ("offset3d", "w3d", "l3d", "h3d", "angle")
-TIER3 = ("depth",)
 
 
 @dataclass

@@ -27,7 +27,7 @@ from .heads import (
     roi_crop,
 )
 from .losses import LOSS_TERMS, _zero_scalar, angle_loss, depth_loss, focal_loss, l1_masked, laplacian_nll
-from .neck import Neck, NeckConfig
+from .neck import Neck
 from .nn import Module
 from .tensor import Tensor
 
@@ -49,11 +49,10 @@ class Detector(Module):
         self.use_attention = cfg.use_attention
         self.num_classes = int(num_classes)
         self.seed = int(seed)
-        neck_cfg = NeckConfig()
         self.backbone = Backbone(cfg, rng)
-        self.neck = Neck([s.dim for s in cfg.stages], neck_cfg, rng)
-        self.heads2d = Heads2D(neck_cfg.slice_channels, self.num_classes, rng)
-        self.heads3d = Heads3D(neck_cfg.slice_channels, self.num_classes, rng)
+        self.neck = Neck([s.dim for s in cfg.stages], rng)
+        self.heads2d = Heads2D(self.neck.width, self.num_classes, rng)
+        self.heads3d = Heads3D(self.neck.width, self.num_classes, rng)
 
     def features(self, images):
         """[N, 3, H, W] (or [3, H, W]) -> stride-4 feature map [N, 64, h, w]."""
@@ -205,17 +204,40 @@ def save_checkpoint(path, detector):
         fh.write("\n")
 
 
+def _read_manifest(path):
+    """Checkpoint `path`'s manifest, checked to hold every field
+    load_checkpoint reads, with non-negative integer offsets, dims and
+    total; UsageError naming the manifest otherwise."""
+    mpath = manifest_path(path)
+    with open(mpath, "r", encoding="ascii") as fh:
+        try:
+            manifest = json.load(fh)
+            absent = {"format", "variant", "use_attention", "num_classes"} - set(manifest)
+            if absent:
+                raise KeyError(sorted(absent))
+            counts = [manifest["total_elements"]]
+            for entry in manifest["params"].values():
+                counts += [entry["offset"], *entry["shape"]]
+            if not all(type(v) is int and v >= 0 for v in counts):
+                raise ValueError("offsets, dims and total_elements must be non-negative integers")
+        except KeyError as exc:
+            raise UsageError(f"checkpoint manifest {mpath} lacks {exc}") from None
+        except (ValueError, TypeError, AttributeError) as exc:
+            raise UsageError(f"checkpoint manifest {mpath} is malformed: {exc}") from None
+    return manifest
+
+
 def load_checkpoint(path, detector):
     """Load a checkpoint written by save_checkpoint into a matching detector.
 
     Variant, attention setting, class count, parameter names, and shapes
     must all match; mismatch errors name both the checkpoint's and the
-    model's side.
+    model's side. In offset order the entries must tile [0, total_elements)
+    exactly, as save_checkpoint writes them.
     """
-    with open(manifest_path(path), "r", encoding="ascii") as fh:
-        manifest = json.load(fh)
-    if manifest.get("format") != CHECKPOINT_FORMAT:
-        raise UsageError(f"unrecognized checkpoint format {manifest.get('format')!r}")
+    manifest = _read_manifest(path)
+    if manifest["format"] != CHECKPOINT_FORMAT:
+        raise UsageError(f"unrecognized checkpoint format {manifest['format']!r}")
     ck_variant = manifest["variant"]
     ck_attention = manifest["use_attention"]
     ck_classes = manifest["num_classes"]
@@ -238,22 +260,21 @@ def load_checkpoint(path, detector):
             f"checkpoint parameter names do not match the model: "
             f"missing {missing}, unexpected {unexpected}"
         )
-    data = np.fromfile(path, dtype=CHECKPOINT_DTYPE)
-    if data.size != manifest["total_elements"]:
-        raise UsageError(
-            f"checkpoint holds {data.size} float32 values, manifest expects "
-            f"{manifest['total_elements']}"
-        )
-    for name, entry in entries.items():
-        p = params[name]
-        shape = tuple(entry["shape"])
+    # in offset order, each entry starts where the one before it ends
+    spans, end, mpath = [], 0, manifest_path(path)
+    for lo, name in sorted((entry["offset"], name) for name, entry in entries.items()):
+        p, shape = params[name], tuple(entries[name]["shape"])
         if shape != p.shape:
-            raise UsageError(
-                f"checkpoint parameter {name!r} has shape {shape}, model has {p.shape}"
-            )
-        lo = entry["offset"]
-        hi = lo + int(np.prod(shape, dtype=np.int64))
-        if hi > data.size:
-            raise UsageError(f"checkpoint parameter {name!r} runs past the end of the file")
-        p.data[...] = data[lo:hi].reshape(shape).astype(np.float64)
+            raise UsageError(f"checkpoint parameter {name!r} has shape {shape}, model has {p.shape}")
+        if lo != end:
+            raise UsageError(f"checkpoint manifest {mpath}: {name!r} starts at {lo}, not {end}")
+        spans.append((p, lo))
+        end += p.data.size
+    if end != manifest["total_elements"]:
+        raise UsageError(f"checkpoint manifest {mpath}: entries end at {end}, not at total_elements")
+    data = np.fromfile(path, dtype=CHECKPOINT_DTYPE)
+    if data.size != end:
+        raise UsageError(f"checkpoint holds {data.size} float32 values, manifest expects {end}")
+    for p, lo in spans:
+        p.data[...] = data[lo : lo + p.data.size].reshape(p.shape)
     return manifest

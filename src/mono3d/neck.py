@@ -3,23 +3,13 @@
 Each level is projected to a common width (1x1 conv, per-pixel channel
 norm, ReLU). Starting from the deepest level, the running map is
 bilinearly upsampled to the next shallower level's size, summed with it,
-and fused by a 3x3 conv + ReLU. The fusion stack is norm-free so each
-fused output channel depends only on its own conv filter; slicing the
-first `slice_channels` channels therefore leaves the remaining filters
-with exactly zero gradient.
+and fused by a 3x3 conv + ReLU. The fused map at the shallowest level,
+`width` channels wide, is the neck's output.
 """
-
-from dataclasses import dataclass
 
 from . import tensor as T
 from .errors import ConfigError, DimensionError, UsageError
 from .nn import Conv2d, LayerNorm, Module, map_to_tokens, tokens_to_map
-
-
-@dataclass(frozen=True)
-class NeckConfig:
-    out_channels: int = 64
-    slice_channels: int = 64
 
 
 class ChannelNorm(Module):
@@ -63,21 +53,17 @@ def _check_pyramid(features):
 
 
 class Neck(Module):
-    """Four pyramid maps -> one [N, slice_channels, H/4, W/4] map."""
+    """Four pyramid maps -> one [N, width, H/4, W/4] map."""
 
-    def __init__(self, in_channels, cfg, rng):
-        if cfg.slice_channels > cfg.out_channels:
-            raise ConfigError(
-                f"slice_channels {cfg.slice_channels} exceeds out_channels {cfg.out_channels}"
-            )
+    def __init__(self, in_channels, rng, width=64):
         if len(in_channels) != 4:
             raise ConfigError("neck needs the four pyramid channel counts")
-        self.cfg = cfg
-        self.projects = [ProjectNode(c, cfg.out_channels, rng) for c in in_channels]
-        self.fuses = [FuseNode(cfg.out_channels, rng) for _ in range(3)]
+        self.width = width
+        self.projects = [ProjectNode(c, width, rng) for c in in_channels]
+        self.fuses = [FuseNode(width, rng) for _ in range(3)]
 
-    def aggregate(self, features):
-        """IDA ladder, deepest to shallowest; keeps full out_channels width."""
+    def __call__(self, features):
+        """IDA ladder, deepest to shallowest."""
         _check_pyramid(features)
         x = self.projects[3](features[3])
         for level in (2, 1, 0):
@@ -85,7 +71,3 @@ class Neck(Module):
             up = T.bilinear_resize(x, p.shape[2], p.shape[3])
             x = self.fuses[level](p + up)
         return x
-
-    def __call__(self, features):
-        x = self.aggregate(features)
-        return x[:, : self.cfg.slice_channels]

@@ -1,7 +1,10 @@
 """Independent reference implementations used to freeze expected values.
 
 Everything here is deliberately naive (plain loops, series expansions) and
-shares no code with the package paths it checks.
+shares no code with the package paths it checks. The one exception to
+"naive" is the scanline raster IoU, which counts lattice points per row by
+interval so a 2000 x 2000 grid stays fast; it is itself checked against
+`raster_iou_pointwise`, which tests every point.
 """
 
 import gc
@@ -255,6 +258,24 @@ def ap_r40_bruteforce(preds_by_image, gts_by_image, cls, difficulty, pair_iou, i
     return total / 40.0 * 100.0
 
 
+def _lattice(a, b, n_grid):
+    """Cell-center x [n_grid] and z [n_grid] coordinates of the lattice over
+    the joint axis-aligned extent of two (cx, cz, half_l, half_w, yaw) rows,
+    plus its left edge x0 and column step."""
+    lo, hi = [], []
+    for cx, cz, hl, hw, yaw in (a, b):
+        c, s = np.cos(yaw), np.sin(yaw)
+        ex = abs(c) * hl + abs(s) * hw
+        ez = abs(s) * hl + abs(c) * hw
+        lo.append((cx - ex, cz - ez))
+        hi.append((cx + ex, cz + ez))
+    x0, z0 = min(lo[0][0], lo[1][0]), min(lo[0][1], lo[1][1])
+    x1, z1 = max(hi[0][0], hi[1][0]), max(hi[0][1], hi[1][1])
+    xs = x0 + (np.arange(n_grid) + 0.5) * (x1 - x0) / n_grid
+    zs = z0 + (np.arange(n_grid) + 0.5) * (z1 - z0) / n_grid
+    return xs, zs, x0, (x1 - x0) / n_grid
+
+
 def raster_iou_pointwise(boxes_a, boxes_b, n_grid):
     """Footprint IoU per box pair by testing every lattice point.
 
@@ -263,24 +284,12 @@ def raster_iou_pointwise(boxes_a, boxes_b, n_grid):
     a point is inside a box when both of its local coordinates are within
     the half extents (edges count as inside).
     """
-
-    def extent(box):
-        cx, cz, hl, hw, yaw = box
-        c, s = np.cos(yaw), np.sin(yaw)
-        ex = abs(c) * hl + abs(s) * hw
-        ez = abs(s) * hl + abs(c) * hw
-        return cx - ex, cx + ex, cz - ez, cz + ez
-
     boxes_a = np.asarray(boxes_a, dtype=np.float64)
     boxes_b = np.asarray(boxes_b, dtype=np.float64)
     out = np.zeros(len(boxes_a))
     for p, (a, b) in enumerate(zip(boxes_a, boxes_b)):
-        ax0, ax1, az0, az1 = extent(a)
-        bx0, bx1, bz0, bz1 = extent(b)
-        x0, x1 = min(ax0, bx0), max(ax1, bx1)
-        z0, z1 = min(az0, bz0), max(az1, bz1)
-        px = (x0 + (np.arange(n_grid) + 0.5) * (x1 - x0) / n_grid)[None, :]
-        pz = (z0 + (np.arange(n_grid) + 0.5) * (z1 - z0) / n_grid)[:, None]
+        xs, zs, _, _ = _lattice(a, b, n_grid)
+        px, pz = xs[None, :], zs[:, None]
 
         def inside(box):
             cx, cz, hl, hw, yaw = box
@@ -295,6 +304,115 @@ def raster_iou_pointwise(boxes_a, boxes_b, n_grid):
         union = np.count_nonzero(in_a) + np.count_nonzero(in_b) - inter
         out[p] = inter / union if union > 0 else 0.0
     return out
+
+
+def _first_index(hit, guess, n):
+    """Per row, the smallest column j in [0, n] with hit(j) true.
+
+    hit maps one column index per row to a bool per row and must be
+    monotone along each row (false ... false, true ... true). A guess that
+    its left neighbour confirms is exact; rows where it is off are bisected.
+    """
+
+    def at(j):
+        return hit(np.minimum(j, n - 1))
+
+    ok_at = (guess == n) | at(guess)  # answer <= guess
+    ok_before = (guess == 0) | ~at(np.maximum(guess - 1, 0))  # answer >= guess
+    lo = np.where(ok_at, np.where(ok_before, guess, 0), guess + 1)
+    hi = np.where(ok_at, np.where(ok_before, guess, guess - 1), n)
+    active = lo < hi
+    while active.any():
+        mid = (lo + hi) // 2
+        h = at(mid)
+        hi = np.where(active & h, mid, hi)
+        lo = np.where(active & ~h, mid + 1, lo)
+        active = lo < hi
+    return lo
+
+
+def _row_spans(box, xs, x0, step, zs):
+    """Half-open column span [lo, hi) of the lattice points inside box, per row.
+
+    A point is inside when |c*dx - s*dz| <= hl and |s*dx + c*dz| <= hw. Each
+    of those is two half-planes, and along a row (fixed dz) each half-plane
+    holds on a prefix or a suffix of the columns, since the rounded local
+    coordinate is monotone in the column. Its end is first placed from the
+    line equation, then confirmed with the point predicate itself, so the
+    span is exactly the set a point-by-point test finds.
+    """
+    cx, cz, hl, hw, yaw = box
+    c, s = np.cos(yaw), np.sin(yaw)
+    n = xs.shape[0]
+    dz = zs - cz
+    lo = np.zeros(dz.shape, dtype=np.int64)
+    hi = np.full(dz.shape, n, dtype=np.int64)
+    for coef, half, local in (
+        (c, hl, lambda dx: c * dx - s * dz),
+        (s, hw, lambda dx: s * dx + c * dz),
+    ):
+        for sign in (1.0, -1.0):
+
+            def inside(j):
+                return sign * local(xs[j] - cx) <= half
+
+            if coef == 0.0:  # the half-plane is parallel to the rows
+                lo = np.where(inside(np.zeros_like(lo)), lo, n)
+                continue
+            # column where sign * local(dx) == half; NaN only on a zero-width lattice
+            col = np.nan_to_num((cx + (sign * half - local(0.0)) / coef - x0) / step - 0.5)
+            if sign * coef > 0.0:  # inside up to col: a prefix ends at the first miss
+                guess = np.clip(np.floor(col) + 1.0, 0, n).astype(np.int64)
+                hi = np.minimum(hi, _first_index(lambda j: ~inside(j), guess, n))
+            else:  # inside from col on: a suffix starts at the first hit
+                guess = np.clip(np.ceil(col), 0, n).astype(np.int64)
+                lo = np.maximum(lo, _first_index(inside, guess, n))
+    return lo, hi
+
+
+def raster_iou(boxes_a, boxes_b, n_grid):
+    """Monte-Carlo-free grid estimate of footprint IoU per box pair.
+
+    Boxes are (cx, cz, half_l, half_w, yaw) rows; an n_grid x n_grid lattice
+    of cell centers covers the joint bounding rectangle of each pair. The
+    points inside a box form one column interval per lattice row, so they
+    are counted per row by interval, not tested one by one: O(n_grid) per
+    pair. Independent of the polygon-clipping path, so it serves as its check.
+    """
+    boxes_a = np.asarray(boxes_a, dtype=np.float64)
+    boxes_b = np.asarray(boxes_b, dtype=np.float64)
+    out = np.zeros(boxes_a.shape[0], dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for p in range(boxes_a.shape[0]):
+            a, b = boxes_a[p], boxes_b[p]
+            xs, zs, x0, step = _lattice(a, b, n_grid)
+            lo_a, hi_a = _row_spans(a, xs, x0, step, zs)
+            lo_b, hi_b = _row_spans(b, xs, x0, step, zs)
+            n_a = np.maximum(hi_a - lo_a, 0).sum()
+            n_b = np.maximum(hi_b - lo_b, 0).sum()
+            inter = np.maximum(np.minimum(hi_a, hi_b) - np.maximum(lo_a, lo_b), 0).sum()
+            union = n_a + n_b - inter
+            out[p] = inter / union if union > 0 else 0.0
+    return out
+
+
+def raster_iou_reference(boxes_a, boxes_b, n_grid=2000):
+    """Grid-sampling estimate of footprint IoU, paired over two Box3D lists.
+
+    Completely independent of the clipping path: the points of an
+    n_grid x n_grid lattice over each pair's joint bounding rectangle that
+    lie inside each rotated rectangle, and inside both, are counted per
+    lattice row as one interval of columns, not tested one by one.
+    """
+
+    def rows(boxes):
+        # (cx, cz, half_l, half_w, yaw); dimensions are (h, w, l)
+        return [
+            (b.location[0], b.location[2], b.dimensions[2] / 2.0, b.dimensions[1] / 2.0, b.yaw)
+            for b in boxes
+        ]
+
+    return raster_iou(rows(boxes_a), rows(boxes_b), n_grid)
 
 
 def roi_align_pointwise(fmap, centers, sizes, image_index, stride, out_size):

@@ -22,7 +22,7 @@ from mono3d.backbone import Backbone, backbone_config
 from mono3d.cli import main
 from mono3d.errors import ParseError
 from mono3d.evaluation import DIFFICULTIES, OFFICIAL_IOU, RELAXED_IOU, ap_r40
-from mono3d.geometry import Box3D, box3d_corners, iou_3d, iou_bev, pair_iou, raster_iou_reference
+from mono3d.geometry import Box3D, box3d_corners, iou_3d, iou_bev, pair_iou
 from mono3d.gradcheck import run_suite
 from mono3d.heads import (
     CLASS_NAMES,
@@ -114,7 +114,7 @@ def test_criterion_03_rotated_iou_vs_raster_oracle():
         boxes_a.append(a)
         boxes_b.append(b)
     t0 = time.perf_counter()
-    raster = raster_iou_reference(boxes_a, boxes_b, n_grid=2000)
+    raster = oracles.raster_iou_reference(boxes_a, boxes_b, n_grid=2000)
     elapsed = time.perf_counter() - t0
     pairs = np.arange(len(boxes_a))
     analytic = pair_iou(boxes_a, boxes_b, pairs, pairs)[1]

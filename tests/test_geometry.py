@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mono3d import geometry, kernels
+from mono3d import geometry
 from mono3d.errors import DegenerateGeometryError
 from mono3d.geometry import (
     Box3D,
@@ -15,7 +15,6 @@ from mono3d.geometry import (
     iou_pairs,
     pair_iou,
     polygon_area,
-    raster_iou_reference,
 )
 
 import oracles
@@ -361,14 +360,14 @@ def test_iou_matches_raster_oracle():
         boxes_b.append(b)
     pairs = np.arange(len(boxes_a))
     analytic = pair_iou(boxes_a, boxes_b, pairs, pairs)[1]
-    raster = raster_iou_reference(boxes_a, boxes_b, n_grid=2000)
+    raster = oracles.raster_iou_reference(boxes_a, boxes_b, n_grid=2000)
     assert np.max(np.abs(analytic - raster)) < 2e-3
 
 
 def test_raster_oracle_45_degree_case():
     a = _box()
     b = _box(yaw=math.pi / 4)
-    est = raster_iou_reference([a], [b], n_grid=2000)[0]
+    est = oracles.raster_iou_reference([a], [b], n_grid=2000)[0]
     assert abs(est - 0.70711) < 1e-3
 
 
@@ -408,9 +407,9 @@ def test_raster_scanline_counts_equal_pointwise_oracle():
     boxes_b = np.vstack([boxes_b, shared[1::2]])
     for n_grid in (1, 3, 7, 64, 257):
         want = oracles.raster_iou_pointwise(boxes_a, boxes_b, n_grid)
-        got = kernels.raster_iou(boxes_a, boxes_b, n_grid)
+        got = oracles.raster_iou(boxes_a, boxes_b, n_grid)
         assert np.array_equal(got, want), n_grid
         if n_grid >= 64:
             assert np.any(want[:n] > 0.0) and np.any(want[:n] == 0.0)
     # an odd lattice puts a column exactly on the shared x edge: IoU 3 / 9
-    assert kernels.raster_iou(shared[0:1], shared[1:2], 3)[0] == 1.0 / 3.0
+    assert oracles.raster_iou(shared[0:1], shared[1:2], 3)[0] == 1.0 / 3.0

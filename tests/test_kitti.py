@@ -289,6 +289,22 @@ def test_written_alpha_consistent_with_yaw():
         assert compute_alpha(det.yaw, x, z) == pytest.approx(expected, abs=1e-12)
 
 
+def test_compute_alpha_equals_scalar_ceil_formula():
+    # the math.ceil formula compute_alpha held before it called wrap_angle
+    def scalar(yaw, x, z):
+        a = yaw - math.atan2(x, z)
+        return a - 2.0 * math.pi * math.ceil((a - math.pi) / (2.0 * math.pi))
+
+    rng = np.random.default_rng(31)
+    cases = rng.uniform((-4 * math.pi, -30.0, -5.0), (4 * math.pi, 30.0, 60.0), (10000, 3)).tolist()
+    # exact multiples of pi, with atan2 giving 0, -0.0, pi and +-pi/2
+    axes = ((0.0, 1.0), (0.0, -1.0), (-0.0, 5.0), (0.0, 0.0), (3.0, 0.0), (-3.0, 0.0))
+    cases += [(k * math.pi, x, z) for k in range(-6, 7) for x, z in axes]
+    for yaw, x, z in cases:
+        got, want = compute_alpha(yaw, x, z), scalar(yaw, x, z)
+        assert type(got) is float and got.hex() == want.hex(), (yaw, x, z)
+
+
 def test_behind_camera_excluded_with_diagnostic():
     calib = _calib()
     drops = {}

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -297,6 +298,16 @@ def test_checkpoint_layout_matches_manifest(tmp_path):
         assert np.array_equal(got, params[name].data.astype("<f4"))
 
 
+def test_desk_checkpoint_layout_pinned(desk):
+    # sha256 of the sorted (name, shape) list: any renamed or resized
+    # parameter changes it, and old desk checkpoints would stop loading
+    layout = sorted((name, list(p.shape)) for name, p in desk.named_parameters())
+    digest = hashlib.sha256(json.dumps(layout).encode("ascii")).hexdigest()
+    assert digest == "f77147aa770034387ae9dd8ee4b3d7fad163c1cfafade9092b1b4cd255c80c9a"
+    assert len(layout) == 144
+    assert desk.num_parameters() == 608877
+
+
 def test_checkpoint_variant_mismatch_names_both(tmp_path):
     path = tmp_path / "v.ckpt"
     save_checkpoint(path, Detector(_tiny_config("tiny_a"), seed=0))
@@ -348,3 +359,29 @@ def test_checkpoint_tampered_manifest_rejected(tmp_path):
     side.write_text(json.dumps(bad))
     with pytest.raises(UsageError, match="missing.*unexpected"):
         load_checkpoint(path, det)
+
+    # offsets must tile the file in offset order, and malformed manifests
+    # are rejected by name rather than loaded or crashed on
+    at_other = manifest["params"]["heads2d.heat.conv1.bias"]["offset"]
+    edits = [
+        lambda m, e: e.update(offset=-100),
+        lambda m, e: e.update(offset=at_other),  # two entries at one offset
+        lambda m, e: e.update(offset=float(e["offset"])),
+        lambda m, e: e.update(offset=True),
+        lambda m, e: e.update(shape=[float(d) for d in e["shape"]]),
+        lambda m, e: m.pop("params"),
+        lambda m, e: m.pop("variant"),
+        lambda m, e: m.update(total_elements=m["total_elements"] + 8),
+    ]
+    for edit in edits:
+        bad = json.loads(json.dumps(manifest))
+        edit(bad, bad["params"]["neck.fuses.0.conv.bias"])
+        side.write_text(json.dumps(bad))
+        with pytest.raises(UsageError, match="x.ckpt.json"):
+            load_checkpoint(path, det)
+    for text in ("{not json", "[1, 2]", "\xff"):
+        side.write_text(text, encoding="latin-1")
+        with pytest.raises(UsageError, match="x.ckpt.json"):
+            load_checkpoint(path, det)
+    side.write_text(json.dumps(manifest))
+    load_checkpoint(path, det)

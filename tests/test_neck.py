@@ -4,7 +4,7 @@ import pytest
 from mono3d import tensor as T
 from mono3d.backbone import Backbone, backbone_config
 from mono3d.errors import ConfigError, DimensionError, UsageError
-from mono3d.neck import ChannelNorm, Neck, NeckConfig
+from mono3d.neck import ChannelNorm, Neck
 from mono3d.tensor import Tensor
 
 DESK_CH = (16, 32, 64, 128)
@@ -17,7 +17,7 @@ def _pyramid(rng, n=1, h=16, w=32):
 
 def test_output_shape_stride4():
     rng = np.random.default_rng(0)
-    neck = Neck(DESK_CH, NeckConfig(), np.random.default_rng(1))
+    neck = Neck(DESK_CH, np.random.default_rng(1))
     with T.no_grad():
         out = neck(_pyramid(rng))
     assert out.shape == (1, 64, 16, 32)
@@ -30,7 +30,7 @@ def test_output_shape_with_ceil_parity():
         Tensor(rng.normal(size=(1, c, h, w)))
         for c, (h, w) in zip(DESK_CH, [(17, 33), (9, 17), (5, 9), (3, 5)])
     ]
-    neck = Neck(DESK_CH, NeckConfig(), np.random.default_rng(3))
+    neck = Neck(DESK_CH, np.random.default_rng(3))
     with T.no_grad():
         out = neck(feats)
     assert out.shape == (1, 64, 17, 33)
@@ -42,7 +42,7 @@ def test_all_zero_features_zero_output():
         Tensor(np.zeros((2, c, h, w)))
         for c, (h, w) in zip(DESK_CH, [(8, 8), (4, 4), (2, 2), (1, 1)])
     ]
-    neck = Neck(DESK_CH, NeckConfig(), np.random.default_rng(4))
+    neck = Neck(DESK_CH, np.random.default_rng(4))
     with T.no_grad():
         out = neck(feats)
     assert np.array_equal(out.data, np.zeros((2, 64, 8, 8)))
@@ -52,7 +52,7 @@ def test_zeroed_deep_levels_reduce_to_level1_path():
     # with f2..f4 zero the deep path contributes exactly zero, so the output
     # must equal fuse1(proj1(f1)) computed directly from the same submodules
     rng = np.random.default_rng(5)
-    neck = Neck(DESK_CH, NeckConfig(), np.random.default_rng(6))
+    neck = Neck(DESK_CH, np.random.default_rng(6))
     f1 = Tensor(rng.normal(size=(1, 16, 8, 8)))
     feats = [
         f1,
@@ -66,55 +66,21 @@ def test_zeroed_deep_levels_reduce_to_level1_path():
     assert np.array_equal(out.data, direct.data)
 
 
-def test_slice_is_identity_at_64():
-    rng = np.random.default_rng(7)
-    neck = Neck(DESK_CH, NeckConfig(out_channels=64, slice_channels=64), np.random.default_rng(8))
-    feats = _pyramid(rng)
-    with T.no_grad():
-        assert np.array_equal(neck(feats).data, neck.aggregate(feats).data)
-
-
-def test_slice_keeps_first_channels_bitwise():
-    rng = np.random.default_rng(9)
-    neck = Neck(DESK_CH, NeckConfig(out_channels=128, slice_channels=64), np.random.default_rng(10))
-    feats = _pyramid(rng)
-    with T.no_grad():
-        agg = neck.aggregate(feats)
-        out = neck(feats)
-    assert out.shape[1] == 64
-    assert np.array_equal(out.data, agg.data[:, :64])
-
-
-def test_sliced_away_fusion_weights_get_zero_grad():
-    rng = np.random.default_rng(11)
-    neck = Neck(DESK_CH, NeckConfig(out_channels=128, slice_channels=64), np.random.default_rng(12))
-    out = neck(_pyramid(rng, h=8, w=8))
-    T.backward(T.sum_(out * out))
-    final_w = neck.fuses[0].conv.weight
-    final_b = neck.fuses[0].conv.bias
-    assert final_w.grad is not None
-    assert np.all(final_w.grad[64:] == 0.0)
-    assert np.all(final_b.grad[64:] == 0.0)
-    assert np.any(final_w.grad[:64] != 0.0)
-
-
 def test_config_validation():
     with pytest.raises(ConfigError):
-        Neck(DESK_CH, NeckConfig(out_channels=32, slice_channels=64), np.random.default_rng(0))
-    with pytest.raises(ConfigError):
-        Neck((16, 32, 64), NeckConfig(), np.random.default_rng(0))
+        Neck((16, 32, 64), np.random.default_rng(0))
 
 
 def test_missing_level_rejected():
     rng = np.random.default_rng(13)
-    neck = Neck(DESK_CH, NeckConfig(), np.random.default_rng(14))
+    neck = Neck(DESK_CH, np.random.default_rng(14))
     with pytest.raises(UsageError):
         neck(_pyramid(rng)[:3])
 
 
 def test_non_halving_dims_rejected():
     rng = np.random.default_rng(15)
-    neck = Neck(DESK_CH, NeckConfig(), np.random.default_rng(16))
+    neck = Neck(DESK_CH, np.random.default_rng(16))
     feats = _pyramid(rng)
     feats[2] = Tensor(rng.normal(size=(1, 64, 5, 8)))
     with pytest.raises(DimensionError):
@@ -132,12 +98,12 @@ def test_channel_norm_normalizes_per_pixel():
 
 def test_neck_grad_check():
     rng = np.random.default_rng(18)
-    neck = Neck((4, 8, 8, 8), NeckConfig(out_channels=8, slice_channels=4), np.random.default_rng(19))
+    neck = Neck((4, 8, 8, 8), np.random.default_rng(19), width=8)
     feats = [
         Tensor(rng.normal(size=(1, c, h, w)))
         for c, (h, w) in zip((4, 8, 8, 8), [(8, 8), (4, 4), (2, 2), (1, 1)])
     ]
-    probe = Tensor(np.random.default_rng(20).normal(size=(1, 4, 8, 8)))
+    probe = Tensor(np.random.default_rng(20).normal(size=(1, 8, 8, 8)))
     x = feats[0]
     x.requires_grad = True
 
@@ -153,7 +119,7 @@ def test_neck_grad_check():
 
 def test_backbone_to_neck_end_to_end_shape():
     bb = Backbone(backbone_config("desk"), np.random.default_rng(23))
-    neck = Neck(DESK_CH, NeckConfig(), np.random.default_rng(24))
+    neck = Neck(DESK_CH, np.random.default_rng(24))
     x = Tensor(np.random.default_rng(25).normal(size=(1, 3, 64, 128)))
     with T.no_grad():
         out = neck(bb(x))
