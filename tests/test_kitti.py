@@ -290,7 +290,7 @@ def test_written_alpha_consistent_with_yaw():
 
 
 def test_compute_alpha_equals_scalar_ceil_formula():
-    # the math.ceil formula compute_alpha held before it called wrap_angle
+    # an independent scalar reference: Python floats and math.ceil, no numpy
     def scalar(yaw, x, z):
         a = yaw - math.atan2(x, z)
         return a - 2.0 * math.pi * math.ceil((a - math.pi) / (2.0 * math.pi))
