@@ -35,10 +35,13 @@ def build_workloads(quick):
     rng = np.random.default_rng(0)
     scale = 2 if quick else 1
 
-    n, c, hp, wp = 4, 32, 66 // scale + 2, 66 // scale + 2
-    oh = ow = hp - 2
+    # the toy step's hot conv input, 8 x 64 x 16 x 24, padded by 1 for a 3x3
+    # kernel; col2im serves only strided convs, so it scatters a stride-2 one
+    n, c, h, w = 8, 64, 16 // scale, 24 // scale
+    hp, wp = h + 2, w + 2
     xp = rng.normal(size=(n, c, hp, wp))
-    cols = rng.normal(size=(n, c, 9, oh * ow))
+    oh2, ow2 = (hp - 3) // 2 + 1, (wp - 3) // 2 + 1
+    cols = rng.normal(size=(c * 9, n * oh2 * ow2))
 
     # the neck's largest toy-step resize: 8 x 64 x 8 x 12 -> 16 x 24
     gh, gw = 8 // scale, 12 // scale
@@ -53,8 +56,8 @@ def build_workloads(quick):
     rout = rng.normal(size=(16, 64, 7, 7))
 
     return [
-        ("im2col", lambda: kernels.im2col(xp, 3, 3, 1, 1, oh, ow)),
-        ("col2im", lambda: kernels.col2im(cols, hp, wp, 3, 3, 1, 1, oh, ow)),
+        ("im2col", lambda: kernels.im2col(xp, 3, 3, 1, 1, h, w)),
+        ("col2im", lambda: kernels.col2im(cols, hp, wp, 3, 3, 2, 2, oh2, ow2)),
         ("bilinear_gather", lambda: kernels.bilinear_gather(feat, wy, wx)),
         ("bilinear_scatter", lambda: kernels.bilinear_scatter(gout, wy, wx)),
         ("roi_gather", lambda: kernels.roi_gather(rmap, *rois)),

@@ -1,8 +1,11 @@
 """Hot numeric kernels, one numpy implementation each.
 
-im2col/col2im carry conv2d forward and backward. bilinear_gather and
-bilinear_scatter are the resize `wy @ x @ wx.T` and its adjoint
-`wy.T @ g @ wx` for the interpolation matrices of
+im2col and col2im carry the dense conv2d in one 2-D layout,
+[C*kh*kw, N*oh*ow]: im2col builds the patch matrix of the forward and of
+the stride-1 input gradient, and col2im, its adjoint, serves only the
+input gradient of strided convs. Depthwise convs use neither.
+bilinear_gather and bilinear_scatter are the resize `wy @ x @ wx.T` and
+its adjoint `wy.T @ g @ wx` for the interpolation matrices of
 `tensor.bilinear_resize`; they keep their names because perfbench wraps
 them by name. roi_gather and roi_scatter carry the batched RoI-align and
 its adjoint.
@@ -22,27 +25,37 @@ def active_backend():
 
 
 def im2col(xp, kh, kw, sh, sw, oh, ow):
-    """Patch matrix [N, C, kh*kw, oh*ow] from padded input [N, C, Hp, Wp]."""
-    n, c, hp, wp = xp.shape
+    """Channel-major patch matrix [C*kh*kw, N*oh*ow] of padded input [N, C, Hp, Wp].
+
+    Row (c, i, j) holds tap (i, j) of channel c; column (n, y, x) is output
+    pixel (y, x) of image n. So a dense conv forward is the one GEMM
+    W[O, C*kh*kw] @ cols. Any strides of xp work, so a transposed view
+    can be passed without a copy.
+    """
+    n, c, _, _ = xp.shape
     sn, sc, sy, sx = xp.strides
     view = np.lib.stride_tricks.as_strided(
         xp,
-        shape=(n, c, kh, kw, oh, ow),
-        strides=(sn, sc, sy, sx, sy * sh, sx * sw),
+        shape=(c, kh, kw, n, oh, ow),
+        strides=(sc, sy, sx, sn, sy * sh, sx * sw),
         writeable=False,
     )
-    return np.ascontiguousarray(view.reshape(n, c, kh * kw, oh * ow))
+    return np.ascontiguousarray(view).reshape(c * kh * kw, n * oh * ow)
 
 
 def col2im(cols, hp, wp, kh, kw, sh, sw, oh, ow):
-    """Scatter-add inverse of im2col; returns padded-input gradient."""
-    n, c = cols.shape[0], cols.shape[1]
-    xp = np.zeros((n, c, hp, wp), dtype=cols.dtype)
-    cols6 = cols.reshape(n, c, kh, kw, oh, ow)
+    """Adjoint of im2col: [C*kh*kw, N*oh*ow] -> padded-input gradient [N, C, Hp, Wp].
+
+    Adds the kh*kw shifted tap slices in place into a channel-major
+    buffer and returns it as an NCHW view (not contiguous).
+    """
+    c, n = cols.shape[0] // (kh * kw), cols.shape[1] // (oh * ow)
+    xp = np.zeros((c, n, hp, wp), dtype=cols.dtype)
+    cols6 = cols.reshape(c, kh, kw, n, oh, ow)
     for i in range(kh):
         for j in range(kw):
-            xp[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw] += cols6[:, :, i, j]
-    return xp
+            xp[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw] += cols6[:, i, j]
+    return xp.transpose(1, 0, 2, 3)
 
 
 def bilinear_gather(x, wy, wx):

@@ -206,15 +206,18 @@ def save_checkpoint(path, detector):
 
 def _read_manifest(path):
     """Checkpoint `path`'s manifest, checked to hold every field
-    load_checkpoint reads, with non-negative integer offsets, dims and
-    total; UsageError naming the manifest otherwise."""
+    load_checkpoint reads, with dtype CHECKPOINT_DTYPE and non-negative
+    integer offsets, dims and total; UsageError naming the manifest
+    otherwise."""
     mpath = manifest_path(path)
     with open(mpath, "r", encoding="ascii") as fh:
         try:
             manifest = json.load(fh)
-            absent = {"format", "variant", "use_attention", "num_classes"} - set(manifest)
+            absent = {"format", "dtype", "variant", "use_attention", "num_classes"} - set(manifest)
             if absent:
                 raise KeyError(sorted(absent))
+            if manifest["dtype"] != CHECKPOINT_DTYPE:
+                raise ValueError(f"dtype {manifest['dtype']!r} is not {CHECKPOINT_DTYPE!r}")
             counts = [manifest["total_elements"]]
             for entry in manifest["params"].values():
                 counts += [entry["offset"], *entry["shape"]]

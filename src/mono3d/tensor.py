@@ -443,48 +443,141 @@ def layer_norm(x, gamma, beta, eps=1e-6):
 
 
 def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1):
-    """2-D cross-correlation, NCHW layout, weight [O, C/groups, kH, kW]."""
+    """2-D cross-correlation, NCHW layout, weight [O, C/groups, kH, kW].
+
+    groups is 1 (dense) or C == O (depthwise, weight [C, 1, kH, kW]); any
+    other value raises DimensionError.
+
+    Dense: the forward, gW and gx are one 2-D GEMM each over im2col patch
+    matrices [C*kh*kw, N*oh*ow] (Chellapilla et al., 2006). At stride 1,
+    gx is the correlation of the zero-padded output gradient with the
+    flipped, channel-transposed kernel (Dumoulin & Visin, 2016), so only
+    strided convs scatter through col2im. Depthwise: kh*kw shifted
+    multiply-adds for the forward and, on the same correlation, for gx;
+    one reduction per tap for gW.
+    """
     if x.ndim != 4 or weight.ndim != 4:
         raise DimensionError("conv2d expects 4-D input and weight")
     if stride < 1 or padding < 0:
         raise UsageError("conv2d needs stride >= 1 and padding >= 0")
-    n, c, h, w = x.shape
+    _, c, h, w = x.shape
     o, cg, kh, kw = weight.shape
-    if c % groups or o % groups or cg != c // groups:
+    if groups == 1 and cg == c:
+        conv = _conv2d_dense
+    elif groups == c == o and cg == 1:
+        conv = _conv2d_depthwise
+    else:
         raise DimensionError(
-            f"channel/group mismatch: input C={c}, weight {weight.shape}, groups={groups}"
+            f"conv2d takes groups=1 or depthwise groups=C=O with weight [C, 1, kH, kW]; "
+            f"got groups={groups}, input C={c}, weight {weight.shape}"
         )
     oh = (h + 2 * padding - kh) // stride + 1
     ow = (w + 2 * padding - kw) // stride + 1
     if oh < 1 or ow < 1:
         raise DimensionError(f"kernel {kh}x{kw} does not fit {h}x{w} input with padding {padding}")
-
-    if padding:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    else:
-        xp = x.data
-    cols = kernels.im2col(xp, kh, kw, stride, stride, oh, ow)
-    og = o // groups
-    cols_g = cols.reshape(n, groups, cg * kh * kw, oh * ow)
-    w_mat = weight.data.reshape(groups, og, cg * kh * kw)
-    out = np.matmul(w_mat[None], cols_g).reshape(n, o, oh, ow)
-    if bias is not None:
-        out = out + bias.data[None, :, None, None]
-    hp, wp = xp.shape[2], xp.shape[3]
-
-    def vjp(g):
-        g_mat = g.reshape(n, groups, og, oh * ow)
-        gw = np.matmul(g_mat, np.swapaxes(cols_g, -1, -2)).sum(axis=0).reshape(weight.shape)
-        gcols = np.matmul(np.swapaxes(w_mat, -1, -2)[None], g_mat)
-        gxp = kernels.col2im(
-            gcols.reshape(n, c, kh * kw, oh * ow), hp, wp, kh, kw, stride, stride, oh, ow
-        )
-        gx = gxp[:, :, padding : padding + h, padding : padding + w] if padding else gxp
-        gb = g.sum(axis=(0, 2, 3)) if bias is not None else None
-        return (np.ascontiguousarray(gx), gw) + ((gb,) if bias is not None else ())
-
+    b = None if bias is None else bias.data
+    out, vjp = conv(x.data, weight.data, b, stride, padding, oh, ow)
     inputs = (x, weight) + ((bias,) if bias is not None else ())
     return _record("conv2d", out, inputs, vjp)
+
+
+def _spread(a, shape, top, left, step=1):
+    """Zeros of `shape` holding a[..., y, x] at (top + step*y, left + step*x).
+
+    With step 1 this zero-pads; a itself comes back when it already has
+    `shape`.
+    """
+    if a.shape == shape:
+        return a
+    out = np.zeros(shape, dtype=a.dtype)
+    h, w = a.shape[-2:]
+    out[..., top : top + step * h : step, left : left + step * w : step] = a
+    return out
+
+
+def _gradient_frame(g, kh, kw, stride, padding, h, w):
+    """The output gradient laid out so that a stride-1 correlation with the
+    flipped kernel yields gx [.., h, w].
+
+    g[y, x] sits at (kh - 1 - padding + stride*y, kw - 1 - padding + stride*x)
+    of an [h + kh - 1, w + kw - 1] zero frame; rows and columns that fall
+    outside (padding > k - 1) see only padding, so they are left out.
+    """
+    n, c, oh, ow = g.shape
+    hf = max(padding + h, stride * (oh - 1) + 1) + kh - 1
+    wf = max(padding + w, stride * (ow - 1) + 1) + kw - 1
+    frame = _spread(g, (n, c, hf, wf), kh - 1, kw - 1, stride)
+    return frame[:, :, padding : padding + h + kh - 1, padding : padding + w + kw - 1]
+
+
+def _nchw(m, n, h, w, b):
+    """[O, N*h*w] GEMM result -> contiguous [N, O, h, w], plus bias b if given."""
+    view = m.reshape(-1, n, h, w).transpose(1, 0, 2, 3)
+    if b is None:
+        return np.ascontiguousarray(view)
+    return np.add(view, b[:, None, None], out=np.empty(view.shape, dtype=m.dtype))
+
+
+def _conv2d_dense(x, wt, b, stride, padding, oh, ow):
+    """Output and vjp of a groups=1 conv: forward, gW and gx are 2-D GEMMs."""
+    n, c, h, w = x.shape
+    o, _, kh, kw = wt.shape
+    hp, wp = h + 2 * padding, w + 2 * padding
+    cols = kernels.im2col(_spread(x, (n, c, hp, wp), padding, padding), kh, kw, stride, stride, oh, ow)
+    w2 = wt.reshape(o, c * kh * kw)
+    out = _nchw(w2 @ cols, n, oh, ow, b)
+
+    def vjp(g):
+        g2 = g.transpose(1, 0, 2, 3).reshape(o, n * oh * ow)
+        gw = (g2 @ cols.T).reshape(wt.shape)
+        if stride == 1:
+            frame = _gradient_frame(g, kh, kw, 1, padding, h, w)
+            w_flip = wt[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, o * kh * kw)
+            gx = _nchw(w_flip @ kernels.im2col(frame, kh, kw, 1, 1, h, w), n, h, w, None)
+        else:
+            gxp = kernels.col2im(w2.T @ g2, hp, wp, kh, kw, stride, stride, oh, ow)
+            gx = np.ascontiguousarray(gxp[:, :, padding : padding + h, padding : padding + w])
+        return (gx, gw) if b is None else (gx, gw, g2.sum(axis=1))
+
+    return out, vjp
+
+
+def _tap(a, i, j, stride, oh, ow):
+    """The [.., oh, ow] window a[.., stride*y + i, stride*x + j] read by tap (i, j)."""
+    return a[..., i : i + stride * oh : stride, j : j + stride * ow : stride]
+
+
+def _shift_madd(src, wt, oh, ow, stride=1):
+    """Depthwise correlation as kh*kw shifted multiply-adds:
+    out[n, c, y, x] = sum over taps (i, j) of wt[c, 0, i, j] * _tap(src, i, j)[n, c, y, x]."""
+    kh, kw = wt.shape[2:]
+    out = np.multiply(_tap(src, 0, 0, stride, oh, ow), wt[:, 0, 0, 0, None, None])
+    term = np.empty_like(out)
+    for k in range(1, kh * kw):
+        i, j = divmod(k, kw)
+        out += np.multiply(_tap(src, i, j, stride, oh, ow), wt[:, 0, i, j, None, None], out=term)
+    return out
+
+
+def _conv2d_depthwise(x, wt, b, stride, padding, oh, ow):
+    """Output and vjp of a depthwise conv (groups == C == O, weight [C, 1, kh, kw])."""
+    n, c, h, w = x.shape
+    kh, kw = wt.shape[2:]
+    xp = _spread(x, (n, c, h + 2 * padding, w + 2 * padding), padding, padding)
+    out = _shift_madd(xp, wt, oh, ow, stride)
+    if b is not None:
+        out += b[:, None, None]
+
+    def vjp(g):
+        frame = _gradient_frame(g, kh, kw, stride, padding, h, w)
+        gx = _shift_madd(frame, wt[:, :, ::-1, ::-1], h, w)
+        gw = np.empty_like(wt)
+        for i in range(kh):
+            for j in range(kw):
+                gw[:, 0, i, j] = np.einsum("nchw,nchw->c", g, _tap(xp, i, j, stride, oh, ow))
+        return (gx, gw) if b is None else (gx, gw, g.sum(axis=(0, 2, 3)))
+
+    return out, vjp
 
 
 def _bilinear_axis(src, limit):

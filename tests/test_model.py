@@ -371,6 +371,9 @@ def test_checkpoint_tampered_manifest_rejected(tmp_path):
         lambda m, e: e.update(shape=[float(d) for d in e["shape"]]),
         lambda m, e: m.pop("params"),
         lambda m, e: m.pop("variant"),
+        lambda m, e: m.pop("dtype"),
+        lambda m, e: m.update(dtype=">f8"),
+        lambda m, e: m.update(dtype="<f8"),
         lambda m, e: m.update(total_elements=m["total_elements"] + 8),
     ]
     for edit in edits:

@@ -76,6 +76,50 @@ def test_conv2d_nonfinite_input_raises():
         T.conv2d(x, w)
 
 
+# (x shape, weight shape, stride, padding, groups): every conv2d branch
+CONV_CASES = {
+    "s1_p0": ((2, 3, 6, 7), (4, 3, 3, 3), 1, 0, 1),
+    "s1_p1": ((2, 3, 6, 7), (4, 3, 3, 3), 1, 1, 1),
+    "1x1_p1": ((2, 3, 5, 4), (4, 3, 1, 1), 1, 1, 1),  # padding > k-1
+    "3x3_s2_p1": ((2, 3, 7, 8), (4, 3, 3, 3), 2, 1, 1),
+    "7x7_s4_p3": ((1, 3, 13, 18), (4, 3, 7, 7), 4, 3, 1),  # the stem
+    "2x2_s2": ((2, 3, 7, 9), (4, 3, 2, 2), 2, 0, 1),  # k == s spatial reduction
+    "dw_s1_p1": ((2, 4, 6, 7), (4, 1, 3, 3), 1, 1, 4),
+    "dw_s2_p1": ((2, 4, 7, 8), (4, 1, 3, 3), 2, 1, 4),
+    "dw_s2_p0": ((2, 4, 8, 9), (4, 1, 3, 3), 2, 0, 4),  # last row and column unread
+    "dw_1x1_p1": ((2, 4, 5, 4), (4, 1, 1, 1), 1, 1, 4),  # padding > k-1
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONV_CASES))
+def test_conv2d_forward_and_adjoint_gradients(case):
+    """Forward matches the direct loops; gx and gW satisfy the adjoint
+    identities <conv(x, w), g> = <x, gx> = <w, gW> (conv is linear in each
+    of x and w), and gb is g summed over N, H, W."""
+    xs, ws, stride, padding, groups = CONV_CASES[case]
+    rng = np.random.default_rng(sorted(CONV_CASES).index(case))
+    x, w = rt(rng, *xs), rt(rng, *ws)
+    b = rt(rng, ws[0])
+    expected = oracles.conv2d_direct(x.data, w.data, b.data, stride, padding, groups)
+    out = T.conv2d(x, w, b, stride=stride, padding=padding, groups=groups)
+    assert out.shape == expected.shape
+    assert np.max(np.abs(out.data - expected)) < 1e-10
+
+    g = rng.uniform(-1, 1, out.shape)
+    T.backward(T.sum_(out * Tensor(g)))
+    linear = np.sum((expected - b.data[:, None, None]) * g)
+    scale = np.sum(np.abs(expected) * np.abs(g)) + 1.0
+    assert abs(np.sum(x.data * x.grad) - linear) < 1e-10 * scale
+    assert abs(np.sum(w.data * w.grad) - linear) < 1e-10 * scale
+    assert np.max(np.abs(b.grad - g.sum(axis=(0, 2, 3)))) < 1e-10
+
+
+def test_conv2d_rejects_groups_other_than_1_or_depthwise():
+    x = Tensor(np.zeros((1, 4, 5, 5)))
+    with pytest.raises(DimensionError, match="groups"):
+        T.conv2d(x, Tensor(np.zeros((4, 2, 3, 3))), padding=1, groups=2)
+
+
 # ---------------------------------------------------------------------------
 # matmul
 # ---------------------------------------------------------------------------
