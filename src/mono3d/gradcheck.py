@@ -173,7 +173,7 @@ def _check_conv2d(rng):
     wd = _t(rng, 2, 1, 3, 3)
     r3 = _t(rng, 1, 2, 5, 5)
     worst = max(worst, grad_check(_projected(lambda a: T.conv2d(a, wd, None, stride=1, padding=1, groups=2), r3), x, eps=EPS))
-    # 1x1 with padding 1 > k-1: the stride-1 input gradient crops the output gradient
+    # 1x1 with padding 1 > k-1: the output gradient's border rows see only padding
     w1, r4 = _t(rng, 3, 2, 1, 1), _t(rng, 1, 3, 7, 7)
     worst = max(worst, grad_check(_projected(lambda a: T.conv2d(a, w1, bias, stride=1, padding=1), r4), x, eps=EPS))
     # k == s, as in the attention's spatial reduction: non-overlapping col2im

@@ -29,8 +29,8 @@ def im2col(xp, kh, kw, sh, sw, oh, ow):
 
     Row (c, i, j) holds tap (i, j) of channel c; column (n, y, x) is output
     pixel (y, x) of image n. So a dense conv forward is the one GEMM
-    W[O, C*kh*kw] @ cols. Any strides of xp work, so a transposed view
-    can be passed without a copy.
+    W[O, C*kh*kw] @ cols. Any strides of xp work, so a sliced view can
+    be passed without a copy.
     """
     n, c, _, _ = xp.shape
     sn, sc, sy, sx = xp.strides
