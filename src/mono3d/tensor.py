@@ -530,7 +530,7 @@ def _conv2d_dense(x, wt, b, stride, padding, oh, ow):
     def vjp(g):
         g2 = g.transpose(1, 0, 2, 3).reshape(o, n * oh * ow)
         gw = (g2 @ cols.T).reshape(wt.shape)
-        if stride == 1:
+        if stride == 1:  # beats col2im here: BENCH_conv_gemm.json, stride1_gx_ablation
             frame = _gradient_frame(g, kh, kw, 1, padding, h, w)
             w_flip = wt[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, o * kh * kw)
             gx = _nchw(w_flip @ kernels.im2col(frame, kh, kw, 1, 1, h, w), n, h, w, None)
