@@ -31,7 +31,7 @@ from .errors import (
     UsageError,
 )
 from .evaluation import OFFICIAL_IOU, RELAXED_IOU, EvalConfig, evaluate_split
-from .geometry import box3d_corners, Box3D
+from .geometry import box3d_corners
 from .gradcheck import run_suite
 from .heads import CLASS_NAMES
 from .kitti import parse_calib_file, read_ppm, write_calib, write_labels, write_ppm, write_predictions
@@ -85,9 +85,8 @@ def draw_wireframe(image, corners_px, color):
 def render_overlay(image, dets, calib):
     """Projected 3D wireframes for every detection over a copy of the image."""
     out = np.array(image, dtype=np.uint8, copy=True)
-    for det in dets:
-        box = Box3D(location=det.location, dimensions=det.dimensions, yaw=det.yaw)
-        corners = box3d_corners(box)
+    rows = [(*det.location, *det.dimensions, det.yaw) for det in dets]
+    for det, corners in zip(dets, box3d_corners(rows)):
         if np.any(corners[:, 2] <= 0.0):
             continue
         pix, _ = calib.project(corners)

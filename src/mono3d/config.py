@@ -11,6 +11,7 @@ settings down to the synthetic desk regime.
 """
 
 import json
+import math
 
 from .errors import ConfigError
 
@@ -71,6 +72,8 @@ def _check_value(key, value):
     if isinstance(default, (int, float)):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"config key {key!r} wants a number, got {value!r}")
+        if not math.isfinite(value):
+            raise ConfigError(f"config key {key!r} wants a finite number, got {value!r}")
         if isinstance(default, int):
             if not float(value).is_integer():
                 raise ConfigError(f"config key {key!r} wants an integer, got {value!r}")

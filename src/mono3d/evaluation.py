@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .geometry import Box3D, pair_iou
+from .geometry import pair_iou
 # unused here; perfbench/spans.py wraps evaluation.iou_3d / iou_bev by name
 from .geometry import iou_3d, iou_bev
 from .heads import CLASS_NAMES
@@ -74,10 +74,6 @@ class EvalConfig:
                     )
 
 
-def _box_of(rec):
-    return Box3D(location=rec.location, dimensions=rec.dimensions, yaw=rec.rotation_y)
-
-
 @dataclass(frozen=True)
 class _ClassData:
     """One class's matching inputs, shared by every report cell.
@@ -104,8 +100,8 @@ def _prepare(predictions, ground_truth, classes):
     """
     images = sorted(set(predictions) | set(ground_truth))
     prepared = {}
-    boxes_a, boxes_b, gt_index, ia, ib = [], [], [], [], []
-    lists = {metric: [] for metric in METRICS}  # per prediction in boxes_a
+    rows_a, rows_b, gt_index, ia, ib = [], [], [], [], []
+    lists = {metric: [] for metric in METRICS}  # per prediction in rows_a
     for cls in classes:
         flat, levels, candidates = [], {}, {}
         for img in images:
@@ -117,19 +113,19 @@ def _prepare(predictions, ground_truth, classes):
                 flat.append((img, idx, rec.score))
             levels[img] = [_LEVEL[assign_difficulty(rec)] for rec in gts]
             if preds and gts:
-                ia.append(np.repeat(np.arange(len(preds)) + len(boxes_a), len(gts)))
-                ib.append(np.tile(np.arange(len(gts)) + len(boxes_b), len(preds)))
+                ia.append(np.repeat(np.arange(len(preds)) + len(rows_a), len(gts)))
+                ib.append(np.tile(np.arange(len(gts)) + len(rows_b), len(preds)))
                 candidates[img] = {metric: [[] for _ in preds] for metric in METRICS}
                 for metric in METRICS:
                     lists[metric].extend(candidates[img][metric])
-                boxes_a.extend(_box_of(r) for r in preds)
-                boxes_b.extend(_box_of(r) for r in gts)
+                rows_a.extend((*r.location, *r.dimensions, r.rotation_y) for r in preds)
+                rows_b.extend((*r.location, *r.dimensions, r.rotation_y) for r in gts)
                 gt_index.extend(range(len(gts)))
         flat.sort(key=lambda item: -item[2])  # stable: ties keep input order
         prepared[cls] = _ClassData(flat=flat, levels=levels, candidates=candidates)
     if ia:
         ia, ib = np.concatenate(ia), np.concatenate(ib)
-        t3d, tbev = pair_iou(boxes_a, boxes_b, ia, ib)
+        t3d, tbev = pair_iou(rows_a, rows_b, ia, ib)
         for metric, iou in (("3D", t3d), ("BEV", tbev)):
             hit = np.flatnonzero(iou > 0.0)
             rows = lists[metric]

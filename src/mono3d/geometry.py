@@ -1,20 +1,20 @@
 """3D box geometry: corners, rotated footprint IoU, 3D IoU.
 
-Boxes follow the KITTI camera-frame convention: y points down, the
-location is the bottom-face center, yaw rotates around the camera Y
-axis. The footprint (bird's-eye view) lives in the (x, z) ground plane;
-its rotated-rectangle intersection is computed exactly by convex polygon
-clipping. Footprints, areas and clips are batched: `pair_iou` takes
-two box lists and the index arrays of the pairs to compare, computes
-each footprint once per box and clips all the pairs as arrays, with
-every value bit-equal to the scalar Sutherland-Hodgman clip and
-`np.sum` area of one pair. Pairs whose footprints' axis-aligned extents
-are apart are never clipped: their IoU is 0.0. `iou_pairs` is its
-all-pairs table, and `iou_bev` and `iou_3d` its one-pair case.
+A box is a row (x, y, z, h, w, l, yaw): the location, the dimensions
+and rotation_y of a KITTI label. Every function takes an array of rows
+[N, 7]; `iou_bev` and `iou_3d` take two 7-vectors. Boxes follow the
+KITTI camera-frame convention: y points down, the location is the
+bottom-face center, yaw rotates around the camera Y axis. The footprint
+(bird's-eye view) lives in the (x, z) ground plane; its rotated-rectangle
+intersection is computed exactly by convex polygon clipping. Footprints,
+areas and clips are batched: `pair_iou` takes two row arrays and the
+index arrays of the pairs to compare, computes each footprint once per
+box and clips all the pairs as arrays, with every value bit-equal to the
+scalar Sutherland-Hodgman clip and `np.sum` area of one pair. Pairs
+whose footprints' axis-aligned extents are apart are never clipped:
+their IoU is 0.0. `iou_pairs` is its all-pairs table, and `iou_bev` and
+`iou_3d` its one-pair case.
 """
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,43 +37,30 @@ _CLIP_BLOCK = 256
 _APART_MARGIN = 1e-9
 
 
-@dataclass
-class Box3D:
-    location: tuple  # (x, y, z) meters, y at bottom-face center
-    dimensions: tuple  # (h, w, l) meters
-    yaw: float  # radians in (-pi, pi]
-    class_id: int = 0
-    score: float = None
-
-
-def box3d_corners(box):
-    """8 corners [8, 3]; rows 0-3 bottom face, 4-7 top face."""
-    h, w, l = box.dimensions
-    if h <= 0 or w <= 0 or l <= 0:
-        raise DegenerateGeometryError(f"non-positive dimensions {box.dimensions}")
-    c, s = math.cos(box.yaw), math.sin(box.yaw)
-    lx = _X_SIGNS * (l / 2.0)
-    ly = _Y_LEVELS * h
-    lz = _Z_SIGNS * (w / 2.0)
+def box3d_corners(rows):
+    """Corners [N, 8, 3] of box rows [N, 7]; per box, rows 0-3 are the
+    bottom face and 4-7 the top face."""
+    rows = np.asarray(rows, dtype=np.float64).reshape(-1, 7)
+    bad = np.flatnonzero((rows[:, 3:6] <= 0.0).any(axis=1))
+    if len(bad):
+        raise DegenerateGeometryError(f"non-positive dimensions {tuple(rows[bad[0], 3:6].tolist())}")
+    c, s = np.cos(rows[:, 6:7]), np.sin(rows[:, 6:7])
+    lx = _X_SIGNS * (rows[:, 5:6] / 2.0)
+    ly = _Y_LEVELS * rows[:, 3:4]
+    lz = _Z_SIGNS * (rows[:, 4:5] / 2.0)
     x = c * lx + s * lz
     z = -s * lx + c * lz
-    loc = np.asarray(box.location, dtype=np.float64)
-    return np.stack([x, ly, z], axis=1) + loc
+    return np.stack([x, ly, z], axis=2) + rows[:, None, 0:3]
 
 
-def bev_footprints(boxes):
+def bev_footprints(rows):
     """Counter-clockwise footprint rectangles [N, 4, 2] in the (x, z) plane."""
-    # (cx, cz, half_l, half_w, yaw) per box; dimensions are (h, w, l)
-    rows = np.array(
-        [(b.location[0], b.location[2], b.dimensions[2] / 2.0, b.dimensions[1] / 2.0, b.yaw) for b in boxes],
-        dtype=np.float64,
-    ).reshape(-1, 5)
-    c = np.array([math.cos(v) for v in rows[:, 4]], dtype=np.float64)[:, None]
-    s = np.array([math.sin(v) for v in rows[:, 4]], dtype=np.float64)[:, None]
-    lx = rows[:, 2:3] * _FOOT_X
-    lz = rows[:, 3:4] * _FOOT_Z
+    rows = np.asarray(rows, dtype=np.float64).reshape(-1, 7)
+    c, s = np.cos(rows[:, 6:7]), np.sin(rows[:, 6:7])
+    lx = (rows[:, 5:6] / 2.0) * _FOOT_X
+    lz = (rows[:, 4:5] / 2.0) * _FOOT_Z
     x = c * lx + s * lz + rows[:, 0:1]
-    z = -s * lx + c * lz + rows[:, 1:2]
+    z = -s * lx + c * lz + rows[:, 2:3]
     return np.stack([x, z], axis=2)
 
 
@@ -169,25 +156,24 @@ def convex_clip(subjects, clips):
     return poly, counts
 
 
-def _box_arrays(boxes):
+def _box_arrays(rows):
     """Footprints [N, 4, 2], footprint areas [N], bottom y [N], height [N],
     footprint extents lo [N, 2] and hi [N, 2] in (x, z), and the largest
     coordinate magnitude [N] of each footprint."""
-    feet = bev_footprints(boxes)
+    rows = np.asarray(rows, dtype=np.float64).reshape(-1, 7)
+    feet = bev_footprints(rows)
     area = polygon_area(feet, np.full(len(feet), 4))
-    y = np.array([b.location[1] for b in boxes], dtype=np.float64)
-    h = np.array([b.dimensions[0] for b in boxes], dtype=np.float64)
     reach = np.abs(feet).max(axis=(1, 2), initial=1.0)
-    return feet, area, y, h, feet.min(axis=1), feet.max(axis=1), reach
+    return feet, area, rows[:, 1], rows[:, 3], feet.min(axis=1), feet.max(axis=1), reach
 
 
 def _ratio(num, den):
     return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
 
 
-def pair_iou(boxes_a, boxes_b, ia, ib):
-    """IoU of the box pairs (boxes_a[ia[p]], boxes_b[ib[p]]) ->
-    (iou_3d [P], iou_bev [P]).
+def pair_iou(rows_a, rows_b, ia, ib):
+    """IoU of the box pairs (rows_a[ia[p]], rows_b[ib[p]]) of two row
+    arrays [A, 7] and [B, 7] -> (iou_3d [P], iou_bev [P]).
 
     Footprints and their areas are computed once per box, and the exact
     footprint intersections clipped in blocks of _CLIP_BLOCK pairs; the
@@ -199,8 +185,8 @@ def pair_iou(boxes_a, boxes_b, ia, ib):
     coordinate magnitude; neither kind of pair is clipped. Every value
     is bit-equal to the scalar clip-and-sum of one pair.
     """
-    feet_a, area_a, y_a, h_a, lo_a, hi_a, reach_a = _box_arrays(boxes_a)
-    feet_b, area_b, y_b, h_b, lo_b, hi_b, reach_b = _box_arrays(boxes_b)
+    feet_a, area_a, y_a, h_a, lo_a, hi_a, reach_a = _box_arrays(rows_a)
+    feet_b, area_b, y_b, h_b, lo_b, hi_b, reach_b = _box_arrays(rows_b)
     ia = np.asarray(ia, dtype=np.intp)
     ib = np.asarray(ib, dtype=np.intp)
     margin = (_APART_MARGIN * np.maximum(reach_a[ia], reach_b[ib]))[:, None]
@@ -228,21 +214,21 @@ def pair_iou(boxes_a, boxes_b, ia, ib):
     return out_3d, out_bev
 
 
-def iou_pairs(boxes_a, boxes_b):
-    """IoU of every pair of two box lists -> (iou_3d [A, B], iou_bev [A, B])."""
-    n_a, n_b = len(boxes_a), len(boxes_b)
+def iou_pairs(rows_a, rows_b):
+    """IoU of every pair of two row arrays -> (iou_3d [A, B], iou_bev [A, B])."""
+    n_a, n_b = len(rows_a), len(rows_b)
     ia = np.repeat(np.arange(n_a), n_b)
     ib = np.tile(np.arange(n_b), n_a)
-    t3d, tbev = pair_iou(boxes_a, boxes_b, ia, ib)
+    t3d, tbev = pair_iou(rows_a, rows_b, ia, ib)
     return t3d.reshape(n_a, n_b), tbev.reshape(n_a, n_b)
 
 
-def iou_bev(box_a, box_b):
-    """Exact rotated-footprint IoU via polygon clipping."""
-    return float(pair_iou([box_a], [box_b], [0], [0])[1][0])
+def iou_bev(row_a, row_b):
+    """Exact rotated-footprint IoU of two 7-vectors via polygon clipping."""
+    return float(pair_iou(row_a, row_b, [0], [0])[1][0])
 
 
-def iou_3d(box_a, box_b):
-    """Volumetric IoU: footprint intersection x vertical overlap."""
-    return float(pair_iou([box_a], [box_b], [0], [0])[0][0])
+def iou_3d(row_a, row_b):
+    """Volumetric IoU of two 7-vectors: footprint intersection x vertical overlap."""
+    return float(pair_iou(row_a, row_b, [0], [0])[0][0])
 

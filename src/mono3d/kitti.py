@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError, UsageError
-from .geometry import Box3D, box3d_corners
+from .geometry import box3d_corners
 from .heads import wrap_angle
 
 LABEL_FIELDS_GT = 15
@@ -207,18 +207,21 @@ def write_predictions(dets, calib, image_size, class_names, drop_count=None):
     drop_count["behind_camera"] when a dict is given).
     """
     width, height = image_size
+    rows = np.array([(*det.location, *det.dimensions, det.yaw) for det in dets]).reshape(-1, 7)
+    corners = box3d_corners(rows)
+    behind = (rows[:, 2] <= 0.0) | (corners[:, :, 2] <= 0.0).any(axis=1)
+    if drop_count is not None and behind.any():
+        drop_count["behind_camera"] = drop_count.get("behind_camera", 0) + int(behind.sum())
+    pix, _ = calib.project(corners[~behind])
+    pix = pix.reshape(-1, 8, 2)
+    lo, hi = pix.min(axis=1).tolist(), pix.max(axis=1).tolist()
+    kept = [det for det, b in zip(dets, behind.tolist()) if not b]
     lines = []
-    for det in dets:
-        corners = box3d_corners(Box3D(det.location, det.dimensions, det.yaw))
-        if det.location[2] <= 0.0 or np.any(corners[:, 2] <= 0.0):
-            if drop_count is not None:
-                drop_count["behind_camera"] = drop_count.get("behind_camera", 0) + 1
-            continue
-        pix, _ = calib.project(corners)
-        left = min(max(float(pix[:, 0].min()), 0.0), float(width))
-        right = min(max(float(pix[:, 0].max()), 0.0), float(width))
-        top = min(max(float(pix[:, 1].min()), 0.0), float(height))
-        bottom = min(max(float(pix[:, 1].max()), 0.0), float(height))
+    for det, (u0, v0), (u1, v1) in zip(kept, lo, hi):
+        left = min(max(u0, 0.0), float(width))
+        right = min(max(u1, 0.0), float(width))
+        top = min(max(v0, 0.0), float(height))
+        bottom = min(max(v1, 0.0), float(height))
         x, y, z = det.location
         rec = LabelRecord(
             type=class_names[det.class_id],

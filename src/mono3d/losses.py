@@ -40,8 +40,6 @@ class TargetMaps:
     mask: np.ndarray  # [h, w] float, 1 at object cells
     offset2d_map: np.ndarray  # [2, h, w]
     size2d_map: np.ndarray  # [2, h, w] (w_2d, h_2d) input pixels
-    cell_rows: np.ndarray  # [M]
-    cell_cols: np.ndarray  # [M]
     class_ids: np.ndarray  # [M]
     center2d: np.ndarray  # [M, 2] exact 2D box centers, input pixels
     size2d: np.ndarray  # [M, 2] (w_2d, h_2d)
@@ -107,7 +105,7 @@ def assign_targets(labels, calib, image_size, num_classes=len(CLASS_NAMES)):
     mask = np.zeros((hm_h, hm_w))
     offset2d_map = np.zeros((2, hm_h, hm_w))
     size2d_map = np.zeros((2, hm_h, hm_w))
-    rows, cols, classes = [], [], []
+    classes = []
     centers, sizes, offsets3d, sizes3d, bins, residuals, depths = [], [], [], [], [], [], []
     skipped = {}
 
@@ -148,8 +146,6 @@ def assign_targets(labels, calib, image_size, num_classes=len(CLASS_NAMES)):
         pix, _ = calib.project(center3d)
         u3d, v3d = pix[0]
 
-        rows.append(row)
-        cols.append(col)
         classes.append(cls)
         centers.append((cu, cv))
         sizes.append((w2d, h2d))
@@ -165,8 +161,6 @@ def assign_targets(labels, calib, image_size, num_classes=len(CLASS_NAMES)):
         mask=mask,
         offset2d_map=offset2d_map,
         size2d_map=size2d_map,
-        cell_rows=np.array(rows, dtype=np.intp),
-        cell_cols=np.array(cols, dtype=np.intp),
         class_ids=np.array(classes, dtype=np.intp),
         center2d=np.array(centers).reshape(-1, 2),
         size2d=np.array(sizes).reshape(-1, 2),

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .errors import UsageError
-from .geometry import Box3D, box3d_corners
+from .geometry import box3d_corners
 from .heads import CLASS_NAMES, CLASS_PRIORS, OUTPUT_STRIDE, wrap_angle
 from .kitti import CameraCalib, LabelRecord, compute_alpha
 from .tensor import Tensor
@@ -99,8 +99,8 @@ def synth_scene(rng_seed, n_objects, calib, image_size, z_range=(5.0, 60.0)):
             x = (u - calib.c_u) * z / calib.f_u
             y = rng.uniform(1.3, 1.8)
             yaw = wrap_angle(rng.uniform(-math.pi, math.pi))
-            box = Box3D(location=(x, y, z), dimensions=dims, yaw=yaw, class_id=cls)
-            pix, _ = calib.project(box3d_corners(box))
+            row = np.array([x, y, z, *dims, yaw])
+            pix, _ = calib.project(box3d_corners(row))
             left = min(max(float(pix[:, 0].min()), 0.0), float(width))
             right = min(max(float(pix[:, 0].max()), 0.0), float(width))
             top = min(max(float(pix[:, 1].min()), 0.0), float(height))
@@ -113,22 +113,22 @@ def synth_scene(rng_seed, n_objects, calib, image_size, z_range=(5.0, 60.0)):
             )
             if cell in taken_cells:
                 continue
-            chosen = (box, pix, (left, top, right, bottom), cell)
+            chosen = (row, cls, pix, (left, top, right, bottom), cell)
             break
         if chosen is None:
             continue
-        box, pix, bbox, cell = chosen
+        row, cls, pix, bbox, cell = chosen
         taken_cells.add(cell)
         full_w = float(pix[:, 0].max() - pix[:, 0].min())
         full_h = float(pix[:, 1].max() - pix[:, 1].min())
         visible = (bbox[2] - bbox[0]) * (bbox[3] - bbox[1])
         truncated = min(max(1.0 - visible / (full_w * full_h), 0.0), 1.0)
         color = rng.uniform(0.35, 0.95, size=3)
-        objects.append({"box": box, "pix": pix, "bbox": bbox, "trunc": truncated, "color": color})
+        objects.append({"row": row, "cls": cls, "pix": pix, "bbox": bbox, "trunc": truncated, "color": color})
 
     owner = np.full((height, width), -1, dtype=np.int64)
     own_total = [0] * len(objects)
-    order = sorted(range(len(objects)), key=lambda i: -objects[i]["box"].location[2])
+    order = sorted(range(len(objects)), key=lambda i: -objects[i]["row"][2])
     for i in order:
         region, inside = _silhouette(objects[i]["pix"], image_size)
         if region is None:
@@ -142,18 +142,17 @@ def synth_scene(rng_seed, n_objects, calib, image_size, z_range=(5.0, 60.0)):
     for i, obj in enumerate(objects):
         remaining = int(np.count_nonzero(owner == i))
         covered = 1.0 - remaining / own_total[i] if own_total[i] > 0 else 0.0
-        box = obj["box"]
-        x, y, z = box.location
+        x, y, z, h, w, l, yaw = obj["row"].tolist()
         labels.append(
             LabelRecord(
-                type=CLASS_NAMES[box.class_id],
+                type=CLASS_NAMES[obj["cls"]],
                 truncated=obj["trunc"],
                 occluded=_occlusion_level(covered),
-                alpha=compute_alpha(box.yaw, x, z),
+                alpha=compute_alpha(yaw, x, z),
                 bbox=obj["bbox"],
-                dimensions=box.dimensions,
-                location=box.location,
-                rotation_y=box.yaw,
+                dimensions=(h, w, l),
+                location=(x, y, z),
+                rotation_y=yaw,
             )
         )
     return Tensor(image), labels

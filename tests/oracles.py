@@ -397,7 +397,8 @@ def raster_iou(boxes_a, boxes_b, n_grid):
 
 
 def raster_iou_reference(boxes_a, boxes_b, n_grid=2000):
-    """Grid-sampling estimate of footprint IoU, paired over two Box3D lists.
+    """Grid-sampling estimate of footprint IoU, paired over two lists of
+    box rows (x, y, z, h, w, l, yaw).
 
     Completely independent of the clipping path: the points of an
     n_grid x n_grid lattice over each pair's joint bounding rectangle that
@@ -406,11 +407,8 @@ def raster_iou_reference(boxes_a, boxes_b, n_grid=2000):
     """
 
     def rows(boxes):
-        # (cx, cz, half_l, half_w, yaw); dimensions are (h, w, l)
-        return [
-            (b.location[0], b.location[2], b.dimensions[2] / 2.0, b.dimensions[1] / 2.0, b.yaw)
-            for b in boxes
-        ]
+        # (cx, cz, half_l, half_w, yaw)
+        return [(x, z, l / 2.0, w / 2.0, yaw) for x, _, z, _, w, l, yaw in boxes]
 
     return raster_iou(rows(boxes_a), rows(boxes_b), n_grid)
 
@@ -454,13 +452,13 @@ def roi_align_pointwise(fmap, centers, sizes, image_index, stride, out_size):
 
 
 def bev_footprint_scalar(box):
-    """One box's counter-clockwise footprint [4, 2] in the (x, z) plane."""
-    h, w, l = box.dimensions
-    c, s = math.cos(box.yaw), math.sin(box.yaw)
+    """One box row's counter-clockwise footprint [4, 2] in the (x, z) plane."""
+    bx, _, bz, _, w, l, yaw = (float(v) for v in box)
+    c, s = math.cos(yaw), math.sin(yaw)
     lx = np.array([l / 2.0, -l / 2.0, -l / 2.0, l / 2.0])
     lz = np.array([w / 2.0, w / 2.0, -w / 2.0, -w / 2.0])
-    x = c * lx + s * lz + box.location[0]
-    z = -s * lx + c * lz + box.location[2]
+    x = c * lx + s * lz + bx
+    z = -s * lx + c * lz + bz
     return np.stack([x, z], axis=1)
 
 
@@ -507,8 +505,8 @@ def convex_clip_scalar(subject, clip):
 
 
 def iou_pairs_scalar(boxes_a, boxes_b):
-    """(iou_3d [A, B], iou_bev [A, B]) with one scalar clip per pair;
-    a zero-area footprint gives 0.0 with everything."""
+    """(iou_3d [A, B], iou_bev [A, B]) of two lists of box rows with one
+    scalar clip per pair; a zero-area footprint gives 0.0 with everything."""
     out_3d = np.zeros((len(boxes_a), len(boxes_b)))
     out_bev = np.zeros((len(boxes_a), len(boxes_b)))
     for i, a in enumerate(boxes_a):
@@ -525,10 +523,11 @@ def iou_pairs_scalar(boxes_a, boxes_b):
             union = area_a + area_b - inter
             out_bev[i, j] = inter / union if union > 0.0 else 0.0
             # y grows downward; a box occupies [y - h, y]
-            top = max(a.location[1] - a.dimensions[0], b.location[1] - b.dimensions[0])
-            bottom = min(a.location[1], b.location[1])
+            (y_a, h_a), (y_b, h_b) = (float(a[1]), float(a[3])), (float(b[1]), float(b[3]))
+            top = max(y_a - h_a, y_b - h_b)
+            bottom = min(y_a, y_b)
             inter_vol = inter * max(0.0, bottom - top)
-            union = area_a * a.dimensions[0] + area_b * b.dimensions[0] - inter_vol
+            union = area_a * h_a + area_b * h_b - inter_vol
             out_3d[i, j] = inter_vol / union if union > 0.0 else 0.0
     return out_3d, out_bev
 

@@ -15,14 +15,14 @@ import numpy as np
 import pytest
 
 import oracles
-from test_evaluation import _corpus, _pair_iou
+from test_evaluation import _corpus, _pair_iou, _row
 
 from mono3d import tensor as T
 from mono3d.backbone import Backbone, backbone_config
 from mono3d.cli import main
 from mono3d.errors import ParseError
 from mono3d.evaluation import DIFFICULTIES, OFFICIAL_IOU, RELAXED_IOU, ap_r40
-from mono3d.geometry import Box3D, box3d_corners, iou_3d, iou_bev, pair_iou
+from mono3d.geometry import box3d_corners, iou_3d, iou_bev, pair_iou
 from mono3d.gradcheck import run_suite
 from mono3d.heads import (
     CLASS_NAMES,
@@ -91,10 +91,13 @@ def test_criterion_02_pyramid_ceil_contract():
 
 
 def _rand_box(rng):
-    return Box3D(
-        location=(rng.uniform(-10, 10), rng.uniform(1, 2), rng.uniform(5, 40)),
-        dimensions=(rng.uniform(1, 2), rng.uniform(0.5, 1.2), rng.uniform(2.5, 4.5)),
-        yaw=rng.uniform(-math.pi, math.pi),
+    """A box row (x, y, z, h, w, l, yaw)."""
+    return np.array(
+        [
+            rng.uniform(-10, 10), rng.uniform(1, 2), rng.uniform(5, 40),
+            rng.uniform(1, 2), rng.uniform(0.5, 1.2), rng.uniform(2.5, 4.5),
+            rng.uniform(-math.pi, math.pi),
+        ]
     )
 
 
@@ -104,11 +107,9 @@ def test_criterion_03_rotated_iou_vs_raster_oracle():
     for _ in range(1000):
         a = _rand_box(rng)
         if rng.uniform() < 0.5:  # bias half the pairs toward overlap
-            b = Box3D(
-                (a.location[0] + rng.normal(scale=1.0), a.location[1], a.location[2] + rng.normal(scale=1.0)),
-                tuple(d * rng.uniform(0.8, 1.2) for d in a.dimensions),
-                wrap_angle(a.yaw + rng.normal(scale=0.5)),
-            )
+            x, z = a[0] + rng.normal(scale=1.0), a[2] + rng.normal(scale=1.0)
+            dims = [d * rng.uniform(0.8, 1.2) for d in a[3:6]]
+            b = np.array([x, a[1], z, *dims, wrap_angle(a[6] + rng.normal(scale=0.5))])
         else:
             b = _rand_box(rng)
         boxes_a.append(a)
@@ -121,8 +122,8 @@ def test_criterion_03_rotated_iou_vs_raster_oracle():
     assert np.max(np.abs(analytic - raster)) < 2e-3
     assert elapsed < 60.0
     # co-centered unit squares at 45 degrees: octagon overlap, IoU = 1/sqrt(2)
-    sq = Box3D((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), 0.0)
-    sq45 = Box3D((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), math.pi / 4.0)
+    sq = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0])
+    sq45 = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0, math.pi / 4.0])
     assert abs(iou_bev(sq, sq45) - 0.70711) < 1e-5
 
 
@@ -184,7 +185,7 @@ def test_criterion_05_encode_decode_round_trip():
         cls = int(rng.integers(0, len(CLASS_NAMES)))
         dims = tuple(p * rng.uniform(0.85, 1.15) for p in CLASS_PRIORS[cls])
         yaw = float(rng.uniform(-math.pi, math.pi))
-        box = Box3D((x, y, z), dims, yaw, class_id=cls)
+        box = np.array([x, y, z, *dims, yaw])
         pix, _ = calib.project(box3d_corners(box))
         bbox = _clip_bbox(pix, width, height)
         if bbox[2] - bbox[0] < 2.0 or bbox[3] - bbox[1] < 2.0:
@@ -227,9 +228,9 @@ def test_criterion_05_encode_decode_round_trip():
     dets, dropped = decode_box3d(boxes2d, out, calib)
     assert dropped == 0 and len(dets) == m
     for d, box in zip(dets, boxes):
-        assert max(abs(a - b) for a, b in zip(d.location, box.location)) <= 1e-6
-        assert max(abs(a - b) for a, b in zip(d.dimensions, box.dimensions)) <= 1e-6
-        assert abs(wrap_angle(d.yaw - box.yaw)) <= 1e-6
+        assert max(abs(a - b) for a, b in zip(d.location, box[:3])) <= 1e-6
+        assert max(abs(a - b) for a, b in zip(d.dimensions, box[3:6])) <= 1e-6
+        assert abs(wrap_angle(d.yaw - box[6])) <= 1e-6
 
 
 def test_criterion_05_depth_projection_exact_and_monotone():
@@ -367,10 +368,7 @@ def test_criterion_09_toy_overfit_end_to_end(tmp_path):
     gts = parse_label_file(_read(run1 / "labels" / f"{image_id}.txt"))
     assert preds and gts
     best = max(
-        iou_3d(
-            Box3D(p.location, p.dimensions, p.rotation_y),
-            Box3D(g.location, g.dimensions, g.rotation_y),
-        )
+        iou_3d(_row(p), _row(g))
         for p in preds
         for g in gts
     )

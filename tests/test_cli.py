@@ -90,6 +90,11 @@ def test_set_without_equals_exits_2(tmp_path, capsys):
 def test_set_unknown_key_exits_2(tmp_path, capsys):
     assert main(["synth", "--out", str(tmp_path / "o"), "--set", "bogus=1"]) == 2
     assert "unknown config key" in capsys.readouterr().err
+    # a known key given a non-finite number is refused before any work
+    out = tmp_path / "t"
+    assert main(["train-toy", "--set", "z_max=Infinity", "--out", str(out)]) == 2
+    assert "wants a finite number" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

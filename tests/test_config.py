@@ -62,6 +62,12 @@ def test_unknown_key_rejected():
         ("decay_epochs", "90,120", "list"),
         ("decay_epochs", [90, True], "list"),
         ("decay_epochs", [90.7, 120.2], "integer"),
+        ("lr", float("nan"), "finite"),
+        ("z_max", float("inf"), "finite"),
+        ("decay", float("inf"), "finite"),
+        ("focal", float("-inf"), "finite"),
+        ("score_threshold", float("nan"), "finite"),
+        ("epochs", float("inf"), "finite"),
     ],
 )
 def test_type_mismatch_rejected(key, value, want):
@@ -101,6 +107,10 @@ def test_load_config_file_rejects_bad_json(tmp_path):
     path = tmp_path / "run.json"
     path.write_text("{not json")
     with pytest.raises(ConfigError, match="not valid JSON"):
+        load_config_file(str(path))
+    # Python's json reads NaN and Infinity; a config value must be finite
+    path.write_text('{"lr": NaN, "z_max": Infinity}')
+    with pytest.raises(ConfigError, match="finite"):
         load_config_file(str(path))
 
 

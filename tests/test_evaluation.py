@@ -15,7 +15,7 @@ from mono3d.evaluation import (
     assign_difficulty,
     evaluate_split,
 )
-from mono3d.geometry import Box3D, iou_3d, iou_bev, iou_pairs
+from mono3d.geometry import iou_3d, iou_bev, iou_pairs
 from mono3d.heads import CLASS_NAMES, wrap_angle
 from mono3d.kitti import CameraCalib, LabelRecord, parse_label_file, write_calib, write_labels
 
@@ -102,12 +102,14 @@ def _corpus(rng, n_images=20):
     return gt, preds
 
 
+def _row(rec):
+    """A label record's box row (x, y, z, h, w, l, yaw)."""
+    return (*rec.location, *rec.dimensions, rec.rotation_y)
+
+
 def _pair_iou(metric):
     fn = iou_3d if metric == "3D" else iou_bev
-    return lambda p, g: fn(
-        Box3D(p.location, p.dimensions, p.rotation_y),
-        Box3D(g.location, g.dimensions, g.rotation_y),
-    )
+    return lambda p, g: fn(_row(p), _row(g))
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +401,8 @@ def test_prepare_split_tables_equal_per_image_iou_pairs():
     for cls in CLASS_NAMES:
         want = {}
         for img in sorted(set(gt) | set(preds)):
-            p = [Box3D(r.location, r.dimensions, r.rotation_y) for r in preds.get(img, []) if r.type == cls]
-            g = [Box3D(r.location, r.dimensions, r.rotation_y) for r in gt.get(img, []) if r.type == cls]
+            p = [_row(r) for r in preds.get(img, []) if r.type == cls]
+            g = [_row(r) for r in gt.get(img, []) if r.type == cls]
             if p and g:
                 t3d, tbev = iou_pairs(p, g)
                 # exactly the entries > 0, in ground-truth order

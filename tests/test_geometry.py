@@ -6,7 +6,6 @@ import pytest
 from mono3d import geometry
 from mono3d.errors import DegenerateGeometryError
 from mono3d.geometry import (
-    Box3D,
     bev_footprints,
     box3d_corners,
     convex_clip,
@@ -21,19 +20,26 @@ import oracles
 
 
 def _box(x=0.0, y=0.0, z=0.0, h=1.0, w=1.0, l=1.0, yaw=0.0):
-    return Box3D(location=(x, y, z), dimensions=(h, w, l), yaw=yaw)
+    """One box row (x, y, z, h, w, l, yaw)."""
+    return np.array([x, y, z, h, w, l, yaw])
 
 
 def _rand_box(rng):
-    return Box3D(
-        location=(rng.uniform(-10, 10), rng.uniform(-2, 2), rng.uniform(-10, 10)),
-        dimensions=(rng.uniform(0.5, 3), rng.uniform(0.5, 3), rng.uniform(0.5, 6)),
-        yaw=rng.uniform(-math.pi, math.pi),
+    return np.array(
+        [
+            rng.uniform(-10, 10), rng.uniform(-2, 2), rng.uniform(-10, 10),
+            rng.uniform(0.5, 3), rng.uniform(0.5, 3), rng.uniform(0.5, 6),
+            rng.uniform(-math.pi, math.pi),
+        ]
     )
 
 
+def _rand_rows(rng, n):
+    return np.array([_rand_box(rng) for _ in range(n)])
+
+
 def _feet(*boxes):
-    return bev_footprints(list(boxes))
+    return bev_footprints(np.array(boxes))
 
 
 def _areas(verts, counts=None):
@@ -50,7 +56,8 @@ def _areas(verts, counts=None):
 
 
 def test_unit_cube_corners():
-    corners = box3d_corners(_box())
+    (corners,) = box3d_corners(_box())
+    assert corners.shape == (8, 3)
     assert sorted(set(np.round(corners[:, 0], 12))) == [-0.5, 0.5]
     assert sorted(set(np.round(corners[:, 1], 12))) == [-1.0, 0.0]
     assert sorted(set(np.round(corners[:, 2], 12))) == [-0.5, 0.5]
@@ -60,8 +67,7 @@ def test_unit_cube_corners():
 
 
 def test_yaw_quarter_turn_swaps_footprint_axes():
-    a = box3d_corners(_box(w=1.0, l=4.0, yaw=0.0))
-    b = box3d_corners(_box(w=1.0, l=4.0, yaw=math.pi / 2))
+    a, b = box3d_corners([_box(w=1.0, l=4.0, yaw=0.0), _box(w=1.0, l=4.0, yaw=math.pi / 2)])
     assert np.ptp(a[:, 0]) == pytest.approx(4.0)
     assert np.ptp(a[:, 2]) == pytest.approx(1.0)
     assert np.ptp(b[:, 0]) == pytest.approx(1.0)
@@ -74,22 +80,27 @@ def test_yaw_pi_same_footprint():
 
 
 def test_corner_translation():
-    base = box3d_corners(_box())
-    moved = box3d_corners(_box(x=2.0, y=-1.0, z=7.0))
+    base, moved = box3d_corners([_box(), _box(x=2.0, y=-1.0, z=7.0)])
     assert np.allclose(moved - base, [2.0, -1.0, 7.0])
 
 
 def test_footprint_is_ccw():
     rng = np.random.default_rng(0)
-    feet = bev_footprints([_rand_box(rng) for _ in range(50)])
+    feet = bev_footprints(_rand_rows(rng, 50))
     assert feet.shape == (50, 4, 2)
     assert np.all(_areas(feet) > 0)
-    assert bev_footprints([]).shape == (0, 4, 2)
+    assert bev_footprints(np.zeros((0, 7))).shape == (0, 4, 2)
+    assert box3d_corners(np.zeros((0, 7))).shape == (0, 8, 3)
 
 
 def test_degenerate_dimensions_rejected():
     with pytest.raises(DegenerateGeometryError):
         box3d_corners(_box(h=0.0))
+    # one degenerate row in a batch: the error names that row's dimensions
+    rows = np.array([_box(), _box(x=3.0, w=2.0), _box(h=1.5, w=-0.5, l=4.0), _box(z=5.0)])
+    with pytest.raises(DegenerateGeometryError, match=r"\(1\.5, -0\.5, 4\.0\)"):
+        box3d_corners(rows)
+    assert box3d_corners(rows[[0, 1, 3]]).shape == (3, 8, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +110,7 @@ def test_degenerate_dimensions_rejected():
 
 def test_clip_by_itself_preserves_area():
     rng = np.random.default_rng(1)
-    feet = bev_footprints([_rand_box(rng) for _ in range(30)])
+    feet = bev_footprints(_rand_rows(rng, 30))
     verts, counts = convex_clip(feet, feet)
     assert np.all(counts >= 4)
     assert np.max(np.abs(_areas(verts, counts) - _areas(feet))) < 1e-12
@@ -133,8 +144,8 @@ def test_clip_unit_square_45_degrees_octagon():
 
 def test_clip_area_bounded_by_inputs():
     rng = np.random.default_rng(2)
-    fa = bev_footprints([_rand_box(rng) for _ in range(100)])
-    fb = bev_footprints([_rand_box(rng) for _ in range(100)])
+    fa = bev_footprints(_rand_rows(rng, 100))
+    fb = bev_footprints(_rand_rows(rng, 100))
     inter = _areas(*convex_clip(fa, fb))
     assert np.all(inter <= np.minimum(_areas(fa), _areas(fb)) + 1e-12)
     assert np.all(inter >= -1e-12)
@@ -172,14 +183,14 @@ def test_batched_clip_area_and_iou_bitwise_vs_scalar_oracle():
     pairs = special + [(_rand_box(rng), _rand_box(rng)) for _ in range(200)]
     # random pairs with nearby centres, so that most of them overlap
     for a, b in pairs[len(special) : len(special) + 100]:
-        b.location = (a.location[0] + rng.normal(), b.location[1], a.location[2] + rng.normal())
-    boxes_a, boxes_b = [a for a, _ in pairs], [b for _, b in pairs]
+        b[0] = a[0] + rng.normal()
+        b[2] = a[2] + rng.normal()
+    boxes_a, boxes_b = np.array([a for a, _ in pairs]), np.array([b for _, b in pairs])
     fa, fb = bev_footprints(boxes_a), bev_footprints(boxes_b)
     verts, counts = convex_clip(fa, fb)
     areas = polygon_area(verts, counts)
     want_areas = []
-    for p, (a, b) in enumerate(pairs):
-        assert np.array_equal(fa[p], oracles.bev_footprint_scalar(a))
+    for p in range(len(pairs)):
         want = oracles.convex_clip_scalar(fa[p], fb[p])
         assert counts[p] == len(want), p
         assert np.array_equal(verts[p, : counts[p]], np.reshape(want, (-1, 2))), p
@@ -189,6 +200,16 @@ def test_batched_clip_area_and_iou_bitwise_vs_scalar_oracle():
     assert np.array_equal(_areas(fa), [oracles.polygon_area_scalar(f) for f in fa])
     assert counts[0] == 8 and counts[1] == 9 and counts[5] == 0
     assert np.count_nonzero(counts[len(special) :]) >= 80
+    # footprints and corners of every box, and of random rows at the yaws
+    # where cos and sin are exactly 0 or +-1, against one box at a time
+    axis = _rand_rows(rng, 40)
+    axis[:, 6] = np.resize([0.0, math.pi, -math.pi, math.pi / 2], 40)
+    rows = np.vstack([boxes_a, boxes_b, axis])
+    for row, foot in zip(rows, bev_footprints(rows)):
+        assert np.array_equal(foot, oracles.bev_footprint_scalar(row))
+    rows = rows[(rows[:, 3:6] > 0.0).all(axis=1)]
+    for row, corners in zip(rows, box3d_corners(rows)):
+        assert np.array_equal(corners, box3d_corners(row)[0])
     # the IoU tables of the special boxes and 20 random ones, and the pairs
     got = iou_pairs(boxes_a[:30], boxes_b[:30])
     want = oracles.iou_pairs_scalar(boxes_a[:30], boxes_b[:30])
@@ -293,9 +314,8 @@ def test_iou_symmetry():
         assert abs(iou_bev(a, b) - iou_bev(b, a)) < 1e-12
         assert abs(iou_3d(a, b) - iou_3d(b, a)) < 1e-12
     # the pair tables: B x A is the transpose of A x B, both metrics
-    boxes_a = [_rand_box(rng) for _ in range(7)]
-    boxes_b = [Box3D(b.location, b.dimensions, b.yaw + 0.3) for b in boxes_a[:3]]
-    boxes_b += [_rand_box(rng) for _ in range(6)]
+    boxes_a = _rand_rows(rng, 7)
+    boxes_b = np.vstack([boxes_a[:3] + [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.3], _rand_rows(rng, 6)])
     for ab, ba in zip(iou_pairs(boxes_a, boxes_b), iou_pairs(boxes_b, boxes_a)):
         assert ab.shape == (7, 9) and ba.shape == (9, 7)
         assert np.max(np.abs(ab - ba.T)) < 1e-12
@@ -303,10 +323,10 @@ def test_iou_symmetry():
 
 
 def test_iou_pairs_empty_and_zero_area():
-    boxes = [_box(), _box(x=0.5, yaw=0.3), _box(z=0.2, h=2.0)]
-    for table in iou_pairs([], boxes):
+    boxes = np.array([_box(), _box(x=0.5, yaw=0.3), _box(z=0.2, h=2.0)])
+    for table in iou_pairs(boxes[:0], boxes):
         assert table.shape == (0, 3)
-    for table in iou_pairs(boxes, []):
+    for table in iou_pairs(boxes, boxes[:0]):
         assert table.shape == (3, 0)
     # a zero-width or zero-length footprint has zero area: IoU exactly 0.0
     for flat in (_box(w=0.0, yaw=0.4), _box(l=0.0, x=0.1)):
@@ -327,11 +347,11 @@ def test_iou_rigid_invariance():
 
         def spin(box):
             c, s = math.cos(dyaw), math.sin(dyaw)
-            x, y, z = box.location
+            x, y, z, h, w, l, yaw = box
             # rotate the center with the same BEV convention, then shift
             nx = c * x + s * z + dx
             nz = -s * x + c * z + dz
-            return Box3D((nx, y, nz), box.dimensions, box.yaw + dyaw)
+            return np.array([nx, y, nz, h, w, l, yaw + dyaw])
 
         assert abs(iou_bev(spin(a), spin(b)) - base) < 1e-9
 
@@ -351,13 +371,11 @@ def test_iou_matches_raster_oracle():
         b = _rand_box(rng)
         # bias half the pairs toward overlap so nonzero IoU is exercised
         if rng.uniform() < 0.5:
-            b = Box3D(
-                (a.location[0] + rng.uniform(-1, 1), b.location[1], a.location[2] + rng.uniform(-1, 1)),
-                b.dimensions,
-                b.yaw,
-            )
+            b[0] = a[0] + rng.uniform(-1, 1)
+            b[2] = a[2] + rng.uniform(-1, 1)
         boxes_a.append(a)
         boxes_b.append(b)
+    boxes_a, boxes_b = np.array(boxes_a), np.array(boxes_b)
     pairs = np.arange(len(boxes_a))
     analytic = pair_iou(boxes_a, boxes_b, pairs, pairs)[1]
     raster = oracles.raster_iou_reference(boxes_a, boxes_b, n_grid=2000)

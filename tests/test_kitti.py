@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mono3d.errors import ParseError, UsageError
-from mono3d.geometry import box3d_corners, Box3D
+from mono3d.geometry import box3d_corners
 from mono3d.heads import CLASS_NAMES, Detection3D, wrap_angle
 from mono3d.kitti import (
     CameraCalib,
@@ -251,6 +251,17 @@ def _detection(loc=(2.0, 1.5, 20.0), yaw=0.4, score=0.9):
     )
 
 
+def _envelope(det, calib, width=1242.0, height=375.0):
+    """Image-clamped envelope of one detection's projected corners."""
+    pix, _ = calib.project(box3d_corners([*det.location, *det.dimensions, det.yaw]))
+    return (
+        min(max(pix[:, 0].min(), 0.0), width),
+        min(max(pix[:, 1].min(), 0.0), height),
+        min(max(pix[:, 0].max(), 0.0), width),
+        min(max(pix[:, 1].max(), 0.0), height),
+    )
+
+
 def test_write_predictions_round_trip():
     calib = _calib()
     det = _detection()
@@ -262,15 +273,7 @@ def test_write_predictions_round_trip():
     assert rec.rotation_y == pytest.approx(det.yaw, abs=0.005)
     assert rec.score == pytest.approx(det.score, abs=5e-7)
     # bbox is the clamped envelope of the projected corners
-    box = Box3D(location=det.location, dimensions=det.dimensions, yaw=det.yaw)
-    pix, _ = calib.project(box3d_corners(box))
-    expected = (
-        min(max(pix[:, 0].min(), 0.0), 1242.0),
-        min(max(pix[:, 1].min(), 0.0), 375.0),
-        min(max(pix[:, 0].max(), 0.0), 1242.0),
-        min(max(pix[:, 1].max(), 0.0), 375.0),
-    )
-    assert rec.bbox == pytest.approx(expected, abs=0.005)
+    assert rec.bbox == pytest.approx(_envelope(det, calib), abs=0.005)
 
 
 def test_written_alpha_consistent_with_yaw():
@@ -308,16 +311,26 @@ def test_compute_alpha_equals_scalar_ceil_formula():
 def test_behind_camera_excluded_with_diagnostic():
     calib = _calib()
     drops = {}
+    valid = _detection(loc=(-3.0, 1.6, 25.0), yaw=-1.1, score=0.7)
     text = write_predictions(
-        [_detection(loc=(0.0, 1.5, -5.0)), _detection(loc=(0.0, 1.5, 1.0))],
+        [_detection(loc=(0.0, 1.5, -5.0)), valid, _detection(loc=(0.0, 1.5, 1.0))],
         calib,
         (1242, 375),
         CLASS_NAMES,
         drop_count=drops,
     )
-    # second box is close enough that a corner crosses z=0 (l=4.0)
-    assert text == ""
+    # the third box is close enough that a corner crosses z=0 (l=4.0)
     assert drops == {"behind_camera": 2}
+    (rec,) = parse_label_file(text)
+    assert rec.type == "Car"
+    assert rec.location == pytest.approx(valid.location, abs=0.005)
+    assert rec.dimensions == pytest.approx(valid.dimensions, abs=0.005)
+    assert rec.rotation_y == pytest.approx(valid.yaw, abs=0.005)
+    assert rec.score == pytest.approx(valid.score, abs=5e-7)
+    # its own corners' envelope, which differs from the dropped boxes'
+    assert rec.bbox == pytest.approx(_envelope(valid, calib), abs=0.005)
+    for other in ((0.0, 1.5, -5.0), (0.0, 1.5, 1.0)):
+        assert rec.bbox != pytest.approx(_envelope(_detection(loc=other), calib), abs=0.5)
 
 
 def test_write_predictions_empty():

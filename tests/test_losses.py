@@ -31,7 +31,7 @@ from mono3d.losses import (
     make_weights,
     total_loss,
 )
-from mono3d.geometry import Box3D, box3d_corners
+from mono3d.geometry import box3d_corners
 from mono3d.tensor import Tensor
 
 import oracles
@@ -41,20 +41,19 @@ def _calib():
     return CameraCalib(np.array([[700.0, 0, 620, 0], [0, 700.0, 190, 0], [0, 0, 1, 0]]))
 
 
-def _label_for_box(box, calib, cls="Car"):
-    corners = box3d_corners(box)
-    pix, _ = calib.project(corners)
-    x, y, z = box.location
-    alpha = box.yaw - math.atan2(x, z)
+def _label_for_box(row, calib, cls="Car"):
+    pix, _ = calib.project(box3d_corners(row))
+    x, y, z, h, w, l, yaw = row
+    alpha = yaw - math.atan2(x, z)
     return LabelRecord(
         type=cls,
         truncated=0.0,
         occluded=0,
         alpha=alpha,
         bbox=(pix[:, 0].min(), pix[:, 1].min(), pix[:, 0].max(), pix[:, 1].max()),
-        dimensions=box.dimensions,
-        location=box.location,
-        rotation_y=box.yaw,
+        dimensions=(h, w, l),
+        location=(x, y, z),
+        rotation_y=yaw,
     )
 
 
@@ -79,14 +78,15 @@ def _label_at(cu, cv, w2d=40.0, h2d=24.0, cls="Car"):
 def test_assign_center_cell_exact_division():
     targets = assign_targets([_label_at(40.0, 80.0)], _calib(), (1280, 384))
     assert targets.n_objects == 1
-    assert targets.cell_cols[0] == 10 and targets.cell_rows[0] == 20
+    assert targets.mask[20, 10] == 1.0 and targets.mask.sum() == 1.0
     assert targets.heatmap[0, 20, 10] == 1.0
     assert np.array_equal(targets.offset2d_map[:, 20, 10], [0.0, 0.0])
 
 
 def test_assign_fractional_offsets():
     targets = assign_targets([_label_at(41.0, 82.0)], _calib(), (1280, 384))
-    assert targets.cell_cols[0] == 10 and targets.cell_rows[0] == 20
+    assert targets.mask[20, 10] == 1.0 and targets.mask.sum() == 1.0
+    assert targets.heatmap[0, 20, 10] == 1.0
     assert np.allclose(targets.offset2d_map[:, 20, 10], [0.25, 0.5])
 
 
@@ -444,7 +444,7 @@ def test_htl_rejects_negative_epoch():
 
 def test_target_decode_round_trip():
     calib = _calib()
-    box = Box3D(location=(2.0, 1.2, 20.0), dimensions=(1.5, 1.7, 4.0), yaw=0.5, class_id=0)
+    box = np.array([2.0, 1.2, 20.0, 1.5, 1.7, 4.0, 0.5])
     label = _label_for_box(box, calib)
     targets = assign_targets([label], calib, (1280, 384))
     assert targets.n_objects == 1
@@ -457,14 +457,14 @@ def test_target_decode_round_trip():
     assert abs(dets2d.center[0, 1] - targets.center2d[0, 1]) < 1e-9
 
     h2d = targets.size2d[0, 1]
-    h3d = box.dimensions[0]
-    bias_gt = box.location[2] - calib.f_v * h3d / h2d
+    h3d = box[3]
+    bias_gt = box[2] - calib.f_v * h3d / h2d
     logits = np.full((1, NUM_ANGLE_BINS), -30.0)
     logits[0, targets.angle_bin[0]] = 30.0
     residuals = np.zeros((1, NUM_ANGLE_BINS))
     residuals[0, targets.angle_bin[0]] = targets.angle_res[0]
     size_res = np.zeros((1, 3, 3))
-    size_res[0, 0] = np.array(box.dimensions) - CLASS_PRIORS[0]
+    size_res[0, 0] = box[3:6] - CLASS_PRIORS[0]
     perfect = Heads3DOutput(
         offset3d=Tensor(targets.offset3d[:1]),
         angle_logits=Tensor(logits),
@@ -477,6 +477,6 @@ def test_target_decode_round_trip():
     decoded_all, dropped = decode_box3d(dets2d, perfect, calib)
     assert dropped == 0 and len(decoded_all) == 1
     decoded = decoded_all[0]
-    assert np.max(np.abs(np.array(decoded.location) - box.location)) < 1e-6
-    assert np.max(np.abs(np.array(decoded.dimensions) - box.dimensions)) < 1e-6
-    assert abs(decoded.yaw - box.yaw) < 1e-6
+    assert np.max(np.abs(np.array(decoded.location) - box[:3])) < 1e-6
+    assert np.max(np.abs(np.array(decoded.dimensions) - box[3:6])) < 1e-6
+    assert abs(decoded.yaw - box[6]) < 1e-6

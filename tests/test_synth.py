@@ -6,7 +6,7 @@ import pytest
 
 from mono3d.errors import UsageError
 from mono3d.evaluation import evaluate_split
-from mono3d.geometry import Box3D, box3d_corners
+from mono3d.geometry import box3d_corners
 from mono3d.heads import CLASS_NAMES
 from mono3d.kitti import write_labels
 from mono3d.losses import assign_targets
@@ -92,8 +92,7 @@ def test_reprojection_and_truncation_consistency():
     width, height = IMAGE_SIZE
     _, labels = synth_scene(13, 6, calib, IMAGE_SIZE)
     for rec in labels:
-        box = Box3D(location=rec.location, dimensions=rec.dimensions, yaw=rec.rotation_y)
-        pix, _ = calib.project(box3d_corners(box))
+        pix, _ = calib.project(box3d_corners([*rec.location, *rec.dimensions, rec.rotation_y]))
         full = (pix[:, 0].min(), pix[:, 1].min(), pix[:, 0].max(), pix[:, 1].max())
         clamped = (
             min(max(full[0], 0.0), width),
