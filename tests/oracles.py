@@ -523,11 +523,10 @@ def iou_pairs_scalar(boxes_a, boxes_b):
             union = area_a + area_b - inter
             out_bev[i, j] = inter / union if union > 0.0 else 0.0
             # y grows downward; a box occupies [y - h, y]
-            (y_a, h_a), (y_b, h_b) = (float(a[1]), float(a[3])), (float(b[1]), float(b[3]))
-            top = max(y_a - h_a, y_b - h_b)
-            bottom = min(y_a, y_b)
+            top = max(a[1] - a[3], b[1] - b[3])
+            bottom = min(a[1], b[1])
             inter_vol = inter * max(0.0, bottom - top)
-            union = area_a * h_a + area_b * h_b - inter_vol
+            union = area_a * a[3] + area_b * b[3] - inter_vol
             out_3d[i, j] = inter_vol / union if union > 0.0 else 0.0
     return out_3d, out_bev
 

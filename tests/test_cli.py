@@ -6,10 +6,22 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from mono3d.cli import _COMMANDS, build_parser, main, resolve_from_args
+from mono3d.cli import (
+    _CLASS_COLORS,
+    _COMMANDS,
+    build_parser,
+    draw_wireframe,
+    main,
+    render_overlay,
+    resolve_from_args,
+)
 from mono3d.config import DEFAULTS
+from mono3d.geometry import box3d_corners
+from mono3d.heads import Detection3D
+from mono3d.kitti import CameraCalib
 
 KITTI_FULL = os.path.join(os.path.dirname(__file__), "..", "configs", "kitti_full.json")
 
@@ -359,6 +371,24 @@ def test_infer_writes_predictions_and_overlay(toy_run, tmp_path, capsys):
     assert os.path.exists(out / "000000_overlay.ppm")
     assert _echoed(out, "infer")["score_threshold"] == 0.0
     assert "detections ->" in capsys.readouterr().out
+
+
+def test_render_overlay_draws_only_boxes_in_front_of_the_camera():
+    calib = CameraCalib(np.array([[70.0, 0, 48, 0], [0, 70.0, 32, 0], [0, 0, 1, 0]]))
+    image = np.zeros((64, 96, 3), dtype=np.uint8)
+
+    def det(class_id, location):
+        return Detection3D(class_id, 0.5, location, (1.5, 1.6, 3.9), 0.3, 0.1)
+
+    # a corner of the near box crosses z=0 (l=3.9)
+    near, front = det(0, (0.0, 1.5, 1.0)), det(1, (-1.0, 1.5, 12.0))
+    got = render_overlay(image, [near, front, near], calib)
+    want = image.copy()
+    pix, _ = calib.project(box3d_corners([*front.location, *front.dimensions, front.yaw]))
+    draw_wireframe(want, pix, _CLASS_COLORS[1])
+    assert want.any() and np.array_equal(got, want)
+    assert not image.any()
+    assert np.array_equal(render_overlay(image, [], calib), image)
 
 
 def test_infer_no_overlay_skips_render(toy_run, tmp_path):

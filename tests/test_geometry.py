@@ -200,8 +200,8 @@ def test_batched_clip_area_and_iou_bitwise_vs_scalar_oracle():
     assert np.array_equal(_areas(fa), [oracles.polygon_area_scalar(f) for f in fa])
     assert counts[0] == 8 and counts[1] == 9 and counts[5] == 0
     assert np.count_nonzero(counts[len(special) :]) >= 80
-    # footprints and corners of every box, and of random rows at the yaws
-    # where cos and sin are exactly 0 or +-1, against one box at a time
+    # footprints and corners of every box, and of random rows at yaw 0,
+    # +-pi and pi/2, against one box at a time
     axis = _rand_rows(rng, 40)
     axis[:, 6] = np.resize([0.0, math.pi, -math.pi, math.pi / 2], 40)
     rows = np.vstack([boxes_a, boxes_b, axis])
