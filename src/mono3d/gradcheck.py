@@ -176,13 +176,18 @@ def _check_conv2d(rng):
     # 1x1 with padding 1 > k-1: the output gradient's border rows see only padding
     w1, r4 = _t(rng, 3, 2, 1, 1), _t(rng, 1, 3, 7, 7)
     worst = max(worst, grad_check(_projected(lambda a: T.conv2d(a, w1, bias, stride=1, padding=1), r4), x, eps=EPS))
+    # stride-1 gW comes from the gradient frame, cropped here
+    worst = max(worst, grad_check(_projected(lambda ww: T.conv2d(x, ww, bias, stride=1, padding=1), r4), w1, eps=EPS))
     # k == s, as in the attention's spatial reduction: non-overlapping col2im
     w2, r5 = _t(rng, 3, 2, 2, 2), _t(rng, 1, 3, 2, 2)
     worst = max(worst, grad_check(_projected(lambda a: T.conv2d(a, w2, bias, stride=2, padding=0), r5), x, eps=EPS))
     worst = max(worst, grad_check(_projected(lambda ww: T.conv2d(x, ww, bias, stride=2, padding=0), r5), w2, eps=EPS))
     # the 7x7 stride-4 padding-3 stem
     w7, r6 = _t(rng, 3, 2, 7, 7), _t(rng, 1, 3, 2, 2)
-    return max(worst, grad_check(_projected(lambda a: T.conv2d(a, w7, bias, stride=4, padding=3), r6), x, eps=EPS))
+    worst = max(worst, grad_check(_projected(lambda a: T.conv2d(a, w7, bias, stride=4, padding=3), r6), x, eps=EPS))
+    # stride-1 gW with padding 0: the frame's border is all zeros
+    r7 = _t(rng, 1, 3, 3, 3)
+    return max(worst, grad_check(_projected(lambda ww: T.conv2d(x, ww, bias, stride=1, padding=0), r7), w, eps=EPS))
 
 
 def _check_bilinear_resize(rng):

@@ -1,9 +1,10 @@
 """Hot numeric kernels, one numpy implementation each.
 
 im2col and col2im carry the dense conv2d in one 2-D layout,
-[C*kh*kw, N*oh*ow]: im2col builds the patch matrix of the forward and of
-the stride-1 input gradient, and col2im, its adjoint, serves only the
-input gradient of strided convs. Depthwise convs use neither.
+[C*kh*kw, N*oh*ow]. im2col builds the forward's patch matrix and, at
+stride 1, the patch matrix of the output gradient's frame, which yields
+both the input and the weight gradient. col2im, its adjoint, serves only
+the input gradient of strided convs. Depthwise convs use neither.
 bilinear_gather and bilinear_scatter are the resize `wy @ x @ wx.T` and
 its adjoint `wy.T @ g @ wx` for the interpolation matrices of
 `tensor.bilinear_resize`; they keep their names because perfbench wraps

@@ -448,13 +448,16 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1):
     groups is 1 (dense) or C == O (depthwise, weight [C, 1, kH, kW]); any
     other value raises DimensionError.
 
-    Dense: the forward, gW and gx are one 2-D GEMM each over im2col patch
-    matrices [C*kh*kw, N*oh*ow] (Chellapilla et al., 2006). At stride 1,
-    gx is the correlation of the zero-padded output gradient with the
-    flipped, channel-transposed kernel (Dumoulin & Visin, 2016), so only
-    strided convs scatter through col2im. Depthwise: kh*kw shifted
-    multiply-adds for the forward and, on the same correlation, for gx;
-    one reduction per tap for gW.
+    Dense: the forward, gW and gx are one 2-D GEMM each (Chellapilla et
+    al., 2006). The forward multiplies by the input's im2col patch matrix
+    [C*kh*kw, N*oh*ow]. At stride 1 that matrix dies with the forward: the
+    backward builds the im2col [O*kh*kw, N*h*w] of the zero-padded output
+    gradient, and gx is the flipped, channel-transposed kernel times it
+    (Dumoulin & Visin, 2016), gW the flip of it times the channel-major
+    input. Strided convs keep the forward matrix for gW and scatter gx
+    through col2im. Depthwise: kh*kw shifted multiply-adds for the forward
+    and, on the same correlation, for gx; one reduction per tap for gW.
+    gx is not computed when x needs no gradient; its slot is None.
     """
     if x.ndim != 4 or weight.ndim != 4:
         raise DimensionError("conv2d expects 4-D input and weight")
@@ -476,7 +479,8 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1):
     if oh < 1 or ow < 1:
         raise DimensionError(f"kernel {kh}x{kw} does not fit {h}x{w} input with padding {padding}")
     b = None if bias is None else bias.data
-    out, vjp = conv(x.data, weight.data, b, stride, padding, oh, ow)
+    need_gx = x.requires_grad or x._node is not None
+    out, vjp = conv(x.data, weight.data, b, stride, padding, oh, ow, need_gx)
     inputs = (x, weight) + ((bias,) if bias is not None else ())
     return _record("conv2d", out, inputs, vjp)
 
@@ -518,7 +522,7 @@ def _nchw(m, n, h, w, b):
     return np.add(view, b[:, None, None], out=np.empty(view.shape, dtype=m.dtype))
 
 
-def _conv2d_dense(x, wt, b, stride, padding, oh, ow):
+def _conv2d_dense(x, wt, b, stride, padding, oh, ow, need_gx):
     """Output and vjp of a groups=1 conv: forward, gW and gx are 2-D GEMMs."""
     n, c, h, w = x.shape
     o, _, kh, kw = wt.shape
@@ -526,20 +530,41 @@ def _conv2d_dense(x, wt, b, stride, padding, oh, ow):
     cols = kernels.im2col(_spread(x, (n, c, hp, wp), padding, padding), kh, kw, stride, stride, oh, ow)
     w2 = wt.reshape(o, c * kh * kw)
     out = _nchw(w2 @ cols, n, oh, ow, b)
+    if stride == 1:  # returns before `vjp` below exists, so cols dies here
+        return out, _frame_vjp(x, wt, padding, b is not None, need_gx)
 
     def vjp(g):
         g2 = g.transpose(1, 0, 2, 3).reshape(o, n * oh * ow)
         gw = (g2 @ cols.T).reshape(wt.shape)
-        if stride == 1:  # beats col2im here: BENCH_conv_gemm.json, stride1_gx_ablation
-            frame = _gradient_frame(g, kh, kw, 1, padding, h, w)
-            w_flip = wt[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, o * kh * kw)
-            gx = _nchw(w_flip @ kernels.im2col(frame, kh, kw, 1, 1, h, w), n, h, w, None)
-        else:
+        gx = None
+        if need_gx:
             gxp = kernels.col2im(w2.T @ g2, hp, wp, kh, kw, stride, stride, oh, ow)
             gx = np.ascontiguousarray(gxp[:, :, padding : padding + h, padding : padding + w])
         return (gx, gw) if b is None else (gx, gw, g2.sum(axis=1))
 
     return out, vjp
+
+
+def _frame_vjp(x, wt, padding, has_bias, need_gx):
+    """vjp of a stride-1 dense conv from one patch matrix, the im2col
+    gcols [O*kh*kw, N*h*w] of the output gradient's frame:
+    gx = W_flip @ gcols and gW = flip(gcols @ x2.T), x2 the channel-major
+    input [C, N*h*w]. Beats col2im for gx (BENCH_conv_gemm.json,
+    stride1_gx_ablation) and needs no forward patch matrix for gW."""
+    n, c, h, w = x.shape
+    o, _, kh, kw = wt.shape
+
+    def vjp(g):
+        gcols = kernels.im2col(_gradient_frame(g, kh, kw, 1, padding, h, w), kh, kw, 1, 1, h, w)
+        x2 = x.transpose(1, 0, 2, 3).reshape(c, n * h * w)
+        gw = (gcols @ x2.T).reshape(o, kh, kw, c)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
+        gx = None
+        if need_gx:
+            w_flip = wt[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, o * kh * kw)
+            gx = _nchw(w_flip @ gcols, n, h, w, None)
+        return (gx, gw, g.sum(axis=(0, 2, 3))) if has_bias else (gx, gw)
+
+    return vjp
 
 
 def _tap(a, i, j, stride, oh, ow):
@@ -559,7 +584,7 @@ def _shift_madd(src, wt, oh, ow, stride=1):
     return out
 
 
-def _conv2d_depthwise(x, wt, b, stride, padding, oh, ow):
+def _conv2d_depthwise(x, wt, b, stride, padding, oh, ow, need_gx):
     """Output and vjp of a depthwise conv (groups == C == O, weight [C, 1, kh, kw])."""
     n, c, h, w = x.shape
     kh, kw = wt.shape[2:]
@@ -569,8 +594,9 @@ def _conv2d_depthwise(x, wt, b, stride, padding, oh, ow):
         out += b[:, None, None]
 
     def vjp(g):
-        frame = _gradient_frame(g, kh, kw, stride, padding, h, w)
-        gx = _shift_madd(frame, wt[:, :, ::-1, ::-1], h, w)
+        gx = None
+        if need_gx:
+            gx = _shift_madd(_gradient_frame(g, kh, kw, stride, padding, h, w), wt[:, :, ::-1, ::-1], h, w)
         gw = np.empty_like(wt)
         for i in range(kh):
             for j in range(kw):

@@ -116,6 +116,62 @@ def test_conv2d_forward_and_adjoint_gradients(case):
     assert np.max(np.abs(b.grad - g.sum(axis=(0, 2, 3)))) < 1e-10
 
 
+@pytest.mark.parametrize("xs, ws, padding", [
+    ((2, 3, 6, 7), (4, 3, 3, 3), 1),
+    ((2, 3, 5, 4), (4, 3, 1, 1), 0),  # the patch matrix has the size of x
+    ((2, 3, 5, 4), (4, 3, 1, 1), 1),
+])
+def test_conv2d_stride1_vjp_holds_no_patch_matrix(xs, ws, padding):
+    """A stride-1 dense conv's graph node keeps x and the weight, not the
+    forward im2col [C*kh*kw, N*oh*ow]."""
+    rng = np.random.default_rng(5)
+    x, w = rt(rng, *xs), rt(rng, *ws)
+    out = T.conv2d(x, w, rt(rng, ws[0]), padding=padding)
+    patch_size = ws[1] * ws[2] * ws[3] * xs[0] * out.shape[2] * out.shape[3]
+    held = [c.cell_contents for c in out._node.vjp.__closure__]
+    arrays = [a for a in held if isinstance(a, np.ndarray)]
+    assert any(a is x.data for a in arrays)
+    assert all(a is x.data or a.size < patch_size for a in arrays)
+
+
+@pytest.mark.parametrize("case", ["s1_p1", "3x3_s2_p1", "7x7_s4_p3", "dw_s1_p1"])
+def test_conv2d_skips_gx_of_an_input_without_gradient(case):
+    """gx is None when x needs no gradient; gW still meets <w, gW> = <conv(x, w), g>."""
+    xs, ws, stride, padding, groups = CONV_CASES[case]
+    rng = np.random.default_rng(7)
+    x, w = Tensor(rng.uniform(-1, 1, xs)), rt(rng, *ws)
+    out = T.conv2d(x, w, stride=stride, padding=padding, groups=groups)
+    g = rng.uniform(-1, 1, out.shape)
+    assert out._node.vjp(g)[0] is None
+    T.backward(T.sum_(out * Tensor(g)))
+    assert x.grad is None
+    linear = np.sum(out.data * g)
+    assert abs(np.sum(w.data * w.grad) - linear) < 1e-10 * (np.sum(np.abs(out.data * g)) + 1.0)
+
+
+def test_desk_loss_terms_forward_keeps_under_90_mb():
+    """One toy batch (8 x 96x64) through the desk loss keeps its graph under
+    90 MB: no stride-1 conv holds its forward patch matrix."""
+    import tracemalloc
+
+    from mono3d.model import Detector
+    from mono3d.train import build_synth_dataset
+
+    samples = build_synth_dataset(8, (96, 64), seed=7, n_objects=2, z_range=(4.5, 8.0), focal=120.0)
+    images = T.stack([s.image for s in samples])
+    targets, calibs = [s.targets for s in samples], [s.calib for s in samples]
+    det = Detector("desk", seed=0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        terms = det.loss_terms(images, targets, calibs)
+        live = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(terms) == 9
+    assert live < 90e6, f"{live / 1e6:.1f} MB live after the forward"
+
+
 # ---------------------------------------------------------------------------
 # matmul
 # ---------------------------------------------------------------------------
