@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from mono3d import tensor as T
 from mono3d.errors import DimensionError, NumericError, UsageError
+from mono3d.model import Detector
 from mono3d.tensor import Tensor
+from mono3d.train import build_synth_dataset
 
 import oracles
 
@@ -152,11 +156,6 @@ def test_conv2d_skips_gx_of_an_input_without_gradient(case):
 def test_desk_loss_terms_forward_keeps_under_90_mb():
     """One toy batch (8 x 96x64) through the desk loss keeps its graph under
     90 MB: no stride-1 conv holds its forward patch matrix."""
-    import tracemalloc
-
-    from mono3d.model import Detector
-    from mono3d.train import build_synth_dataset
-
     samples = build_synth_dataset(8, (96, 64), seed=7, n_objects=2, z_range=(4.5, 8.0), focal=120.0)
     images = T.stack([s.image for s in samples])
     targets, calibs = [s.targets for s in samples], [s.calib for s in samples]
