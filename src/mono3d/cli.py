@@ -85,12 +85,11 @@ def draw_wireframe(image, corners_px, color):
 def render_overlay(image, dets, calib):
     """Projected 3D wireframes for every detection over a copy of the image."""
     out = np.array(image, dtype=np.uint8, copy=True)
-    rows = [(*det.location, *det.dimensions, det.yaw) for det in dets]
-    for det, corners in zip(dets, box3d_corners(rows)):
+    for class_id, corners in zip(dets.class_id, box3d_corners(dets.rows)):
         if np.any(corners[:, 2] <= 0.0):
             continue
         pix, _ = calib.project(corners)
-        draw_wireframe(out, pix, _CLASS_COLORS[det.class_id % len(_CLASS_COLORS)])
+        draw_wireframe(out, pix, _CLASS_COLORS[class_id % len(_CLASS_COLORS)])
     return out
 
 

@@ -10,7 +10,7 @@ camera geometry, with uncertainty propagated from the height and bias.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -61,20 +61,24 @@ class Heads2DOutput:
     size2d: Tensor  # [N, 2, h, w], input-image pixels (w, h)
 
 
-@dataclass
-class Boxes2D:
-    """K 2D boxes as parallel arrays; boxes[rows] selects rows by index or mask."""
-
-    class_id: np.ndarray  # [K] int
-    score: np.ndarray  # [K]
-    center: np.ndarray  # [K, 2] (u, v) input-image pixels
-    size: np.ndarray  # [K, 2] (w_2d, h_2d) input-image pixels
+class _Rows:
+    """Dataclass of K objects as parallel arrays; x[rows] selects rows by index or mask."""
 
     def __len__(self):
         return len(self.class_id)
 
     def __getitem__(self, rows):
-        return Boxes2D(self.class_id[rows], self.score[rows], self.center[rows], self.size[rows])
+        return type(self)(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+
+@dataclass
+class Boxes2D(_Rows):
+    """K 2D boxes."""
+
+    class_id: np.ndarray  # [K] int
+    score: np.ndarray  # [K]
+    center: np.ndarray  # [K, 2] (u, v) input-image pixels
+    size: np.ndarray  # [K, 2] (w_2d, h_2d) input-image pixels
 
 
 @dataclass
@@ -89,13 +93,21 @@ class Heads3DOutput:
 
 
 @dataclass
-class Detection3D:
-    class_id: int
-    score: float
-    location: tuple  # (x, y, z) camera-frame meters, y at bottom-center
-    dimensions: tuple  # (h, w, l) meters
-    yaw: float  # r_y, radians in (-pi, pi]
-    depth_sigma: float  # meters
+class Detections3D(_Rows):
+    """K 3D detections; location, dimensions and yaw are views of rows."""
+
+    class_id: np.ndarray  # [K] int
+    score: np.ndarray  # [K]
+    rows: np.ndarray  # [K, 7] (x, y, z, h, w, l, yaw): camera-frame meters, y at bottom-center
+    depth_sigma: np.ndarray  # [K] meters
+
+    @classmethod
+    def empty(cls):
+        return cls(np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros((0, 7)), np.zeros(0))
+
+    location = property(lambda self: self.rows[..., 0:3])
+    dimensions = property(lambda self: self.rows[..., 3:6])
+    yaw = property(lambda self: self.rows[..., 6])
 
 
 class DenseHead(Module):
@@ -239,20 +251,14 @@ def gup_depth(h3d_mu, h3d_sigma, h2d, f, bias_mu, bias_sigma):
     if np.any(f <= 0.0):
         raise UsageError(f"focal length {f} must be positive")
     scale = f / h2d
-    if isinstance(h3d_mu, Tensor) or isinstance(bias_mu, Tensor):
-        depth_mu = h3d_mu * scale + bias_mu
-        depth_sigma = T.sqrt((h3d_sigma * scale) ** 2.0 + bias_sigma**2.0)
-        return depth_mu, depth_sigma
-    depth_mu = np.asarray(h3d_mu, dtype=np.float64) * scale + bias_mu
-    depth_sigma = np.sqrt((np.asarray(h3d_sigma, dtype=np.float64) * scale) ** 2 + np.asarray(bias_sigma, dtype=np.float64) ** 2)
-    if depth_mu.ndim == 0:
-        return float(depth_mu), float(depth_sigma)
-    return depth_mu, depth_sigma
+    depth_mu = h3d_mu * scale + bias_mu
+    var = (h3d_sigma * scale) ** 2.0 + bias_sigma**2.0
+    return depth_mu, T.sqrt(var) if isinstance(var, Tensor) else np.sqrt(var)
 
 
 def decode_box3d(boxes, out3d, calib):
     """Boxes2D + their 3D head outputs (row i for box i) + calib ->
-    (Detection3D list in box order, number of boxes dropped for a
+    (Detections3D in box order, number of boxes dropped for a
     non-positive projected depth).
 
     Every box must have a positive 2D height.
@@ -280,19 +286,5 @@ def decode_box3d(boxes, out3d, calib):
     yaw = wrap_angle(alpha + np.arctan2(x, z))
     score = boxes.score * np.exp(-depth_sigma)
     drop = z <= 0.0
-    keep = ~drop
-    fields = zip(
-        cls[keep].tolist(),
-        score[keep].tolist(),
-        np.stack([x, y, z], axis=1)[keep].tolist(),
-        dims[keep].tolist(),
-        yaw[keep].tolist(),
-        depth_sigma[keep].tolist(),
-    )
-    dets = [
-        Detection3D(
-            class_id=c, score=s, location=tuple(loc), dimensions=tuple(d), yaw=a, depth_sigma=ds
-        )
-        for c, s, loc, d, a, ds in fields
-    ]
-    return dets, int(np.sum(drop))
+    dets = Detections3D(cls, score, np.column_stack([x, y, z, dims, yaw]), depth_sigma)
+    return dets[~drop], int(np.sum(drop))

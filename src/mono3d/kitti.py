@@ -3,8 +3,9 @@
 Label lines are 15 whitespace-separated fields (16 with a trailing score
 for predictions): type, truncated, occluded, alpha, bbox (left top right
 bottom), dimensions (h w l), location (x y z), rotation_y [, score].
-All numbers are written with 2 decimals except the score (6). Parsers
-report malformed input with 1-based line and column, never by crashing.
+All numbers are written with 2 decimals except the score (6).
+Predictions are written from a heads.Detections3D. Parsers report
+malformed input with 1-based line and column, never by crashing.
 """
 
 import math
@@ -200,39 +201,38 @@ def compute_alpha(yaw, x, z):
 
 
 def write_predictions(dets, calib, image_size, class_names, drop_count=None):
-    """Detection3D list -> KITTI 16-field prediction text.
+    """Detections3D -> KITTI 16-field prediction text.
 
     The 2D bbox is the image-clamped envelope of the projected 3D
     corners. Detections behind the camera are excluded (counted in
     drop_count["behind_camera"] when a dict is given).
     """
     width, height = image_size
-    rows = np.array([(*det.location, *det.dimensions, det.yaw) for det in dets]).reshape(-1, 7)
-    corners = box3d_corners(rows)
-    behind = (rows[:, 2] <= 0.0) | (corners[:, :, 2] <= 0.0).any(axis=1)
+    corners = box3d_corners(dets.rows)
+    behind = (dets.rows[:, 2] <= 0.0) | (corners[:, :, 2] <= 0.0).any(axis=1)
     if drop_count is not None and behind.any():
         drop_count["behind_camera"] = drop_count.get("behind_camera", 0) + int(behind.sum())
     pix, _ = calib.project(corners[~behind])
     pix = pix.reshape(-1, 8, 2)
     lo, hi = pix.min(axis=1).tolist(), pix.max(axis=1).tolist()
-    kept = [det for det, b in zip(dets, behind.tolist()) if not b]
+    kept = dets[~behind]
+    fields = zip(kept.class_id.tolist(), kept.score.tolist(), kept.rows.tolist(), lo, hi)
     lines = []
-    for det, (u0, v0), (u1, v1) in zip(kept, lo, hi):
+    for class_id, score, (x, y, z, h, w, length, yaw), (u0, v0), (u1, v1) in fields:
         left = min(max(u0, 0.0), float(width))
         right = min(max(u1, 0.0), float(width))
         top = min(max(v0, 0.0), float(height))
         bottom = min(max(v1, 0.0), float(height))
-        x, y, z = det.location
         rec = LabelRecord(
-            type=class_names[det.class_id],
+            type=class_names[class_id],
             truncated=0.0,
             occluded=0,
-            alpha=compute_alpha(det.yaw, x, z),
+            alpha=compute_alpha(yaw, x, z),
             bbox=(left, top, right, bottom),
-            dimensions=det.dimensions,
-            location=det.location,
-            rotation_y=det.yaw,
-            score=det.score,
+            dimensions=(h, w, length),
+            location=(x, y, z),
+            rotation_y=yaw,
+            score=score,
         )
         lines.append(format_label_line(rec))
     return "".join(line + "\n" for line in lines)

@@ -2,9 +2,9 @@
 
 Assembles the attention-pyramid backbone, the top-down aggregation neck,
 and the dense 2D / RoI 3D heads into one module; provides the nine named
-training loss terms over a batch, single-image inference to Detection3D
-lists, and a flat little-endian float32 checkpoint with a JSON sidecar
-manifest mapping parameter names to (offset, shape).
+training loss terms over a batch, single-image inference to one
+Detections3D, and a flat little-endian float32 checkpoint with a JSON
+sidecar manifest mapping parameter names to (offset, shape).
 """
 
 import json
@@ -19,6 +19,7 @@ from .heads import (
     CLASS_PRIORS,
     MIN_H2D_PIXELS,
     Boxes2D,
+    Detections3D,
     Heads2D,
     Heads3D,
     decode_box3d,
@@ -65,7 +66,7 @@ class Detector(Module):
         return self.neck(self.backbone(images))
 
     def infer(self, image, calib, k=50, score_threshold=0.0):
-        """One image -> (Detection3D list, drop-count dict), no gradients."""
+        """One image -> (Detections3D, drop-count dict), no gradients."""
         with T.no_grad():
             feat = self.features(image)
             if feat.shape[0] != 1:
@@ -86,7 +87,7 @@ class Detector(Module):
             rois, valid = roi_crop(feat, kept, np.zeros(len(kept), dtype=np.int64))
             if not valid.all():
                 drops["roi_degenerate"] = int(np.sum(~valid))
-            dets3d = []
+            dets3d = Detections3D.empty()
             if valid.any():
                 dets3d, dropped = decode_box3d(kept[valid], self.heads3d(rois), calib)
                 if dropped:

@@ -132,8 +132,7 @@ class Tensor:
         return add(_as_tensor(other, self.dtype), -self)
 
     def __truediv__(self, other):
-        other = _as_tensor(other)
-        return mul(self, power(other, -1.0))
+        return mul(self, power(_as_tensor(other, self.dtype), -1.0))
 
     def __rtruediv__(self, other):
         return mul(_as_tensor(other, self.dtype), power(self, -1.0))
@@ -161,7 +160,7 @@ class Tensor:
 
 
 def _as_tensor(x, dtype=np.float64):
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=dtype))
+    return x if isinstance(x, Tensor) else Tensor(x, dtype=dtype)
 
 
 def _record(name, out_data, inputs, vjp):
@@ -739,13 +738,16 @@ def grad_check(f, x, eps=1e-5, max_entries=None, rng=None, select="random"):
         raise UsageError(f"unknown entry selection {select!r}")
     if not (1e-7 <= eps <= 1e-3):
         raise UsageError("eps outside the trustworthy range [1e-7, 1e-3]")
-    x.requires_grad = True
+    flag, x.requires_grad = x.requires_grad, True
     x.zero_grad()
-    out = f(x)
-    if out.size != 1:
-        raise UsageError("grad_check needs a scalar-valued function")
-    backward(out)
-    del out  # frees the graph before the finite-difference loop
+    try:
+        out = f(x)
+        if out.size != 1:
+            raise UsageError("grad_check needs a scalar-valued function")
+        backward(out)
+        del out  # frees the graph before the finite-difference loop
+    finally:
+        x.requires_grad = flag
     analytic = np.zeros_like(x.data) if x.grad is None else x.grad.copy()
 
     flat = x.data.reshape(-1)

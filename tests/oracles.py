@@ -533,10 +533,10 @@ def iou_pairs_scalar(boxes_a, boxes_b):
 
 def decode_box3d_scalar(class_id, score, center, size, out3d, calib, row=0):
     """One 2D box and row `row` of its 3D head outputs, decoded alone in
-    Python floats -> Detection3D, or None when the projected depth is not
-    positive. Depth is f_v * h3d / h2d + bias, with sigma
+    Python floats -> (class_id, score, (x, y, z, h, w, l, yaw), depth_sigma),
+    or None when the projected depth is not positive. Depth is f_v * h3d / h2d + bias, with sigma
     sqrt((f_v * sigma_h / h2d)^2 + sigma_bias^2)."""
-    from mono3d.heads import CLASS_PRIORS, NUM_ANGLE_BINS, Detection3D
+    from mono3d.heads import CLASS_PRIORS, NUM_ANGLE_BINS
 
     def wrap(a):
         return a - 2.0 * math.pi * math.ceil((a - math.pi) / (2.0 * math.pi))
@@ -561,11 +561,6 @@ def decode_box3d_scalar(class_id, score, center, size, out3d, calib, row=0):
     b = int(np.argmax(out3d.angle_logits.data[row]))
     width = 2.0 * math.pi / NUM_ANGLE_BINS
     alpha = wrap(-math.pi + (b + 0.5) * width + float(out3d.angle_residuals.data[row, b]))
-    return Detection3D(
-        class_id=int(class_id),
-        score=float(score) * math.exp(-depth_sigma),
-        location=(x, y, z),
-        dimensions=(h3d, w3d, l3d),
-        yaw=wrap(alpha + math.atan2(x, z)),
-        depth_sigma=depth_sigma,
-    )
+    yaw = wrap(alpha + math.atan2(x, z))
+    score = float(score) * math.exp(-depth_sigma)
+    return int(class_id), score, (x, y, z, h3d, w3d, l3d, yaw), depth_sigma

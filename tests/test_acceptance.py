@@ -227,10 +227,10 @@ def test_criterion_05_encode_decode_round_trip():
     boxes2d = Boxes2D(targets.class_ids, np.ones(m), targets.center2d, targets.size2d)
     dets, dropped = decode_box3d(boxes2d, out, calib)
     assert dropped == 0 and len(dets) == m
-    for d, box in zip(dets, boxes):
-        assert max(abs(a - b) for a, b in zip(d.location, box[:3])) <= 1e-6
-        assert max(abs(a - b) for a, b in zip(d.dimensions, box[3:6])) <= 1e-6
-        assert abs(wrap_angle(d.yaw - box[6])) <= 1e-6
+    boxes = np.array(boxes)
+    assert np.max(np.abs(dets.location - boxes[:, :3])) <= 1e-6
+    assert np.max(np.abs(dets.dimensions - boxes[:, 3:6])) <= 1e-6
+    assert np.max(np.abs(wrap_angle(dets.yaw - boxes[:, 6]))) <= 1e-6
 
 
 def test_criterion_05_depth_projection_exact_and_monotone():

@@ -20,7 +20,7 @@ from mono3d.cli import (
 )
 from mono3d.config import DEFAULTS
 from mono3d.geometry import box3d_corners
-from mono3d.heads import Detection3D
+from mono3d.heads import Detections3D
 from mono3d.kitti import CameraCalib
 
 KITTI_FULL = os.path.join(os.path.dirname(__file__), "..", "configs", "kitti_full.json")
@@ -377,18 +377,17 @@ def test_render_overlay_draws_only_boxes_in_front_of_the_camera():
     calib = CameraCalib(np.array([[70.0, 0, 48, 0], [0, 70.0, 32, 0], [0, 0, 1, 0]]))
     image = np.zeros((64, 96, 3), dtype=np.uint8)
 
-    def det(class_id, location):
-        return Detection3D(class_id, 0.5, location, (1.5, 1.6, 3.9), 0.3, 0.1)
-
-    # a corner of the near box crosses z=0 (l=3.9)
-    near, front = det(0, (0.0, 1.5, 1.0)), det(1, (-1.0, 1.5, 12.0))
-    got = render_overlay(image, [near, front, near], calib)
+    # a corner of the near box (class 0) crosses z=0 (l=3.9); the front box is class 1
+    near, front = (0.0, 1.5, 1.0, 1.5, 1.6, 3.9, 0.3), (-1.0, 1.5, 12.0, 1.5, 1.6, 3.9, 0.3)
+    rows = np.array([near, front, near])
+    dets = Detections3D(np.array([0, 1, 0]), np.full(3, 0.5), rows, np.full(3, 0.1))
+    got = render_overlay(image, dets, calib)
     want = image.copy()
-    pix, _ = calib.project(box3d_corners([*front.location, *front.dimensions, front.yaw]))
+    pix, _ = calib.project(box3d_corners(front))
     draw_wireframe(want, pix, _CLASS_COLORS[1])
     assert want.any() and np.array_equal(got, want)
     assert not image.any()
-    assert np.array_equal(render_overlay(image, [], calib), image)
+    assert np.array_equal(render_overlay(image, Detections3D.empty(), calib), image)
 
 
 def test_infer_no_overlay_skips_render(toy_run, tmp_path):

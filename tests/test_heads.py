@@ -461,7 +461,7 @@ def _calib():
 
 
 def _decode_one(score, center, size, out, calib):
-    """One class-0 box through the batched decode -> its Detection3D."""
+    """One class-0 box through the batched decode -> its detection row."""
     box = Boxes2D(np.zeros(1, dtype=np.intp), np.array([score]), np.array([center]), np.array([size]))
     dets, dropped = decode_box3d(box, out, calib)
     assert dropped == 0 and len(dets) == 1
@@ -480,7 +480,7 @@ def test_decode_box3d_pinhole_identity():
     assert abs(z - expected_z) < 1e-12
     # principal ray: y = h/2 above.. the ray passes through box center
     assert abs(y - prior_h / 2.0) < 1e-12
-    assert d.dimensions == tuple(CLASS_PRIORS[0])
+    assert np.array_equal(d.dimensions, CLASS_PRIORS[0])
 
 
 def test_decode_box3d_yaw_zero_case():
@@ -546,11 +546,10 @@ def test_decode_box3d_batch_drops_nonpositive_depth_in_order():
     assert [w is None for w in want] == [i == behind for i in range(m)]
     want = [w for w in want if w is not None]
     assert len(dets) == len(want) == m - 1
-    for a, b in zip(dets, want):
-        assert a.class_id == b.class_id
-        np.testing.assert_allclose(
-            a.location + a.dimensions + (a.yaw, a.score, a.depth_sigma),
-            b.location + b.dimensions + (b.yaw, b.score, b.depth_sigma),
-            rtol=1e-12,
-            atol=0.0,
-        )
+    assert dets.class_id.tolist() == [w[0] for w in want]
+    np.testing.assert_allclose(
+        np.column_stack([dets.rows, dets.score, dets.depth_sigma]),
+        [(*row, score, sigma) for _, score, row, sigma in want],
+        rtol=1e-12,
+        atol=0.0,
+    )

@@ -5,7 +5,7 @@ import pytest
 
 from mono3d.errors import ParseError, UsageError
 from mono3d.geometry import box3d_corners
-from mono3d.heads import CLASS_NAMES, Detection3D, wrap_angle
+from mono3d.heads import CLASS_NAMES, Detections3D, wrap_angle
 from mono3d.kitti import (
     CameraCalib,
     LabelRecord,
@@ -240,20 +240,24 @@ def test_calib_errors():
 # ---------------------------------------------------------------------------
 
 
+def _detections(*boxes):
+    """Class-0 Detections3D of (location, yaw, score) triples, dimensions (1.5, 1.7, 4.0)."""
+    rows = np.array([(*loc, 1.5, 1.7, 4.0, yaw) for loc, yaw, _ in boxes])
+    scores = np.array([score for _, _, score in boxes])
+    return Detections3D(np.zeros(len(boxes), dtype=np.intp), scores, rows, np.full(len(boxes), 0.1))
+
+
 def _detection(loc=(2.0, 1.5, 20.0), yaw=0.4, score=0.9):
-    return Detection3D(
-        class_id=0,
-        score=score,
-        location=loc,
-        dimensions=(1.5, 1.7, 4.0),
-        yaw=yaw,
-        depth_sigma=0.1,
-    )
+    return _detections((loc, yaw, score))
+
+
+def _box(rec):
+    return (*rec.location, *rec.dimensions, rec.rotation_y)
 
 
 def _envelope(det, calib, width=1242.0, height=375.0):
     """Image-clamped envelope of one detection's projected corners."""
-    pix, _ = calib.project(box3d_corners([*det.location, *det.dimensions, det.yaw]))
+    pix, _ = calib.project(box3d_corners(det.rows))
     return (
         min(max(pix[:, 0].min(), 0.0), width),
         min(max(pix[:, 1].min(), 0.0), height),
@@ -265,13 +269,11 @@ def _envelope(det, calib, width=1242.0, height=375.0):
 def test_write_predictions_round_trip():
     calib = _calib()
     det = _detection()
-    text = write_predictions([det], calib, (1242, 375), CLASS_NAMES)
+    text = write_predictions(det, calib, (1242, 375), CLASS_NAMES)
     (rec,) = parse_label_file(text)
     assert rec.type == "Car"
-    assert rec.location == pytest.approx(det.location, abs=0.005)
-    assert rec.dimensions == pytest.approx(det.dimensions, abs=0.005)
-    assert rec.rotation_y == pytest.approx(det.yaw, abs=0.005)
-    assert rec.score == pytest.approx(det.score, abs=5e-7)
+    assert _box(rec) == pytest.approx(det.rows[0], abs=0.005)
+    assert rec.score == pytest.approx(det.score[0], abs=5e-7)
     # bbox is the clamped envelope of the projected corners
     assert rec.bbox == pytest.approx(_envelope(det, calib), abs=0.005)
 
@@ -284,12 +286,12 @@ def test_written_alpha_consistent_with_yaw():
             loc=(float(rng.uniform(-15, 15)), 1.5, float(rng.uniform(8, 50))),
             yaw=float(rng.uniform(-math.pi, math.pi)),
         )
-        text = write_predictions([det], calib, (1242, 375), CLASS_NAMES)
+        text = write_predictions(det, calib, (1242, 375), CLASS_NAMES)
         (rec,) = parse_label_file(text)
-        x, _, z = det.location
-        expected = wrap_angle(det.yaw - math.atan2(x, z))
+        x, _, z, _, _, _, yaw = det.rows[0].tolist()
+        expected = wrap_angle(yaw - math.atan2(x, z))
         assert rec.alpha == pytest.approx(expected, abs=0.005)
-        assert compute_alpha(det.yaw, x, z) == pytest.approx(expected, abs=1e-12)
+        assert compute_alpha(yaw, x, z) == pytest.approx(expected, abs=1e-12)
 
 
 def test_compute_alpha_equals_scalar_ceil_formula():
@@ -311,9 +313,9 @@ def test_compute_alpha_equals_scalar_ceil_formula():
 def test_behind_camera_excluded_with_diagnostic():
     calib = _calib()
     drops = {}
-    valid = _detection(loc=(-3.0, 1.6, 25.0), yaw=-1.1, score=0.7)
+    valid = ((-3.0, 1.6, 25.0), -1.1, 0.7)
     text = write_predictions(
-        [_detection(loc=(0.0, 1.5, -5.0)), valid, _detection(loc=(0.0, 1.5, 1.0))],
+        _detections(((0.0, 1.5, -5.0), 0.4, 0.9), valid, ((0.0, 1.5, 1.0), 0.4, 0.9)),
         calib,
         (1242, 375),
         CLASS_NAMES,
@@ -323,18 +325,17 @@ def test_behind_camera_excluded_with_diagnostic():
     assert drops == {"behind_camera": 2}
     (rec,) = parse_label_file(text)
     assert rec.type == "Car"
-    assert rec.location == pytest.approx(valid.location, abs=0.005)
-    assert rec.dimensions == pytest.approx(valid.dimensions, abs=0.005)
-    assert rec.rotation_y == pytest.approx(valid.yaw, abs=0.005)
-    assert rec.score == pytest.approx(valid.score, abs=5e-7)
+    kept = _detections(valid)
+    assert _box(rec) == pytest.approx(kept.rows[0], abs=0.005)
+    assert rec.score == pytest.approx(kept.score[0], abs=5e-7)
     # its own corners' envelope, which differs from the dropped boxes'
-    assert rec.bbox == pytest.approx(_envelope(valid, calib), abs=0.005)
+    assert rec.bbox == pytest.approx(_envelope(kept, calib), abs=0.005)
     for other in ((0.0, 1.5, -5.0), (0.0, 1.5, 1.0)):
         assert rec.bbox != pytest.approx(_envelope(_detection(loc=other), calib), abs=0.5)
 
 
 def test_write_predictions_empty():
-    assert write_predictions([], _calib(), (1242, 375), CLASS_NAMES) == ""
+    assert write_predictions(Detections3D.empty(), _calib(), (1242, 375), CLASS_NAMES) == ""
 
 
 # ---------------------------------------------------------------------------

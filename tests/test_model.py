@@ -14,7 +14,7 @@ from mono3d.errors import (
     NumericError,
     UsageError,
 )
-from mono3d.heads import MIN_H2D_PIXELS, Heads3D, decode_heatmap_peaks, roi_crop
+from mono3d.heads import MIN_H2D_PIXELS, Detections3D, Heads3D, decode_heatmap_peaks, roi_crop
 from mono3d.losses import LOSS_TERMS, assign_targets, make_weights, total_loss
 from mono3d.model import Detector, load_checkpoint, manifest_path, save_checkpoint
 from mono3d.synth import make_default_calib, synth_scene
@@ -150,9 +150,8 @@ def test_infer_untrained_is_quiet_and_deterministic(desk, scene):
     dets_a, drops_a = desk.infer(img, calib, k=10)
     dets_b, drops_b = desk.infer(img, calib, k=10)
     assert drops_a == drops_b
-    assert len(dets_a) == len(dets_b)
-    for a, b in zip(dets_a, dets_b):
-        assert a.score == b.score and a.location == b.location
+    assert np.array_equal(dets_a.score, dets_b.score)
+    assert np.array_equal(dets_a.rows, dets_b.rows)
     with pytest.raises(UsageError):
         desk.infer(batch, calib)
 
@@ -230,14 +229,13 @@ def test_batched_infer_matches_per_peak_loop(toy_checkpoint, monkeypatch):
         assert drops == want_drops
         assert len(got) + sum(drops.values()) == 50
         assert len(got) == len(want) > 0
-        for a, b in zip(got, want):
-            assert a.class_id == b.class_id
-            np.testing.assert_allclose(
-                a.location + a.dimensions + (a.yaw, a.score, a.depth_sigma),
-                b.location + b.dimensions + (b.yaw, b.score, b.depth_sigma),
-                rtol=1e-9,
-                atol=0.0,
-            )
+        assert got.class_id.tolist() == [w[0] for w in want]
+        np.testing.assert_allclose(
+            np.column_stack([got.rows, got.score, got.depth_sigma]),
+            [(*row, score, sigma) for _, score, row, sigma in want],
+            rtol=1e-9,
+            atol=0.0,
+        )
         reasons.update(drops)
     assert {"h2d_degenerate", "roi_degenerate"} <= reasons
 
@@ -254,7 +252,7 @@ def test_infer_without_surviving_peaks_skips_heads3d(toy_checkpoint, monkeypatch
     want, want_drops = _infer_per_peak(det, images[0], calib, k=50)
     calls = _count_heads3d_calls(monkeypatch)
     got, drops = det.infer(images[0], calib, k=50)
-    assert got == [] and want == []
+    assert isinstance(got, Detections3D) and len(got) == 0 and want == []
     assert drops == want_drops == {reason: 50}
     assert calls == []
 

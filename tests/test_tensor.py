@@ -433,6 +433,41 @@ def test_grad_check_negative_control():
     assert err > 1e-3
 
 
+def test_grad_check_restores_the_probe_flag():
+    w = Tensor(np.ones(3))
+    p = Tensor(np.full(3, 2.0), requires_grad=True)
+    assert T.grad_check(lambda t: T.sum_(t * p), w) < 1e-9
+    assert w.requires_grad is False
+    assert T.grad_check(lambda t: T.sum_(t * w), p) < 1e-9
+    assert p.requires_grad is True
+    with pytest.raises(UsageError):
+        T.grad_check(lambda t: t * p, w)
+    assert w.requires_grad is False
+
+
+SCALAR_ARITHMETIC = {
+    "add": lambda t: t + 0.3,
+    "radd": lambda t: 0.3 + t,
+    "sub": lambda t: t - 0.3,
+    "rsub": lambda t: 0.3 - t,
+    "mul": lambda t: t * 0.3,
+    "rmul": lambda t: 0.3 * t,
+    "truediv": lambda t: t / 0.3,
+    "rtruediv": lambda t: 0.3 / t,
+}
+
+
+@pytest.mark.parametrize("op", sorted(SCALAR_ARITHMETIC))
+def test_python_scalar_arithmetic_keeps_float32(op):
+    values = np.array([0.5, 1.5, -2.0])
+    f = SCALAR_ARITHMETIC[op]
+    got = f(Tensor(values, dtype=np.float32))
+    assert got.dtype == np.float32
+    want = f(Tensor(values))
+    assert want.dtype == np.float64
+    np.testing.assert_allclose(got.data, want.data, rtol=1e-6)
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_grad_check_core_ops_many_seeds(seed):
     rng = np.random.default_rng(100 + seed)
