@@ -107,7 +107,7 @@ class Detections3D(_Rows):
 
     location = property(lambda self: self.rows[..., 0:3])
     dimensions = property(lambda self: self.rows[..., 3:6])
-    yaw = property(lambda self: self.rows[..., 6])
+    yaw = property(lambda self: self.rows[..., 6])  # r_y, radians in (-pi, pi]
 
 
 class DenseHead(Module):
