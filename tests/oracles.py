@@ -534,8 +534,8 @@ def iou_pairs_scalar(boxes_a, boxes_b):
 def decode_box3d_scalar(class_id, score, center, size, out3d, calib, row=0):
     """One 2D box and row `row` of its 3D head outputs, decoded alone in
     Python floats -> (class_id, score, (x, y, z, h, w, l, yaw), depth_sigma),
-    or None when the projected depth is not positive. Depth is f_v * h3d / h2d + bias, with sigma
-    sqrt((f_v * sigma_h / h2d)^2 + sigma_bias^2)."""
+    or None when the projected depth is not positive. Depth is
+    f_v * h3d / h2d + bias, with sigma sqrt((f_v * sigma_h / h2d)^2 + sigma_bias^2)."""
     from mono3d.heads import CLASS_PRIORS, NUM_ANGLE_BINS
 
     def wrap(a):
