@@ -258,8 +258,9 @@ def gup_depth(h3d_mu, h3d_sigma, h2d, f, bias_mu, bias_sigma):
 
 def decode_box3d(boxes, out3d, calib):
     """Boxes2D + their 3D head outputs (row i for box i) + calib ->
-    (Detections3D in box order, number of boxes dropped for a
-    non-positive projected depth).
+    (Detections3D in box order, drop counts by reason). A box is dropped
+    for a non-positive projected depth ("nonpositive_depth") or, failing
+    that, for a non-positive decoded dimension ("nonpositive_dimension").
 
     Every box must have a positive 2D height.
     """
@@ -285,6 +286,8 @@ def decode_box3d(boxes, out3d, calib):
     alpha = decode_angle(b, out3d.angle_residuals.data[rows, b])
     yaw = wrap_angle(alpha + np.arctan2(x, z))
     score = boxes.score * np.exp(-depth_sigma)
-    drop = z <= 0.0
+    behind = z <= 0.0
+    flat = np.any(dims <= 0.0, axis=1) & ~behind
+    drops = {"nonpositive_depth": int(behind.sum()), "nonpositive_dimension": int(flat.sum())}
     dets = Detections3D(cls, score, np.column_stack([x, y, z, dims, yaw]), depth_sigma)
-    return dets[~drop], int(np.sum(drop))
+    return dets[~(behind | flat)], {reason: n for reason, n in drops.items() if n}

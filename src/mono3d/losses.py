@@ -1,12 +1,13 @@
 """Task losses, target assignment, and the hierarchical task schedule.
 
 The nine loss terms are (in fixed summation order): heatmap, offset2d,
-size2d, angle, w3d, l3d, h3d, depth, offset3d. Dense 2D targets live on
-the stride-4 map; 3D targets are per-object vectors gathered at ground-
-truth boxes. Depth and 3D height use a Laplacian negative log-likelihood
-so the network can widen sigma on hard objects instead of overfitting
-the L1. Task tiers gate the 3D terms (and then depth) on the measured
-training progress of their prerequisite tasks.
+size2d, angle, w3d, l3d, h3d, depth, offset3d. Only the class heatmap
+is dense on the stride-4 map; every other target is a per-object array:
+the 2D offset and size are read at each object's center cell, the 3D
+targets at its ground-truth box. Depth and 3D height use a Laplacian
+negative log-likelihood so the network can widen sigma on hard objects
+instead of overfitting the L1. Task tiers gate the 3D terms (and then
+depth) on the measured training progress of their prerequisite tasks.
 """
 
 import math
@@ -37,10 +38,9 @@ TIER2 = ("offset3d", "w3d", "l3d", "h3d", "angle")
 @dataclass
 class TargetMaps:
     heatmap: np.ndarray  # [C_cls, h, w], peak exactly 1 at each center cell
-    mask: np.ndarray  # [h, w] float, 1 at object cells
-    offset2d_map: np.ndarray  # [2, h, w]
-    size2d_map: np.ndarray  # [2, h, w] (w_2d, h_2d) input pixels
     class_ids: np.ndarray  # [M]
+    cell: np.ndarray  # [M, 2] int (row, col) center cell on the stride-4 map
+    offset2d: np.ndarray  # [M, 2] center minus cell, map units
     center2d: np.ndarray  # [M, 2] exact 2D box centers, input pixels
     size2d: np.ndarray  # [M, 2] (w_2d, h_2d)
     offset3d: np.ndarray  # [M, 2] projected-3D-center minus 2D center
@@ -92,7 +92,7 @@ def draw_gaussian(heatmap, row, col, radius):
 
 
 def assign_targets(labels, calib, image_size, num_classes=len(CLASS_NAMES)):
-    """Ground-truth records -> dense 2D targets + per-object 3D targets.
+    """Ground-truth records -> the dense class heatmap + per-object targets.
 
     Center cells are floor(center / stride); offsets are the fractional
     remainders in map units. Objects with unknown class or with a center
@@ -102,10 +102,7 @@ def assign_targets(labels, calib, image_size, num_classes=len(CLASS_NAMES)):
     hm_h = -(-height // OUTPUT_STRIDE)
     hm_w = -(-width // OUTPUT_STRIDE)
     heatmap = np.zeros((num_classes, hm_h, hm_w))
-    mask = np.zeros((hm_h, hm_w))
-    offset2d_map = np.zeros((2, hm_h, hm_w))
-    size2d_map = np.zeros((2, hm_h, hm_w))
-    classes = []
+    classes, cells, offsets2d = [], [], []
     centers, sizes, offsets3d, sizes3d, bins, residuals, depths = [], [], [], [], [], [], []
     skipped = {}
 
@@ -134,11 +131,6 @@ def assign_targets(labels, calib, image_size, num_classes=len(CLASS_NAMES)):
         radius = max(0, int(gaussian_radius((h2d / OUTPUT_STRIDE, w2d / OUTPUT_STRIDE))))
         draw_gaussian(heatmap[cls], row, col, radius)
         heatmap[cls, row, col] = 1.0
-        mask[row, col] = 1.0
-        offset2d_map[0, row, col] = cu / OUTPUT_STRIDE - col
-        offset2d_map[1, row, col] = cv / OUTPUT_STRIDE - row
-        size2d_map[0, row, col] = w2d
-        size2d_map[1, row, col] = h2d
 
         h3d = rec.dimensions[0]
         x, y, z = rec.location
@@ -147,6 +139,8 @@ def assign_targets(labels, calib, image_size, num_classes=len(CLASS_NAMES)):
         u3d, v3d = pix[0]
 
         classes.append(cls)
+        cells.append((row, col))
+        offsets2d.append((cu / OUTPUT_STRIDE - col, cv / OUTPUT_STRIDE - row))
         centers.append((cu, cv))
         sizes.append((w2d, h2d))
         offsets3d.append((u3d - cu, v3d - cv))
@@ -158,10 +152,9 @@ def assign_targets(labels, calib, image_size, num_classes=len(CLASS_NAMES)):
 
     return TargetMaps(
         heatmap=heatmap,
-        mask=mask,
-        offset2d_map=offset2d_map,
-        size2d_map=size2d_map,
         class_ids=np.array(classes, dtype=np.intp),
+        cell=np.array(cells, dtype=np.intp).reshape(-1, 2),
+        offset2d=np.array(offsets2d).reshape(-1, 2),
         center2d=np.array(centers).reshape(-1, 2),
         size2d=np.array(sizes).reshape(-1, 2),
         offset3d=np.array(offsets3d).reshape(-1, 2),
@@ -190,16 +183,16 @@ def focal_loss(pred, gt, alpha=2.0, beta=4.0):
     return -(T.sum_(pos_term) + T.sum_(neg_term)) * (1.0 / max(npos, 1.0))
 
 
-def l1_masked(pred, target, mask):
-    """Mean |pred - target| over masked elements; 0 when the mask is empty."""
+def l1_masked(pred, target):
+    """Mean |pred - target| over all elements; 0 for empty input.
+
+    perfbench's span tracer wraps this function by its name."""
     target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape:
         raise DimensionError(f"shapes differ: {pred.shape} vs {target.shape}")
-    weights = np.broadcast_to(np.asarray(mask, dtype=np.float64), pred.shape)
-    denom = float(weights.sum())
-    if denom == 0.0:
+    if target.size == 0:
         return _zero_scalar()
-    return T.sum_(T.absolute(pred - target) * weights) * (1.0 / denom)
+    return T.sum_(T.absolute(pred - target)) * (1.0 / target.size)
 
 
 def _log_softmax(logits):

@@ -90,16 +90,16 @@ class Detector(Module):
             dets3d = Detections3D.empty()
             if valid.any():
                 dets3d, dropped = decode_box3d(kept[valid], self.heads3d(rois), calib)
-                if dropped:
-                    drops["nonpositive_depth"] = dropped
+                drops.update(dropped)
         return dets3d, drops
 
     def loss_terms(self, images, targets, calibs):
         """Batch + per-image TargetMaps + calibs -> the nine scalar loss Tensors.
 
-        The 2D terms are dense over the stacked maps; the 3D terms run the
-        RoI head on ground-truth boxes, with depth projected through the
-        camera from the predicted height and the ground-truth 2D height.
+        The heatmap term is dense over the stacked maps; the 2D offset and
+        size are read at each object's center cell, and the 3D terms run
+        the RoI head on ground-truth boxes, with depth projected through
+        the camera from the predicted height and the ground-truth 2D height.
         """
         feat = self.features(images)
         b = feat.shape[0]
@@ -111,25 +111,21 @@ class Detector(Module):
             raise UsageError(f"{b} images but {len(calibs)} calibs")
 
         out2d = self.heads2d(feat)
-        heat_gt = np.stack([t.heatmap for t in targets])
-        mask = np.stack([t.mask for t in targets])[:, None, :, :]
-        off_gt = np.stack([t.offset2d_map for t in targets])
-        size_gt = np.stack([t.size2d_map for t in targets])
-        terms = {
-            "heatmap": focal_loss(out2d.heatmap, heat_gt),
-            "offset2d": l1_masked(out2d.offset2d, off_gt, mask),
-            "size2d": l1_masked(out2d.size2d, size_gt, mask),
-        }
-
+        terms = {"heatmap": focal_loss(out2d.heatmap, np.stack([t.heatmap for t in targets]))}
         counts = [t.n_objects for t in targets]
         m_total = sum(counts)
         if m_total == 0:
-            for term in ("offset3d", "w3d", "l3d", "h3d", "angle", "depth"):
+            for term in LOSS_TERMS[1:]:
                 terms[term] = _zero_scalar()
-            return {term: terms[term] for term in LOSS_TERMS}
+            return terms
 
         def gather(field):
             return np.concatenate([getattr(t, field) for t in targets])
+
+        image_index = np.repeat(np.arange(b), counts)
+        row, col = gather("cell").T
+        terms["offset2d"] = l1_masked(out2d.offset2d[image_index, :, row, col], gather("offset2d"))
+        terms["size2d"] = l1_masked(out2d.size2d[image_index, :, row, col], gather("size2d"))
 
         gt = Boxes2D(
             class_id=gather("class_ids"),
@@ -137,7 +133,7 @@ class Detector(Module):
             center=gather("center2d"),
             size=gather("size2d"),
         )
-        rois, valid = roi_crop(feat, gt, np.repeat(np.arange(b), counts))
+        rois, valid = roi_crop(feat, gt, image_index)
         if not valid.all():
             bad = int(np.argmin(valid))
             raise DegenerateGeometryError(
@@ -146,14 +142,11 @@ class Detector(Module):
             )
         out3d = self.heads3d(rois)
         cls = gt.class_id
-        onehot = np.zeros((m_total, self.num_classes, 1))
-        onehot[np.arange(m_total), cls, 0] = 1.0
-        dims = T.sum_(out3d.size_residuals * onehot, axis=1) + CLASS_PRIORS[cls]
+        dims = out3d.size_residuals[np.arange(m_total), cls] + CLASS_PRIORS[cls]
         size3 = gather("size3d")
-        ones_vec = np.ones(m_total)
-        terms["offset3d"] = l1_masked(out3d.offset3d, gather("offset3d"), np.ones((m_total, 1)))
-        terms["w3d"] = l1_masked(dims[:, 1], size3[:, 1], ones_vec)
-        terms["l3d"] = l1_masked(dims[:, 2], size3[:, 2], ones_vec)
+        terms["offset3d"] = l1_masked(out3d.offset3d, gather("offset3d"))
+        terms["w3d"] = l1_masked(dims[:, 1], size3[:, 1])
+        terms["l3d"] = l1_masked(dims[:, 2], size3[:, 2])
         h_sigma = T.exp(out3d.h_log_sigma)
         terms["h3d"] = laplacian_nll(dims[:, 0], h_sigma, size3[:, 0])
         terms["angle"] = angle_loss(

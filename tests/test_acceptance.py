@@ -225,8 +225,8 @@ def test_criterion_05_encode_decode_round_trip():
         bias_log_sigma=Tensor(np.full(m, -30.0)),
     )
     boxes2d = Boxes2D(targets.class_ids, np.ones(m), targets.center2d, targets.size2d)
-    dets, dropped = decode_box3d(boxes2d, out, calib)
-    assert dropped == 0 and len(dets) == m
+    dets, drops = decode_box3d(boxes2d, out, calib)
+    assert drops == {} and len(dets) == m
     boxes = np.array(boxes)
     assert np.max(np.abs(dets.location - boxes[:, :3])) <= 1e-6
     assert np.max(np.abs(dets.dimensions - boxes[:, 3:6])) <= 1e-6

@@ -463,8 +463,8 @@ def _calib():
 def _decode_one(score, center, size, out, calib):
     """One class-0 box through the batched decode -> its detection row."""
     box = Boxes2D(np.zeros(1, dtype=np.intp), np.array([score]), np.array([center]), np.array([size]))
-    dets, dropped = decode_box3d(box, out, calib)
-    assert dropped == 0 and len(dets) == 1
+    dets, drops = decode_box3d(box, out, calib)
+    assert drops == {} and len(dets) == 1
     return dets[0]
 
 
@@ -535,8 +535,8 @@ def test_decode_box3d_batch_drops_nonpositive_depth_in_order():
         bias_mu=Tensor(bias_mu),
         bias_log_sigma=Tensor(rng.normal(scale=0.5, size=m)),
     )
-    dets, dropped = decode_box3d(boxes, out, calib)
-    assert dropped == 1
+    dets, drops = decode_box3d(boxes, out, calib)
+    assert drops == {"nonpositive_depth": 1}
     want = [
         oracles.decode_box3d_scalar(
             boxes.class_id[i], boxes.score[i], boxes.center[i], boxes.size[i], out, calib, row=i
@@ -553,3 +553,33 @@ def test_decode_box3d_batch_drops_nonpositive_depth_in_order():
         rtol=1e-12,
         atol=0.0,
     )
+
+
+def test_decode_box3d_drops_nonpositive_dimensions_once_per_row():
+    calib = _calib()
+    m = 4
+    boxes = Boxes2D(
+        class_id=np.ones(m, dtype=np.intp),  # Pedestrian
+        score=np.full(m, 0.9),
+        center=np.tile([calib.c_u, calib.c_v], (m, 1)),
+        size=np.tile([40.0, 70.0], (m, 1)),
+    )
+    size_res = np.zeros((m, len(CLASS_PRIORS), 3))
+    size_res[1, 1, 1] = -0.7  # width 0.66 - 0.7 < 0
+    size_res[2, 1, 2] = -CLASS_PRIORS[1, 2]  # length exactly 0
+    size_res[3, 1, 1] = -0.7  # and this row is also behind the camera
+    bias_mu = np.zeros(m)
+    bias_mu[3] = -1e4
+    out = Heads3DOutput(
+        offset3d=Tensor(np.zeros((m, 2))),
+        angle_logits=Tensor(np.zeros((m, NUM_ANGLE_BINS))),
+        angle_residuals=Tensor(np.zeros((m, NUM_ANGLE_BINS))),
+        size_residuals=Tensor(size_res),
+        h_log_sigma=Tensor(np.full(m, -30.0)),
+        bias_mu=Tensor(bias_mu),
+        bias_log_sigma=Tensor(np.full(m, -30.0)),
+    )
+    dets, drops = decode_box3d(boxes, out, calib)
+    assert drops == {"nonpositive_depth": 1, "nonpositive_dimension": 2}
+    assert len(dets) == 1
+    assert np.array_equal(dets.dimensions, CLASS_PRIORS[1:2])

@@ -78,16 +78,16 @@ def _label_at(cu, cv, w2d=40.0, h2d=24.0, cls="Car"):
 def test_assign_center_cell_exact_division():
     targets = assign_targets([_label_at(40.0, 80.0)], _calib(), (1280, 384))
     assert targets.n_objects == 1
-    assert targets.mask[20, 10] == 1.0 and targets.mask.sum() == 1.0
+    assert targets.cell.tolist() == [[20, 10]]
     assert targets.heatmap[0, 20, 10] == 1.0
-    assert np.array_equal(targets.offset2d_map[:, 20, 10], [0.0, 0.0])
+    assert np.array_equal(targets.offset2d, [[0.0, 0.0]])
 
 
 def test_assign_fractional_offsets():
     targets = assign_targets([_label_at(41.0, 82.0)], _calib(), (1280, 384))
-    assert targets.mask[20, 10] == 1.0 and targets.mask.sum() == 1.0
+    assert targets.cell.tolist() == [[20, 10]]
     assert targets.heatmap[0, 20, 10] == 1.0
-    assert np.allclose(targets.offset2d_map[:, 20, 10], [0.25, 0.5])
+    assert np.allclose(targets.offset2d, [[0.25, 0.5]])
 
 
 def test_assign_two_distant_objects():
@@ -112,8 +112,8 @@ def test_assign_skips_unknown_and_outside():
 
 def test_assign_size_targets_input_pixels():
     targets = assign_targets([_label_at(40.0, 80.0, w2d=52.0, h2d=30.0)], _calib(), (1280, 384))
-    assert np.allclose(targets.size2d_map[:, 20, 10], [52.0, 30.0])
-    assert np.allclose(targets.size2d[0], [52.0, 30.0])
+    assert targets.cell.tolist() == [[20, 10]]
+    assert np.allclose(targets.size2d, [[52.0, 30.0]])
 
 
 def test_gaussian_radius_properties():
@@ -195,47 +195,33 @@ def test_focal_grad_check():
 
 
 # ---------------------------------------------------------------------------
-# masked L1
+# L1
 # ---------------------------------------------------------------------------
 
 
 def test_l1_exact_match_zero():
     pred = Tensor(np.ones((2, 4, 4)))
-    mask = np.ones((4, 4))
-    assert float(l1_masked(pred, np.ones((2, 4, 4)), mask).data) == 0.0
+    assert float(l1_masked(pred, np.ones((2, 4, 4))).data) == 0.0
 
 
 def test_l1_single_cell():
-    pred = Tensor(np.zeros((1, 3, 3)))
-    target = np.zeros((1, 3, 3))
-    target[0, 1, 2] = 0.3
-    mask = np.zeros((3, 3))
-    mask[1, 2] = 1.0
-    assert abs(float(l1_masked(pred, target, mask).data) - 0.3) < 1e-15
+    # one object's (x, y) row; the mean runs over both elements
+    pred = Tensor(np.zeros((1, 2)))
+    assert abs(float(l1_masked(pred, [[0.3, 0.0]]).data) - 0.15) < 1e-15
 
 
-def test_l1_empty_mask_zero_loss_and_grad():
-    pred = Tensor(np.random.default_rng(2).normal(size=(2, 3, 3)), requires_grad=True)
-    out = l1_masked(pred, np.zeros((2, 3, 3)), np.zeros((3, 3)))
+def test_l1_empty_input_zero_loss_and_grad():
+    pred = Tensor(np.zeros((0, 2)), requires_grad=True)
+    out = l1_masked(pred, np.zeros((0, 2)))
     assert float(out.data) == 0.0
     assert out._node is None  # constant: not connected to a graph
-
-
-def test_l1_mean_over_masked_elements():
-    pred = Tensor(np.zeros((2, 2, 2)))
-    target = np.full((2, 2, 2), 2.0)
-    mask = np.zeros((2, 2))
-    mask[0, 0] = mask[1, 1] = 1.0
-    # 4 masked elements (2 channels x 2 cells), each |diff| = 2
-    assert abs(float(l1_masked(pred, target, mask).data) - 2.0) < 1e-15
 
 
 def test_l1_grad_check():
     rng = np.random.default_rng(3)
     pred = Tensor(rng.normal(size=(2, 4, 4)), requires_grad=True)
     target = rng.normal(size=(2, 4, 4)) + 3.0  # keep |diff| away from 0
-    mask = (rng.uniform(size=(4, 4)) > 0.5).astype(float)
-    assert T.grad_check(lambda t: l1_masked(t, target, mask), pred) < 1e-4
+    assert T.grad_check(lambda t: l1_masked(t, target), pred) < 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -449,9 +435,13 @@ def test_target_decode_round_trip():
     targets = assign_targets([label], calib, (1280, 384))
     assert targets.n_objects == 1
 
-    dets2d = decode_heatmap_peaks(
-        targets.heatmap, targets.offset2d_map, targets.size2d_map, k=5, threshold=0.5
-    )
+    # the offset and size heads' outputs, right at the one center cell
+    map_shape = (2,) + targets.heatmap.shape[1:]
+    offset2d, size2d = np.zeros(map_shape), np.zeros(map_shape)
+    row, col = targets.cell[0]
+    offset2d[:, row, col] = targets.offset2d[0]
+    size2d[:, row, col] = targets.size2d[0]
+    dets2d = decode_heatmap_peaks(targets.heatmap, offset2d, size2d, k=5, threshold=0.5)
     assert len(dets2d) == 1
     assert abs(dets2d.center[0, 0] - targets.center2d[0, 0]) < 1e-9
     assert abs(dets2d.center[0, 1] - targets.center2d[0, 1]) < 1e-9
@@ -474,8 +464,8 @@ def test_target_decode_round_trip():
         bias_mu=Tensor(np.array([bias_gt])),
         bias_log_sigma=Tensor(np.array([-40.0])),
     )
-    decoded_all, dropped = decode_box3d(dets2d, perfect, calib)
-    assert dropped == 0 and len(decoded_all) == 1
+    decoded_all, drops = decode_box3d(dets2d, perfect, calib)
+    assert drops == {} and len(decoded_all) == 1
     decoded = decoded_all[0]
     assert np.max(np.abs(np.array(decoded.location) - box[:3])) < 1e-6
     assert np.max(np.abs(np.array(decoded.dimensions) - box[3:6])) < 1e-6

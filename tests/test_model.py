@@ -14,6 +14,7 @@ from mono3d.errors import (
     NumericError,
     UsageError,
 )
+from mono3d.kitti import LabelRecord
 from mono3d.heads import MIN_H2D_PIXELS, Detections3D, Heads3D, decode_heatmap_peaks, roi_crop
 from mono3d.losses import LOSS_TERMS, assign_targets, make_weights, total_loss
 from mono3d.model import Detector, load_checkpoint, manifest_path, save_checkpoint
@@ -112,6 +113,27 @@ def test_failed_loss_terms_leaves_no_nodes(scene):
     assert oracles.live_graph_nodes() == 0
 
 
+def test_loss_terms_scores_each_object_at_a_shared_center_cell(desk):
+    calib = make_default_calib(IMAGE_SIZE, focal=90.0)
+    labels = [
+        LabelRecord("Car", 0.0, 0, 0.1, (cu - w / 2, cv - h / 2, cu + w / 2, cv + h / 2),
+                    (1.5, 1.6, 3.9), (0.0, 1.0, 10.0), 0.1)
+        for cu, cv, w, h in ((41.0, 30.0, 20.0, 16.0), (42.5, 31.0, 30.0, 24.0))
+    ]
+    targets = assign_targets(labels, calib, IMAGE_SIZE)
+    # both centers fall in stride-4 cell (7, 10); neither target is overwritten
+    assert targets.cell.tolist() == [[7, 10], [7, 10]]
+    assert np.array_equal(targets.size2d, [[20.0, 16.0], [30.0, 24.0]])
+    assert np.array_equal(targets.offset2d, [[0.25, 0.5], [0.625, 0.75]])
+
+    image = np.random.default_rng(4).uniform(size=(1, 3, IMAGE_SIZE[1], IMAGE_SIZE[0]))
+    terms = desk.loss_terms(image, [targets], calib)
+    with T.no_grad():
+        pred = desk.heads2d(desk.features(image)).size2d.data[0, :, 7, 10]
+    want = np.mean(np.abs(pred - targets.size2d))
+    np.testing.assert_allclose(float(terms["size2d"].data), want, rtol=1e-12, atol=0.0)
+
+
 def test_loss_terms_zero_area_gt_box_raises(desk, scene):
     calib, batch, targets = scene
     size2d = targets[1].size2d.copy()
@@ -199,6 +221,8 @@ def _infer_per_peak(det, image, calib, k):
             )
             if d3 is None:
                 drops["nonpositive_depth"] = drops.get("nonpositive_depth", 0) + 1
+            elif min(d3[2][3:6]) <= 0.0:
+                drops["nonpositive_dimension"] = drops.get("nonpositive_dimension", 0) + 1
             else:
                 dets3d.append(d3)
     return dets3d, drops
@@ -225,7 +249,8 @@ def test_batched_infer_matches_per_peak_loop(toy_checkpoint, monkeypatch):
         calls = _count_heads3d_calls(monkeypatch)
         got, drops = det.infer(image, calib, k=50)
         monkeypatch.undo()
-        assert calls == [len(got) + drops.get("nonpositive_depth", 0)]
+        decoded = len(got) + drops.get("nonpositive_depth", 0) + drops.get("nonpositive_dimension", 0)
+        assert calls == [decoded]
         assert drops == want_drops
         assert len(got) + sum(drops.values()) == 50
         assert len(got) == len(want) > 0

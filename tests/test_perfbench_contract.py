@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from mono3d import kitti
+from mono3d import tensor as T
 from mono3d.heads import CLASS_NAMES, Detections3D
+from mono3d.losses import assign_targets, make_weights, total_loss
 from mono3d.model import Detector
 from mono3d.synth import make_default_calib, synth_scene
 
@@ -48,6 +50,23 @@ def test_tracer_wraps_every_name_and_puts_them_back(scene):
         assert current is orig, attr
     recorded = {tracer.names[i] for i in tracer._name}
     assert {"model.infer", "heads.decode_box3d", "kitti.write_predictions"} <= recorded
+
+
+def test_tracer_records_the_training_path():
+    calib = make_default_calib(IMAGE_SIZE, focal=120.0)
+    image, labels = synth_scene(2, 2, calib, IMAGE_SIZE, z_range=(4.5, 8.0))
+    targets = assign_targets(labels, calib, IMAGE_SIZE)
+    assert targets.n_objects > 0
+    detector = Detector("desk", seed=0)
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        terms = detector.loss_terms(image[None], [targets], [calib])
+        T.backward(total_loss(terms, make_weights())[0])
+    finally:
+        tracer.uninstall()
+    recorded = {tracer.names[i] for i in tracer._name}
+    assert {"model.loss_terms", "losses", "heads.roi_crop", "tensor.backward"} <= recorded
 
 
 def test_box_rows_reads_detections(scene):
