@@ -122,17 +122,16 @@ class Detector(Module):
         def gather(field):
             return np.concatenate([getattr(t, field) for t in targets])
 
-        image_index = np.repeat(np.arange(b), counts)
-        row, col = gather("cell").T
-        terms["offset2d"] = l1_masked(out2d.offset2d[image_index, :, row, col], gather("offset2d"))
-        terms["size2d"] = l1_masked(out2d.size2d[image_index, :, row, col], gather("size2d"))
-
         gt = Boxes2D(
             class_id=gather("class_ids"),
             score=np.ones(m_total),
             center=gather("center2d"),
             size=gather("size2d"),
         )
+        image_index = np.repeat(np.arange(b), counts)
+        row, col = gather("cell").T
+        terms["offset2d"] = l1_masked(out2d.offset2d[image_index, :, row, col], gather("offset2d"))
+        terms["size2d"] = l1_masked(out2d.size2d[image_index, :, row, col], gt.size)
         rois, valid = roi_crop(feat, gt, image_index)
         if not valid.all():
             bad = int(np.argmin(valid))

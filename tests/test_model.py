@@ -14,8 +14,8 @@ from mono3d.errors import (
     NumericError,
     UsageError,
 )
-from mono3d.kitti import LabelRecord
 from mono3d.heads import MIN_H2D_PIXELS, Detections3D, Heads3D, decode_heatmap_peaks, roi_crop
+from mono3d.kitti import LabelRecord
 from mono3d.losses import LOSS_TERMS, assign_targets, make_weights, total_loss
 from mono3d.model import Detector, load_checkpoint, manifest_path, save_checkpoint
 from mono3d.synth import make_default_calib, synth_scene
