@@ -155,7 +155,8 @@ def decode_heatmap_peaks(hm, off, size, k=50, threshold=0.0):
 
     Survivors of 3x3 suppression above threshold, top-k by score with ties
     broken by flat (class, row, col) index; centers are (cell + offset)
-    scaled by the output stride, with (u, v) = (x, y) pixel ordering.
+    scaled by the output stride, with (u, v) = (x, y) pixel ordering. The
+    maps are read as float64, whatever the network's dtype.
     """
     if k < 1:
         raise UsageError("k must be >= 1")
@@ -163,6 +164,7 @@ def decode_heatmap_peaks(hm, off, size, k=50, threshold=0.0):
         raise UsageError("threshold must lie in [0, 1)")
     if hm.ndim != 3:
         raise DimensionError(f"expected [C, h, w] heatmap, got shape {hm.shape}")
+    hm, off, size = (np.asarray(a, dtype=np.float64) for a in (hm, off, size))
 
     peaks = suppress_non_peaks(hm)
     flat = peaks.reshape(-1)
@@ -262,28 +264,29 @@ def decode_box3d(boxes, out3d, calib):
     for a non-positive projected depth ("nonpositive_depth") or, failing
     that, for a non-positive decoded dimension ("nonpositive_dimension").
 
-    Every box must have a positive 2D height.
+    Every box must have a positive 2D height. The head outputs are read
+    as float64, whatever the network's dtype.
     """
+    out = {f.name: getattr(out3d, f.name).data.astype(np.float64, copy=False) for f in fields(out3d)}
     rows = np.arange(len(boxes))
     cls = boxes.class_id
-    off = out3d.offset3d.data
-    u = boxes.center[:, 0] + off[:, 0]
-    v = boxes.center[:, 1] + off[:, 1]
-    dims = CLASS_PRIORS[cls] + out3d.size_residuals.data[rows, cls]
+    u = boxes.center[:, 0] + out["offset3d"][:, 0]
+    v = boxes.center[:, 1] + out["offset3d"][:, 1]
+    dims = CLASS_PRIORS[cls] + out["size_residuals"][rows, cls]
     h3d = dims[:, 0]
     z, depth_sigma = gup_depth(
         h3d,
-        np.exp(out3d.h_log_sigma.data),
+        np.exp(out["h_log_sigma"]),
         boxes.size[:, 1],
         calib.f_v,
-        out3d.bias_mu.data,
-        np.exp(out3d.bias_log_sigma.data),
+        out["bias_mu"],
+        np.exp(out["bias_log_sigma"]),
     )
     x = (u - calib.c_u) * z / calib.f_u
     y = (v - calib.c_v) * z / calib.f_v + h3d / 2.0
 
-    b = np.argmax(out3d.angle_logits.data, axis=1)
-    alpha = decode_angle(b, out3d.angle_residuals.data[rows, b])
+    b = np.argmax(out["angle_logits"], axis=1)
+    alpha = decode_angle(b, out["angle_residuals"][rows, b])
     yaw = wrap_angle(alpha + np.arctan2(x, z))
     score = boxes.score * np.exp(-depth_sigma)
     behind = z <= 0.0

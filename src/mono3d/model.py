@@ -5,6 +5,11 @@ and the dense 2D / RoI 3D heads into one module; provides the nine named
 training loss terms over a batch, single-image inference to one
 Detections3D, and a flat little-endian float32 checkpoint with a JSON
 sidecar manifest mapping parameter names to (offset, shape).
+
+A detector computes in its parameters' dtype. A fresh one is float64,
+which training and gradient checks need. Loading a checkpoint keeps its
+float32 values, so `infer` then runs the network in float32 (half the
+bytes, twice the GEMM rate) and decodes its outputs in float64.
 """
 
 import json
@@ -55,10 +60,18 @@ class Detector(Module):
         self.heads2d = Heads2D(self.neck.width, self.num_classes, rng)
         self.heads3d = Heads3D(self.neck.width, self.num_classes, rng)
 
+    @property
+    def dtype(self):
+        """The parameters' dtype: float64 when built, float32 once loaded."""
+        return next(self.named_parameters())[1].dtype
+
     def features(self, images):
-        """[N, 3, H, W] (or [3, H, W]) -> stride-4 feature map [N, 64, h, w]."""
+        """[N, 3, H, W] (or [3, H, W]) -> stride-4 feature map [N, 64, h, w].
+
+        A Tensor is used as it is; anything else is read in the detector's dtype.
+        """
         if not isinstance(images, Tensor):
-            images = Tensor(np.asarray(images, dtype=np.float64))
+            images = Tensor(images, dtype=self.dtype)
         if images.ndim == 3:
             images = T.reshape(images, (1,) + images.shape)
         if images.ndim != 4 or images.shape[1] != 3:
@@ -66,9 +79,12 @@ class Detector(Module):
         return self.neck(self.backbone(images))
 
     def infer(self, image, calib, k=50, score_threshold=0.0):
-        """One image -> (Detections3D, drop-count dict), no gradients."""
+        """One image -> (Detections3D, drop-count dict), no gradients.
+
+        The image is cast to the detector's dtype; decoding runs in float64.
+        """
         with T.no_grad():
-            feat = self.features(image)
+            feat = self.features(image.data if isinstance(image, Tensor) else image)
             if feat.shape[0] != 1:
                 raise UsageError(f"infer takes a single image, got batch of {feat.shape[0]}")
             out2d = self.heads2d(feat)
@@ -100,7 +116,13 @@ class Detector(Module):
         size are read at each object's center cell, and the 3D terms run
         the RoI head on ground-truth boxes, with depth projected through
         the camera from the predicted height and the ground-truth 2D height.
+        The parameters must be float64: a loaded checkpoint is for inference.
         """
+        if self.dtype != np.float64:
+            raise UsageError(
+                f"loss_terms needs float64 parameters, got {self.dtype}; "
+                f"a detector loaded from a checkpoint is for inference only"
+            )
         feat = self.features(images)
         b = feat.shape[0]
         if len(targets) != b:
@@ -229,7 +251,9 @@ def load_checkpoint(path, detector):
     Variant, attention setting, class count, parameter names, and shapes
     must all match; mismatch errors name both the checkpoint's and the
     model's side. In offset order the entries must tile [0, total_elements)
-    exactly, as save_checkpoint writes them.
+    exactly, as save_checkpoint writes them. Each parameter becomes the
+    file's float32 values, so the detector then infers in float32 and
+    `loss_terms` refuses it.
     """
     manifest = _read_manifest(path)
     if manifest["format"] != CHECKPOINT_FORMAT:
@@ -272,5 +296,5 @@ def load_checkpoint(path, detector):
     if data.size != end:
         raise UsageError(f"checkpoint holds {data.size} float32 values, manifest expects {end}")
     for p, lo in spans:
-        p.data[...] = data[lo : lo + p.data.size].reshape(p.shape)
+        p.data = data[lo : lo + p.data.size].reshape(p.shape).copy()
     return manifest

@@ -1,4 +1,4 @@
-"""Dense float64 tensors with reverse-mode differentiation.
+"""Dense tensors with reverse-mode differentiation.
 
 Each op output that gradients can flow through owns its graph node
 (inputs, vector-Jacobian product, sequence number). Nodes do not point
@@ -9,8 +9,11 @@ reverse of recording order and so a valid topological order. Gradients
 of intermediate values live in a per-call map, so repeated `backward`
 calls on a live loss accumulate into leaf `.grad` buffers.
 
-Everything runs in float64 by default; finite-difference checks are not
-trustworthy below that.
+Tensors are float64 by default, and training and gradient checks run in
+float64: finite-difference checks are not trustworthy below that. A
+forward keeps its inputs' dtype, so a detector loaded from its float32
+checkpoint runs its no-grad forward in float32 from the image to the
+heads.
 """
 
 import math
@@ -639,6 +642,7 @@ def roi_align(x, boxes, batch_idx, out_size=(7, 7)):
     xs = x1 + (np.arange(rx) + 0.5) * (x2 - x1) / rx - 0.5
     iy0, iy1, fy = _bilinear_axis(ys, h)
     ix0, ix1, fx = _bilinear_axis(xs, w)
+    fy, fx = fy.astype(x.dtype, copy=False), fx.astype(x.dtype, copy=False)
     out = kernels.roi_gather(x.data, batch_idx, iy0, iy1, fy, ix0, ix1, fx)
 
     def vjp(g):
@@ -647,32 +651,33 @@ def roi_align(x, boxes, batch_idx, out_size=(7, 7)):
     return _record("roi_align", out, (x,), vjp)
 
 
-def _interp_matrix(out_n, n):
+def _interp_matrix(out_n, n, dtype=np.float64):
     """[out_n, n] bilinear weights at half-pixel centers, clamped at the border.
 
     Row i holds 1 - f at floor(src) and f at floor(src) + 1, with
     src = (i + 0.5) * n / out_n - 0.5; where the clamp makes the two
-    columns equal the weights add, so every row sums to 1.
+    columns equal the weights add, so every row sums to 1. The weights are
+    computed in float64 and returned in `dtype`.
     """
     i0, i1, f = _bilinear_axis((np.arange(out_n) + 0.5) * (n / out_n) - 0.5, n)
     rows = np.arange(out_n)
     m = np.zeros((out_n, n))
     m[rows, i0] += 1.0 - f
     m[rows, i1] += f
-    return m
+    return m.astype(dtype, copy=False)
 
 
 def bilinear_resize(x, out_h, out_w):
     """Resize NCHW maps with exact bilinear weights: Wy @ x @ Wx.T.
 
-    Half-pixel centers, clamped to the border (see _interp_matrix).
-    out == in gives identity matrices, so the resize is then an exact
-    identity.
+    Half-pixel centers, clamped to the border (see _interp_matrix); the
+    matrices take x's dtype. out == in gives identity matrices, so the
+    resize is then an exact identity.
     """
     if out_h < 1 or out_w < 1:
         raise DimensionError("bilinear_resize target size must be >= 1")
     _, _, h, w = x.shape
-    wy, wx = _interp_matrix(out_h, h), _interp_matrix(out_w, w)
+    wy, wx = _interp_matrix(out_h, h, x.dtype), _interp_matrix(out_w, w, x.dtype)
     out = kernels.bilinear_gather(x.data, wy, wx)
 
     def vjp(g):
@@ -732,8 +737,11 @@ def grad_check(f, x, eps=1e-5, max_entries=None, rng=None, select="random"):
     latter keeps deep-composite checks clear of the finite-difference noise
     floor, where |grad| approaches |f|*ulp/(2*eps) and the relative error
     of a correct gradient is dominated by roundoff. Relative error uses
-    denominator max(|a|, |b|, 1e-8).
+    denominator max(|a|, |b|, 1e-8). x must be float64: central
+    differences are not trustworthy below that.
     """
+    if x.dtype != np.float64:
+        raise UsageError(f"grad_check needs a float64 tensor, got {x.dtype}")
     if select not in ("random", "largest"):
         raise UsageError(f"unknown entry selection {select!r}")
     if not (1e-7 <= eps <= 1e-3):

@@ -192,16 +192,19 @@ def toy_checkpoint(tmp_path_factory):
     return path, calib, images
 
 
-def _load(path):
+def _load(path, dtype=np.float32):
+    """Desk detector from the checkpoint; dtype float64 upcasts its weights."""
     det = Detector("desk", seed=0)
     load_checkpoint(path, det)
+    for p in det.parameters():
+        p.data = p.data.astype(dtype)
     return det
 
 
 def _infer_per_peak(det, image, calib, k):
     """Reference loop: crop, 3D heads and scalar decode one peak at a time."""
     with T.no_grad():
-        feat = det.features(image)
+        feat = det.features(image.data.astype(det.dtype))  # as infer casts it
         out2d = det.heads2d(feat)
         peaks = decode_heatmap_peaks(
             out2d.heatmap.data[0], out2d.offset2d.data[0], out2d.size2d.data[0], k=k
@@ -242,7 +245,9 @@ def _count_heads3d_calls(monkeypatch):
 
 def test_batched_infer_matches_per_peak_loop(toy_checkpoint, monkeypatch):
     path, calib, images = toy_checkpoint
-    det = _load(path)
+    # float64: in float32, heads3d on one RoI rounds its GEMMs differently
+    # from heads3d on the batch (~1e-7 relative)
+    det = _load(path, np.float64)
     reasons = set()
     for image in images:
         want, want_drops = _infer_per_peak(det, image, calib, k=50)
@@ -280,6 +285,49 @@ def test_infer_without_surviving_peaks_skips_heads3d(toy_checkpoint, monkeypatch
     assert isinstance(got, Detections3D) and len(got) == 0 and want == []
     assert drops == want_drops == {reason: 50}
     assert calls == []
+
+
+def test_loaded_detector_infers_in_float32(toy_checkpoint, monkeypatch):
+    path, calib, images = toy_checkpoint
+    det = _load(path)
+    assert det.dtype == np.float32
+    assert {p.dtype for p in det.parameters()} == {np.dtype(np.float32)}
+    recorded = []
+    record = T._record
+
+    def spy(name, out_data, inputs, vjp):
+        recorded.append((name, out_data.dtype))
+        return record(name, out_data, inputs, vjp)
+
+    monkeypatch.setattr(T, "_record", spy)
+    dets, _ = det.infer(images[0], calib, k=50)
+    assert len(dets) > 0 and any(name == "roi_align" for name, _ in recorded)
+    assert [op for op in recorded if op[1] != np.float32] == []
+
+
+def test_float32_detections_are_float64_near_the_float64_run(toy_checkpoint):
+    path, calib, images = toy_checkpoint
+    det32, det64 = _load(path), _load(path, np.float64)
+    assert Detector("desk", seed=0).dtype == det64.dtype == np.float64
+    for image in images:
+        got, got_drops = det32.infer(image, calib, k=50)
+        want, want_drops = det64.infer(image, calib, k=50)
+        assert {got.score.dtype, got.rows.dtype, got.depth_sigma.dtype} == {np.dtype(np.float64)}
+        assert got_drops == want_drops
+        assert np.array_equal(got.class_id, want.class_id) and len(got) > 0
+        np.testing.assert_allclose(
+            np.column_stack([got.rows, got.score, got.depth_sigma]),
+            np.column_stack([want.rows, want.score, want.depth_sigma]),
+            rtol=0,
+            atol=1e-4,
+        )
+
+
+def test_loss_terms_refuses_a_loaded_detector(toy_checkpoint, scene):
+    calib, batch, targets = scene
+    det = _load(toy_checkpoint[0])
+    with pytest.raises(UsageError, match="float64"):
+        det.loss_terms(batch, targets, calib)
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):

@@ -319,6 +319,26 @@ def test_bilinear_resize_adjoint():
     assert abs(np.sum(out.data * g) - np.sum(x.data * x.grad)) < 1e-12
 
 
+def test_bilinear_resize_keeps_float32():
+    x = np.random.default_rng(11).normal(size=(2, 3, 5, 7))
+    got = T.bilinear_resize(Tensor(x, dtype=np.float32), 8, 11)
+    assert got.dtype == np.float32
+    want = T.bilinear_resize(Tensor(x), 8, 11)
+    assert want.dtype == np.float64
+    np.testing.assert_allclose(got.data, want.data, rtol=0, atol=1e-6)
+
+
+def test_roi_align_keeps_float32():
+    x = np.random.default_rng(12).normal(size=(2, 3, 6, 8))
+    boxes = np.array([[0.5, 1.0, 6.5, 5.0], [2.0, 0.0, 8.0, 6.0], [1.2, 2.3, 3.4, 4.5]])
+    batch_idx = np.array([0, 1, 1])
+    got = T.roi_align(Tensor(x, dtype=np.float32), boxes, batch_idx, (3, 4))
+    assert got.dtype == np.float32
+    want = T.roi_align(Tensor(x), boxes, batch_idx, (3, 4))
+    assert want.dtype == np.float64
+    np.testing.assert_allclose(got.data, want.data, rtol=0, atol=1e-6)
+
+
 # ---------------------------------------------------------------------------
 # backward / grad_check
 # ---------------------------------------------------------------------------
@@ -443,6 +463,13 @@ def test_grad_check_restores_the_probe_flag():
     with pytest.raises(UsageError):
         T.grad_check(lambda t: t * p, w)
     assert w.requires_grad is False
+
+
+def test_grad_check_refuses_float32():
+    x = Tensor(np.ones(3), dtype=np.float32)
+    with pytest.raises(UsageError, match="float64"):
+        T.grad_check(lambda t: T.sum_(t * t), x)
+    assert x.requires_grad is False and x.grad is None
 
 
 SCALAR_ARITHMETIC = {
