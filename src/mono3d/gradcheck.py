@@ -244,16 +244,27 @@ def _check_roi_crop(rng):
     )
 
 
+# 2 images of a 4x4 map: corner, edge and interior cells, (1, 3, 0) twice
+_CELLS = (np.array([0, 1, 1, 0, 1]), np.array([0, 3, 1, 2, 3]), np.array([0, 0, 2, 3, 0]))
+
+
+def _check_patches_at(rng):
+    x, r = _t(rng, 2, 3, 4, 4), _t(rng, 5, 27)
+    return grad_check(_projected(lambda a: T.patches_at(a, *_CELLS), r), x, eps=EPS)
+
+
 def _check_heads2d(rng):
     heads = Heads2D(6, 3, rng)
-    x = _t(rng, 1, 6, 4, 4)
-    rs = [_t(rng, 1, 3, 4, 4), _t(rng, 1, 2, 4, 4), _t(rng, 1, 2, 4, 4)]
+    x = _t(rng, 2, 6, 4, 4)
+    rs = [_t(rng, 2, 3, 4, 4), _t(rng, 5, 2), _t(rng, 5, 2)]
 
     def f(a):
-        out = heads(a)
-        return T.sum_(out.heatmap * rs[0]) + T.sum_(out.offset2d * rs[1]) + T.sum_(out.size2d * rs[2])
+        offset, size = heads.at(a, *_CELLS)
+        return T.sum_(heads(a) * rs[0]) + T.sum_(offset * rs[1]) + T.sum_(size * rs[2])
 
-    return grad_check(f, x, eps=EPS, max_entries=24, rng=rng)
+    worst = grad_check(f, x, eps=EPS, max_entries=24, rng=rng)
+    w = heads.size.conv1.weight
+    return max(worst, grad_check(lambda _w: f(x), w, eps=EPS, max_entries=12, select="largest"))
 
 
 def _check_heads3d(rng):
@@ -358,6 +369,7 @@ OP_CHECKS = (
     ("conv_ffn", _check_conv_ffn),
     ("neck", _check_neck),
     ("roi_crop", _check_roi_crop),
+    ("patches_at", _check_patches_at),
     ("heads2d", _check_heads2d),
     ("heads3d", _check_heads3d),
     ("focal_loss", _check_focal_loss),
@@ -374,6 +386,7 @@ _PIPELINE_PARAMS = (
     "backbone.stage_list.3.blocks.0.ffn.fc1.weight",
     "neck.projects.3.conv.weight",
     "heads2d.heat.conv2.weight",
+    "heads2d.size.conv1.weight",
     "heads3d.trunk.weight",
     "heads3d.fc_size.weight",
 )

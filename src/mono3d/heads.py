@@ -1,7 +1,9 @@
 """Detection heads on the stride-4 neck map.
 
-2D side: three dense heads (per-class center heatmap, sub-cell center
-offset, box size), peak decoding with 3x3 suppression. 3D side: RoI-
+2D side: a dense per-class center heatmap, peak decoding with 3x3
+suppression, and the sub-cell center offset and box size heads, which
+run only at the cells that are read: object centres in training, peaks
+in inference. 3D side: RoI-
 cropped features feed a shared conv trunk and small linear heads for the
 projected-center offset, multi-bin heading, per-class size residuals
 with height uncertainty, and a depth bias. Depth itself is not regressed
@@ -54,13 +56,6 @@ def decode_angle(bin_idx, residual):
     return wrap_angle(-math.pi + (bin_idx + 0.5) * width + residual)
 
 
-@dataclass
-class Heads2DOutput:
-    heatmap: Tensor  # [N, C_cls, h, w], post-sigmoid
-    offset2d: Tensor  # [N, 2, h, w], output-map pixels
-    size2d: Tensor  # [N, 2, h, w], input-image pixels (w, h)
-
-
 class _Rows:
     """Dataclass of K objects as parallel arrays; x[rows] selects rows by index or mask."""
 
@@ -79,6 +74,25 @@ class Boxes2D(_Rows):
     score: np.ndarray  # [K]
     center: np.ndarray  # [K, 2] (u, v) input-image pixels
     size: np.ndarray  # [K, 2] (w_2d, h_2d) input-image pixels
+
+
+@dataclass
+class Peaks(_Rows):
+    """K heatmap peaks."""
+
+    class_id: np.ndarray  # [K] int
+    score: np.ndarray  # [K]
+    row: np.ndarray  # [K] int, output-map cell
+    col: np.ndarray  # [K] int
+
+    def boxes(self, offset, size):
+        """Boxes2D of these peaks from their sub-cell offsets [K, 2]
+        (output-map pixels) and sizes [K, 2] (input pixels), read as
+        float64: center (u, v) = (col, row) + offset, times the stride."""
+        offset, size = (np.asarray(a, dtype=np.float64) for a in (offset, size))
+        u = (self.col + offset[:, 0]) * OUTPUT_STRIDE
+        v = (self.row + offset[:, 1]) * OUTPUT_STRIDE
+        return Boxes2D(self.class_id, self.score, np.stack([u, v], axis=1), size)
 
 
 @dataclass
@@ -121,6 +135,16 @@ class DenseHead(Module):
     def __call__(self, x):
         return self.conv2(T.relu(self.conv1(x)))
 
+    def at(self, patches):
+        """The head at M cells from their 3x3 patches [M, C*9]
+        (T.patches_at) -> [M, out_ch]: the same parameters as matmuls."""
+
+        def columns(conv):  # weight [O, C, k, k] -> [C*k*k, O]
+            return T.transpose(T.reshape(conv.weight, (conv.weight.shape[0], -1)), (1, 0))
+
+        h = T.relu(patches @ columns(self.conv1) + self.conv1.bias)
+        return h @ columns(self.conv2) + self.conv2.bias
+
 
 class Heads2D(Module):
     def __init__(self, in_ch, num_classes, rng, mid_ch=64):
@@ -129,11 +153,15 @@ class Heads2D(Module):
         self.size = DenseHead(in_ch, mid_ch, 2, rng)
 
     def __call__(self, feat):
-        return Heads2DOutput(
-            heatmap=T.sigmoid(self.heat(feat)),
-            offset2d=self.offset(feat),
-            size2d=self.size(feat),
-        )
+        """[N, C, h, w] -> post-sigmoid class heatmap [N, C_cls, h, w]."""
+        return T.sigmoid(self.heat(feat))
+
+    def at(self, feat, image, row, col):
+        """Sub-cell offsets (output-map pixels) and sizes (input pixels,
+        (w, h)), each [M, 2], at the cells (image[m], row[m], col[m]) of
+        feat; both heads run on one gather of the cells' 3x3 patches."""
+        patches = T.patches_at(feat, image, row, col)
+        return self.offset.at(patches), self.size.at(patches)
 
 
 def suppress_non_peaks(hm):
@@ -150,13 +178,13 @@ def suppress_non_peaks(hm):
     return np.where(keep, hm, 0.0)
 
 
-def decode_heatmap_peaks(hm, off, size, k=50, threshold=0.0):
-    """Peaks of a single-image heatmap array [C, h, w] -> Boxes2D.
+def decode_heatmap_peaks(hm, k=50, threshold=0.0):
+    """Peaks of a single-image heatmap array [C, h, w] -> Peaks.
 
     Survivors of 3x3 suppression above threshold, top-k by score with ties
-    broken by flat (class, row, col) index; centers are (cell + offset)
-    scaled by the output stride, with (u, v) = (x, y) pixel ordering. The
-    maps are read as float64, whatever the network's dtype.
+    broken by flat (class, row, col) index. The heatmap is read as
+    float64, whatever the network's dtype; Peaks.boxes adds the offsets
+    and sizes read at the peaks.
     """
     if k < 1:
         raise UsageError("k must be >= 1")
@@ -164,21 +192,11 @@ def decode_heatmap_peaks(hm, off, size, k=50, threshold=0.0):
         raise UsageError("threshold must lie in [0, 1)")
     if hm.ndim != 3:
         raise DimensionError(f"expected [C, h, w] heatmap, got shape {hm.shape}")
-    hm, off, size = (np.asarray(a, dtype=np.float64) for a in (hm, off, size))
-
-    peaks = suppress_non_peaks(hm)
-    flat = peaks.reshape(-1)
+    flat = suppress_non_peaks(np.asarray(hm, dtype=np.float64)).reshape(-1)
     order = np.argsort(-flat, kind="stable")[:k]
     order = order[flat[order] > threshold]  # a prefix: scores descend
     cls, row, col = np.unravel_index(order, hm.shape)
-    u = (col + off[0, row, col]) * OUTPUT_STRIDE
-    v = (row + off[1, row, col]) * OUTPUT_STRIDE
-    return Boxes2D(
-        class_id=cls,
-        score=flat[order],
-        center=np.stack([u, v], axis=1),
-        size=np.stack([size[0, row, col], size[1, row, col]], axis=1),
-    )
+    return Peaks(cls, flat[order], row, col)
 
 
 def roi_crop(feat, boxes, image_index, out_size=(ROI_SIZE, ROI_SIZE)):

@@ -82,24 +82,21 @@ class Detector(Module):
         """One image -> (Detections3D, drop-count dict), no gradients.
 
         The image is cast to the detector's dtype; decoding runs in float64.
+        The 2D offset and size heads run only at the heatmap's peaks.
         """
         with T.no_grad():
             feat = self.features(image.data if isinstance(image, Tensor) else image)
             if feat.shape[0] != 1:
                 raise UsageError(f"infer takes a single image, got batch of {feat.shape[0]}")
-            out2d = self.heads2d(feat)
-            peaks = decode_heatmap_peaks(
-                out2d.heatmap.data[0],
-                out2d.offset2d.data[0],
-                out2d.size2d.data[0],
-                k=k,
-                threshold=score_threshold,
-            )
+            heatmap = self.heads2d(feat)
+            peaks = decode_heatmap_peaks(heatmap.data[0], k=k, threshold=score_threshold)
+            offset, size = self.heads2d.at(feat, np.zeros(len(peaks), dtype=np.int64), peaks.row, peaks.col)
+            boxes = peaks.boxes(offset.data, size.data)
             drops = {}
-            flat = peaks.size[:, 1] <= MIN_H2D_PIXELS
+            flat = boxes.size[:, 1] <= MIN_H2D_PIXELS
             if flat.any():
                 drops["h2d_degenerate"] = int(np.sum(flat))
-            kept = peaks[~flat]
+            kept = boxes[~flat]
             rois, valid = roi_crop(feat, kept, np.zeros(len(kept), dtype=np.int64))
             if not valid.all():
                 drops["roi_degenerate"] = int(np.sum(~valid))
@@ -113,7 +110,7 @@ class Detector(Module):
         """Batch + per-image TargetMaps + calibs -> the nine scalar loss Tensors.
 
         The heatmap term is dense over the stacked maps; the 2D offset and
-        size are read at each object's center cell, and the 3D terms run
+        size heads run only at each object's center cell, and the 3D terms run
         the RoI head on ground-truth boxes, with depth projected through
         the camera from the predicted height and the ground-truth 2D height.
         The parameters must be float64: a loaded checkpoint is for inference.
@@ -132,8 +129,7 @@ class Detector(Module):
         if len(calibs) != b:
             raise UsageError(f"{b} images but {len(calibs)} calibs")
 
-        out2d = self.heads2d(feat)
-        terms = {"heatmap": focal_loss(out2d.heatmap, np.stack([t.heatmap for t in targets]))}
+        terms = {"heatmap": focal_loss(self.heads2d(feat), np.stack([t.heatmap for t in targets]))}
         counts = [t.n_objects for t in targets]
         m_total = sum(counts)
         if m_total == 0:
@@ -152,8 +148,9 @@ class Detector(Module):
         )
         image_index = np.repeat(np.arange(b), counts)
         row, col = gather("cell").T
-        terms["offset2d"] = l1_masked(out2d.offset2d[image_index, :, row, col], gather("offset2d"))
-        terms["size2d"] = l1_masked(out2d.size2d[image_index, :, row, col], gt.size)
+        offset, size = self.heads2d.at(feat, image_index, row, col)
+        terms["offset2d"] = l1_masked(offset, gather("offset2d"))
+        terms["size2d"] = l1_masked(size, gt.size)
         rois, valid = roi_crop(feat, gt, image_index)
         if not valid.all():
             bad = int(np.argmin(valid))

@@ -11,7 +11,6 @@ silhouette coverage by nearer objects.
 import math
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .errors import UsageError
 from .geometry import box3d_corners
@@ -38,13 +37,35 @@ def make_default_calib(image_size, focal=700.0):
     return CameraCalib(p2)
 
 
+def _cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def convex_hull(points):
+    """Vertices of the convex hull of points [P, 2], counter-clockwise
+    (x right, y up), collinear points left out: Andrew's monotone chain,
+    in exact float comparisons (Qhull also merges a vertex that lies on
+    an edge to rounding; the polygon is the same).
+
+    Degenerate input (all points on one line) gives fewer than 3 vertices.
+    """
+    pts = sorted(map(tuple, np.asarray(points, dtype=np.float64).tolist()))
+    chains = []
+    for seq in (pts, pts[::-1]):  # lower hull, then upper
+        chain = []
+        for p in seq:
+            while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 0.0:
+                chain.pop()
+            chain.append(p)
+        chains.append(chain[:-1])
+    return np.array(chains[0] + chains[1]).reshape(-1, 2)
+
+
 def _silhouette(pix, image_size):
     """(region slices, inside mask) for the hull of projected corners."""
     width, height = image_size
-    try:
-        hull = ConvexHull(pix)
-        verts = pix[hull.vertices]  # counter-clockwise
-    except QhullError:
+    verts = convex_hull(pix)
+    if len(verts) < 3:
         lo = pix.min(axis=0)
         hi = pix.max(axis=0)
         verts = np.array([[lo[0], lo[1]], [hi[0], lo[1]], [hi[0], hi[1]], [lo[0], hi[1]]])

@@ -608,6 +608,43 @@ def _conv2d_depthwise(x, wt, b, stride, padding, oh, ow, need_gx):
     return out, vjp
 
 
+def patches_at(x, image, row, col):
+    """Zero-padded 3x3 neighbourhoods of x [N, C, h, w] at the M cells
+    (image[m], row[m], col[m]) -> [M, C*9].
+
+    Column (c, i, j) holds x[image, c, row + i - 1, col + j - 1], zero off
+    the map: the order of weight.reshape(O, -1) for a 3x3 kernel, so
+    patches @ W.T is a padding-1 conv read at those cells only. Cells may
+    repeat; the gradient scatter-adds into the owning image only.
+    """
+    if x.ndim != 4:
+        raise DimensionError(f"expected [N, C, h, w] features, got {x.shape}")
+    image, row, col = (np.asarray(a, dtype=np.int64) for a in (image, row, col))
+    if image.ndim != 1 or not (image.shape == row.shape == col.shape):
+        raise DimensionError(f"expected equal [M] index arrays, got {image.shape}, {row.shape}, {col.shape}")
+    n, c, h, w = x.shape
+    if np.any((image < 0) | (image >= n) | (row < 0) | (row >= h) | (col < 0) | (col >= w)):
+        raise UsageError(f"cells outside the [{n}, {h}, {w}] map")
+    di, dj = np.divmod(np.arange(9), 3)
+    ys, xs = row[:, None] + di - 1, col[:, None] + dj - 1  # [M, 9]
+    off = (ys < 0) | (ys >= h) | (xs < 0) | (xs >= w)
+    ys, xs = np.clip(ys, 0, h - 1), np.clip(xs, 0, w - 1)
+    vals = x.data[image[:, None], :, ys, xs]  # [M, 9, C]
+    vals[off] = 0.0
+    m = len(image)
+    out = np.ascontiguousarray(vals.transpose(0, 2, 1)).reshape(m, c * 9)
+
+    def vjp(g):
+        on = ~off
+        cell = (image[:, None] * (c * h * w) + ys * w + xs)[on]  # [K], K taps on the map
+        chan = np.arange(c) * (h * w)
+        vals = g.reshape(m, c, 9).transpose(0, 2, 1)[on]  # [K, C]
+        gx = np.bincount((cell[:, None] + chan).ravel(), vals.ravel(), minlength=n * c * h * w)
+        return (gx.reshape(n, c, h, w),)
+
+    return _record("patches_at", out, (x,), vjp)
+
+
 def _bilinear_axis(src, limit):
     """Clamped floor/ceil indices and fraction for continuous index coords."""
     s = np.clip(src, 0.0, limit - 1.0)

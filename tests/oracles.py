@@ -564,3 +564,14 @@ def decode_box3d_scalar(class_id, score, center, size, out3d, calib, row=0):
     yaw = wrap(alpha + math.atan2(x, z))
     score = float(score) * math.exp(-depth_sigma)
     return int(class_id), score, (x, y, z, h3d, w3d, l3d, yaw), depth_sigma
+
+
+def convex_hull_qhull(points):
+    """Counter-clockwise hull vertices [V, 2] from scipy's Qhull; empty
+    [0, 2] where Qhull finds no 2-D hull (all points on one line)."""
+    from scipy.spatial import ConvexHull, QhullError
+
+    try:
+        return points[ConvexHull(points).vertices]
+    except QhullError:
+        return np.zeros((0, 2))

@@ -38,45 +38,116 @@ def _zero_params(module):
 # ---------------------------------------------------------------------------
 
 
+# 2 images of a 4x6 map: corners, edges, an interior cell, and (1, 3, 5) twice
+CELLS = (np.array([0, 1, 0, 1, 1, 0, 1]), np.array([0, 3, 2, 0, 3, 3, 1]), np.array([0, 5, 0, 3, 5, 2, 4]))
+
+
 def test_heads2d_zero_weights():
     heads = Heads2D(8, 3, np.random.default_rng(0))
     _zero_params(heads)
-    out = heads(Tensor(np.random.default_rng(1).normal(size=(1, 8, 4, 6))))
-    assert np.allclose(out.heatmap.data, 0.5)
-    assert np.array_equal(out.offset2d.data, np.zeros((1, 2, 4, 6)))
-    assert np.array_equal(out.size2d.data, np.zeros((1, 2, 4, 6)))
+    x = Tensor(np.random.default_rng(1).normal(size=(2, 8, 4, 6)))
+    assert np.allclose(heads(x).data, 0.5)
+    offset, size = heads.at(x, *CELLS)
+    assert np.array_equal(offset.data, np.zeros((7, 2)))
+    assert np.array_equal(size.data, np.zeros((7, 2)))
 
 
 def test_heads2d_focal_bias_init():
     heads = Heads2D(8, 3, np.random.default_rng(2))
-    out = heads(Tensor(np.zeros((1, 8, 4, 4))))
+    heatmap = heads(Tensor(np.zeros((1, 8, 4, 4))))
     # zero input isolates the init bias: sigmoid(-2.19) ~ 0.1
-    assert np.allclose(out.heatmap.data, 1.0 / (1.0 + math.exp(2.19)))
-    assert abs(out.heatmap.data[0, 0, 0, 0] - 0.1) < 2e-3
+    assert np.allclose(heatmap.data, 1.0 / (1.0 + math.exp(2.19)))
+    assert abs(heatmap.data[0, 0, 0, 0] - 0.1) < 2e-3
 
 
 def test_heads2d_range_and_shapes():
     heads = Heads2D(8, 3, np.random.default_rng(3))
-    out = heads(Tensor(np.random.default_rng(4).normal(size=(2, 8, 5, 7))))
-    assert out.heatmap.shape == (2, 3, 5, 7)
-    assert out.offset2d.shape == (2, 2, 5, 7)
-    assert out.size2d.shape == (2, 2, 5, 7)
-    assert np.all(out.heatmap.data > 0) and np.all(out.heatmap.data < 1)
+    x = Tensor(np.random.default_rng(4).normal(size=(2, 8, 5, 7)))
+    heatmap = heads(x)
+    offset, size = heads.at(x, [0, 1, 1], [0, 4, 2], [6, 0, 3])
+    assert heatmap.shape == (2, 3, 5, 7)
+    assert offset.shape == (3, 2)
+    assert size.shape == (3, 2)
+    assert np.all(heatmap.data > 0) and np.all(heatmap.data < 1)
 
 
 @pytest.mark.parametrize("head_name", ["heat", "offset", "size"])
 def test_heads2d_grad_check(head_name):
     heads = Heads2D(4, 3, np.random.default_rng(5))
-    x = Tensor(np.random.default_rng(6).normal(size=(1, 4, 4, 4)), requires_grad=True)
-    probe = {"heat": 3, "offset": 2, "size": 2}[head_name]
-    r = Tensor(np.random.default_rng(7).normal(size=(1, probe, 4, 4)))
+    x = Tensor(np.random.default_rng(6).normal(size=(2, 4, 4, 6)), requires_grad=True)
+    shape = {"heat": (2, 3, 4, 6), "offset": (7, 2), "size": (7, 2)}[head_name]
+    r = Tensor(np.random.default_rng(7).normal(size=shape))
 
     def f(t):
-        out = heads(t)
-        field = {"heat": out.heatmap, "offset": out.offset2d, "size": out.size2d}[head_name]
-        return T.sum_(field * r)
+        if head_name == "heat":
+            return T.sum_(heads(t) * r)
+        offset, size = heads.at(t, *CELLS)
+        return T.sum_({"offset": offset, "size": size}[head_name] * r)
 
     assert T.grad_check(f, x, max_entries=24, rng=np.random.default_rng(8)) < 1e-4
+
+
+def test_patches_at_matches_padded_slices():
+    x = np.random.default_rng(10).normal(size=(2, 3, 4, 6))
+    got = T.patches_at(Tensor(x), *CELLS).data
+    padded = np.pad(x, [(0, 0), (0, 0), (1, 1), (1, 1)])
+    want = [padded[n, :, r : r + 3, c : c + 3].reshape(-1) for n, r, c in zip(*CELLS)]
+    assert np.array_equal(got, want)
+
+
+def test_patches_at_gradient_is_the_adjoint():
+    # <patches_at(x), g> == <x, vjp(g)>, so each tap's gradient lands on the
+    # cell it read, in its own image, and repeated cells add up
+    rng = np.random.default_rng(11)
+    x = Tensor(rng.normal(size=(2, 3, 4, 6)), requires_grad=True)
+    g = rng.normal(size=(7, 27))
+    T.backward(T.sum_(T.patches_at(x, *CELLS) * Tensor(g)))
+    padded = np.zeros((2, 3, 6, 8))
+    for (n, r, c), gm in zip(zip(*CELLS), g):
+        padded[n, :, r : r + 3, c : c + 3] += gm.reshape(3, 3, 3)
+    np.testing.assert_allclose(x.grad, padded[:, :, 1:-1, 1:-1], rtol=1e-13, atol=1e-13)
+
+
+def test_patches_at_validation():
+    x = Tensor(np.zeros((2, 3, 4, 6)))
+    assert T.patches_at(x, [], [], []).shape == (0, 27)
+    for cells in (([2], [0], [0]), ([0], [4], [0]), ([0], [0], [-1])):
+        with pytest.raises(UsageError):
+            T.patches_at(x, *cells)
+    with pytest.raises(DimensionError):
+        T.patches_at(x, [0, 1], [0], [0])
+    with pytest.raises(DimensionError):
+        T.patches_at(Tensor(np.zeros((3, 4, 6))), [0], [0], [0])
+
+
+def _dense_then_index(heads, x):
+    """The offset and size heads run densely, then read at CELLS."""
+    n, r, c = CELLS
+    return heads.offset(x)[n, :, r, c], heads.size(x)[n, :, r, c]
+
+
+def test_heads2d_at_matches_dense_heads_at_the_cells():
+    heads = Heads2D(8, 3, np.random.default_rng(12))
+    x = Tensor(np.random.default_rng(13).normal(size=(2, 8, 4, 6)))
+    for got, want in zip(heads.at(x, *CELLS), _dense_then_index(heads, x)):
+        assert got.dtype == np.float64
+        np.testing.assert_allclose(got.data, want.data, rtol=1e-12, atol=1e-12)
+
+
+def test_heads2d_at_gradients_match_dense_heads():
+    heads = Heads2D(8, 3, np.random.default_rng(14))
+    rng = np.random.default_rng(15)
+    x = Tensor(rng.normal(size=(2, 8, 4, 6)), requires_grad=True)
+    probes = [Tensor(rng.normal(size=(7, 2))) for _ in range(2)]
+    params = [x] + heads.offset.parameters() + heads.size.parameters()
+    grads = []
+    for outputs in (heads.at(x, *CELLS), _dense_then_index(heads, x)):
+        for p in params:
+            p.zero_grad()
+        T.backward(sum(T.sum_(out * probe) for out, probe in zip(outputs, probes)))
+        grads.append([p.grad.copy() for p in params])
+    for got, want in zip(*grads):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 # ---------------------------------------------------------------------------
@@ -88,12 +159,18 @@ def _dense(c=1, h=6, w=8, fill=0.0):
     return np.full((c, h, w), fill), np.zeros((2, h, w)), np.zeros((2, h, w))
 
 
+def _decode(hm, off, size, **kw):
+    """Peaks of hm, boxed with the dense off and size maps read at them."""
+    peaks = decode_heatmap_peaks(hm, **kw)
+    return peaks.boxes(off[:, peaks.row, peaks.col].T, size[:, peaks.row, peaks.col].T)
+
+
 def test_decode_single_spike():
     hm, off, size = _dense()
     hm[0, 2, 5] = 1.0
     size[0, 2, 5] = 20.0
     size[1, 2, 5] = 12.0
-    dets = decode_heatmap_peaks(hm, off, size, k=10, threshold=0.1)
+    dets = _decode(hm, off, size, k=10, threshold=0.1)
     assert len(dets) == 1
     assert dets.class_id.tolist() == [0] and dets.score.tolist() == [1.0]
     # cell (row 2, col 5), zero offset -> input pixel (u, v) = (4*5, 4*2)
@@ -106,7 +183,7 @@ def test_decode_offset_applied():
     hm[0, 2, 5] = 0.8
     off[0, 2, 5] = 0.25
     off[1, 2, 5] = 0.5
-    dets = decode_heatmap_peaks(hm, off, size, k=5, threshold=0.1)
+    dets = _decode(hm, off, size, k=5, threshold=0.1)
     assert dets.center.tolist() == [[(5 + 0.25) * 4, (2 + 0.5) * 4]]
 
 
@@ -114,7 +191,7 @@ def test_decode_adjacent_suppression():
     hm, off, size = _dense()
     hm[0, 3, 3] = 0.9
     hm[0, 3, 4] = 0.8
-    dets = decode_heatmap_peaks(hm, off, size, k=10, threshold=0.1)
+    dets = _decode(hm, off, size, k=10, threshold=0.1)
     assert dets.score.tolist() == [0.9]
 
 
@@ -122,14 +199,14 @@ def test_decode_equal_ties_kept():
     hm, off, size = _dense()
     hm[0, 3, 3] = 0.9
     hm[0, 3, 4] = 0.9
-    dets = decode_heatmap_peaks(hm, off, size, k=10, threshold=0.1)
+    dets = _decode(hm, off, size, k=10, threshold=0.1)
     # equal scores keep flat-index order
     assert dets.center.tolist() == [[12.0, 12.0], [16.0, 12.0]]
 
 
 def test_decode_uniform_below_threshold_empty():
     hm, off, size = _dense(fill=0.3)
-    empty = decode_heatmap_peaks(hm, off, size, k=10, threshold=0.5)
+    empty = _decode(hm, off, size, k=10, threshold=0.5)
     assert len(empty) == 0 and empty.center.shape == (0, 2) and empty.size.shape == (0, 2)
 
 
@@ -142,7 +219,7 @@ def test_decode_topk_and_order():
     for i, r in enumerate(rows):
         for j, c in enumerate(cols):
             hm[0, r, c] = scores[i, j]
-    dets = decode_heatmap_peaks(hm, off, size, k=5, threshold=0.0)
+    dets = _decode(hm, off, size, k=5, threshold=0.0)
     assert len(dets) == 5
     got = dets.score.tolist()
     assert got == sorted(got, reverse=True)
@@ -152,16 +229,16 @@ def test_decode_topk_and_order():
 def test_decode_multiclass_channel_mapping():
     hm, off, size = _dense(c=3)
     hm[2, 1, 1] = 0.7
-    dets = decode_heatmap_peaks(hm, off, size, k=3, threshold=0.2)
+    dets = _decode(hm, off, size, k=3, threshold=0.2)
     assert dets.class_id.tolist() == [2]
 
 
 def test_decode_validation():
     hm, off, size = _dense()
     with pytest.raises(UsageError):
-        decode_heatmap_peaks(hm, off, size, k=0)
+        decode_heatmap_peaks(hm, k=0)
     with pytest.raises(UsageError):
-        decode_heatmap_peaks(hm, off, size, k=3, threshold=1.0)
+        decode_heatmap_peaks(hm, k=3, threshold=1.0)
 
 
 def test_suppression_keeps_plateau_cells():

@@ -441,7 +441,8 @@ def test_target_decode_round_trip():
     row, col = targets.cell[0]
     offset2d[:, row, col] = targets.offset2d[0]
     size2d[:, row, col] = targets.size2d[0]
-    dets2d = decode_heatmap_peaks(targets.heatmap, offset2d, size2d, k=5, threshold=0.5)
+    peaks = decode_heatmap_peaks(targets.heatmap, k=5, threshold=0.5)
+    dets2d = peaks.boxes(offset2d[:, peaks.row, peaks.col].T, size2d[:, peaks.row, peaks.col].T)
     assert len(dets2d) == 1
     assert abs(dets2d.center[0, 0] - targets.center2d[0, 0]) < 1e-9
     assert abs(dets2d.center[0, 1] - targets.center2d[0, 1]) < 1e-9

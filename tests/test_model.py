@@ -129,9 +129,31 @@ def test_loss_terms_scores_each_object_at_a_shared_center_cell(desk):
     image = np.random.default_rng(4).uniform(size=(1, 3, IMAGE_SIZE[1], IMAGE_SIZE[0]))
     terms = desk.loss_terms(image, [targets], calib)
     with T.no_grad():
-        pred = desk.heads2d(desk.features(image)).size2d.data[0, :, 7, 10]
+        pred = desk.heads2d.size(desk.features(image)).data[0, :, 7, 10]
     want = np.mean(np.abs(pred - targets.size2d))
     np.testing.assert_allclose(float(terms["size2d"].data), want, rtol=1e-12, atol=0.0)
+
+
+def test_offset_and_size_heads_run_no_conv(desk, scene, monkeypatch):
+    # loss_terms and infer run the 2D offset and size heads at the read
+    # cells only: no conv2d takes their weights, and each call gathers the
+    # cells' patches once for both heads
+    calib, batch, targets = scene
+    sparse = {id(p) for p in desk.heads2d.offset.parameters() + desk.heads2d.size.parameters()}
+    recorded = []
+    record = T._record
+
+    def spy(name, out_data, inputs, vjp):
+        recorded.append((name, {id(t) for t in inputs}))
+        return record(name, out_data, inputs, vjp)
+
+    monkeypatch.setattr(T, "_record", spy)
+    for call in (lambda: desk.loss_terms(batch, targets, calib), lambda: desk.infer(batch.data[0], calib)):
+        recorded.clear()
+        call()
+        convs = [ids for name, ids in recorded if name == "conv2d"]
+        assert convs and not any(ids & sparse for ids in convs)
+        assert [name for name, _ in recorded].count("patches_at") == 1
 
 
 def test_loss_terms_zero_area_gt_box_raises(desk, scene):
@@ -205,10 +227,9 @@ def _infer_per_peak(det, image, calib, k):
     """Reference loop: crop, 3D heads and scalar decode one peak at a time."""
     with T.no_grad():
         feat = det.features(image.data.astype(det.dtype))  # as infer casts it
-        out2d = det.heads2d(feat)
-        peaks = decode_heatmap_peaks(
-            out2d.heatmap.data[0], out2d.offset2d.data[0], out2d.size2d.data[0], k=k
-        )
+        found = decode_heatmap_peaks(det.heads2d(feat).data[0], k=k)
+        at = (0, slice(None), found.row, found.col)  # [K, 2]: the dense offset and size maps at the peaks
+        peaks = found.boxes(det.heads2d.offset(feat).data[at], det.heads2d.size(feat).data[at])
         drops, dets3d = {}, []
         for i in range(len(peaks)):
             if peaks.size[i, 1] <= MIN_H2D_PIXELS:

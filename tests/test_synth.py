@@ -10,7 +10,10 @@ from mono3d.geometry import box3d_corners
 from mono3d.heads import CLASS_NAMES
 from mono3d.kitti import write_labels
 from mono3d.losses import assign_targets
-from mono3d.synth import make_default_calib, synth_scene, to_uint8
+from mono3d import synth
+from mono3d.synth import convex_hull, make_default_calib, synth_scene, to_uint8
+
+import oracles
 
 IMAGE_SIZE = (640, 192)
 
@@ -117,6 +120,51 @@ def test_silhouette_painted_inside_bbox_only():
     rows, cols = np.nonzero(bright)
     assert rows.min() >= math.floor(top) and rows.max() <= math.ceil(bottom)
     assert cols.min() >= math.floor(left) and cols.max() <= math.ceil(right)
+
+
+def _same_hull(got, want):
+    """got lists want's vertices in the same cyclic order, plus perhaps
+    vertices that lie on one of its edges to rounding, which Qhull merges
+    away (a box's top face projected onto one image row, say)."""
+    shared = np.array([np.any(np.all(want == p, axis=1)) for p in got], dtype=bool)
+    for i in np.flatnonzero(~shared):
+        a, p, b = got[i - 1], got[i], got[(i + 1) % len(got)]
+        cross = (p[0] - a[0]) * (b[1] - a[1]) - (p[1] - a[1]) * (b[0] - a[0])
+        if abs(cross) > 1e-9 * np.sum((b - a) ** 2):
+            return False
+    got = got[shared]
+    if len(got) != len(want):
+        return False
+    start = int(np.flatnonzero(np.all(want == got[0], axis=1))[0]) if len(got) else 0
+    return np.array_equal(got, np.roll(want, -start, axis=0))
+
+
+def test_convex_hull_matches_qhull():
+    rng = np.random.default_rng(0)
+    calib = make_default_calib(IMAGE_SIZE)
+    for _ in range(200):
+        row = np.array([rng.uniform(-8, 8), 1.5, rng.uniform(4, 40), 1.5, 1.6, 3.9, rng.uniform(-3, 3)])
+        box_corners = calib.project(box3d_corners(row))[0]
+        for pts in (box_corners, rng.normal(size=(8, 2)) * 50.0, rng.integers(0, 4, size=(8, 2)) * 1.0):
+            got, want = convex_hull(pts), oracles.convex_hull_qhull(pts)
+            assert _same_hull(got, want), (pts, got, want)
+
+
+@pytest.mark.parametrize(
+    "pts",
+    [np.ones((8, 2)), np.column_stack([np.arange(8.0), 2.0 * np.arange(8.0) + 1.0]), np.zeros((2, 2))],
+)
+def test_convex_hull_of_a_line_has_fewer_than_three_vertices(pts):
+    assert len(convex_hull(pts)) < 3
+
+
+def test_scenes_match_qhull_silhouettes(monkeypatch):
+    calib = make_default_calib(IMAGE_SIZE)
+    got = [synth_scene(seed, 6, calib, IMAGE_SIZE, z_range=(5.0, 60.0)) for seed in range(20)]
+    monkeypatch.setattr(synth, "convex_hull", oracles.convex_hull_qhull)
+    for seed, (image, labels) in enumerate(got):
+        want_image, want_labels = synth_scene(seed, 6, calib, IMAGE_SIZE, z_range=(5.0, 60.0))
+        assert np.array_equal(image.data, want_image.data) and labels == want_labels
 
 
 def test_to_uint8_layout():
