@@ -19,16 +19,18 @@ from mono3d.model import Detector
 from mono3d.tensor import Tensor
 
 
-def _roi_args(rng, n, h, w, m, r):
-    """m RoIs of r x r samples spread over an n-image h x w map."""
-    bidx = rng.integers(0, n, size=m)
-    ys = rng.uniform(0.0, h - 1.0, size=(m, r))
-    xs = rng.uniform(0.0, w - 1.0, size=(m, r))
-    iy0 = np.floor(ys).astype(np.int64)
-    ix0 = np.floor(xs).astype(np.int64)
-    iy1 = np.minimum(iy0 + 1, h - 1)
-    ix1 = np.minimum(ix0 + 1, w - 1)
-    return bidx, iy0, iy1, ys - iy0, ix0, ix1, xs - ix0
+def _roi_taps(rng, n, h, w, m, r):
+    """m RoIs of r x r bilinear samples (4 corner taps each) over an n-image h x w map."""
+    image = rng.integers(0, n, size=m)
+    ys = rng.uniform(0.0, h - 1.0, size=(m, r * r, 1))
+    xs = rng.uniform(0.0, w - 1.0, size=(m, r * r, 1))
+    iy0, ix0 = np.floor(ys).astype(np.int64), np.floor(xs).astype(np.int64)
+    iy1, ix1 = np.minimum(iy0 + 1, h - 1), np.minimum(ix0 + 1, w - 1)
+    fy, fx = ys - iy0, xs - ix0
+    tys = np.concatenate([iy0, iy0, iy1, iy1], axis=2)
+    txs = np.concatenate([ix0, ix1, ix0, ix1], axis=2)
+    weights = np.concatenate([(1 - fy) * (1 - fx), (1 - fy) * fx, fy * (1 - fx), fy * fx], axis=2)
+    return image, tys, txs, weights
 
 
 def build_workloads(quick):
@@ -52,16 +54,16 @@ def build_workloads(quick):
     # a toy training batch: 16 ground-truth RoIs on the 8 x 64 x 16 x 24 map
     rn, rh, rw = 8, 16, 24
     rmap = rng.normal(size=(rn, 64, rh, rw))
-    rois = _roi_args(rng, rn, rh, rw, 16, 7)
-    rout = rng.normal(size=(16, 64, 7, 7))
+    taps = _roi_taps(rng, rn, rh, rw, 16, 7)
+    rout = rng.normal(size=(16, 64, 7 * 7))
 
     return [
         ("im2col", lambda: kernels.im2col(xp, 3, 3, 1, 1, h, w)),
         ("col2im", lambda: kernels.col2im(cols, hp, wp, 3, 3, 2, 2, oh2, ow2)),
         ("bilinear_gather", lambda: kernels.bilinear_gather(feat, wy, wx)),
         ("bilinear_scatter", lambda: kernels.bilinear_scatter(gout, wy, wx)),
-        ("roi_gather", lambda: kernels.roi_gather(rmap, *rois)),
-        ("roi_scatter", lambda: kernels.roi_scatter(rout, *rois, rn, rh, rw)),
+        ("tap_gather", lambda: kernels.tap_gather(rmap, *taps)),
+        ("tap_scatter", lambda: kernels.tap_scatter(rout, *taps, rn, rh, rw)),
         ("desk_fwd_bwd", _desk_step(quick)),
     ]
 

@@ -128,7 +128,8 @@ def resolve_config(file_cfg=None, overrides=None, profile=None, keys=None, comma
     for key in ("lr", "decay", "focal"):
         if key in cfg and cfg[key] <= 0:
             raise ConfigError(f"config key {key!r} must be positive, got {cfg[key]}")
-    for key in ("batch_size", "epochs", "n_images", "image_width", "image_height", "k"):
+    for key in ("batch_size", "epochs", "n_images", "image_width", "image_height", "k",
+                "htl_ramp", "gradcheck_seeds"):
         if key in cfg and cfg[key] < 1:
             raise ConfigError(f"config key {key!r} must be >= 1, got {cfg[key]}")
     return cfg

@@ -116,11 +116,6 @@ def _check_getitem(rng):
     return grad_check(_projected(lambda a: a[1:, ::2], r), x, eps=EPS)
 
 
-def _check_concat(rng):
-    x, y, r = _t(rng, 2, 3), _t(rng, 2, 2), _t(rng, 2, 5)
-    return grad_check(_projected(lambda a: T.concat([a, y], axis=1), r), x, eps=EPS)
-
-
 def _check_stack(rng):
     x, y, r = _t(rng, 2, 3), _t(rng, 2, 3), _t(rng, 2, 2, 3)
     return grad_check(_projected(lambda a: T.stack([a, y]), r), x, eps=EPS)
@@ -355,7 +350,6 @@ OP_CHECKS = (
     ("reshape", _check_reshape),
     ("transpose", _check_transpose),
     ("getitem", _check_getitem),
-    ("concat", _check_concat),
     ("stack", _check_stack),
     ("sum", _check_sum),
     ("mean", _check_mean),

@@ -8,8 +8,9 @@ the input gradient of strided convs. Depthwise convs use neither.
 bilinear_gather and bilinear_scatter are the resize `wy @ x @ wx.T` and
 its adjoint `wy.T @ g @ wx` for the interpolation matrices of
 `tensor.bilinear_resize`; they keep their names because perfbench wraps
-them by name. roi_gather and roi_scatter carry the batched RoI-align and
-its adjoint.
+them by name. tap_gather sums a few weighted taps of one image per
+output, and tap_scatter is its adjoint: they carry both the batched
+RoI-align (4 bilinear corners) and `tensor.patches_at` (3x3 cells).
 """
 
 import numpy as np
@@ -73,52 +74,28 @@ def bilinear_scatter(g, wy, wx):
     return wy.T @ g @ wx
 
 
-def _corner_weights(fy, fx):
-    """Bilinear weights [M, ry, rx] of the corners 00, 01, 10, 11 per RoI."""
-    w00 = (1.0 - fy)[:, :, None] * (1.0 - fx)[:, None, :]
-    w01 = (1.0 - fy)[:, :, None] * fx[:, None, :]
-    w10 = fy[:, :, None] * (1.0 - fx)[:, None, :]
-    w11 = fy[:, :, None] * fx[:, None, :]
-    return w00, w01, w10, w11
+def tap_gather(x, image, ys, xs, weights):
+    """Weighted taps of x [N, C, H, W] -> [M, C, S].
 
-
-def roi_gather(x, bidx, iy0, iy1, fy, ix0, ix1, fx):
-    """Per-RoI separable bilinear sampling: x [N, C, H, W] -> [M, C, ry, rx].
-
-    RoI m reads only image bidx[m]; iy0/iy1/fy are its [M, ry] floor/ceil
-    rows and fraction, ix0/ix1/fx its [M, rx] columns (pre-clamped). Each
-    sample is v00 * w00 + v01 * w01 + v10 * w10 + v11 * w11, summed in that
-    order: vab = x[bidx, :, iya, ixb], w00 = (1 - fy) * (1 - fx),
-    w01 = (1 - fy) * fx, w10 = fy * (1 - fx) and w11 = fy * fx.
+    Output (m, :, s) sums weights[m, s, k] * x[image[m], :, ys[m, s, k],
+    xs[m, s, k]] over k, in k order; ys, xs and weights are [M, S, K].
     """
-    b = bidx[:, None, None]
-    rows0, rows1 = iy0[:, :, None], iy1[:, :, None]
-    cols0, cols1 = ix0[:, None, :], ix1[:, None, :]
-    w00, w01, w10, w11 = (wk[..., None] for wk in _corner_weights(fy, fx))
-    v00 = x[b, :, rows0, cols0]  # [M, ry, rx, C]
-    v01 = x[b, :, rows0, cols1]
-    v10 = x[b, :, rows1, cols0]
-    v11 = x[b, :, rows1, cols1]
-    out = v00 * w00 + v01 * w01 + v10 * w10 + v11 * w11
-    return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+    img = image[:, None]
+    out = x[img, :, ys[..., 0], xs[..., 0]] * weights[..., 0, None]  # [M, S, C]
+    for k in range(1, ys.shape[2]):
+        out += x[img, :, ys[..., k], xs[..., k]] * weights[..., k, None]
+    return np.ascontiguousarray(out.transpose(0, 2, 1))
 
 
-def roi_scatter(g, bidx, iy0, iy1, fy, ix0, ix1, fx, n, h, w):
-    """Adjoint of roi_gather: RoI grads [M, C, ry, rx] -> map grad [N, C, H, W].
+def tap_scatter(g, image, ys, xs, weights, n, h, w):
+    """Adjoint of tap_gather: tap grads [M, C, S] -> map grad [N, C, H, W].
 
-    One weighted bincount over every RoI, corner and channel; RoI m adds
-    only into image bidx[m].
+    One weighted bincount over contributions laid out [K, C, M, S], so each
+    cell sums them in that order; tap m adds only into image image[m].
     """
     c = g.shape[1]
-    cell = bidx[:, None, None] * (h * w)
-    chan = np.arange(c)[:, None, None, None] * (n * h * w)
-    gc = g.transpose(1, 0, 2, 3)  # [C, M, ry, rx]: writes run along one channel
-    corners = zip(
-        ((iy0, ix0), (iy0, ix1), (iy1, ix0), (iy1, ix1)), _corner_weights(fy, fx)
-    )
-    flat, vals = [], []
-    for (iy, ix), wk in corners:
-        flat.append((chan + (cell + iy[:, :, None] * w + ix[:, None, :])).ravel())
-        vals.append((gc * wk).ravel())
-    dx = np.bincount(np.concatenate(flat), np.concatenate(vals), minlength=c * n * h * w)
-    return np.ascontiguousarray(dx.reshape(c, n, h, w).transpose(1, 0, 2, 3))
+    cell = np.ascontiguousarray((image[:, None, None] * (c * h * w) + ys * w + xs).transpose(2, 0, 1))
+    flat = cell[:, None] + (np.arange(c) * (h * w))[:, None, None]  # [K, C, M, S]
+    vals = np.multiply(g.transpose(1, 0, 2), weights.transpose(2, 0, 1)[:, None], order="C")
+    dx = np.bincount(flat.ravel(), vals.ravel(), minlength=n * c * h * w)
+    return dx.reshape(n, c, h, w)

@@ -335,18 +335,6 @@ def getitem(a, idx):
     return _record("getitem", np.ascontiguousarray(out_data), (a,), vjp)
 
 
-def concat(tensors, axis=0):
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def vjp(g):
-        return tuple(np.ascontiguousarray(p) for p in np.split(g, splits, axis=axis))
-
-    return _record(
-        "concat", np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), vjp
-    )
-
-
 def stack(tensors, axis=0):
     def vjp(g):
         parts = np.split(g, len(tensors), axis=axis)
@@ -627,20 +615,13 @@ def patches_at(x, image, row, col):
         raise UsageError(f"cells outside the [{n}, {h}, {w}] map")
     di, dj = np.divmod(np.arange(9), 3)
     ys, xs = row[:, None] + di - 1, col[:, None] + dj - 1  # [M, 9]
-    off = (ys < 0) | (ys >= h) | (xs < 0) | (xs >= w)
-    ys, xs = np.clip(ys, 0, h - 1), np.clip(xs, 0, w - 1)
-    vals = x.data[image[:, None], :, ys, xs]  # [M, 9, C]
-    vals[off] = 0.0
-    m = len(image)
-    out = np.ascontiguousarray(vals.transpose(0, 2, 1)).reshape(m, c * 9)
+    on = (ys >= 0) & (ys < h) & (xs >= 0) & (xs < w)
+    ys, xs = np.clip(ys, 0, h - 1)[..., None], np.clip(xs, 0, w - 1)[..., None]
+    weights = on[..., None].astype(x.dtype)  # [M, 9, 1] taps, weight 0 off the map
+    out = kernels.tap_gather(x.data, image, ys, xs, weights).reshape(len(image), c * 9)
 
     def vjp(g):
-        on = ~off
-        cell = (image[:, None] * (c * h * w) + ys * w + xs)[on]  # [K], K taps on the map
-        chan = np.arange(c) * (h * w)
-        vals = g.reshape(m, c, 9).transpose(0, 2, 1)[on]  # [K, C]
-        gx = np.bincount((cell[:, None] + chan).ravel(), vals.ravel(), minlength=n * c * h * w)
-        return (gx.reshape(n, c, h, w),)
+        return (kernels.tap_scatter(g.reshape(len(image), c, 9), image, ys, xs, weights, n, h, w),)
 
     return _record("patches_at", out, (x,), vjp)
 
@@ -670,7 +651,7 @@ def roi_align(x, boxes, batch_idx, out_size=(7, 7)):
         raise DimensionError(
             f"expected boxes [M, 4] and batch_idx [M], got {boxes.shape} and {batch_idx.shape}"
         )
-    n, _, h, w = x.shape
+    n, c, h, w = x.shape
     if np.any((batch_idx < 0) | (batch_idx >= n)):
         raise UsageError(f"batch_idx outside [0, {n}): {batch_idx}")
     ry, rx = out_size
@@ -680,10 +661,18 @@ def roi_align(x, boxes, batch_idx, out_size=(7, 7)):
     iy0, iy1, fy = _bilinear_axis(ys, h)
     ix0, ix1, fx = _bilinear_axis(xs, w)
     fy, fx = fy.astype(x.dtype, copy=False), fx.astype(x.dtype, copy=False)
-    out = kernels.roi_gather(x.data, batch_idx, iy0, iy1, fy, ix0, ix1, fx)
+    # sample (i, j) is 4 taps, its corners 00, 01, 10, 11 in that order
+    m = len(batch_idx)
+    grid = (m, ry, rx, 4)
+    rows = np.stack([iy0, iy0, iy1, iy1], axis=-1)[:, :, None]  # [M, ry, 1, 4]
+    cols = np.stack([ix0, ix1, ix0, ix1], axis=-1)[:, None]  # [M, 1, rx, 4]
+    wy = np.stack([1.0 - fy, 1.0 - fy, fy, fy], axis=-1)[:, :, None]
+    wx = np.stack([1.0 - fx, fx, 1.0 - fx, fx], axis=-1)[:, None]
+    tys, txs, weights = (np.broadcast_to(a, grid).reshape(m, ry * rx, 4) for a in (rows, cols, wy * wx))
+    out = kernels.tap_gather(x.data, batch_idx, tys, txs, weights).reshape(m, c, ry, rx)
 
     def vjp(g):
-        return (kernels.roi_scatter(g, batch_idx, iy0, iy1, fy, ix0, ix1, fx, n, h, w),)
+        return (kernels.tap_scatter(g.reshape(m, c, ry * rx), batch_idx, tys, txs, weights, n, h, w),)
 
     return _record("roi_align", out, (x,), vjp)
 

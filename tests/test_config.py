@@ -90,6 +90,8 @@ def test_integral_float_narrows_to_int():
         {"decay": -0.1},
         {"batch_size": 0},
         {"k": 0},
+        {"htl_ramp": 0},
+        {"gradcheck_seeds": 0},
     ],
 )
 def test_semantic_validation(overrides):

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mono3d import kernels
 from mono3d import tensor as T
 from mono3d.errors import DimensionError, NumericError, UsageError
 from mono3d.model import Detector
@@ -339,6 +340,48 @@ def test_roi_align_keeps_float32():
     np.testing.assert_allclose(got.data, want.data, rtol=0, atol=1e-6)
 
 
+def _taps(rng, image, s, k, h, w):
+    """[M, S, K] taps on an h x w map, with a repeated tap and zero weights."""
+    m = len(image)
+    ys, xs = rng.integers(0, h, (m, s, k)), rng.integers(0, w, (m, s, k))
+    ys[0, 1], xs[0, 1] = ys[0, 0], xs[0, 0]  # the same taps at two samples
+    ys[-1], xs[-1] = ys[0], xs[0]  # and at two outputs of one image
+    weights = rng.normal(size=(m, s, k))
+    weights[1, 2] = 0.0
+    return image, ys, xs, weights
+
+
+@pytest.mark.parametrize("k", [4, 1])
+def test_tap_gather_sums_weighted_taps_and_scatter_is_its_adjoint(k):
+    rng = np.random.default_rng(14)
+    n, c, h, w, s = 2, 3, 5, 6, 7
+    x, g = rng.normal(size=(n, c, h, w)), rng.normal(size=(4, c, s))
+    image, ys, xs, weights = _taps(rng, np.array([0, 1, 1, 0]), s, k, h, w)
+    out = kernels.tap_gather(x, image, ys, xs, weights)
+    want = np.zeros((4, c, s))
+    for m, si, ki in np.ndindex(4, s, k):
+        want[m, :, si] += weights[m, si, ki] * x[image[m], :, ys[m, si, ki], xs[m, si, ki]]
+    np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
+    dx = kernels.tap_scatter(g, image, ys, xs, weights, n, h, w)
+    assert dx.shape == x.shape
+    assert abs(np.vdot(out, g) - np.vdot(x, dx)) < 1e-12
+
+
+def test_tap_scatter_writes_only_into_the_taps_image():
+    rng = np.random.default_rng(15)
+    image, ys, xs, weights = _taps(rng, np.zeros(3, dtype=np.int64), 5, 4, 4, 4)
+    dx = kernels.tap_scatter(rng.normal(size=(3, 2, 5)), image, ys, xs, weights, 2, 4, 4)
+    assert np.any(dx[0] != 0.0) and not np.any(dx[1])
+
+
+def test_tap_gather_keeps_float32():
+    rng = np.random.default_rng(16)
+    x = rng.normal(size=(2, 3, 5, 6)).astype(np.float32)
+    image, ys, xs, weights = _taps(rng, np.array([1, 0]), 3, 4, 5, 6)
+    out = kernels.tap_gather(x, image, ys, xs, weights.astype(np.float32))
+    assert out.dtype == np.float32 and out.shape == (2, 3, 3)
+
+
 # ---------------------------------------------------------------------------
 # backward / grad_check
 # ---------------------------------------------------------------------------
@@ -538,7 +581,7 @@ def test_grad_check_structural_ops():
     def f(t):
         top = t[:2]
         bottom = t[2:]
-        joined = T.concat([top * 2.0, bottom], axis=0)
+        joined = T.reshape(T.stack([top * 2.0, bottom], axis=0), (4, 6))
         moved = T.transpose(joined, (1, 0))
         return T.sum_(T.absolute(moved) ** 2) + T.mean(t) + T.sum_(T.exp(t * 0.1)) + T.sum_(
             T.sqrt(T.clip(t, 0.01, 10.0) + 2.0)
