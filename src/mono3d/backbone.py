@@ -15,9 +15,12 @@ convolutional with a finite receptive field.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import tensor as T
 from .errors import ConfigError, DimensionError
 from .nn import Conv2d, LayerNorm, Linear, Module, map_to_tokens, tokens_to_map
+from .tensor import Tensor
 
 STRIDES = (4, 8, 16, 32)
 
@@ -82,7 +85,13 @@ class PatchEmbed(Module):
 
 
 class SpatialReductionAttention(Module):
-    """Multi-head attention; keys/values from an sr_ratio-strided conv of the map."""
+    """Multi-head attention; keys/values from an sr_ratio-strided conv of the map.
+
+    Keys and values are projected without bias: a key bias adds one
+    constant to every logit of a query, which the softmax cancels. The
+    value bias is added to the merged heads instead, since attention rows
+    sum to 1: attn @ (v + b) == attn @ v + b.
+    """
 
     def __init__(self, dim, num_heads, sr_ratio, rng):
         if dim % num_heads != 0:
@@ -90,7 +99,8 @@ class SpatialReductionAttention(Module):
         self.num_heads = num_heads
         self.scale = (dim // num_heads) ** -0.5
         self.q = Linear(dim, dim, rng)
-        self.kv = Linear(dim, 2 * dim, rng)
+        self.kv = Linear(dim, 2 * dim, rng, bias=False)
+        self.v_bias = Tensor(np.zeros(dim), requires_grad=True)
         self.proj = Linear(dim, dim, rng)
         self.sr_ratio = sr_ratio
         if sr_ratio > 1:
@@ -110,7 +120,7 @@ class SpatialReductionAttention(Module):
         attn = T.softmax_lastdim(T.matmul_batched(q, T.transpose(k, (0, 1, 3, 2))) * self.scale)
         out = T.matmul_batched(attn, v)
         out = T.reshape(T.transpose(out, (0, 2, 1, 3)), (n, t, c))
-        return self.proj(out)
+        return self.proj(out + self.v_bias)
 
 
 class ConvFFN(Module):

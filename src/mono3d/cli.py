@@ -35,7 +35,7 @@ from .geometry import box3d_corners
 from .gradcheck import run_suite
 from .heads import CLASS_NAMES
 from .kitti import parse_calib_file, read_ppm, write_calib, write_labels, write_ppm, write_predictions
-from .model import Detector, load_checkpoint, save_checkpoint
+from .model import Detector, load_detector, save_checkpoint
 from .synth import to_uint8
 from .tensor import Tensor
 from .train import build_synth_dataset, train_detector
@@ -147,7 +147,7 @@ def cmd_train_toy(
     return 0
 
 
-def cmd_infer(out_dir, checkpoint, image, calib, variant, attention, seed, k, score_threshold, overlay):
+def cmd_infer(out_dir, checkpoint, image, calib, k, score_threshold, overlay):
     if not checkpoint:
         raise ConfigError("infer needs --checkpoint")
     if not image:
@@ -156,8 +156,7 @@ def cmd_infer(out_dir, checkpoint, image, calib, variant, attention, seed, k, sc
         raise ConfigError("infer needs --calib")
     image_u8 = read_ppm(image)
     camera = parse_calib_file(_read_text(calib))
-    detector = Detector(variant, use_attention=attention, seed=seed)
-    load_checkpoint(checkpoint, detector)
+    detector = load_detector(checkpoint)
     pixels = Tensor(image_u8.astype(np.float64).transpose(2, 0, 1) / 255.0)
     dets, drops = detector.infer(pixels, camera, k=k, score_threshold=score_threshold)
     height, width = image_u8.shape[:2]
@@ -225,13 +224,6 @@ def _parse_set(values):
     return out
 
 
-def _add_model(sub):
-    """Flags that choose the Detector of train-toy and infer."""
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--variant", choices=("desk", "b1", "b2"), default=None)
-    sub.add_argument("--no-attention", dest="attention", action="store_false", default=None)
-
-
 _COMMANDS = {
     "gradcheck": cmd_gradcheck,
     "train-toy": cmd_train_toy,
@@ -278,14 +270,15 @@ def build_parser():
                    help="skip the end-to-end check")
 
     p = _add_command(commands, "train-toy", "overfit the desk model on synthetic scenes")
-    _add_model(p)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--variant", choices=("desk", "b1", "b2"), default=None)
+    p.add_argument("--no-attention", dest="attention", action="store_false", default=None)
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--n-images", type=int, default=None)
 
     p = _add_command(commands, "infer", "run a checkpoint on one image")
-    _add_model(p)
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--image", default=None, help="PPM image path")
     p.add_argument("--calib", default=None, help="calib file path")

@@ -128,10 +128,15 @@ def resolve_config(file_cfg=None, overrides=None, profile=None, keys=None, comma
     for key in ("lr", "decay", "focal"):
         if key in cfg and cfg[key] <= 0:
             raise ConfigError(f"config key {key!r} must be positive, got {cfg[key]}")
+    for key in ("seed", "data_seed", "n_objects", "warmup_epochs"):
+        if key in cfg and cfg[key] < 0:
+            raise ConfigError(f"config key {key!r} must be >= 0, got {cfg[key]}")
     for key in ("batch_size", "epochs", "n_images", "image_width", "image_height", "k",
                 "htl_ramp", "gradcheck_seeds"):
         if key in cfg and cfg[key] < 1:
             raise ConfigError(f"config key {key!r} must be >= 1, got {cfg[key]}")
+    if "score_threshold" in cfg and not 0.0 <= cfg["score_threshold"] < 1.0:
+        raise ConfigError(f"config key 'score_threshold' must lie in [0, 1), got {cfg['score_threshold']}")
     return cfg
 
 

@@ -205,7 +205,8 @@ def _check_attention_block(rng):
     qkv = block.attn.kv.weight
     worst = max(worst, grad_check(_projected(lambda _w: block(x, 4, 4), r), qkv, eps=EPS, max_entries=12, select="largest"))
     q = block.attn.q.weight
-    return max(worst, grad_check(_projected(lambda _w: block(x, 4, 4), r), q, eps=EPS, max_entries=12, select="largest"))
+    worst = max(worst, grad_check(_projected(lambda _w: block(x, 4, 4), r), q, eps=EPS, max_entries=12, select="largest"))
+    return max(worst, grad_check(_projected(lambda _b: block(x, 4, 4), r), block.attn.v_bias, eps=EPS))
 
 
 def _check_conv_ffn(rng):

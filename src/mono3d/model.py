@@ -4,7 +4,9 @@ Assembles the attention-pyramid backbone, the top-down aggregation neck,
 and the dense 2D / RoI 3D heads into one module; provides the nine named
 training loss terms over a batch, single-image inference to one
 Detections3D, and a flat little-endian float32 checkpoint with a JSON
-sidecar manifest mapping parameter names to (offset, shape).
+sidecar manifest mapping parameter names to (offset, shape). The
+manifest's variant, attention flag and class count define the model:
+`load_detector` builds it from them.
 
 A detector computes in its parameters' dtype. A fresh one is float64,
 which training and gradient checks need. Loading a checkpoint keeps its
@@ -18,7 +20,7 @@ import numpy as np
 
 from . import tensor as T
 from .backbone import Backbone, BackboneConfig, backbone_config
-from .errors import DegenerateGeometryError, DimensionError, UsageError
+from .errors import ConfigError, DegenerateGeometryError, DimensionError, UsageError
 from .heads import (
     CLASS_NAMES,
     CLASS_PRIORS,
@@ -218,9 +220,9 @@ def save_checkpoint(path, detector):
 
 def _read_manifest(path):
     """Checkpoint `path`'s manifest, checked to hold every field
-    load_checkpoint reads, with dtype CHECKPOINT_DTYPE and non-negative
-    integer offsets, dims and total; UsageError naming the manifest
-    otherwise."""
+    load_checkpoint reads, with dtype CHECKPOINT_DTYPE, a string variant,
+    a boolean attention flag, a class count >= 1 and non-negative integer
+    offsets, dims and total; UsageError naming the manifest otherwise."""
     mpath = manifest_path(path)
     with open(mpath, "r", encoding="ascii") as fh:
         try:
@@ -230,6 +232,12 @@ def _read_manifest(path):
                 raise KeyError(sorted(absent))
             if manifest["dtype"] != CHECKPOINT_DTYPE:
                 raise ValueError(f"dtype {manifest['dtype']!r} is not {CHECKPOINT_DTYPE!r}")
+            if type(manifest["variant"]) is not str:
+                raise ValueError(f"variant {manifest['variant']!r} is not a string")
+            if type(manifest["use_attention"]) is not bool:
+                raise ValueError(f"use_attention {manifest['use_attention']!r} is not a boolean")
+            if type(manifest["num_classes"]) is not int or manifest["num_classes"] < 1:
+                raise ValueError(f"num_classes {manifest['num_classes']!r} is not an integer >= 1")
             counts = [manifest["total_elements"]]
             for entry in manifest["params"].values():
                 counts += [entry["offset"], *entry["shape"]]
@@ -295,3 +303,21 @@ def load_checkpoint(path, detector):
     for p, lo in spans:
         p.data = data[lo : lo + p.data.size].reshape(p.shape).copy()
     return manifest
+
+
+def load_detector(path):
+    """The Detector that checkpoint `path` describes, with its parameters loaded.
+
+    The manifest's variant, attention setting and class count define the
+    model; a variant outside the backbone table is a UsageError naming the
+    manifest. The detector infers in float32 (see load_checkpoint).
+    """
+    manifest = _read_manifest(path)
+    try:
+        detector = Detector(
+            manifest["variant"], manifest["use_attention"], num_classes=manifest["num_classes"]
+        )
+    except ConfigError as exc:
+        raise UsageError(f"checkpoint manifest {manifest_path(path)}: {exc}") from None
+    load_checkpoint(path, detector)
+    return detector

@@ -4,7 +4,7 @@ Each op output that gradients can flow through owns its graph node
 (inputs, vector-Jacobian product, sequence number). Nodes do not point
 back at their outputs, so a graph is freed with the last tensor that
 reaches it and nothing is reset between training steps. `backward` runs
-the nodes reachable from the loss in descending sequence order, the
+the nodes that receive a gradient in descending sequence order, the
 reverse of recording order and so a valid topological order. Gradients
 of intermediate values live in a per-call map, so repeated `backward`
 calls on a live loss accumulate into leaf `.grad` buffers.
@@ -16,6 +16,7 @@ checkpoint runs its no-grad forward in float32 from the image to the
 heads.
 """
 
+import heapq
 import math
 
 import numpy as np
@@ -720,26 +721,21 @@ def bilinear_resize(x, out_h, out_w):
 def backward(loss):
     """Populate .grad of every requires_grad leaf reachable from `loss`.
 
-    Runs the nodes reachable from the loss in descending sequence order,
-    the reverse of recording order. Leaf gradients accumulate across
-    calls; use Tensor.zero_grad to reset.
+    Runs the nodes that receive a gradient in descending sequence order,
+    the reverse of recording order: a max-heap on `seq` holds each node
+    from its first gradient on, and every consumer of a node has a larger
+    `seq`, so a node runs once all its gradient has arrived. Leaf
+    gradients accumulate across calls; use Tensor.zero_grad to reset.
     """
     if not isinstance(loss, Tensor) or loss.size != 1:
         raise UsageError("backward expects a scalar Tensor")
     if loss._node is None:
         raise UsageError("loss is not connected to a recorded graph")
-    seen, stack = {loss._node}, [loss._node]
-    while stack:
-        for t in stack.pop().inputs:
-            if t._node is not None and t._node not in seen:
-                seen.add(t._node)
-                stack.append(t._node)
     grads = {loss._node: np.ones_like(loss.data)}
-    for node in sorted(seen, key=lambda node: node.seq, reverse=True):
-        g = grads.pop(node, None)
-        if g is None:
-            continue
-        for t, gi in zip(node.inputs, node.vjp(g)):
+    heap = [(-loss._node.seq, loss._node)]
+    while heap:
+        node = heapq.heappop(heap)[1]
+        for t, gi in zip(node.inputs, node.vjp(grads.pop(node))):
             if gi is None:
                 continue
             if t._node is not None:
@@ -748,6 +744,7 @@ def backward(loss):
                     grads[key] = grads[key] + gi
                 else:
                     grads[key] = gi
+                    heapq.heappush(heap, (-key.seq, key))
             elif t.requires_grad:
                 if t.grad is None:
                     t.grad = np.zeros_like(t.data)

@@ -6,12 +6,15 @@ from mono3d.backbone import (
     STRIDES,
     Backbone,
     BackboneConfig,
+    SpatialReductionAttention,
     StageConfig,
     backbone_config,
     pyramid_shapes,
 )
 from mono3d.errors import ConfigError, DimensionError
 from mono3d.tensor import Tensor
+
+import oracles
 
 # conv output-size oracle: each stage is one strided conv with
 # kernel/stride/pad (7,4,3) then (3,2,1) x3
@@ -190,6 +193,39 @@ def test_backbone_param_grad_check():
     assert err < 1e-4
 
 
+@pytest.mark.parametrize("sr_ratio", [1, 2])
+def test_value_bias_is_a_bias_on_v_before_the_weighted_sum(sr_ratio):
+    # oracle: per head, softmax(q k^T / sqrt(hd)) @ (v + b) in plain numpy,
+    # with b the value bias; keys and values come from one bias-free kv
+    rng = np.random.default_rng(23)
+    attn = SpatialReductionAttention(8, 2, sr_ratio, rng)
+    attn.v_bias.data = rng.normal(size=8)
+    n, h, w = 2, 4, 6
+    x = rng.normal(size=(n, h * w, 8))
+    with T.no_grad():
+        got = attn(Tensor(x), h, w).data
+    p = {name: t.data for name, t in attn.named_parameters()}
+    assert "kv.bias" not in p
+    src = x
+    if sr_ratio > 1:
+        fmap = x.reshape(n, h, w, 8).transpose(0, 3, 1, 2)
+        fmap = oracles.conv2d_direct(fmap, p["sr.weight"], p["sr.bias"], sr_ratio, 0)
+        src = fmap.reshape(n, 8, -1).transpose(0, 2, 1)
+        mu, var = src.mean(-1, keepdims=True), src.var(-1, keepdims=True)
+        src = (src - mu) / np.sqrt(var + 1e-6) * p["sr_norm.gamma"] + p["sr_norm.beta"]
+    q = x @ p["q.weight"] + p["q.bias"]
+    kv = src @ p["kv.weight"]
+    k, v = kv[..., :8], kv[..., 8:] + p["v_bias"]
+    heads = []
+    for lo in (0, 4):
+        hq, hk, hv = q[..., lo : lo + 4], k[..., lo : lo + 4], v[..., lo : lo + 4]
+        logits = hq @ hk.transpose(0, 2, 1) / 2.0
+        e = np.exp(logits - logits.max(-1, keepdims=True))
+        heads.append(e / e.sum(-1, keepdims=True) @ hv)
+    want = np.concatenate(heads, -1) @ p["proj.weight"] + p["proj.bias"]
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
 def test_input_validation():
     bb = Backbone(_tiny_config(), np.random.default_rng(20))
     with pytest.raises(DimensionError):
@@ -200,6 +236,6 @@ def test_input_validation():
 
 def test_desk_parameter_count_frozen():
     bb = Backbone(backbone_config("desk"), np.random.default_rng(21))
-    assert bb.num_parameters() == 331328
+    assert bb.num_parameters() == 331088
     ablated = Backbone(backbone_config("desk", use_attention=False), np.random.default_rng(22))
     assert ablated.num_parameters() == 193360

@@ -85,6 +85,9 @@ def test_bad_variant_choice_exits_2(capsys):
         ["train-toy", "--thresholds", "both"],
         ["train-toy", "--k", "3"],
         ["infer", "--thresholds", "official"],
+        ["infer", "--variant", "b2"],
+        ["infer", "--seed", "1"],
+        ["infer", "--no-attention"],
     ],
 )
 def test_flag_the_subcommand_does_not_read_exits_2(argv, capsys):
@@ -117,6 +120,7 @@ def test_set_unknown_key_exits_2(tmp_path, capsys):
         (["eval", "--set", "lr=5"], "lr"),
         (["eval", "--set", "z_min=-1"], "z_min"),  # named before any range check
         (["infer", "--set", "epochs=3"], "epochs"),
+        (["infer", "--set", "variant=b2"], "variant"),
     ],
 )
 def test_set_key_the_command_does_not_read_exits_2(argv, key, tmp_path, capsys):
@@ -407,20 +411,26 @@ def test_infer_no_overlay_skips_render(toy_run, tmp_path):
     assert not os.path.exists(out / "000000_overlay.ppm")
 
 
-def test_infer_checkpoint_model_mismatch_exits_1(toy_run, tmp_path, capsys):
+def test_infer_builds_the_model_the_checkpoint_describes(tmp_path):
+    # an attention-free checkpoint runs with no model flag: the manifest
+    # defines the model
+    run = tmp_path / "ablated"
+    assert main(TRAIN_ARGS + ["--epochs", "1", "--no-attention", "--out", str(run)]) == 0
+    assert json.loads(_read(run / "model.ckpt.json"))["use_attention"] is False
+    out = tmp_path / "inf"
     code = main(
         [
             "infer",
-            "--checkpoint", str(toy_run / "model.ckpt"),
-            "--image", str(toy_run / "images" / "000000.ppm"),
-            "--calib", str(toy_run / "calibs" / "000000.txt"),
-            "--no-attention",
-            "--out", str(tmp_path / "o"),
+            "--checkpoint", str(run / "model.ckpt"),
+            "--image", str(run / "images" / "000000.ppm"),
+            "--calib", str(run / "calibs" / "000000.txt"),
+            "--no-overlay",
+            "--out", str(out),
         ]
     )
-    assert code == 1
-    err = capsys.readouterr().err
-    assert "checkpoint holds" in err and "attention=True" in err and "attention=False" in err
+    assert code == 0
+    assert os.path.exists(out / "predictions" / "000000.txt")
+    _echoed(out, "infer")
 
 
 # -- gradcheck ----------------------------------------------------------------

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from mono3d.cli import main
 from mono3d.config import DEFAULTS, TOY_PROFILE, echo_config, load_config_file, resolve_config
 from mono3d.errors import ConfigError
 
@@ -97,6 +98,42 @@ def test_integral_float_narrows_to_int():
 def test_semantic_validation(overrides):
     with pytest.raises(ConfigError):
         resolve_config(overrides=overrides)
+
+
+@pytest.mark.parametrize(
+    "key,value,want",
+    [
+        ("seed", -1, ">= 0"),
+        ("data_seed", -1, ">= 0"),
+        ("n_objects", -1, ">= 0"),
+        ("warmup_epochs", -3, ">= 0"),
+        ("score_threshold", -0.1, r"in \[0, 1\)"),
+        ("score_threshold", 1.0, r"in \[0, 1\)"),
+    ],
+)
+def test_range_check_names_the_key(key, value, want):
+    with pytest.raises(ConfigError, match=f"config key {key!r} must .*{want}"):
+        resolve_config(overrides={key: value})
+    resolve_config(overrides={key: 0})  # the bound itself is allowed
+
+
+@pytest.mark.parametrize(
+    "argv,key",
+    [
+        (["synth", "--set", "data_seed=-1"], "data_seed"),
+        (["synth", "--n-objects", "-1"], "n_objects"),
+        (["gradcheck", "--seed", "-1"], "seed"),
+        (["train-toy", "--set", "warmup_epochs=-3"], "warmup_epochs"),
+        # refused before the (missing) checkpoint and image are read
+        (["infer", "--checkpoint", "no.ckpt", "--image", "no.ppm", "--calib", "no.txt",
+          "--score-threshold", "1.5"], "score_threshold"),
+    ],
+)
+def test_out_of_range_key_exits_2_before_any_work(argv, key, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert f"config key {key!r} must" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_load_config_file_roundtrip(tmp_path):

@@ -17,7 +17,7 @@ from mono3d.errors import (
 from mono3d.heads import MIN_H2D_PIXELS, Detections3D, Heads3D, decode_heatmap_peaks, roi_crop
 from mono3d.kitti import LabelRecord
 from mono3d.losses import LOSS_TERMS, assign_targets, make_weights, total_loss
-from mono3d.model import Detector, load_checkpoint, manifest_path, save_checkpoint
+from mono3d.model import Detector, load_checkpoint, load_detector, manifest_path, save_checkpoint
 from mono3d.synth import make_default_calib, synth_scene
 from mono3d.train import build_synth_dataset, train_detector
 
@@ -395,9 +395,22 @@ def test_desk_checkpoint_layout_pinned(desk):
     # parameter changes it, and old desk checkpoints would stop loading
     layout = sorted((name, list(p.shape)) for name, p in desk.named_parameters())
     digest = hashlib.sha256(json.dumps(layout).encode("ascii")).hexdigest()
-    assert digest == "f77147aa770034387ae9dd8ee4b3d7fad163c1cfafade9092b1b4cd255c80c9a"
+    assert digest == "06bb5960271facd56a52fc5c327ce94947ab0fdc77d74c9c18687c29fe94e143"
     assert len(layout) == 144
-    assert desk.num_parameters() == 608877
+    assert desk.num_parameters() == 608637
+
+
+def test_load_detector_builds_the_model_the_manifest_describes(toy_checkpoint, tmp_path):
+    path = toy_checkpoint[0]
+    det = load_detector(path)
+    assert (det.variant, det.use_attention, det.num_classes) == ("desk", True, 3)
+    want = _load(path)
+    for (name, p), (_, q) in zip(det.named_parameters(), want.named_parameters()):
+        assert p.dtype == np.float32 and np.array_equal(p.data, q.data), name
+    ablated = tmp_path / "ablated.ckpt"
+    save_checkpoint(ablated, Detector("desk", use_attention=False, seed=3, num_classes=2))
+    det = load_detector(ablated)
+    assert (det.variant, det.use_attention, det.num_classes) == ("desk", False, 2)
 
 
 def test_checkpoint_variant_mismatch_names_both(tmp_path):
@@ -467,6 +480,8 @@ def test_checkpoint_tampered_manifest_rejected(tmp_path):
         lambda m, e: m.update(dtype=">f8"),
         lambda m, e: m.update(dtype="<f8"),
         lambda m, e: m.update(total_elements=m["total_elements"] + 8),
+        lambda m, e: m.update(use_attention="yes"),
+        lambda m, e: m.update(num_classes=0),
     ]
     for edit in edits:
         bad = json.loads(json.dumps(manifest))
@@ -478,5 +493,9 @@ def test_checkpoint_tampered_manifest_rejected(tmp_path):
         side.write_text(text, encoding="latin-1")
         with pytest.raises(UsageError, match="x.ckpt.json"):
             load_checkpoint(path, det)
+    # a variant outside the backbone table cannot define a model
+    side.write_text(json.dumps({**manifest, "variant": "b7"}))
+    with pytest.raises(UsageError, match="x.ckpt.json.*unknown backbone variant 'b7'"):
+        load_detector(path)
     side.write_text(json.dumps(manifest))
     load_checkpoint(path, det)
