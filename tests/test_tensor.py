@@ -410,6 +410,30 @@ def test_backward_accumulates_until_reset():
     assert np.array_equal(x.grad, 2 * np.ones(3))
 
 
+def test_backward_runs_each_node_once_after_its_consumers():
+    # `a` feeds three consumers; its vjp must run once, on their summed gradient
+    x = Tensor(np.arange(1.0, 4.0), requires_grad=True)
+    a = x * 2.0
+    loss = T.sum_(a * T.exp(a) + a)
+    calls, stack = {}, [loss._node]
+    while stack:
+        node = stack.pop()
+        if node in calls:
+            continue
+        calls[node] = 0
+
+        def counted(g, _vjp=node.vjp, _node=node):
+            calls[_node] += 1
+            return _vjp(g)
+
+        node.vjp = counted
+        stack.extend(t._node for t in node.inputs if t._node is not None)
+    T.backward(loss)
+    assert len(calls) == 5 and set(calls.values()) == {1}
+    ea = np.exp(2 * x.data)
+    assert np.allclose(x.grad, 2 * (ea + 2 * x.data * ea + 1), rtol=1e-14, atol=0)
+
+
 def test_backward_rejects_nonscalar():
     x = Tensor(np.ones(3), requires_grad=True)
     y = x * x
