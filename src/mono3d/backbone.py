@@ -108,18 +108,11 @@ class SpatialReductionAttention(Module):
             self.sr_norm = LayerNorm(dim)
 
     def __call__(self, x, h, w):
-        n, t, c = x.shape
-        hd = c // self.num_heads
-        q = T.transpose(T.reshape(self.q(x), (n, t, self.num_heads, hd)), (0, 2, 1, 3))
+        q = self.q(x)
         src = x
         if self.sr_ratio > 1:
             src = self.sr_norm(map_to_tokens(self.sr(tokens_to_map(x, h, w))))
-        s = src.shape[1]
-        kv = T.transpose(T.reshape(self.kv(src), (n, s, 2, self.num_heads, hd)), (2, 0, 3, 1, 4))
-        k, v = kv[0], kv[1]
-        attn = T.softmax_lastdim(T.matmul_batched(q, T.transpose(k, (0, 1, 3, 2))) * self.scale)
-        out = T.matmul_batched(attn, v)
-        out = T.reshape(T.transpose(out, (0, 2, 1, 3)), (n, t, c))
+        out = T.attention(q, self.kv(src), self.num_heads, self.scale)
         return self.proj(out + self.v_bias)
 
 

@@ -37,7 +37,7 @@ from .heads import CLASS_NAMES
 from .kitti import parse_calib_file, read_ppm, write_calib, write_labels, write_ppm, write_predictions
 from .model import Detector, load_detector, save_checkpoint
 from .synth import to_uint8
-from .tensor import Tensor
+from .tensor import OP_NAMES, Tensor
 from .train import build_synth_dataset, train_detector
 
 _CLASS_COLORS = ((255, 64, 64), (64, 255, 64), (64, 128, 255))
@@ -201,6 +201,8 @@ def cmd_eval(out_dir, pred_dir, gt_dir, calib_dir, thresholds):
 
 
 def cmd_gradcheck(out_dir, gradcheck_seeds, pipeline, fault_op, seed):
+    if fault_op and fault_op not in OP_NAMES:  # a bad invocation, not a failed check
+        raise ConfigError(f"no op records the name {fault_op!r}; known ops: {', '.join(sorted(OP_NAMES))}")
     os.makedirs(out_dir, exist_ok=True)
     result = run_suite(
         seeds=gradcheck_seeds, include_pipeline=pipeline, fault_op=fault_op or None, seed0=seed

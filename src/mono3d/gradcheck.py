@@ -20,7 +20,7 @@ from .heads import Boxes2D, Heads2D, Heads3D, gup_depth, roi_crop
 from .losses import angle_loss, assign_targets, depth_loss, focal_loss, l1_masked, laplacian_nll, total_loss, make_weights
 from .model import Detector
 from .neck import Neck
-from .nn import LayerNorm, Linear
+from .nn import LayerNorm
 from .synth import make_default_calib, synth_scene
 from .tensor import Tensor, grad_check
 
@@ -192,10 +192,18 @@ def _check_bilinear_resize(rng):
 
 
 def _check_linear(rng):
-    lin = Linear(4, 3, rng)
-    x, r = _t(rng, 5, 4), _t(rng, 5, 3)
-    worst = grad_check(_projected(lin, r), x, eps=EPS)
-    return max(worst, grad_check(_projected(lambda w: T.matmul_batched(x, w) + lin.bias, r), lin.weight, eps=EPS))
+    x, w, b, r = _t(rng, 2, 5, 4), _t(rng, 4, 3), _t(rng, 3), _t(rng, 2, 5, 3)
+    worst = grad_check(_projected(lambda a: T.linear(a, w, b), r), x, eps=EPS)
+    worst = max(worst, grad_check(_projected(lambda ww: T.linear(x, ww, b), r), w, eps=EPS))
+    return max(worst, grad_check(_projected(lambda bb: T.linear(x, w, bb), r), b, eps=EPS))
+
+
+def _check_attention(rng):
+    # two query blocks, the second one short: each holds about half the q probes
+    t = 2 * T.ATTENTION_CHUNK - 7
+    q, kv, r = _t(rng, 1, t, 4), _t(rng, 1, 3, 8), _t(rng, 1, t, 4)
+    worst = grad_check(_projected(lambda a: T.attention(a, kv, 2, 0.5), r), q, eps=EPS, max_entries=16, rng=rng)
+    return max(worst, grad_check(_projected(lambda b: T.attention(q, b, 2, 0.5), r), kv, eps=EPS))
 
 
 def _check_attention_block(rng):
@@ -360,6 +368,7 @@ OP_CHECKS = (
     ("conv2d", _check_conv2d),
     ("bilinear_resize", _check_bilinear_resize),
     ("linear", _check_linear),
+    ("attention", _check_attention),
     ("attention_block", _check_attention_block),
     ("conv_ffn", _check_conv_ffn),
     ("neck", _check_neck),
@@ -434,7 +443,8 @@ class SuiteResult:
 
 
 def run_suite(seeds=20, include_pipeline=True, fault_op=None, seed0=0):
-    """Run every component over `seeds` seeds; optional fault injection."""
+    """Run every component over `seeds` seeds; optional fault injection
+    into the op that records `fault_op` (a name in T.OP_NAMES)."""
     if seeds < 1:
         raise UsageError("seeds must be >= 1")
     if fault_op:

@@ -137,13 +137,13 @@ class DenseHead(Module):
 
     def at(self, patches):
         """The head at M cells from their 3x3 patches [M, C*9]
-        (T.patches_at) -> [M, out_ch]: the same parameters as matmuls."""
+        (T.patches_at) -> [M, out_ch]: the same parameters as linear layers."""
 
         def columns(conv):  # weight [O, C, k, k] -> [C*k*k, O]
             return T.transpose(T.reshape(conv.weight, (conv.weight.shape[0], -1)), (1, 0))
 
-        h = T.relu(patches @ columns(self.conv1) + self.conv1.bias)
-        return h @ columns(self.conv2) + self.conv2.bias
+        h = T.relu(T.linear(patches, columns(self.conv1), self.conv1.bias))
+        return T.linear(h, columns(self.conv2), self.conv2.bias)
 
 
 class Heads2D(Module):

@@ -58,8 +58,7 @@ class Linear(Module):
         self.bias = _param(np.zeros(out_features)) if bias else None
 
     def __call__(self, x):
-        y = x @ self.weight
-        return y + self.bias if self.bias is not None else y
+        return T.linear(x, self.weight, self.bias)
 
 
 class Conv2d(Module):

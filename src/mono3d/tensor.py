@@ -29,6 +29,13 @@ _recording = True
 _seq = 0  # sequence number of the last recorded node
 _seq_at_reset = 0
 
+# the name each op records its nodes under
+OP_NAMES = frozenset((
+    "abs", "add", "attention", "bilinear", "clip", "conv2d", "exp", "gelu", "getitem",
+    "layer_norm", "linear", "log", "matmul", "mean", "mul", "patches_at", "power", "relu",
+    "reshape", "roi_align", "sigmoid", "softmax", "sqrt", "stack", "sum", "transpose",
+))
+
 # op names whose backward rule is deliberately corrupted (gradcheck negative
 # control, wired to the CLI fault-injection flag)
 _fault_ops = set()
@@ -47,6 +54,8 @@ def tape_length():
 
 
 def inject_fault(op_name):
+    if op_name not in OP_NAMES:
+        raise UsageError(f"no op records the name {op_name!r}; known ops: {', '.join(sorted(OP_NAMES))}")
     _fault_ops.add(op_name)
 
 
@@ -79,13 +88,14 @@ class _Node:
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "_node")
+    __slots__ = ("data", "requires_grad", "grad", "_node", "_made")
 
     def __init__(self, data, requires_grad=False, dtype=np.float64):
         self.data = np.asarray(data, dtype=dtype)
         self.requires_grad = requires_grad
         self.grad = None
         self._node = None  # set when produced by a recorded op
+        self._made = False  # set on op outputs: scanned when made, never written
 
     # -- basic introspection ------------------------------------------------
 
@@ -167,12 +177,19 @@ def _as_tensor(x, dtype=np.float64):
     return x if isinstance(x, Tensor) else Tensor(x, dtype=dtype)
 
 
-def _record(name, out_data, inputs, vjp):
-    """Wrap op output; give it a graph node when grads can flow."""
+def _record(name, out_data, inputs, vjp, scan=True):
+    """Wrap op output; give it a graph node when grads can flow.
+
+    The output is scanned for non-finite values unless `scan` is False,
+    which the view ops pass when their input is itself an op output: op
+    outputs were scanned when made and nothing writes into them, while
+    leaves (parameters, images) are written in place.
+    """
     global _seq
-    if not np.all(np.isfinite(out_data)):
+    if scan and not np.isfinite(out_data).all():
         raise NumericError(f"non-finite values in output of {name}")
     out = Tensor(out_data, dtype=out_data.dtype)
+    out._made = True
     needs = _recording and any(t.requires_grad or t._node is not None for t in inputs)
     if needs:
         out.requires_grad = True
@@ -312,7 +329,7 @@ def reshape(a, shape):
     def vjp(g):
         return (g.reshape(old),)
 
-    return _record("reshape", a.data.reshape(shape), (a,), vjp)
+    return _record("reshape", a.data.reshape(shape), (a,), vjp, scan=not a._made)
 
 
 def transpose(a, axes):
@@ -321,7 +338,7 @@ def transpose(a, axes):
     def vjp(g):
         return (g.transpose(inv),)
 
-    return _record("transpose", a.data.transpose(axes), (a,), vjp)
+    return _record("transpose", a.data.transpose(axes), (a,), vjp, scan=not a._made)
 
 
 def getitem(a, idx):
@@ -333,7 +350,7 @@ def getitem(a, idx):
         np.add.at(ga, idx, g)
         return (ga,)
 
-    return _record("getitem", np.ascontiguousarray(out_data), (a,), vjp)
+    return _record("getitem", np.ascontiguousarray(out_data), (a,), vjp, scan=not a._made)
 
 
 def stack(tensors, axis=0):
@@ -406,6 +423,94 @@ def softmax_lastdim(x):
         return (out_data * (g - dot),)
 
     return _record("softmax", out_data, (x,), vjp)
+
+
+def linear(x, w, b=None):
+    """x [..., C] @ w [C, O] (+ b [O]) -> [..., O] as one node.
+
+    The leading dims are flattened, so the forward and each gradient is
+    one 2-D GEMM: x2 @ w, gx = g2 @ w.T, gW = x2.T @ g2, and gb =
+    g2.sum(0). The bias is added in place. gx is not computed when x
+    needs no gradient; its slot is None.
+    """
+    if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[0]:
+        raise DimensionError(f"linear needs x [..., C] and w [C, O], got {x.shape} and {w.shape}")
+    c, o = w.shape
+    if b is not None and b.shape != (o,):
+        raise DimensionError(f"linear bias must have shape ({o},), got {b.shape}")
+    x2 = x.data.reshape(-1, c)
+    out = x2 @ w.data
+    if b is not None:
+        out += b.data
+    need_gx = x.requires_grad or x._node is not None
+
+    def vjp(g):
+        g2 = g.reshape(-1, o)
+        gx = (g2 @ w.data.T).reshape(x.shape) if need_gx else None
+        gw = x2.T @ g2
+        return (gx, gw) if b is None else (gx, gw, g2.sum(axis=0))
+
+    inputs = (x, w) if b is None else (x, w, b)
+    return _record("linear", out.reshape(x.shape[:-1] + (o,)), inputs, vjp)
+
+
+ATTENTION_CHUNK = 2048  # query rows per block of attention logits
+
+
+def _attention_probs(q, k_t, scale):
+    """softmax(q @ k_t * scale) over the last dim, computed in place."""
+    p = q @ k_t
+    p *= p.dtype.type(scale)
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    return p
+
+
+def attention(q, kv, num_heads, scale):
+    """Multi-head softmax attention as one node.
+
+    q [N, T, C] holds the queries and kv [N, S, 2C] the keys, then the
+    values, each laid out (heads, head_dim) along the channels. Returns
+    the merged heads [N, T, C]: per head, softmax(q @ k.T * scale) @ v.
+    The [T, S] probabilities exist one block of ATTENTION_CHUNK query rows
+    at a time, scaled, max-subtracted, exponentiated and normalised in
+    place, and the node keeps none of them: the backward recomputes each
+    block's (Rabe & Staats, 2021; Dao et al., FlashAttention, 2022).
+    """
+    if q.ndim != 3 or kv.ndim != 3 or kv.shape[0] != q.shape[0] or kv.shape[2] != 2 * q.shape[2]:
+        raise DimensionError(f"attention needs q [N, T, C] and kv [N, S, 2C], got {q.shape} and {kv.shape}")
+    n, t, c = q.shape
+    if num_heads < 1 or c % num_heads:
+        raise DimensionError(f"{c} channels do not split into {num_heads} heads")
+    s, hd = kv.shape[1], c // num_heads
+    qh = q.data.reshape(n, t, num_heads, hd).transpose(0, 2, 1, 3)  # [N, H, T, hd]
+    kvh = kv.data.reshape(n, s, 2, num_heads, hd).transpose(2, 0, 3, 1, 4)
+    k, v = np.ascontiguousarray(kvh[0]), np.ascontiguousarray(kvh[1])  # [N, H, S, hd]
+    k_t = k.transpose(0, 1, 3, 2)
+    blocks = [slice(i, i + ATTENTION_CHUNK) for i in range(0, t, ATTENTION_CHUNK)]
+    out = np.empty((n, t, num_heads, hd), dtype=q.dtype)
+    for rows in blocks:
+        out[:, rows] = (_attention_probs(qh[:, :, rows], k_t, scale) @ v).transpose(0, 2, 1, 3)
+
+    def vjp(g):
+        gh = g.reshape(n, t, num_heads, hd).transpose(0, 2, 1, 3)
+        gq = np.empty((n, t, num_heads, hd), dtype=g.dtype)
+        gk, gv = np.zeros_like(k), np.zeros_like(v)
+        for rows in blocks:
+            p = _attention_probs(qh[:, :, rows], k_t, scale)
+            gr = gh[:, :, rows]
+            gv += np.swapaxes(p, -1, -2) @ gr
+            gl = gr @ np.swapaxes(v, -1, -2)  # gradient of p, then of the logits
+            gl -= np.sum(gl * p, axis=-1, keepdims=True)
+            gl *= p
+            gl *= scale
+            gq[:, rows] = (gl @ k).transpose(0, 2, 1, 3)
+            gk += np.swapaxes(gl, -1, -2) @ qh[:, :, rows]
+        gkv = np.stack([gk, gv], axis=2).transpose(0, 3, 2, 1, 4)  # [N, S, 2, H, hd]
+        return gq.reshape(n, t, c), gkv.reshape(n, s, 2 * c)
+
+    return _record("attention", out.reshape(n, t, c), (q, kv), vjp)
 
 
 def layer_norm(x, gamma, beta, eps=1e-6):

@@ -20,7 +20,7 @@ from test_evaluation import _corpus, _pair_iou, _row
 from mono3d import tensor as T
 from mono3d.backbone import Backbone, backbone_config
 from mono3d.cli import main
-from mono3d.errors import ParseError
+from mono3d.errors import ParseError, UsageError
 from mono3d.evaluation import DIFFICULTIES, OFFICIAL_IOU, RELAXED_IOU, ap_r40
 from mono3d.geometry import box3d_corners, iou_3d, iou_bev, pair_iou
 from mono3d.gradcheck import run_suite
@@ -60,6 +60,15 @@ def test_criterion_01_gradient_suite():
     # negative control: a corrupted backward rule must trip the same suite
     faulted = run_suite(seeds=2, include_pipeline=False, fault_op="conv2d")
     assert not faulted.passed and "conv2d" in faulted.failing()
+
+
+def test_gradient_suite_catches_a_fault_in_every_op():
+    for op in sorted(T.OP_NAMES):
+        assert not run_suite(seeds=1, include_pipeline=False, fault_op=op).passed, op
+    # the suite's component names are not all op names: those are refused
+    for name in ("matmul_batched", "softmax_lastdim", "bilinear_resize", "attentoin"):
+        with pytest.raises(UsageError, match="known ops"):
+            run_suite(seeds=1, include_pipeline=False, fault_op=name)
 
 
 # -- 2: pyramid shape contract ------------------------------------------------

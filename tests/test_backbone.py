@@ -226,6 +226,23 @@ def test_value_bias_is_a_bias_on_v_before_the_weighted_sum(sr_ratio):
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
+@pytest.mark.parametrize("sr_ratio", [1, 2])
+def test_attention_sublayer_records_one_attention_op(sr_ratio, monkeypatch):
+    rng = np.random.default_rng(24)
+    attn = SpatialReductionAttention(8, 2, sr_ratio, rng)
+    recorded = []
+    record = T._record
+
+    def spy(name, out_data, inputs, vjp, **kwargs):
+        recorded.append(name)
+        return record(name, out_data, inputs, vjp, **kwargs)
+
+    monkeypatch.setattr(T, "_record", spy)
+    attn(Tensor(rng.normal(size=(2, 24, 8))), 4, 6)
+    assert recorded.count("attention") == 1
+    assert not {"softmax", "matmul"} & set(recorded)
+
+
 def test_input_validation():
     bb = Backbone(_tiny_config(), np.random.default_rng(20))
     with pytest.raises(DimensionError):

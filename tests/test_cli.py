@@ -456,6 +456,20 @@ def test_gradcheck_fault_injection_fails_and_names_op(tmp_path, capsys):
     assert "FAILING:" in text and "relu" in text.split("FAILING:")[1]
 
 
+@pytest.mark.parametrize("op, code", [("linear", 1), ("attention", 1), ("attentoin", 2)])
+def test_gradcheck_fault_injection_exit_codes(tmp_path, capsys, op, code):
+    # the fused ops' rules are caught; a name that no op records is a bad
+    # invocation, not a vacuous pass
+    out = tmp_path / "gc"
+    args = ["gradcheck", "--seeds", "1", "--no-pipeline", "--inject-fault", op, "--out", str(out)]
+    assert main(args) == code
+    captured = capsys.readouterr()
+    if code == 1:
+        assert op in captured.out.split("FAILING:")[1]
+    else:
+        assert "known ops:" in captured.err and "attention" in captured.err
+
+
 def test_cli_runs_on_pure_numpy_backend(tmp_path):
     # the only test that runs the `python -m mono3d.cli` entry point in a subprocess
     proc = subprocess.run(

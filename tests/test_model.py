@@ -108,9 +108,22 @@ def test_failed_loss_terms_leaves_no_nodes(scene):
     calib, batch, targets = scene
     det = Detector(_tiny_config(), seed=0)
     dict(det.named_parameters())["heads3d.fc_size.bias"].data[0] = np.nan
-    with pytest.raises(NumericError, match="output of add"):
+    with pytest.raises(NumericError, match="output of linear"):
         det.loss_terms(batch, targets, calib)
     assert oracles.live_graph_nodes() == 0
+
+
+def test_toy_step_graph_node_count():
+    # one node per linear layer and per attention: the same step with the
+    # attention and the linear layers as separate ops recorded 370 nodes
+    samples = build_synth_dataset(2, (96, 64), seed=7, n_objects=2, z_range=(4.5, 8.0), focal=120.0)
+    images = T.stack([s.image for s in samples])
+    det = Detector("desk", seed=0)
+    T.reset_tape()
+    terms = det.loss_terms(images, [s.targets for s in samples], [s.calib for s in samples])
+    total, _ = total_loss(terms, make_weights(tier2=1.0, tier3=1.0))
+    T.backward(total)
+    assert T.tape_length() == 298
 
 
 def test_loss_terms_scores_each_object_at_a_shared_center_cell(desk):
@@ -143,9 +156,9 @@ def test_offset_and_size_heads_run_no_conv(desk, scene, monkeypatch):
     recorded = []
     record = T._record
 
-    def spy(name, out_data, inputs, vjp):
+    def spy(name, out_data, inputs, vjp, **kwargs):
         recorded.append((name, {id(t) for t in inputs}))
-        return record(name, out_data, inputs, vjp)
+        return record(name, out_data, inputs, vjp, **kwargs)
 
     monkeypatch.setattr(T, "_record", spy)
     for call in (lambda: desk.loss_terms(batch, targets, calib), lambda: desk.infer(batch.data[0], calib)):
@@ -316,9 +329,9 @@ def test_loaded_detector_infers_in_float32(toy_checkpoint, monkeypatch):
     recorded = []
     record = T._record
 
-    def spy(name, out_data, inputs, vjp):
+    def spy(name, out_data, inputs, vjp, **kwargs):
         recorded.append((name, out_data.dtype))
-        return record(name, out_data, inputs, vjp)
+        return record(name, out_data, inputs, vjp, **kwargs)
 
     monkeypatch.setattr(T, "_record", spy)
     dets, _ = det.infer(images[0], calib, k=50)

@@ -1,3 +1,5 @@
+import inspect
+import re
 import tracemalloc
 
 import numpy as np
@@ -201,6 +203,110 @@ def test_matmul_matches_loop_oracle():
 def test_matmul_inner_dim_mismatch():
     with pytest.raises(DimensionError):
         T.matmul_batched(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
+
+
+# ---------------------------------------------------------------------------
+# linear / attention
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_linear_equals_matmul_plus_bias_bitwise(dtype):
+    rng = np.random.default_rng(41)
+    x, w, b = (Tensor(rng.normal(size=shape), dtype=dtype) for shape in ((2, 5, 4), (4, 3), (3,)))
+    got = T.linear(x, w, b)
+    assert got.dtype == dtype and got.shape == (2, 5, 3)
+    assert np.array_equal(got.data, (T.matmul_batched(x, w) + b).data)
+    assert np.array_equal(T.linear(x, w).data, T.matmul_batched(x, w).data)
+
+
+def test_linear_is_one_node_with_the_chain_gradients():
+    rng = np.random.default_rng(42)
+    x, w, b = (rt(rng, *shape) for shape in ((2, 5, 4), (4, 3), (3,)))
+    r = rng.normal(size=(2, 5, 3))
+    T.reset_tape()
+    T.backward(T.sum_(T.linear(x, w, b) * r))
+    assert T.tape_length() == 3  # linear, mul, sum
+    fused = [t.grad.copy() for t in (x, w, b)]
+    for t in (x, w, b):
+        t.zero_grad()
+    T.backward(T.sum_((T.matmul_batched(x, w) + b) * r))
+    for got, t in zip(fused, (x, w, b)):
+        np.testing.assert_allclose(got, t.grad, rtol=1e-13, atol=1e-15)
+
+
+def test_linear_shape_errors():
+    with pytest.raises(DimensionError):
+        T.linear(Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 2))))
+    with pytest.raises(DimensionError):
+        T.linear(Tensor(np.zeros((2, 4))), Tensor(np.zeros((4, 2))), Tensor(np.zeros(3)))
+
+
+def _unfused_attention(q, kv, num_heads, scale):
+    """The attention as separate ops: heads split by views, matmul, `*
+    scale`, softmax_lastdim, matmul, heads merged."""
+    n, t, c = q.shape
+    s, hd = kv.shape[1], c // num_heads
+    qh = T.transpose(T.reshape(q, (n, t, num_heads, hd)), (0, 2, 1, 3))
+    kvh = T.transpose(T.reshape(kv, (n, s, 2, num_heads, hd)), (2, 0, 3, 1, 4))
+    k, v = kvh[0], kvh[1]
+    attn = T.softmax_lastdim(T.matmul_batched(qh, T.transpose(k, (0, 1, 3, 2))) * scale)
+    return T.reshape(T.transpose(T.matmul_batched(attn, v), (0, 2, 1, 3)), (n, t, c))
+
+
+# one query block, and two with a short second one
+ATTENTION_ROWS = (37, T.ATTENTION_CHUNK + 5)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("t", ATTENTION_ROWS)
+def test_attention_equals_unfused_chain_bitwise(dtype, t):
+    rng = np.random.default_rng(43)
+    q = Tensor(rng.normal(size=(2, t, 8)) * 2.0, dtype=dtype)
+    kv = Tensor(rng.normal(size=(2, 6, 16)) * 2.0, dtype=dtype)
+    got = T.attention(q, kv, 2, 0.5)
+    assert got.dtype == dtype and got.shape == (2, t, 8)
+    assert np.array_equal(got.data, _unfused_attention(q, kv, 2, 0.5).data)
+
+
+@pytest.mark.parametrize("t", ATTENTION_ROWS)
+def test_attention_gradients_match_unfused_chain(t):
+    rng = np.random.default_rng(44)
+    q, kv = rt(rng, 2, t, 8), rt(rng, 2, 6, 16)
+    r = rng.normal(size=(2, t, 8))
+    T.reset_tape()
+    T.backward(T.sum_(T.attention(q, kv, 2, 0.5) * r))
+    assert T.tape_length() == 3  # attention, mul, sum
+    fused = [q.grad.copy(), kv.grad.copy()]
+    q.zero_grad()
+    kv.zero_grad()
+    T.backward(T.sum_(_unfused_attention(q, kv, 2, 0.5) * r))
+    for got, want in zip(fused, (q.grad, kv.grad)):
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-14)
+
+
+def test_attention_graph_keeps_no_logits():
+    # the node holds q and kv, not a [T, S] array per head
+    rng = np.random.default_rng(45)
+    q, kv = rt(rng, 1, 512, 8), rt(rng, 1, 256, 16)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = T.attention(q, kv, 2, 0.5)
+        live = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert out._node is not None
+    logits = 2 * 512 * 256 * 8  # bytes of one [T, S] array per head
+    assert live < logits / 10  # the output and the heads' k and v
+
+
+def test_attention_shape_errors():
+    q = Tensor(np.zeros((1, 4, 8)))
+    with pytest.raises(DimensionError):
+        T.attention(q, Tensor(np.zeros((1, 3, 8))), 2, 0.5)
+    with pytest.raises(DimensionError):
+        T.attention(q, Tensor(np.zeros((1, 3, 16))), 3, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +615,43 @@ def test_grad_check_composite_graph():
         return T.sum_(y * y)
 
     assert T.grad_check(f, x) < 1e-4
+
+
+VIEWS = {
+    "reshape": lambda a: T.reshape(a, (3, 2)),
+    "transpose": lambda a: T.transpose(a, (1, 0)),
+    "getitem": lambda a: a[:, 1:],
+}
+
+
+@pytest.mark.parametrize("name", sorted(VIEWS))
+def test_view_of_a_nonfinite_leaf_raises_naming_the_view(name):
+    # leaves are written in place (parameters, images), so a view of one is
+    # scanned; a view of an op output is not, since ops scan what they make
+    leaf = Tensor(np.array([[1.0, np.nan, 2.0], [3.0, 4.0, 5.0]]))
+    with pytest.raises(NumericError, match=f"output of {name}$"):
+        VIEWS[name](leaf)
+
+
+@pytest.mark.parametrize("name", sorted(VIEWS))
+def test_view_of_an_op_output_is_not_scanned(name, monkeypatch):
+    made = Tensor(np.arange(6.0).reshape(2, 3)) * 2.0
+    scans = []
+    isfinite = np.isfinite
+    monkeypatch.setattr(T.np, "isfinite", lambda a: scans.append(a.shape) or isfinite(a))
+    VIEWS[name](made)
+    assert scans == []
+
+
+def test_inject_fault_rejects_a_name_no_op_records():
+    with pytest.raises(UsageError, match="'matmul_batched'.*known ops: .*linear"):
+        T.inject_fault("matmul_batched")
+    assert not T._fault_ops
+
+
+def test_op_names_are_the_recorded_names():
+    source = inspect.getsource(T)
+    assert set(re.findall(r'_record\(\s*"(\w+)"', source)) == T.OP_NAMES
 
 
 def test_grad_check_negative_control():
