@@ -57,6 +57,9 @@ def build_workloads(quick):
     taps = _roi_taps(rng, rn, rh, rw, 16, 7)
     rout = rng.normal(size=(16, 64, 7 * 7))
 
+    # the GELU input of the toy step's stage-1 FFN, scaled by 1/sqrt(2)
+    gelu_in = rng.normal(size=(8, 384 // scale, 32)) / np.sqrt(2.0)
+
     return [
         ("im2col", lambda: kernels.im2col(xp, 3, 3, 1, 1, h, w)),
         ("col2im", lambda: kernels.col2im(cols, hp, wp, 3, 3, 2, 2, oh2, ow2)),
@@ -64,6 +67,7 @@ def build_workloads(quick):
         ("bilinear_scatter", lambda: kernels.bilinear_scatter(gout, wy, wx)),
         ("tap_gather", lambda: kernels.tap_gather(rmap, *taps)),
         ("tap_scatter", lambda: kernels.tap_scatter(rout, *taps, rn, rh, rw)),
+        ("erf", lambda: kernels.erf(gelu_in)),
         ("desk_fwd_bwd", _desk_step(quick)),
     ]
 

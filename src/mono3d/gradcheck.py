@@ -6,7 +6,9 @@ its max relative error across seeds. Ops whose natural reduction is
 blind to perturbations (softmax sums to one, layer_norm kills shifts)
 are probed through a fixed random projection instead of a raw sum, and
 kinked ops (abs, relu, clip, L1) are sampled away from their kinks so
-the two-sided difference stays on one linear piece.
+the two-sided difference stays on one linear piece. A component that
+probes one op carries the name the op records (tensor.OP_NAMES), so a
+fault injected into an op fails the component of that name.
 """
 
 from dataclasses import dataclass
@@ -75,7 +77,7 @@ def _check_sqrt(rng):
     return grad_check(_projected(T.sqrt, r), x, eps=EPS)
 
 
-def _check_absolute(rng):
+def _check_abs(rng):
     x, r = _away_from(rng, (2, 3)), _t(rng, 2, 3)
     return grad_check(_projected(T.absolute, r), x, eps=EPS)
 
@@ -185,7 +187,7 @@ def _check_conv2d(rng):
     return max(worst, grad_check(_projected(lambda ww: T.conv2d(x, ww, bias, stride=1, padding=0), r7), w, eps=EPS))
 
 
-def _check_bilinear_resize(rng):
+def _check_bilinear(rng):
     x = _t(rng, 1, 2, 4, 4)
     r = _t(rng, 1, 2, 7, 6)
     return grad_check(_projected(lambda a: T.bilinear_resize(a, 7, 6), r), x, eps=EPS)
@@ -234,7 +236,7 @@ def _check_neck(rng):
     return grad_check(f, maps[3], eps=EPS, max_entries=16, rng=rng)
 
 
-def _check_roi_crop(rng):
+def _check_roi_align(rng):
     feat = _t(rng, 2, 3, 8, 8)
     boxes = Boxes2D(
         class_id=np.array([0, 1, 2]),
@@ -351,7 +353,7 @@ OP_CHECKS = (
     ("exp", _check_exp),
     ("log", _check_log),
     ("sqrt", _check_sqrt),
-    ("absolute", _check_absolute),
+    ("abs", _check_abs),
     ("clip", _check_clip),
     ("relu", _check_relu),
     ("sigmoid", _check_sigmoid),
@@ -362,17 +364,17 @@ OP_CHECKS = (
     ("stack", _check_stack),
     ("sum", _check_sum),
     ("mean", _check_mean),
-    ("matmul_batched", _check_matmul),
-    ("softmax_lastdim", _check_softmax),
+    ("matmul", _check_matmul),
+    ("softmax", _check_softmax),
     ("layer_norm", _check_layer_norm),
     ("conv2d", _check_conv2d),
-    ("bilinear_resize", _check_bilinear_resize),
+    ("bilinear", _check_bilinear),
     ("linear", _check_linear),
     ("attention", _check_attention),
     ("attention_block", _check_attention_block),
     ("conv_ffn", _check_conv_ffn),
     ("neck", _check_neck),
-    ("roi_crop", _check_roi_crop),
+    ("roi_align", _check_roi_align),
     ("patches_at", _check_patches_at),
     ("heads2d", _check_heads2d),
     ("heads3d", _check_heads3d),

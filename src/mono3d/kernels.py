@@ -11,9 +11,30 @@ its adjoint `wy.T @ g @ wx` for the interpolation matrices of
 them by name. tap_gather sums a few weighted taps of one image per
 output, and tap_scatter is its adjoint: they carry both the batched
 RoI-align (4 bilinear corners) and `tensor.patches_at` (3x3 cells).
+erf serves the exact GELU.
 """
 
 import numpy as np
+
+# Cephes ndtr.c coefficients, highest power first, the ones scipy.special.erf
+# evaluates: erf(x) = x T(x^2) / U(x^2) for |x| < 1, and
+# sign(x) (1 - exp(-x^2) P(|x|) / Q(|x|)) otherwise. U and Q are monic.
+# They are made 0-d arrays below: numpy converts a Python float operand on
+# every call, and erf makes ~70 calls per block.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERF_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+          4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+          9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERF_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+          9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+          1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERF_T, _ERF_U, _ERF_P, _ERF_Q = (tuple(map(np.array, c)) for c in (_ERF_T, _ERF_U, _ERF_P, _ERF_Q))
+# erf is computed this many elements at a time, so a block's float64
+# temporaries stay in cache
+_ERF_BLOCK = 16384
 
 
 def active_backend():
@@ -99,3 +120,45 @@ def tap_scatter(g, image, ys, xs, weights, n, h, w):
     vals = np.multiply(g.transpose(1, 0, 2), weights.transpose(2, 0, 1)[:, None], order="C")
     dx = np.bincount(flat.ravel(), vals.ravel(), minlength=n * c * h * w)
     return dx.reshape(n, c, h, w)
+
+
+def _horner(z, coefs):
+    """coefs[0] z^n + ... + coefs[n] for n >= 1, as a new array."""
+    out = z * coefs[0]
+    out += coefs[1]
+    for c in coefs[2:]:
+        out *= z
+        out += c
+    return out
+
+
+def erf(x):
+    """Error function of a float32 or float64 array, in its dtype and layout.
+
+    Every dtype is computed in float64 and rounded once. In each block the
+    |x| < 1 rational runs over every element and the other branch only
+    where |x| >= 1, with |x| clamped at 6, past which erf rounds to +-1.
+    erf(+-0) keeps the sign, erf(+-inf) is +-1 and nan stays nan.
+    """
+    x = np.asarray(x)
+    out = np.empty_like(x)
+    # float64 blocks in x's memory order, so a transposed x (the GELU input
+    # is one) is read without a copy and out is laid out like it
+    blocks = np.nditer(
+        [x, out], flags=["external_loop", "buffered", "zerosize_ok"], op_flags=[["readonly"], ["writeonly"]],
+        op_dtypes=[np.float64, np.float64], casting="same_kind", buffersize=_ERF_BLOCK, order="K",
+    )
+    # +-inf (and overflowing squares) give nan in the |x| < 1 rational,
+    # which the other branch then overwrites
+    with blocks, np.errstate(over="ignore", invalid="ignore"):
+        for xb, yb in blocks:
+            z = xb * xb
+            y = _horner(z, _ERF_T)
+            y *= xb
+            np.divide(y, _horner(z, _ERF_U), out=yb)
+            tail = np.flatnonzero(z >= 1.0)
+            if tail.size:
+                xt = xb[tail]
+                a = np.minimum(np.abs(xt), 6.0)
+                yb[tail] = np.copysign(1.0 - np.exp(-a * a) * _horner(a, _ERF_P) / _horner(a, _ERF_Q), xt)
+    return out

@@ -20,7 +20,6 @@ import heapq
 import math
 
 import numpy as np
-from scipy.special import erf as _erf
 
 from . import kernels
 from .errors import DimensionError, NumericError, UsageError
@@ -314,7 +313,7 @@ def sigmoid(a):
 
 def gelu(a):
     """Exact-erf GELU: x * Phi(x)."""
-    cdf = 0.5 * (1.0 + _erf(a.data / math.sqrt(2.0)))
+    cdf = 0.5 * (1.0 + kernels.erf(a.data / math.sqrt(2.0)))
 
     def vjp(g):
         pdf = np.exp(-0.5 * a.data * a.data) / math.sqrt(2.0 * math.pi)

@@ -64,7 +64,8 @@ def test_criterion_01_gradient_suite():
 
 def test_gradient_suite_catches_a_fault_in_every_op():
     for op in sorted(T.OP_NAMES):
-        assert not run_suite(seeds=1, include_pipeline=False, fault_op=op).passed, op
+        result = run_suite(seeds=1, include_pipeline=False, fault_op=op)
+        assert not result.passed and op in result.failing(), (op, result.failing())
     # the suite's component names are not all op names: those are refused
     for name in ("matmul_batched", "softmax_lastdim", "bilinear_resize", "attentoin"):
         with pytest.raises(UsageError, match="known ops"):

@@ -1,4 +1,5 @@
 import inspect
+import math
 import re
 import tracemalloc
 
@@ -374,6 +375,54 @@ def test_gelu_values():
     expected = 1.0 * oracles.normal_cdf_series(1.0)
     assert expected == pytest.approx(0.8413, abs=1e-4)
     assert T.gelu(Tensor(1.0)).item() == pytest.approx(expected, abs=1e-12)
+
+
+def _erf_points():
+    """A dense grid over [-8, 8] plus the branch edge (1), the clamp (6) and far out."""
+    edges = [np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0), 6.0, 40.0]
+    pos = np.concatenate([np.linspace(0.0, 8.0, 100_001)[1:], edges])
+    return np.concatenate([-pos[::-1], [-0.0, 0.0], pos])
+
+
+def _erf_ulps(got, x):
+    want = np.array([math.erf(v) for v in x])
+    return np.abs(got - want) / np.spacing(np.abs(want))
+
+
+def test_erf_float64_within_4_ulp_of_math_erf():
+    x = _erf_points()
+    got = kernels.erf(x)
+    assert got.dtype == np.float64
+    assert np.max(_erf_ulps(got, x)) <= 4
+
+
+def test_erf_special_values():
+    got = kernels.erf(np.array([0.0, -0.0, np.inf, -np.inf, np.nan]))
+    assert list(np.signbit(got[:2])) == [False, True] and list(got[:2]) == [0.0, 0.0]
+    assert list(got[2:4]) == [1.0, -1.0]
+    assert np.isnan(got[4])
+
+
+def test_erf_float32_is_the_float64_value_rounded_once():
+    x = _erf_points().astype(np.float32)
+    got = kernels.erf(x)
+    assert got.dtype == np.float32
+    assert np.array_equal(got, np.array([np.float32(math.erf(v)) for v in x.tolist()]))
+
+
+def test_erf_covers_every_element_at_block_edges_and_keeps_shape_and_layout():
+    block = kernels._ERF_BLOCK
+    for n in (0, 1, block - 1, block, block + 1):
+        x = np.linspace(-3.0, 3.0, n)
+        got = kernels.erf(x)
+        assert got.shape == (n,) and np.max(_erf_ulps(got, x), initial=0.0) <= 4, n
+    cube = np.linspace(-3.0, 3.0, 5 * 7 * 937).reshape(5, 7, 937)  # two blocks and a part
+    got = kernels.erf(cube)
+    assert got.shape == cube.shape
+    assert np.max(_erf_ulps(got.ravel(), cube.ravel())) <= 4
+    assert kernels.erf(cube.T).flags.f_contiguous  # laid out like its input
+    for view in (cube.T, cube[:, ::2, ::-3]):
+        assert np.array_equal(kernels.erf(view), kernels.erf(np.ascontiguousarray(view)))
 
 
 # ---------------------------------------------------------------------------
