@@ -1,9 +1,13 @@
 """Dense tensors with reverse-mode differentiation.
 
 Each op output that gradients can flow through owns its graph node
-(inputs, vector-Jacobian product, sequence number). Nodes do not point
-back at their outputs, so a graph is freed with the last tensor that
-reaches it and nothing is reset between training steps. `backward` runs
+(routing refs to its inputs, vector-Jacobian product, sequence number).
+A node refers to the nodes that produced its inputs and to the leaf
+inputs that take a gradient, never to an op output Tensor, and each vjp
+keeps only the arrays it reads, so an intermediate whose values no
+backward rule needs is freed as soon as the forward drops it. Nodes do not point back at
+their outputs, so a graph is freed with the last tensor that reaches it
+and nothing is reset between training steps. `backward` runs
 the nodes that receive a gradient in descending sequence order, the
 reverse of recording order and so a valid topological order. Gradients
 of intermediate values live in a per-call map, so repeated `backward`
@@ -78,6 +82,11 @@ class no_grad:
 
 
 class _Node:
+    """One recorded op. `inputs` holds one routing ref per op input: the
+    input's producing `_Node`, the input itself if it is a leaf that
+    required a gradient when the op recorded, else None. `backward` sends
+    each vjp output along its ref."""
+
     __slots__ = ("inputs", "vjp", "seq")
 
     def __init__(self, inputs, vjp, seq):
@@ -189,8 +198,10 @@ def _record(name, out_data, inputs, vjp, scan=True):
         raise NumericError(f"non-finite values in output of {name}")
     out = Tensor(out_data, dtype=out_data.dtype)
     out._made = True
-    needs = _recording and any(t.requires_grad or t._node is not None for t in inputs)
-    if needs:
+    if not _recording:
+        return out
+    refs = tuple(t._node or (t if t.requires_grad else None) for t in inputs)
+    if any(r is not None for r in refs):
         out.requires_grad = True
         if name in _fault_ops:
             inner = vjp
@@ -199,7 +210,7 @@ def _record(name, out_data, inputs, vjp, scan=True):
                 return tuple(None if gi is None else gi * 1.01 for gi in _inner(g))
 
         _seq += 1
-        out._node = _Node(inputs, vjp, _seq)
+        out._node = _Node(refs, vjp, _seq)
     return out
 
 
@@ -222,8 +233,10 @@ def _reduce_broadcast(g, shape):
 
 
 def add(a, b):
+    a_shape, b_shape = a.shape, b.shape
+
     def vjp(g):
-        return _reduce_broadcast(g, a.shape), _reduce_broadcast(g, b.shape)
+        return _reduce_broadcast(g, a_shape), _reduce_broadcast(g, b_shape)
 
     return _record("add", a.data + b.data, (a, b), vjp)
 
@@ -343,9 +356,10 @@ def transpose(a, axes):
 def getitem(a, idx):
     """Slice or advanced-index; gradient scatter-adds into the source."""
     out_data = a.data[idx]
+    shape, dtype = a.shape, a.dtype
 
     def vjp(g):
-        ga = np.zeros_like(a.data)
+        ga = np.zeros(shape, dtype=dtype)
         np.add.at(ga, idx, g)
         return (ga,)
 
@@ -353,8 +367,10 @@ def getitem(a, idx):
 
 
 def stack(tensors, axis=0):
+    count = len(tensors)
+
     def vjp(g):
-        parts = np.split(g, len(tensors), axis=axis)
+        parts = np.split(g, count, axis=axis)
         return tuple(np.ascontiguousarray(np.squeeze(p, axis=axis)) for p in parts)
 
     return _record(
@@ -442,10 +458,11 @@ def linear(x, w, b=None):
     if b is not None:
         out += b.data
     need_gx = x.requires_grad or x._node is not None
+    x_shape = x.shape
 
     def vjp(g):
         g2 = g.reshape(-1, o)
-        gx = (g2 @ w.data.T).reshape(x.shape) if need_gx else None
+        gx = (g2 @ w.data.T).reshape(x_shape) if need_gx else None
         gw = x2.T @ g2
         return (gx, gw) if b is None else (gx, gw, g2.sum(axis=0))
 
@@ -828,8 +845,11 @@ def backward(loss):
     Runs the nodes that receive a gradient in descending sequence order,
     the reverse of recording order: a max-heap on `seq` holds each node
     from its first gradient on, and every consumer of a node has a larger
-    `seq`, so a node runs once all its gradient has arrived. Leaf
-    gradients accumulate across calls; use Tensor.zero_grad to reset.
+    `seq`, so a node runs once all its gradient has arrived. Gradients go
+    along each node's routing refs, so a leaf takes one only if it
+    required a gradient when the op recorded: setting `requires_grad`
+    later does not connect it to a graph already built. Leaf gradients
+    accumulate across calls; use Tensor.zero_grad to reset.
     """
     if not isinstance(loss, Tensor) or loss.size != 1:
         raise UsageError("backward expects a scalar Tensor")
@@ -839,20 +859,19 @@ def backward(loss):
     heap = [(-loss._node.seq, loss._node)]
     while heap:
         node = heapq.heappop(heap)[1]
-        for t, gi in zip(node.inputs, node.vjp(grads.pop(node))):
-            if gi is None:
+        for ref, gi in zip(node.inputs, node.vjp(grads.pop(node))):
+            if gi is None or ref is None:
                 continue
-            if t._node is not None:
-                key = t._node
-                if key in grads:
-                    grads[key] = grads[key] + gi
+            if isinstance(ref, _Node):
+                if ref in grads:
+                    grads[ref] = grads[ref] + gi
                 else:
-                    grads[key] = gi
-                    heapq.heappush(heap, (-key.seq, key))
-            elif t.requires_grad:
-                if t.grad is None:
-                    t.grad = np.zeros_like(t.data)
-                t.grad += gi
+                    grads[ref] = gi
+                    heapq.heappush(heap, (-ref.seq, ref))
+            else:
+                if ref.grad is None:
+                    ref.grad = np.zeros_like(ref.data)
+                ref.grad += gi
 
 
 def grad_check(f, x, eps=1e-5, max_entries=None, rng=None, select="random"):

@@ -2,6 +2,7 @@ import inspect
 import math
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from mono3d import kernels
 from mono3d import tensor as T
 from mono3d.errors import DimensionError, NumericError, UsageError
+from mono3d.losses import make_weights, total_loss
 from mono3d.model import Detector
 from mono3d.tensor import Tensor
 from mono3d.train import build_synth_dataset
@@ -173,6 +175,27 @@ def test_desk_loss_terms_forward_keeps_under_90_mb():
         tracemalloc.stop()
     assert len(terms) == 9
     assert live < 90e6, f"{live / 1e6:.1f} MB live after the forward"
+
+
+def test_desk_toy_step_keeps_only_what_backward_reads():
+    """The same toy batch holds under 40 MB after the forward and peaks
+    under 65 MB through loss_terms and backward: the graph keeps no input
+    that no vjp reads (52.4 and 75.9 MB when every node kept its inputs)."""
+    samples = build_synth_dataset(8, (96, 64), seed=7, n_objects=2, z_range=(4.5, 8.0), focal=120.0)
+    images = T.stack([s.image for s in samples])
+    targets, calibs = [s.targets for s in samples], [s.calib for s in samples]
+    det = Detector("desk", seed=0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        terms = det.loss_terms(images, targets, calibs)
+        live = tracemalloc.get_traced_memory()[0] - base
+        T.backward(total_loss(terms, make_weights())[0])
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert live < 40e6, f"{live / 1e6:.1f} MB live after the forward"
+    assert peak < 65e6, f"{peak / 1e6:.1f} MB peak through loss_terms and backward"
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +605,7 @@ def test_backward_runs_each_node_once_after_its_consumers():
             return _vjp(g)
 
         node.vjp = counted
-        stack.extend(t._node for t in node.inputs if t._node is not None)
+        stack.extend(r for r in node.inputs if isinstance(r, T._Node))
     T.backward(loss)
     assert len(calls) == 5 and set(calls.values()) == {1}
     ea = np.exp(2 * x.data)
@@ -634,6 +657,46 @@ def test_graph_freed_with_its_last_tensor():
     del loss
     # freed by reference counting alone: the graph holds no cycle
     assert oracles.live_graph_nodes(collect=False) == 0
+
+
+def _graph_over_unread_intermediates():
+    """A loss over intermediates that no vjp reads: an add output under
+    relu, an op output seen only through reshape and transpose, and that
+    view, the non-contiguous input of linear (which keeps its own copy)."""
+    rng = np.random.default_rng(12)
+    x, w = rt(rng, 4, 6), rt(rng, 4, 5)
+    named = {"added": x + Tensor(rng.uniform(-1, 1, 6))}
+    named["made"] = T.relu(named["added"]) * 2.0
+    named["strided"] = T.transpose(T.reshape(named["made"], (2, 3, 4)), (1, 0, 2))
+    loss = T.sum_(T.linear(named["strided"], w))
+    return loss, (x, w), named
+
+
+def test_graph_frees_what_no_backward_reads():
+    loss, (x, w), named = _graph_over_unread_intermediates()
+    assert not named["strided"].data.flags.c_contiguous
+    refs = {k: weakref.ref(t.data) for k, t in named.items()}
+    named.clear()
+    assert [k for k, r in refs.items() if r() is not None] == []
+    T.backward(loss)
+    kept_loss, (kx, kw), kept = _graph_over_unread_intermediates()  # names live through backward
+    T.backward(kept_loss)
+    assert np.array_equal(x.grad, kx.grad) and np.array_equal(w.grad, kw.grad)
+    assert float(loss.data) == float(kept_loss.data)
+
+
+def test_requires_grad_is_read_when_the_op_records():
+    x = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+    w = Tensor(np.array([4.0, 5.0, 6.0]))
+    loss = T.sum_(x * w)
+    w.requires_grad = True  # after `mul` recorded: w is not in its graph
+    T.backward(loss)
+    assert w.grad is None
+    assert np.array_equal(x.grad, w.data)
+    # grad_check sets the probe's flag before it records and restores it
+    w.requires_grad = False
+    assert T.grad_check(lambda t: T.sum_(t * x), w) < 1e-9
+    assert w.requires_grad is False and np.array_equal(w.grad, x.data)
 
 
 def test_failed_forward_leaves_no_nodes():
