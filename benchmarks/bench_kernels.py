@@ -1,9 +1,14 @@
 """Median wall times of the numpy kernels in mono3d.kernels.
 
 Each hot kernel runs on a representative workload, once as warmup and
-then --repeats times; the median is reported per kernel. A composite row
-times a full desk backbone forward/backward pass, which exercises im2col
-and col2im the way training does.
+then --repeats times; the median is reported per kernel. The kernels of
+`T.conv3x3_nhwc` run on several shapes, one row each, named
+`kernel[N,h,w,C]` (channels-last input, float64 unless marked f32):
+depthwise3x3 on the four toy-step FFN maps and desk stage 1 at KITTI
+size, patches3x3 on a toy training batch's RoIs and on one toy image's
+surviving peaks. A composite row times a full desk backbone
+forward/backward pass, which exercises im2col and col2im the way
+training does.
 
 Usage: python3 benchmarks/bench_kernels.py [--repeats N] [--quick]
 """
@@ -55,13 +60,14 @@ def build_workloads(quick):
     rn, rh, rw = 8, 16, 24
     rmap = rng.normal(size=(rn, 64, rh, rw))
     taps = _roi_taps(rng, rn, rh, rw, 16, 7)
-    rout = rng.normal(size=(16, 64, 7 * 7))
+    rout = rng.normal(size=(16, 7 * 7, 64))
 
     # the GELU input of the toy step's stage-1 FFN, scaled by 1/sqrt(2)
     gelu_in = rng.normal(size=(8, 384 // scale, 32)) / np.sqrt(2.0)
 
     return [
         ("im2col", lambda: kernels.im2col(xp, 3, 3, 1, 1, h, w)),
+        *_conv3x3_rows(rng, scale),
         ("col2im", lambda: kernels.col2im(cols, hp, wp, 3, 3, 2, 2, oh2, ow2)),
         ("bilinear_gather", lambda: kernels.bilinear_gather(feat, wy, wx)),
         ("bilinear_scatter", lambda: kernels.bilinear_scatter(gout, wy, wx)),
@@ -70,6 +76,27 @@ def build_workloads(quick):
         ("erf", lambda: kernels.erf(gelu_in)),
         ("desk_fwd_bwd", _desk_step(quick)),
     ]
+
+
+def _conv3x3_rows(rng, scale):
+    """depthwise3x3 and patches3x3 rows on zero-padded channels-last frames."""
+    depthwise = [((8, 16, 24, 32), np.float64), ((8, 8, 12, 64), np.float64), ((8, 4, 6, 128), np.float64),
+                 ((8, 2, 3, 256), np.float64), ((1, 96, 320, 32), np.float32)]
+    dense = [((16, 7, 7, 64), np.float64), ((30, 7, 7, 64), np.float32)]
+    rows = []
+    for (n, h, w, c), dtype in depthwise:
+        h, w = max(h // scale, 1), max(w // scale, 1)
+        xp = rng.normal(size=(n, h + 2, (w + 2) * c)).astype(dtype)
+        taps = rng.normal(size=(9, w * c)).astype(dtype)
+        rows.append((_row("depthwise3x3", (n, h, w, c), dtype), lambda xp=xp, taps=taps: kernels.depthwise3x3(xp, taps)))
+    for (n, h, w, c), dtype in dense:
+        xp = rng.normal(size=(n // scale, h + 2, w + 2, c)).astype(dtype)
+        rows.append((_row("patches3x3", (n // scale, h, w, c), dtype), lambda xp=xp: kernels.patches3x3(xp)))
+    return rows
+
+
+def _row(kernel, shape, dtype):
+    return f"{kernel}[{','.join(map(str, shape))}]" + ("f32" if dtype == np.float32 else "")
 
 
 def _desk_step(quick):

@@ -117,7 +117,12 @@ class SpatialReductionAttention(Module):
 
 
 class ConvFFN(Module):
-    """Token MLP with a 3x3 depthwise conv between the two projections."""
+    """Token MLP with a 3x3 depthwise conv between the two projections.
+
+    The conv runs channels-last on fc1's tokens seen as [N, h, w, C]
+    (T.conv3x3_nhwc), so GELU and fc2 read contiguous arrays; `dw` holds
+    its weight [C, 1, 3, 3] and bias.
+    """
 
     def __init__(self, dim, hidden, rng):
         self.fc1 = Linear(dim, hidden, rng)
@@ -126,8 +131,9 @@ class ConvFFN(Module):
 
     def __call__(self, x, h, w):
         x = self.fc1(x)
-        x = map_to_tokens(self.dw(tokens_to_map(x, h, w)))
-        return self.fc2(T.gelu(x))
+        n, t, c = x.shape
+        x = T.conv3x3_nhwc(T.reshape(x, (n, h, w, c)), self.dw.weight, self.dw.bias)
+        return self.fc2(T.gelu(T.reshape(x, (n, t, c))))
 
 
 class EncoderBlock(Module):

@@ -167,9 +167,6 @@ def _check_conv2d(rng):
     worst = max(worst, grad_check(_projected(lambda ww: T.conv2d(x, ww, bias, stride=1, padding=1), r1), w, eps=EPS))
     r2 = _t(rng, 1, 3, 2, 2)
     worst = max(worst, grad_check(_projected(lambda a: T.conv2d(a, w, None, stride=2, padding=0), r2), x, eps=EPS))
-    wd = _t(rng, 2, 1, 3, 3)
-    r3 = _t(rng, 1, 2, 5, 5)
-    worst = max(worst, grad_check(_projected(lambda a: T.conv2d(a, wd, None, stride=1, padding=1, groups=2), r3), x, eps=EPS))
     # 1x1 with padding 1 > k-1: the output gradient's border rows see only padding
     w1, r4 = _t(rng, 3, 2, 1, 1), _t(rng, 1, 3, 7, 7)
     worst = max(worst, grad_check(_projected(lambda a: T.conv2d(a, w1, bias, stride=1, padding=1), r4), x, eps=EPS))
@@ -185,6 +182,19 @@ def _check_conv2d(rng):
     # stride-1 gW with padding 0: the frame's border is all zeros
     r7 = _t(rng, 1, 3, 3, 3)
     return max(worst, grad_check(_projected(lambda ww: T.conv2d(x, ww, bias, stride=1, padding=0), r7), w, eps=EPS))
+
+
+def _check_conv3x3_nhwc(rng):
+    # dense, odd h and w: x, weight and bias
+    x, w, bias, r = _t(rng, 2, 5, 3, 2), _t(rng, 3, 2, 3, 3), _t(rng, 3), _t(rng, 2, 5, 3, 3)
+    worst = grad_check(_projected(lambda a: T.conv3x3_nhwc(a, w, bias), r), x, eps=EPS)
+    worst = max(worst, grad_check(_projected(lambda ww: T.conv3x3_nhwc(x, ww, bias), r), w, eps=EPS))
+    worst = max(worst, grad_check(_projected(lambda bb: T.conv3x3_nhwc(x, w, bb), r), bias, eps=EPS))
+    # depthwise
+    x, w, bias, r = _t(rng, 2, 3, 5, 2), _t(rng, 2, 1, 3, 3), _t(rng, 2), _t(rng, 2, 3, 5, 2)
+    worst = max(worst, grad_check(_projected(lambda a: T.conv3x3_nhwc(a, w, bias), r), x, eps=EPS))
+    worst = max(worst, grad_check(_projected(lambda ww: T.conv3x3_nhwc(x, ww, bias), r), w, eps=EPS))
+    return max(worst, grad_check(_projected(lambda bb: T.conv3x3_nhwc(x, w, bb), r), bias, eps=EPS))
 
 
 def _check_bilinear(rng):
@@ -244,7 +254,7 @@ def _check_roi_align(rng):
         center=np.array([[13.0, 17.0], [20.0, 9.0], [6.0, 25.0]]),
         size=np.array([[10.0, 12.0], [14.0, 8.0], [9.0, 11.0]]),
     )
-    r = _t(rng, 3, 3, 7, 7)
+    r = _t(rng, 3, 7, 7, 3)
     return grad_check(
         _projected(lambda a: roi_crop(a, boxes, [0, 1, 1])[0], r), feat, eps=EPS, max_entries=24, rng=rng
     )
@@ -275,7 +285,8 @@ def _check_heads2d(rng):
 
 def _check_heads3d(rng):
     heads = Heads3D(6, 3, rng)
-    x = _t(rng, 2, 6, 7, 7)
+    # channels-last RoIs, drawn channel-major so the trunk's ReLU kinks stay clear
+    x = Tensor(rng.normal(size=(2, 6, 7, 7)).transpose(0, 2, 3, 1).copy())
     r1, r2, r3 = _t(rng, 2, 2), _t(rng, 2, 12), _t(rng, 2, 3, 3)
     r4, r5 = _t(rng, 2), _t(rng, 2)
 
@@ -368,6 +379,7 @@ OP_CHECKS = (
     ("softmax", _check_softmax),
     ("layer_norm", _check_layer_norm),
     ("conv2d", _check_conv2d),
+    ("conv3x3_nhwc", _check_conv3x3_nhwc),
     ("bilinear", _check_bilinear),
     ("linear", _check_linear),
     ("attention", _check_attention),

@@ -204,7 +204,7 @@ def roi_crop(feat, boxes, image_index, out_size=(ROI_SIZE, ROI_SIZE)):
 
     Box m (input pixels) comes from image image_index[m] and maps to
     feature coords at 1/stride, clipped to the map; r x r half-pixel sample
-    centers span it (see tensor.roi_align). Returns (rois [V, C, r, r],
+    centers span it (see tensor.roi_align). Returns (rois [V, r, r, C],
     valid [M] bool): a box with no area inside the map is invalid and gets
     no RoI, so rois holds the valid boxes in order. Differentiable w.r.t. feat.
     """
@@ -226,7 +226,9 @@ def roi_crop(feat, boxes, image_index, out_size=(ROI_SIZE, ROI_SIZE)):
 
 
 class Heads3D(Module):
-    """Shared conv trunk over [M, C, r, r] RoIs, then pooled linear heads."""
+    """Shared 3x3 conv trunk over channels-last [M, r, r, C] RoIs
+    (T.conv3x3_nhwc with `trunk`'s weight and bias), then linear heads on
+    its mean over the r*r cells."""
 
     def __init__(self, in_ch, num_classes, rng, mid_ch=64):
         self.trunk = Conv2d(in_ch, mid_ch, 3, rng, padding=1)
@@ -238,10 +240,10 @@ class Heads3D(Module):
 
     def __call__(self, rois):
         if rois.ndim != 4:
-            raise DimensionError(f"expected [M, C, r, r] RoIs, got {rois.shape}")
+            raise DimensionError(f"expected [M, r, r, C] RoIs, got {rois.shape}")
         m = rois.shape[0]
-        x = T.relu(self.trunk(rois))
-        pooled = T.mean(T.reshape(x, (m, x.shape[1], -1)), axis=-1)
+        x = T.relu(T.conv3x3_nhwc(rois, self.trunk.weight, self.trunk.bias))
+        pooled = T.mean(T.reshape(x, (m, -1, x.shape[3])), axis=1)
         ang = self.fc_angle(pooled)
         size = self.fc_size(pooled)
         bias = self.fc_bias(pooled)

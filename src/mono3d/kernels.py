@@ -1,10 +1,13 @@
 """Hot numeric kernels, one numpy implementation each.
 
-im2col and col2im carry the dense conv2d in one 2-D layout,
+im2col and col2im carry the NCHW dense conv2d in one 2-D layout,
 [C*kh*kw, N*oh*ow]. im2col builds the forward's patch matrix and, at
 stride 1, the patch matrix of the output gradient's frame, which yields
 both the input and the weight gradient. col2im, its adjoint, serves only
-the input gradient of strided convs. Depthwise convs use neither.
+the input gradient of strided convs. The channels-last 3x3 convs of
+`tensor.conv3x3_nhwc` use neither: patches3x3 builds the dense kernel's
+[N*h*w, 9C] patch matrix in 3C-long runs, and depthwise3x3 runs the
+nine shifted multiply-adds of the depthwise kernel over (w*C)-long rows.
 bilinear_gather and bilinear_scatter are the resize `wy @ x @ wx.T` and
 its adjoint `wy.T @ g @ wx` for the interpolation matrices of
 `tensor.bilinear_resize`; they keep their names because perfbench wraps
@@ -95,29 +98,65 @@ def bilinear_scatter(g, wy, wx):
     return wy.T @ g @ wx
 
 
-def tap_gather(x, image, ys, xs, weights):
-    """Weighted taps of x [N, C, H, W] -> [M, C, S].
+def patches3x3(xp):
+    """Patch matrix [N*h*w, 9C] of a zero-padded channels-last frame xp
+    [N, h+2, w+2, C], C-contiguous.
 
-    Output (m, :, s) sums weights[m, s, k] * x[image[m], :, ys[m, s, k],
+    Row (n, y, x) is output pixel (y, x) of image n; column (i*3 + j)*C + c
+    holds xp[n, y + i, x + j, c]. Taps (i, 0..2) are one 3C-long run of xp,
+    so the copy moves 3C elements at a time. A stride-1, padding-1 3x3
+    conv is then this matrix times W.transpose(2, 3, 1, 0).reshape(9C, O).
+    """
+    n, hp, wp, c = xp.shape
+    _, sy, sx, sc = xp.strides
+    view = np.lib.stride_tricks.as_strided(
+        xp, shape=(n, hp - 2, wp - 2, 3, 3 * c), strides=(xp.strides[0], sy, sx, sy, sc), writeable=False,
+    )
+    return np.ascontiguousarray(view).reshape(-1, 9 * c)
+
+
+def depthwise3x3(xp, taps):
+    """3x3 depthwise correlation of a zero-padded channels-last frame
+    xp [N, h+2, (w+2)*C] -> [N, h, w*C].
+
+    taps [9, w*C] holds tap k = (i, j)'s per-channel weights tiled w times
+    along the row, so out[n, y, x*C + c] sums taps[k, x*C + c] *
+    xp[n, y + i, (x + j)*C + c] over k in order 0..8, and every numpy
+    inner loop covers a whole (w*C)-long row.
+    """
+    h, wc = xp.shape[1] - 2, taps.shape[1]
+    c = (xp.shape[2] - wc) // 2
+    out = np.multiply(xp[:, :h, :wc], taps[0])
+    term = np.empty_like(out)
+    for k in range(1, 9):
+        i, j = divmod(k, 3)
+        out += np.multiply(xp[:, i : i + h, j * c : j * c + wc], taps[k], out=term)
+    return out
+
+
+def tap_gather(x, image, ys, xs, weights):
+    """Weighted taps of x [N, C, H, W] -> [M, S, C].
+
+    Output (m, s, :) sums weights[m, s, k] * x[image[m], :, ys[m, s, k],
     xs[m, s, k]] over k, in k order; ys, xs and weights are [M, S, K].
     """
     img = image[:, None]
     out = x[img, :, ys[..., 0], xs[..., 0]] * weights[..., 0, None]  # [M, S, C]
     for k in range(1, ys.shape[2]):
         out += x[img, :, ys[..., k], xs[..., k]] * weights[..., k, None]
-    return np.ascontiguousarray(out.transpose(0, 2, 1))
+    return out
 
 
 def tap_scatter(g, image, ys, xs, weights, n, h, w):
-    """Adjoint of tap_gather: tap grads [M, C, S] -> map grad [N, C, H, W].
+    """Adjoint of tap_gather: tap grads [M, S, C] -> map grad [N, C, H, W].
 
-    One weighted bincount over contributions laid out [K, C, M, S], so each
-    cell sums them in that order; tap m adds only into image image[m].
+    One weighted bincount over contributions laid out [K, M, S, C], so each
+    cell sums them in (k, m, s) order; tap m adds only into image image[m].
     """
-    c = g.shape[1]
+    c = g.shape[2]
     cell = np.ascontiguousarray((image[:, None, None] * (c * h * w) + ys * w + xs).transpose(2, 0, 1))
-    flat = cell[:, None] + (np.arange(c) * (h * w))[:, None, None]  # [K, C, M, S]
-    vals = np.multiply(g.transpose(1, 0, 2), weights.transpose(2, 0, 1)[:, None], order="C")
+    flat = cell[..., None] + np.arange(c) * (h * w)  # [K, M, S, C]
+    vals = np.multiply(g, weights.transpose(2, 0, 1)[..., None], order="C")
     dx = np.bincount(flat.ravel(), vals.ravel(), minlength=n * c * h * w)
     return dx.reshape(n, c, h, w)
 

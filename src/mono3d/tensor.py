@@ -34,7 +34,7 @@ _seq_at_reset = 0
 
 # the name each op records its nodes under
 OP_NAMES = frozenset((
-    "abs", "add", "attention", "bilinear", "clip", "conv2d", "exp", "gelu", "getitem",
+    "abs", "add", "attention", "bilinear", "clip", "conv2d", "conv3x3_nhwc", "exp", "gelu", "getitem",
     "layer_norm", "linear", "log", "matmul", "mean", "mul", "patches_at", "power", "relu",
     "reshape", "roi_align", "sigmoid", "softmax", "sqrt", "stack", "sum", "transpose",
 ))
@@ -242,10 +242,17 @@ def add(a, b):
 
 
 def mul(a, b):
+    """a * b with broadcasting. A side that takes no gradient (no node and
+    no requires_grad when the op records) gets None, and its product is
+    not formed; the vjp keeps only the other side's array."""
+    a_shape, b_shape = a.shape, b.shape
+    a_data = a.data if b.requires_grad or b._node is not None else None
+    b_data = b.data if a.requires_grad or a._node is not None else None
+
     def vjp(g):
         return (
-            _reduce_broadcast(g * b.data, a.shape),
-            _reduce_broadcast(g * a.data, b.shape),
+            None if b_data is None else _reduce_broadcast(g * b_data, a_shape),
+            None if a_data is None else _reduce_broadcast(g * a_data, b_shape),
         )
 
     return _record("mul", a.data * b.data, (a, b), vjp)
@@ -555,95 +562,45 @@ def layer_norm(x, gamma, beta, eps=1e-6):
 
 
 def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1):
-    """2-D cross-correlation, NCHW layout, weight [O, C/groups, kH, kW].
+    """Dense 2-D cross-correlation, NCHW layout, weight [O, C, kH, kW].
 
-    groups is 1 (dense) or C == O (depthwise, weight [C, 1, kH, kW]); any
-    other value raises DimensionError.
-
-    Dense: the forward, gW and gx are one 2-D GEMM each (Chellapilla et
-    al., 2006). The forward multiplies by the input's im2col patch matrix
+    The forward, gW and gx are one 2-D GEMM each (Chellapilla et al.,
+    2006). The forward multiplies by the input's im2col patch matrix
     [C*kh*kw, N*oh*ow]. At stride 1 that matrix dies with the forward: the
     backward builds the im2col [O*kh*kw, N*h*w] of the zero-padded output
     gradient, and gx is the flipped, channel-transposed kernel times it
     (Dumoulin & Visin, 2016), gW the flip of it times the channel-major
     input. Strided convs keep the forward matrix for gW and scatter gx
-    through col2im. Depthwise: kh*kw shifted multiply-adds for the forward
-    and, on the same correlation, for gx; one reduction per tap for gW.
-    gx is not computed when x needs no gradient; its slot is None.
+    through col2im. gx is not computed when x needs no gradient; its slot
+    is None. groups must be 1: the depthwise 3x3 convs run channels-last
+    through conv3x3_nhwc.
     """
     if x.ndim != 4 or weight.ndim != 4:
         raise DimensionError("conv2d expects 4-D input and weight")
     if stride < 1 or padding < 0:
         raise UsageError("conv2d needs stride >= 1 and padding >= 0")
-    _, c, h, w = x.shape
+    n, c, h, w = x.shape
     o, cg, kh, kw = weight.shape
-    if groups == 1 and cg == c:
-        conv = _conv2d_dense
-    elif groups == c == o and cg == 1:
-        conv = _conv2d_depthwise
-    else:
+    if groups != 1 or cg != c:
         raise DimensionError(
-            f"conv2d takes groups=1 or depthwise groups=C=O with weight [C, 1, kH, kW]; "
-            f"got groups={groups}, input C={c}, weight {weight.shape}"
+            f"conv2d is dense (groups=1, weight [O, C, kH, kW]); got groups={groups}, input C={c}, "
+            f"weight {weight.shape}. Depthwise 3x3 convs run channels-last through conv3x3_nhwc"
         )
     oh = (h + 2 * padding - kh) // stride + 1
     ow = (w + 2 * padding - kw) // stride + 1
     if oh < 1 or ow < 1:
         raise DimensionError(f"kernel {kh}x{kw} does not fit {h}x{w} input with padding {padding}")
+    xd, wt = x.data, weight.data
     b = None if bias is None else bias.data
     need_gx = x.requires_grad or x._node is not None
-    out, vjp = conv(x.data, weight.data, b, stride, padding, oh, ow, need_gx)
-    inputs = (x, weight) + ((bias,) if bias is not None else ())
-    return _record("conv2d", out, inputs, vjp)
-
-
-def _spread(a, shape, top, left, step=1):
-    """Zeros of `shape` holding a[..., y, x] at (top + step*y, left + step*x).
-
-    With step 1 this zero-pads; a itself comes back when it already has
-    `shape`.
-    """
-    if a.shape == shape:
-        return a
-    out = np.zeros(shape, dtype=a.dtype)
-    h, w = a.shape[-2:]
-    out[..., top : top + step * h : step, left : left + step * w : step] = a
-    return out
-
-
-def _gradient_frame(g, kh, kw, stride, padding, h, w):
-    """The output gradient laid out so that a stride-1 correlation with the
-    flipped kernel yields gx [.., h, w].
-
-    g[y, x] sits at (kh - 1 - padding + stride*y, kw - 1 - padding + stride*x)
-    of an [h + kh - 1, w + kw - 1] zero frame; rows and columns that fall
-    outside (padding > k - 1) see only padding, so they are left out.
-    """
-    n, c, oh, ow = g.shape
-    hf = max(padding + h, stride * (oh - 1) + 1) + kh - 1
-    wf = max(padding + w, stride * (ow - 1) + 1) + kw - 1
-    frame = _spread(g, (n, c, hf, wf), kh - 1, kw - 1, stride)
-    return frame[:, :, padding : padding + h + kh - 1, padding : padding + w + kw - 1]
-
-
-def _nchw(m, n, h, w, b):
-    """[O, N*h*w] GEMM result -> contiguous [N, O, h, w], plus bias b if given."""
-    view = m.reshape(-1, n, h, w).transpose(1, 0, 2, 3)
-    if b is None:
-        return np.ascontiguousarray(view)
-    return np.add(view, b[:, None, None], out=np.empty(view.shape, dtype=m.dtype))
-
-
-def _conv2d_dense(x, wt, b, stride, padding, oh, ow, need_gx):
-    """Output and vjp of a groups=1 conv: forward, gW and gx are 2-D GEMMs."""
-    n, c, h, w = x.shape
-    o, _, kh, kw = wt.shape
     hp, wp = h + 2 * padding, w + 2 * padding
-    cols = kernels.im2col(_spread(x, (n, c, hp, wp), padding, padding), kh, kw, stride, stride, oh, ow)
+    cols = kernels.im2col(_spread(xd, (n, c, hp, wp), padding, padding), kh, kw, stride, stride, oh, ow)
     w2 = wt.reshape(o, c * kh * kw)
     out = _nchw(w2 @ cols, n, oh, ow, b)
-    if stride == 1:  # returns before `vjp` below exists, so cols dies here
-        return out, _frame_vjp(x, wt, padding, b is not None, need_gx)
+    inputs = (x, weight) + ((bias,) if bias is not None else ())
+    if stride == 1:
+        del cols  # the stride-1 backward needs no forward patch matrix
+        return _record("conv2d", out, inputs, _frame_vjp(xd, wt, padding, b is not None, need_gx))
 
     def vjp(g):
         g2 = g.transpose(1, 0, 2, 3).reshape(o, n * oh * ow)
@@ -654,7 +611,39 @@ def _conv2d_dense(x, wt, b, stride, padding, oh, ow, need_gx):
             gx = np.ascontiguousarray(gxp[:, :, padding : padding + h, padding : padding + w])
         return (gx, gw) if b is None else (gx, gw, g2.sum(axis=1))
 
-    return out, vjp
+    return _record("conv2d", out, inputs, vjp)
+
+
+def _spread(a, shape, top, left):
+    """Zeros of `shape` holding a[..., y, x] at (top + y, left + x): a zero
+    pad; a itself comes back when it already has `shape`."""
+    if a.shape == shape:
+        return a
+    out = np.zeros(shape, dtype=a.dtype)
+    h, w = a.shape[-2:]
+    out[..., top : top + h, left : left + w] = a
+    return out
+
+
+def _gradient_frame(g, kh, kw, padding, h, w):
+    """The output gradient of a stride-1 conv laid out so that a
+    correlation with the flipped kernel yields gx [.., h, w].
+
+    g[y, x] sits at (kh - 1 - padding + y, kw - 1 - padding + x) of an
+    [h + kh - 1, w + kw - 1] zero frame; rows and columns that fall
+    outside (padding > k - 1) see only padding, so they are left out.
+    """
+    n, c, oh, ow = g.shape
+    frame = _spread(g, (n, c, max(padding + h, oh) + kh - 1, max(padding + w, ow) + kw - 1), kh - 1, kw - 1)
+    return frame[:, :, padding : padding + h + kh - 1, padding : padding + w + kw - 1]
+
+
+def _nchw(m, n, h, w, b):
+    """[O, N*h*w] GEMM result -> contiguous [N, O, h, w], plus bias b if given."""
+    view = m.reshape(-1, n, h, w).transpose(1, 0, 2, 3)
+    if b is None:
+        return np.ascontiguousarray(view)
+    return np.add(view, b[:, None, None], out=np.empty(view.shape, dtype=m.dtype))
 
 
 def _frame_vjp(x, wt, padding, has_bias, need_gx):
@@ -667,7 +656,7 @@ def _frame_vjp(x, wt, padding, has_bias, need_gx):
     o, _, kh, kw = wt.shape
 
     def vjp(g):
-        gcols = kernels.im2col(_gradient_frame(g, kh, kw, 1, padding, h, w), kh, kw, 1, 1, h, w)
+        gcols = kernels.im2col(_gradient_frame(g, kh, kw, padding, h, w), kh, kw, 1, 1, h, w)
         x2 = x.transpose(1, 0, 2, 3).reshape(c, n * h * w)
         gw = (gcols @ x2.T).reshape(o, kh, kw, c)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
         gx = None
@@ -679,43 +668,101 @@ def _frame_vjp(x, wt, padding, has_bias, need_gx):
     return vjp
 
 
-def _tap(a, i, j, stride, oh, ow):
-    """The [.., oh, ow] window a[.., stride*y + i, stride*x + j] read by tap (i, j)."""
-    return a[..., i : i + stride * oh : stride, j : j + stride * ow : stride]
+def conv3x3_nhwc(x, weight, bias=None):
+    """3x3 cross-correlation, stride 1, zero padding 1, channels last:
+    x [N, h, w, C] -> [N, h, w, O], weight in the NCHW layout [O, C, 3, 3]
+    (dense) or [C, 1, 3, 3] (depthwise, O == C), picked by its shape.
+
+    Dense: the [N*h*w, 9C] patch matrix of the padded input
+    (kernels.patches3x3) times the weight's (tap, channel) columns. The
+    backward builds the same matrix of the padded output gradient, as
+    conv2d's stride-1 backward does, so the graph holds no patch matrix:
+    gx is it times the flipped kernel's columns and gW the flip of its
+    transpose times the input. Depthwise: nine shifted multiply-adds over
+    one padded [N, h+2, (w+2)*C] frame (kernels.depthwise3x3), each tap's
+    weights tiled into one (w*C)-long row; gx runs the same kernel over
+    the padded output gradient with the taps reversed, and gW is one
+    reduction per tap. gx is not computed when x needs no gradient; its
+    slot is None.
+    """
+    if x.ndim != 4 or weight.ndim != 4 or weight.shape[2:] != (3, 3):
+        raise DimensionError(f"conv3x3_nhwc needs x [N, h, w, C] and a 3x3 weight, got {x.shape} and {weight.shape}")
+    c = x.shape[3]
+    o, cg = weight.shape[:2]
+    if cg == c:
+        conv = _conv3x3_dense
+    elif cg == 1 and o == c:
+        conv = _conv3x3_depthwise
+    else:
+        raise DimensionError(f"weight {weight.shape} is neither dense [O, {c}, 3, 3] nor depthwise [{c}, 1, 3, 3]")
+    if bias is not None and bias.shape != (o,):
+        raise DimensionError(f"conv3x3_nhwc bias must have shape ({o},), got {bias.shape}")
+    b = None if bias is None else bias.data
+    need_gx = x.requires_grad or x._node is not None
+    out, vjp = conv(x.data, weight.data, b, need_gx)
+    inputs = (x, weight) + ((bias,) if bias is not None else ())
+    return _record("conv3x3_nhwc", out, inputs, vjp)
 
 
-def _shift_madd(src, wt, oh, ow, stride=1):
-    """Depthwise correlation as kh*kw shifted multiply-adds:
-    out[n, c, y, x] = sum over taps (i, j) of wt[c, 0, i, j] * _tap(src, i, j)[n, c, y, x]."""
-    kh, kw = wt.shape[2:]
-    out = np.multiply(_tap(src, 0, 0, stride, oh, ow), wt[:, 0, 0, 0, None, None])
-    term = np.empty_like(out)
-    for k in range(1, kh * kw):
-        i, j = divmod(k, kw)
-        out += np.multiply(_tap(src, i, j, stride, oh, ow), wt[:, 0, i, j, None, None], out=term)
+def _pad1(a):
+    """[N, h, w, C] -> [N, h+2, w+2, C] with a zero border."""
+    n, h, w, c = a.shape
+    out = np.zeros((n, h + 2, w + 2, c), dtype=a.dtype)
+    out[:, 1:-1, 1:-1] = a
     return out
 
 
-def _conv2d_depthwise(x, wt, b, stride, padding, oh, ow, need_gx):
-    """Output and vjp of a depthwise conv (groups == C == O, weight [C, 1, kh, kw])."""
-    n, c, h, w = x.shape
-    kh, kw = wt.shape[2:]
-    xp = _spread(x, (n, c, h + 2 * padding, w + 2 * padding), padding, padding)
-    out = _shift_madd(xp, wt, oh, ow, stride)
+def _conv3x3_dense(x, wt, b, need_gx):
+    """Output and vjp of a dense channels-last 3x3 conv: three 2-D GEMMs."""
+    n, h, w, c = x.shape
+    o = wt.shape[0]
+    # [O, 9C] @ patches.T: the other order, patches @ [9C, O], made the BLAS
+    # touch more buffer pages and raised a float32 infer's peak RSS
+    out = wt.transpose(0, 2, 3, 1).reshape(o, 9 * c) @ kernels.patches3x3(_pad1(x)).T  # [O, N*h*w]
     if b is not None:
-        out += b[:, None, None]
+        out += b[:, None]
 
     def vjp(g):
+        gcols = kernels.patches3x3(_pad1(g))  # [N*h*w, 9O], columns (i, j, o)
+        gw = (gcols.T @ x.reshape(-1, c)).reshape(3, 3, o, c)[::-1, ::-1].transpose(2, 3, 0, 1)
         gx = None
         if need_gx:
-            gx = _shift_madd(_gradient_frame(g, kh, kw, stride, padding, h, w), wt[:, :, ::-1, ::-1], h, w)
-        gw = np.empty_like(wt)
-        for i in range(kh):
-            for j in range(kw):
-                gw[:, 0, i, j] = np.einsum("nchw,nchw->c", g, _tap(xp, i, j, stride, oh, ow))
-        return (gx, gw) if b is None else (gx, gw, g.sum(axis=(0, 2, 3)))
+            gx = (gcols @ wt[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(9 * o, c)).reshape(x.shape)
+        return (gx, gw) if b is None else (gx, gw, g.reshape(-1, o).sum(axis=0))
 
-    return out, vjp
+    return out.T.reshape(n, h, w, o), vjp  # a channels-last view of [O, N*h*w]
+
+
+def _overlap(d, n):
+    """Slices (out, src) of an axis of length n where out index y reads src
+    index y + d in range: the taps of a zero-padded conv that hit the map."""
+    return slice(max(0, -d), n - max(0, d)), slice(max(0, d), n - max(0, -d))
+
+
+def _tiled_taps(wt, w):
+    """Depthwise weight [C, 1, 3, 3] -> [9, w*C]: tap k's weights tiled w times."""
+    return np.tile(wt.reshape(len(wt), 9).T, (1, w))
+
+
+def _conv3x3_depthwise(x, wt, b, need_gx):
+    """Output and vjp of a channels-last 3x3 depthwise conv."""
+    n, h, w, c = x.shape
+    out = kernels.depthwise3x3(_pad1(x).reshape(n, h + 2, -1), _tiled_taps(wt, w))
+    if b is not None:
+        out += np.tile(b, w)
+
+    def vjp(g):  # keeps x and wt, not the padded frame or the tiled taps
+        gx = None
+        if need_gx:
+            gx = kernels.depthwise3x3(_pad1(g).reshape(n, h + 2, -1), _tiled_taps(wt, w)[::-1]).reshape(n, h, w, c)
+        gw = np.empty_like(wt)
+        for k in range(9):
+            i, j = divmod(k, 3)
+            (oy, sy), (ox, sx) = _overlap(i - 1, h), _overlap(j - 1, w)
+            gw[:, 0, i, j] = np.einsum("nyxc,nyxc->c", g[:, oy, ox], x[:, sy, sx])
+        return (gx, gw) if b is None else (gx, gw, g.reshape(-1, c).sum(axis=0))
+
+    return out.reshape(x.shape), vjp
 
 
 def patches_at(x, image, row, col):
@@ -740,12 +787,13 @@ def patches_at(x, image, row, col):
     on = (ys >= 0) & (ys < h) & (xs >= 0) & (xs < w)
     ys, xs = np.clip(ys, 0, h - 1)[..., None], np.clip(xs, 0, w - 1)[..., None]
     weights = on[..., None].astype(x.dtype)  # [M, 9, 1] taps, weight 0 off the map
-    out = kernels.tap_gather(x.data, image, ys, xs, weights).reshape(len(image), c * 9)
+    m = len(image)
+    out = np.ascontiguousarray(kernels.tap_gather(x.data, image, ys, xs, weights).transpose(0, 2, 1))
 
     def vjp(g):
-        return (kernels.tap_scatter(g.reshape(len(image), c, 9), image, ys, xs, weights, n, h, w),)
+        return (kernels.tap_scatter(g.reshape(m, c, 9).transpose(0, 2, 1), image, ys, xs, weights, n, h, w),)
 
-    return _record("patches_at", out, (x,), vjp)
+    return _record("patches_at", out.reshape(m, c * 9), (x,), vjp)
 
 
 def _bilinear_axis(src, limit):
@@ -757,7 +805,7 @@ def _bilinear_axis(src, limit):
 
 
 def roi_align(x, boxes, batch_idx, out_size=(7, 7)):
-    """RoIAlign: each box of x[N,C,H,W] sampled on an ry x rx grid -> [M,C,ry,rx].
+    """RoIAlign: each box of x[N,C,H,W] sampled on an ry x rx grid -> [M,ry,rx,C].
 
     boxes[M, 4] are (x1, y1, x2, y2) in map units, pixel edges (the whole
     map is (0, 0, W, H)); the half-pixel sample centers are
@@ -791,10 +839,10 @@ def roi_align(x, boxes, batch_idx, out_size=(7, 7)):
     wy = np.stack([1.0 - fy, 1.0 - fy, fy, fy], axis=-1)[:, :, None]
     wx = np.stack([1.0 - fx, fx, 1.0 - fx, fx], axis=-1)[:, None]
     tys, txs, weights = (np.broadcast_to(a, grid).reshape(m, ry * rx, 4) for a in (rows, cols, wy * wx))
-    out = kernels.tap_gather(x.data, batch_idx, tys, txs, weights).reshape(m, c, ry, rx)
+    out = kernels.tap_gather(x.data, batch_idx, tys, txs, weights).reshape(m, ry, rx, c)
 
     def vjp(g):
-        return (kernels.tap_scatter(g.reshape(m, c, ry * rx), batch_idx, tys, txs, weights, n, h, w),)
+        return (kernels.tap_scatter(g.reshape(m, ry * rx, c), batch_idx, tys, txs, weights, n, h, w),)
 
     return _record("roi_align", out, (x,), vjp)
 

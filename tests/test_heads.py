@@ -271,14 +271,14 @@ def test_roi_whole_map_identity():
     box = ((14.0, 14.0), (28.0, 28.0))
     out, valid = roi_crop(Tensor(fmap), _boxes(box, box), [1, 0], out_size=(7, 7))
     assert valid.tolist() == [True, True]
-    assert np.max(np.abs(out.data - fmap[::-1])) < 1e-12
+    assert np.max(np.abs(out.data.transpose(0, 3, 1, 2) - fmap[::-1])) < 1e-12
 
 
 def test_roi_constant_map():
     fmap = np.full((2, 2, 6, 6), 3.25)
     boxes = _boxes(((9.0, 13.0), (6.0, 9.0)), ((2.0, 22.0), (12.0, 9.0)))
     out, _ = roi_crop(Tensor(fmap), boxes, [0, 1], out_size=(5, 5))
-    assert out.shape == (2, 2, 5, 5)
+    assert out.shape == (2, 5, 5, 2)
     assert np.allclose(out.data, 3.25, atol=1e-12)
 
 
@@ -300,9 +300,9 @@ def test_roi_zero_area_rejected():
     out, valid = roi_crop(fmap, _boxes(outside, inside, flat), [0, 0, 0])
     assert valid.tolist() == [False, True, False]
     alone, _ = roi_crop(fmap, _boxes(inside), [0])
-    assert out.shape == (1, 2, 7, 7) and np.array_equal(out.data, alone.data)
+    assert out.shape == (1, 7, 7, 2) and np.array_equal(out.data, alone.data)
     none, valid = roi_crop(fmap, _boxes(), [])
-    assert none.shape == (0, 2, 7, 7) and valid.shape == (0,)
+    assert none.shape == (0, 7, 7, 2) and valid.shape == (0,)
 
 
 def test_roi_rejects_mismatched_image_index():
@@ -336,7 +336,7 @@ def test_roi_crop_matches_pointwise_oracle():
     assert valid.all()
     expected = oracles.roi_align_pointwise(
         fmap, [c for c, _ in spec], [s for _, s in spec], image_index, OUTPUT_STRIDE, (7, 5)
-    )
+    ).transpose(0, 2, 3, 1)
     assert out.shape == expected.shape
     assert np.max(np.abs(out.data - expected)) < 1e-12
 
@@ -355,7 +355,7 @@ def test_roi_grad_only_into_owning_images():
 
 def test_roi_grad_check():
     feat = Tensor(np.random.default_rng(11).normal(size=(2, 2, 8, 8)), requires_grad=True)
-    probe = Tensor(np.random.default_rng(12).normal(size=(3, 2, 7, 7)))
+    probe = Tensor(np.random.default_rng(12).normal(size=(3, 2, 7, 7)).transpose(0, 2, 3, 1))
     boxes = _boxes(
         ((13.0, 17.0), (14.0, 10.0)),
         ((22.0, 8.0), (12.0, 14.0)),
@@ -375,7 +375,7 @@ def test_roi_grad_check():
 
 def test_heads3d_shapes():
     heads = Heads3D(8, 3, np.random.default_rng(14))
-    out = heads(Tensor(np.random.default_rng(15).normal(size=(5, 8, 7, 7))))
+    out = heads(Tensor(np.random.default_rng(15).normal(size=(5, 7, 7, 8))))
     assert out.offset3d.shape == (5, 2)
     assert out.angle_logits.shape == (5, NUM_ANGLE_BINS)
     assert out.angle_residuals.shape == (5, NUM_ANGLE_BINS)
@@ -387,13 +387,13 @@ def test_heads3d_shapes():
 def test_heads3d_rejects_unbatched_roi():
     heads = Heads3D(8, 3, np.random.default_rng(16))
     with pytest.raises(DimensionError):
-        heads(Tensor(np.random.default_rng(17).normal(size=(8, 7, 7))))
+        heads(Tensor(np.random.default_rng(17).normal(size=(7, 7, 8))))
 
 
 def test_heads3d_zero_weights_give_priors_and_uniform_bins():
     heads = Heads3D(8, 3, np.random.default_rng(18))
     _zero_params(heads)
-    out = heads(Tensor(np.random.default_rng(19).normal(size=(2, 8, 7, 7))))
+    out = heads(Tensor(np.random.default_rng(19).normal(size=(2, 7, 7, 8))))
     assert np.array_equal(out.size_residuals.data, np.zeros((2, 3, 3)))
     assert np.array_equal(out.angle_logits.data, np.zeros((2, NUM_ANGLE_BINS)))
     probs = T.softmax_lastdim(out.angle_logits).data
@@ -402,7 +402,8 @@ def test_heads3d_zero_weights_give_priors_and_uniform_bins():
 
 def test_heads3d_grad_check():
     heads = Heads3D(4, 3, np.random.default_rng(20))
-    roi = Tensor(np.random.default_rng(21).normal(size=(2, 4, 7, 7)), requires_grad=True)
+    # channels-last RoIs, drawn channel-major
+    roi = Tensor(np.random.default_rng(21).normal(size=(2, 4, 7, 7)).transpose(0, 2, 3, 1).copy(), requires_grad=True)
     rngp = np.random.default_rng(22)
     probes = [Tensor(rngp.normal(size=s)) for s in [(2, 2), (2, 12), (2, 12), (2, 3, 3), (2,), (2,), (2,)]]
 

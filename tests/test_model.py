@@ -123,7 +123,35 @@ def test_toy_step_graph_node_count():
     terms = det.loss_terms(images, [s.targets for s in samples], [s.calib for s in samples])
     total, _ = total_loss(terms, make_weights(tier2=1.0, tier3=1.0))
     T.backward(total)
-    assert T.tape_length() == 298
+    assert T.tape_length() == 290
+
+
+def test_conv_ffn_gelu_and_fc2_read_contiguous_tokens(monkeypatch):
+    # the depthwise conv runs on fc1's tokens, so in a batch-8 training
+    # forward every GELU reads and writes C-contiguous arrays and fc2's
+    # x.data.reshape(-1, c) is a view of the GELU output, not a copy
+    samples = build_synth_dataset(8, IMAGE_SIZE, seed=7, n_objects=2, z_range=(4.5, 8.0), focal=120.0)
+    images = T.stack([s.image for s in samples])
+    gelus, fc2_inputs = [], []
+    gelu, linear = T.gelu, T.linear
+
+    def spy_gelu(a):
+        out = gelu(a)
+        gelus.append((a.data, out.data))
+        return out
+
+    def spy_linear(x, w, b=None):
+        if any(x.data is out for _, out in gelus):
+            fc2_inputs.append(x.data)
+        return linear(x, w, b)
+
+    monkeypatch.setattr(T, "gelu", spy_gelu)
+    monkeypatch.setattr(T, "linear", spy_linear)
+    Detector("desk", seed=0).loss_terms(images, [s.targets for s in samples], [s.calib for s in samples])
+    assert len(gelus) == len(fc2_inputs) == 4
+    for (inp, out), x in zip(gelus, fc2_inputs):
+        assert inp.shape[0] == 8 and inp.flags.c_contiguous and out.flags.c_contiguous
+        assert np.shares_memory(x.reshape(-1, x.shape[-1]), out)
 
 
 def test_loss_terms_scores_each_object_at_a_shared_center_cell(desk):

@@ -67,6 +67,9 @@ def test_tracer_records_the_training_path():
         tracer.uninstall()
     recorded = {tracer.names[i] for i in tracer._name}
     assert {"model.loss_terms", "losses", "heads.roi_crop", "tensor.backward"} <= recorded
+    # the channels-last depthwise and RoI trunk convs pass through no
+    # nn.Conv2d call, so their forward time shows only in these spans
+    assert {"backbone.ffn", "heads.heads3d"} <= recorded
 
 
 def test_box_rows_reads_detections(scene):

@@ -35,11 +35,12 @@ def test_conv2d_all_ones():
     assert np.array_equal(out.data, np.full((1, 1, 2, 2), 4.0))
 
 
-def test_conv2d_depthwise_identity():
+def test_conv3x3_nhwc_depthwise_identity():
     rng = np.random.default_rng(0)
-    x = Tensor(rng.normal(size=(1, 4, 5, 6)))
-    w = Tensor(np.ones((4, 1, 1, 1)))
-    out = T.conv2d(x, w, groups=4)
+    x = Tensor(rng.normal(size=(1, 5, 6, 4)))
+    w = np.zeros((4, 1, 3, 3))
+    w[:, 0, 1, 1] = 1.0
+    out = T.conv3x3_nhwc(x, Tensor(w))
     assert np.array_equal(out.data, x.data)
 
 
@@ -54,13 +55,21 @@ def test_conv2d_matches_direct_oracle():
     assert np.max(np.abs(got.data - expected)) < 1e-10
 
 
-def test_conv2d_grouped_matches_direct_oracle():
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("kind", ["dense", "depthwise"])
+def test_conv3x3_nhwc_matches_direct_oracle(kind, dtype):
+    """Odd h and w; the channels-last output is the NCHW oracle transposed,
+    in the input's dtype."""
     rng = np.random.default_rng(2)
     x = rng.uniform(-1, 1, (2, 6, 7, 5))
-    w = rng.uniform(-1, 1, (6, 1, 3, 3))
-    expected = oracles.conv2d_direct(x, w, None, stride=1, padding=1, groups=6)
-    got = T.conv2d(Tensor(x), Tensor(w), padding=1, groups=6)
-    assert np.max(np.abs(got.data - expected)) < 1e-10
+    w = rng.uniform(-1, 1, (4, 6, 3, 3) if kind == "dense" else (6, 1, 3, 3))
+    b = rng.uniform(-1, 1, w.shape[0])
+    x, w, b = (a.astype(dtype) for a in (x, w, b))
+    groups = 1 if kind == "dense" else 6
+    expected = oracles.conv2d_direct(x, w, b, stride=1, padding=1, groups=groups).transpose(0, 2, 3, 1)
+    got = T.conv3x3_nhwc(Tensor(x.transpose(0, 2, 3, 1), dtype=dtype), Tensor(w, dtype=dtype), Tensor(b, dtype=dtype))
+    assert got.dtype == dtype and got.shape == expected.shape
+    assert np.max(np.abs(got.data - expected)) < (1e-10 if dtype == np.float64 else 1e-5)
 
 
 def test_conv2d_output_size_formula():
@@ -79,6 +88,19 @@ def test_conv2d_shape_errors():
         T.conv2d(x, Tensor(np.zeros((2, 3, 3, 3))), groups=3)
     with pytest.raises(DimensionError, match="groups"):
         T.conv2d(Tensor(np.zeros((1, 4, 5, 5))), Tensor(np.zeros((4, 2, 3, 3))), padding=1, groups=2)
+    with pytest.raises(DimensionError, match="conv3x3_nhwc"):
+        T.conv2d(Tensor(np.zeros((1, 4, 5, 5))), Tensor(np.zeros((4, 1, 3, 3))), padding=1, groups=4)
+
+
+def test_conv3x3_nhwc_shape_errors():
+    x = Tensor(np.zeros((1, 5, 5, 4)))
+    for w in (np.zeros((4, 4, 1, 1)), np.zeros((4, 2, 3, 3)), np.zeros((3, 1, 3, 3)), np.zeros((4, 3, 3))):
+        with pytest.raises(DimensionError):
+            T.conv3x3_nhwc(x, Tensor(w))
+    with pytest.raises(DimensionError):
+        T.conv3x3_nhwc(Tensor(np.zeros((5, 5, 4))), Tensor(np.zeros((4, 4, 3, 3))))
+    with pytest.raises(DimensionError, match="bias"):
+        T.conv3x3_nhwc(x, Tensor(np.zeros((2, 4, 3, 3))), Tensor(np.zeros(4)))
 
 
 def test_conv2d_nonfinite_input_raises():
@@ -96,10 +118,6 @@ CONV_CASES = {
     "3x3_s2_p1": ((2, 3, 7, 8), (4, 3, 3, 3), 2, 1, 1),
     "7x7_s4_p3": ((1, 3, 13, 18), (4, 3, 7, 7), 4, 3, 1),  # the stem
     "2x2_s2": ((2, 3, 7, 9), (4, 3, 2, 2), 2, 0, 1),  # k == s spatial reduction
-    "dw_s1_p1": ((2, 4, 6, 7), (4, 1, 3, 3), 1, 1, 4),
-    "dw_s2_p1": ((2, 4, 7, 8), (4, 1, 3, 3), 2, 1, 4),
-    "dw_s2_p0": ((2, 4, 8, 9), (4, 1, 3, 3), 2, 0, 4),  # last row and column unread
-    "dw_1x1_p1": ((2, 4, 5, 4), (4, 1, 1, 1), 1, 1, 4),  # padding > k-1
 }
 
 
@@ -144,7 +162,7 @@ def test_conv2d_stride1_vjp_holds_no_patch_matrix(xs, ws, padding):
     assert all(a is x.data or a.size < patch_size for a in arrays)
 
 
-@pytest.mark.parametrize("case", ["s1_p1", "3x3_s2_p1", "7x7_s4_p3", "dw_s1_p1"])
+@pytest.mark.parametrize("case", ["s1_p1", "3x3_s2_p1", "7x7_s4_p3"])
 def test_conv2d_skips_gx_of_an_input_without_gradient(case):
     """gx is None when x needs no gradient; gW still meets <w, gW> = <conv(x, w), g>."""
     xs, ws, stride, padding, groups = CONV_CASES[case]
@@ -157,6 +175,66 @@ def test_conv2d_skips_gx_of_an_input_without_gradient(case):
     assert x.grad is None
     linear = np.sum(out.data * g)
     assert abs(np.sum(w.data * w.grad) - linear) < 1e-10 * (np.sum(np.abs(out.data * g)) + 1.0)
+
+
+# channels-last x shape, weight shape: the two conv3x3_nhwc kernels
+CONV3X3_CASES = {
+    "dense": ((2, 5, 7, 3), (4, 3, 3, 3)),
+    "depthwise": ((2, 7, 5, 4), (4, 1, 3, 3)),
+}
+
+
+def _conv3x3_oracle(x, w, b):
+    groups = 1 if w.shape[1] == x.shape[3] else x.shape[3]
+    return oracles.conv2d_direct(x.transpose(0, 3, 1, 2), w, b, 1, 1, groups).transpose(0, 2, 3, 1)
+
+
+@pytest.mark.parametrize("case", sorted(CONV3X3_CASES))
+def test_conv3x3_nhwc_forward_and_adjoint_gradients(case):
+    """As for conv2d: the forward matches the direct loops, gx and gW meet
+    <conv(x, w), g> = <x, gx> = <w, gW>, and gb is g summed over N, h, w."""
+    xs, ws = CONV3X3_CASES[case]
+    rng = np.random.default_rng(sorted(CONV3X3_CASES).index(case))
+    x, w, b = rt(rng, *xs), rt(rng, *ws), rt(rng, ws[0])
+    expected = _conv3x3_oracle(x.data, w.data, b.data)
+    out = T.conv3x3_nhwc(x, w, b)
+    assert out.shape == expected.shape
+    assert np.max(np.abs(out.data - expected)) < 1e-10
+
+    g = rng.uniform(-1, 1, out.shape)
+    T.backward(T.sum_(out * Tensor(g)))
+    linear = np.sum((expected - b.data) * g)
+    scale = np.sum(np.abs(expected) * np.abs(g)) + 1.0
+    assert abs(np.sum(x.data * x.grad) - linear) < 1e-10 * scale
+    assert abs(np.sum(w.data * w.grad) - linear) < 1e-10 * scale
+    assert np.max(np.abs(b.grad - g.sum(axis=(0, 1, 2)))) < 1e-10
+
+
+@pytest.mark.parametrize("case", sorted(CONV3X3_CASES))
+def test_conv3x3_nhwc_skips_gx_of_an_input_without_gradient(case):
+    """gx is None when x needs no gradient; gW still meets <w, gW> = <conv(x, w), g>."""
+    xs, ws = CONV3X3_CASES[case]
+    rng = np.random.default_rng(7)
+    x, w = Tensor(rng.uniform(-1, 1, xs)), rt(rng, *ws)
+    out = T.conv3x3_nhwc(x, w)
+    g = rng.uniform(-1, 1, out.shape)
+    assert out._node.vjp(g)[0] is None
+    T.backward(T.sum_(out * Tensor(g)))
+    assert x.grad is None
+    linear = np.sum(out.data * g)
+    assert abs(np.sum(w.data * w.grad) - linear) < 1e-10 * (np.sum(np.abs(out.data * g)) + 1.0)
+
+
+def test_conv3x3_nhwc_dense_vjp_holds_no_patch_matrix():
+    """The dense kernel's graph node keeps x and the weight, not the
+    [N*h*w, 9C] patch matrix: the backward rebuilds one from the gradient."""
+    rng = np.random.default_rng(5)
+    x, w = rt(rng, 4, 7, 7, 6), rt(rng, 5, 6, 3, 3)
+    out = T.conv3x3_nhwc(x, w, rt(rng, 5))
+    held = [c.cell_contents for c in out._node.vjp.__closure__]
+    arrays = [a for a in held if isinstance(a, np.ndarray)]
+    assert any(a is x.data for a in arrays)
+    assert all(a is x.data or a.size < x.size for a in arrays)
 
 
 def test_desk_loss_terms_forward_keeps_under_90_mb():
@@ -257,6 +335,19 @@ def test_linear_is_one_node_with_the_chain_gradients():
     T.backward(T.sum_((T.matmul_batched(x, w) + b) * r))
     for got, t in zip(fused, (x, w, b)):
         np.testing.assert_allclose(got, t.grad, rtol=1e-13, atol=1e-15)
+
+
+def test_mul_skips_the_product_of_a_constant_side():
+    """A side that takes no gradient when mul records gets a None slot; the
+    other side's gradient is g times the constant, bitwise."""
+    rng = np.random.default_rng(43)
+    x, c, g = rt(rng, 2, 3), Tensor(rng.normal(size=(1, 3))), rng.normal(size=(2, 3))
+    for out, slot in ((x * c, 1), (c * x, 0)):
+        grads = out._node.vjp(g)
+        assert grads[slot] is None
+        assert np.array_equal(grads[1 - slot], g * c.data)
+    both = T.mul(x, rt(rng, 2, 3))
+    assert all(gi is not None for gi in both._node.vjp(g))
 
 
 def test_linear_shape_errors():
@@ -533,12 +624,13 @@ def _taps(rng, image, s, k, h, w):
 def test_tap_gather_sums_weighted_taps_and_scatter_is_its_adjoint(k):
     rng = np.random.default_rng(14)
     n, c, h, w, s = 2, 3, 5, 6, 7
-    x, g = rng.normal(size=(n, c, h, w)), rng.normal(size=(4, c, s))
+    x, g = rng.normal(size=(n, c, h, w)), rng.normal(size=(4, c, s)).transpose(0, 2, 1)
     image, ys, xs, weights = _taps(rng, np.array([0, 1, 1, 0]), s, k, h, w)
     out = kernels.tap_gather(x, image, ys, xs, weights)
     want = np.zeros((4, c, s))
     for m, si, ki in np.ndindex(4, s, k):
         want[m, :, si] += weights[m, si, ki] * x[image[m], :, ys[m, si, ki], xs[m, si, ki]]
+    want = want.transpose(0, 2, 1)  # [M, S, C]
     np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
     dx = kernels.tap_scatter(g, image, ys, xs, weights, n, h, w)
     assert dx.shape == x.shape
@@ -548,7 +640,7 @@ def test_tap_gather_sums_weighted_taps_and_scatter_is_its_adjoint(k):
 def test_tap_scatter_writes_only_into_the_taps_image():
     rng = np.random.default_rng(15)
     image, ys, xs, weights = _taps(rng, np.zeros(3, dtype=np.int64), 5, 4, 4, 4)
-    dx = kernels.tap_scatter(rng.normal(size=(3, 2, 5)), image, ys, xs, weights, 2, 4, 4)
+    dx = kernels.tap_scatter(rng.normal(size=(3, 2, 5)).transpose(0, 2, 1), image, ys, xs, weights, 2, 4, 4)
     assert np.any(dx[0] != 0.0) and not np.any(dx[1])
 
 
@@ -557,7 +649,7 @@ def test_tap_gather_keeps_float32():
     x = rng.normal(size=(2, 3, 5, 6)).astype(np.float32)
     image, ys, xs, weights = _taps(rng, np.array([1, 0]), 3, 4, 5, 6)
     out = kernels.tap_gather(x, image, ys, xs, weights.astype(np.float32))
-    assert out.dtype == np.float32 and out.shape == (2, 3, 3)
+    assert out.dtype == np.float32 and out.shape == (2, 3, 3)  # [M, S, C]
 
 
 # ---------------------------------------------------------------------------
