@@ -1,14 +1,15 @@
 """Median wall times of the numpy kernels in mono3d.kernels.
 
 Each hot kernel runs on a representative workload, once as warmup and
-then --repeats times; the median is reported per kernel. The kernels of
-`T.conv3x3_nhwc` run on several shapes, one row each, named
-`kernel[N,h,w,C]` (channels-last input, float64 unless marked f32):
-depthwise3x3 on the four toy-step FFN maps and desk stage 1 at KITTI
-size, patches3x3 on a toy training batch's RoIs and on one toy image's
-surviving peaks. A composite row times a full desk backbone
-forward/backward pass, which exercises im2col and col2im the way
-training does.
+then --repeats times; the median is reported per kernel. Maps are
+channels-last. The conv kernels run on several shapes, one row each,
+named `kernel[N,h,w,C]` (the unpadded input, float64 unless marked f32):
+im2col on the toy step's hot 3x3 neck conv input, the 7x7 stride-4 stem
+of a toy batch and a 3x3 conv at desk KITTI size; col2im on the toy
+step's second patch embed (3x3, stride 2); depthwise3x3 on the four
+toy-step FFN maps and desk stage 1 at KITTI size. A composite row times
+a full desk backbone forward/backward pass, which exercises im2col and
+col2im the way training does.
 
 Usage: python3 benchmarks/bench_kernels.py [--repeats N] [--quick]
 """
@@ -42,23 +43,22 @@ def build_workloads(quick):
     rng = np.random.default_rng(0)
     scale = 2 if quick else 1
 
-    # the toy step's hot conv input, 8 x 64 x 16 x 24, padded by 1 for a 3x3
-    # kernel; col2im serves only strided convs, so it scatters a stride-2 one
-    n, c, h, w = 8, 64, 16 // scale, 24 // scale
+    # col2im serves only strided convs: the toy step's second patch embed,
+    # 3x3 stride 2 padding 1 from 8 x 16 x 24 x 16, scatters its patch matrix
+    n, h, w, c = 8, 16 // scale, 24 // scale, 16
     hp, wp = h + 2, w + 2
-    xp = rng.normal(size=(n, c, hp, wp))
     oh2, ow2 = (hp - 3) // 2 + 1, (wp - 3) // 2 + 1
-    cols = rng.normal(size=(c * 9, n * oh2 * ow2))
+    cols = rng.normal(size=(n * oh2 * ow2, 9 * c))
 
-    # the neck's largest toy-step resize: 8 x 64 x 8 x 12 -> 16 x 24
+    # the neck's largest toy-step resize: 8 x 8 x 12 x 64 -> 16 x 24
     gh, gw = 8 // scale, 12 // scale
-    feat = rng.normal(size=(8, 64, gh, gw))
+    feat = rng.normal(size=(8, gh, gw, 64))
     wy, wx = T._interp_matrix(2 * gh, gh), T._interp_matrix(2 * gw, gw)
-    gout = rng.normal(size=(8, 64, 2 * gh, 2 * gw))
+    gout = rng.normal(size=(8, 2 * gh, 2 * gw, 64))
 
-    # a toy training batch: 16 ground-truth RoIs on the 8 x 64 x 16 x 24 map
+    # a toy training batch: 16 ground-truth RoIs on the 8 x 16 x 24 x 64 map
     rn, rh, rw = 8, 16, 24
-    rmap = rng.normal(size=(rn, 64, rh, rw))
+    rmap = rng.normal(size=(rn, rh, rw, 64))
     taps = _roi_taps(rng, rn, rh, rw, 16, 7)
     rout = rng.normal(size=(16, 7 * 7, 64))
 
@@ -66,9 +66,8 @@ def build_workloads(quick):
     gelu_in = rng.normal(size=(8, 384 // scale, 32)) / np.sqrt(2.0)
 
     return [
-        ("im2col", lambda: kernels.im2col(xp, 3, 3, 1, 1, h, w)),
-        *_conv3x3_rows(rng, scale),
-        ("col2im", lambda: kernels.col2im(cols, hp, wp, 3, 3, 2, 2, oh2, ow2)),
+        *_conv_rows(rng, scale),
+        (_row("col2im", (n, h, w, c), np.float64), lambda: kernels.col2im(cols, hp, wp, 3, 3, 2)),
         ("bilinear_gather", lambda: kernels.bilinear_gather(feat, wy, wx)),
         ("bilinear_scatter", lambda: kernels.bilinear_scatter(gout, wy, wx)),
         ("tap_gather", lambda: kernels.tap_gather(rmap, *taps)),
@@ -78,20 +77,23 @@ def build_workloads(quick):
     ]
 
 
-def _conv3x3_rows(rng, scale):
-    """depthwise3x3 and patches3x3 rows on zero-padded channels-last frames."""
+def _conv_rows(rng, scale):
+    """im2col rows (kernel k, stride s) and depthwise3x3 rows on zero-padded
+    channels-last frames."""
+    dense = [((8, 16, 24, 64), 3, 1, np.float64), ((8, 64, 96, 3), 7, 4, np.float64),
+             ((1, 96, 320, 64), 3, 1, np.float32)]
     depthwise = [((8, 16, 24, 32), np.float64), ((8, 8, 12, 64), np.float64), ((8, 4, 6, 128), np.float64),
                  ((8, 2, 3, 256), np.float64), ((1, 96, 320, 32), np.float32)]
-    dense = [((16, 7, 7, 64), np.float64), ((30, 7, 7, 64), np.float32)]
     rows = []
+    for (n, h, w, c), k, s, dtype in dense:
+        h, w = h // scale, w // scale
+        xp = rng.normal(size=(n, h + k - 1, w + k - 1, c)).astype(dtype)  # padded by k // 2
+        rows.append((_row("im2col", (n, h, w, c), dtype), lambda xp=xp, k=k, s=s: kernels.im2col(xp, k, k, s)))
     for (n, h, w, c), dtype in depthwise:
         h, w = max(h // scale, 1), max(w // scale, 1)
         xp = rng.normal(size=(n, h + 2, (w + 2) * c)).astype(dtype)
         taps = rng.normal(size=(9, w * c)).astype(dtype)
         rows.append((_row("depthwise3x3", (n, h, w, c), dtype), lambda xp=xp, taps=taps: kernels.depthwise3x3(xp, taps)))
-    for (n, h, w, c), dtype in dense:
-        xp = rng.normal(size=(n // scale, h + 2, w + 2, c)).astype(dtype)
-        rows.append((_row("patches3x3", (n // scale, h, w, c), dtype), lambda xp=xp: kernels.patches3x3(xp)))
     return rows
 
 

@@ -8,6 +8,11 @@ the overlapping patch embeds) injects positional information, so there
 is no positional embedding. Stage outputs form a stride {4,8,16,32}
 feature pyramid with ceil-division spatial dims.
 
+Maps are channels-last, [N, h, w, C]: the image is transposed once, on
+entry, and a stage's tokens [N, h*w, C] and its map are reshape views of
+each other, so no layout copy sits between the tokens and the convs (the
+patch embeds, the spatial reductions and the depthwise convs).
+
 The attention sublayer can be disabled per config; blocks then reduce to
 their residual feed-forward path and the network becomes purely
 convolutional with a finite receptive field.
@@ -19,7 +24,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, DimensionError
-from .nn import Conv2d, LayerNorm, Linear, Module, map_to_tokens, tokens_to_map
+from .nn import Conv2d, LayerNorm, Linear, Module
 from .tensor import Tensor
 
 STRIDES = (4, 8, 16, 32)
@@ -80,12 +85,13 @@ class PatchEmbed(Module):
 
     def __call__(self, x):
         x = self.proj(x)
-        h, w = x.shape[2], x.shape[3]
-        return self.norm(map_to_tokens(x)), h, w
+        n, h, w, c = x.shape
+        return self.norm(T.reshape(x, (n, h * w, c))), h, w
 
 
 class SpatialReductionAttention(Module):
-    """Multi-head attention; keys/values from an sr_ratio-strided conv of the map.
+    """Multi-head attention; keys/values from an sr_ratio-strided conv of
+    the tokens seen as a map.
 
     Keys and values are projected without bias: a key bias adds one
     constant to every logit of a query, which the softmax cancels. The
@@ -111,7 +117,8 @@ class SpatialReductionAttention(Module):
         q = self.q(x)
         src = x
         if self.sr_ratio > 1:
-            src = self.sr_norm(map_to_tokens(self.sr(tokens_to_map(x, h, w))))
+            n, _, c = x.shape
+            src = self.sr_norm(T.reshape(self.sr(T.reshape(x, (n, h, w, c))), (n, -1, c)))
         out = T.attention(q, self.kv(src), self.num_heads, self.scale)
         return self.proj(out + self.v_bias)
 
@@ -119,9 +126,8 @@ class SpatialReductionAttention(Module):
 class ConvFFN(Module):
     """Token MLP with a 3x3 depthwise conv between the two projections.
 
-    The conv runs channels-last on fc1's tokens seen as [N, h, w, C]
-    (T.conv3x3_nhwc), so GELU and fc2 read contiguous arrays; `dw` holds
-    its weight [C, 1, 3, 3] and bias.
+    The conv runs on fc1's tokens seen as [N, h, w, C], so GELU and fc2
+    read contiguous arrays.
     """
 
     def __init__(self, dim, hidden, rng):
@@ -132,7 +138,7 @@ class ConvFFN(Module):
     def __call__(self, x, h, w):
         x = self.fc1(x)
         n, t, c = x.shape
-        x = T.conv3x3_nhwc(T.reshape(x, (n, h, w, c)), self.dw.weight, self.dw.bias)
+        x = self.dw(T.reshape(x, (n, h, w, c)))
         return self.fc2(T.gelu(T.reshape(x, (n, t, c))))
 
 
@@ -163,14 +169,17 @@ class Stage(Module):
         self.norm = LayerNorm(cfg.dim)
 
     def __call__(self, x):
+        """Map [N, H, W, C_in] -> map [N, h, w, dim], a view of the tokens."""
         tokens, h, w = self.embed(x)
         for block in self.blocks:
             tokens = block(tokens, h, w)
-        return tokens_to_map(self.norm(tokens), h, w)
+        n, _, c = tokens.shape
+        return T.reshape(self.norm(tokens), (n, h, w, c))
 
 
 class Backbone(Module):
-    """Image [N, 3, H, W] -> four maps at strides 4/8/16/32 (ceil division)."""
+    """Image [N, 3, H, W] -> four channels-last maps [N, h, w, C] at strides
+    4/8/16/32 (ceil division)."""
 
     def __init__(self, config, rng, in_ch=3):
         self.config = config
@@ -186,6 +195,7 @@ class Backbone(Module):
             raise DimensionError(f"backbone expects [N, C, H, W], got shape {x.shape}")
         if x.shape[2] < 32 or x.shape[3] < 32:
             raise DimensionError(f"input {x.shape[2]}x{x.shape[3]} is below the 32-pixel minimum")
+        x = T.transpose(x, (0, 2, 3, 1))
         feats = []
         for stage in self.stage_list:
             x = stage(x)

@@ -34,6 +34,11 @@ def _t(rng, *shape):
     return Tensor(rng.normal(size=shape))
 
 
+def _map(rng, n, c, h, w):
+    """A channels-last map [n, h, w, c] of the normals drawn as [n, c, h, w]."""
+    return Tensor(rng.normal(size=(n, c, h, w)).transpose(0, 2, 3, 1).copy())
+
+
 def _away_from(rng, shape, margin=0.35):
     """Standard normals pushed `margin` away from zero, sign preserved."""
     x = rng.normal(size=shape)
@@ -159,47 +164,50 @@ def _check_layer_norm(rng):
 
 
 def _check_conv2d(rng):
-    x = _t(rng, 1, 2, 5, 5)
+    # channels-last maps, drawn channel-major
+    x = _map(rng, 1, 2, 5, 5)
     w = _t(rng, 3, 2, 3, 3)
     bias = _t(rng, 3)
-    r1 = _t(rng, 1, 3, 5, 5)
+    r1 = _map(rng, 1, 3, 5, 5)
     worst = grad_check(_projected(lambda a: T.conv2d(a, w, bias, stride=1, padding=1), r1), x, eps=EPS)
     worst = max(worst, grad_check(_projected(lambda ww: T.conv2d(x, ww, bias, stride=1, padding=1), r1), w, eps=EPS))
-    r2 = _t(rng, 1, 3, 2, 2)
+    worst = max(worst, grad_check(_projected(lambda bb: T.conv2d(x, w, bb, stride=1, padding=1), r1), bias, eps=EPS))
+    r2 = _map(rng, 1, 3, 2, 2)
     worst = max(worst, grad_check(_projected(lambda a: T.conv2d(a, w, None, stride=2, padding=0), r2), x, eps=EPS))
     # 1x1 with padding 1 > k-1: the output gradient's border rows see only padding
-    w1, r4 = _t(rng, 3, 2, 1, 1), _t(rng, 1, 3, 7, 7)
+    w1, r4 = _t(rng, 3, 2, 1, 1), _map(rng, 1, 3, 7, 7)
     worst = max(worst, grad_check(_projected(lambda a: T.conv2d(a, w1, bias, stride=1, padding=1), r4), x, eps=EPS))
     # stride-1 gW comes from the gradient frame, cropped here
     worst = max(worst, grad_check(_projected(lambda ww: T.conv2d(x, ww, bias, stride=1, padding=1), r4), w1, eps=EPS))
     # k == s, as in the attention's spatial reduction: non-overlapping col2im
-    w2, r5 = _t(rng, 3, 2, 2, 2), _t(rng, 1, 3, 2, 2)
+    w2, r5 = _t(rng, 3, 2, 2, 2), _map(rng, 1, 3, 2, 2)
     worst = max(worst, grad_check(_projected(lambda a: T.conv2d(a, w2, bias, stride=2, padding=0), r5), x, eps=EPS))
     worst = max(worst, grad_check(_projected(lambda ww: T.conv2d(x, ww, bias, stride=2, padding=0), r5), w2, eps=EPS))
     # the 7x7 stride-4 padding-3 stem
-    w7, r6 = _t(rng, 3, 2, 7, 7), _t(rng, 1, 3, 2, 2)
+    w7, r6 = _t(rng, 3, 2, 7, 7), _map(rng, 1, 3, 2, 2)
     worst = max(worst, grad_check(_projected(lambda a: T.conv2d(a, w7, bias, stride=4, padding=3), r6), x, eps=EPS))
     # stride-1 gW with padding 0: the frame's border is all zeros
-    r7 = _t(rng, 1, 3, 3, 3)
-    return max(worst, grad_check(_projected(lambda ww: T.conv2d(x, ww, bias, stride=1, padding=0), r7), w, eps=EPS))
+    r7 = _map(rng, 1, 3, 3, 3)
+    worst = max(worst, grad_check(_projected(lambda ww: T.conv2d(x, ww, bias, stride=1, padding=0), r7), w, eps=EPS))
+    # dense 3x3 and depthwise 3x3 on a batch of odd-sized maps: x, weight and bias
+    for x, w, r, groups in (
+        (_t(rng, 2, 5, 3, 2), _t(rng, 3, 2, 3, 3), _t(rng, 2, 5, 3, 3), 1),
+        (_t(rng, 2, 3, 5, 2), _t(rng, 2, 1, 3, 3), _t(rng, 2, 3, 5, 2), 2),
+    ):
+        bias = _t(rng, w.shape[0])
 
+        def conv(a, ww, bb):
+            return T.conv2d(a, ww, bb, padding=1, groups=groups)
 
-def _check_conv3x3_nhwc(rng):
-    # dense, odd h and w: x, weight and bias
-    x, w, bias, r = _t(rng, 2, 5, 3, 2), _t(rng, 3, 2, 3, 3), _t(rng, 3), _t(rng, 2, 5, 3, 3)
-    worst = grad_check(_projected(lambda a: T.conv3x3_nhwc(a, w, bias), r), x, eps=EPS)
-    worst = max(worst, grad_check(_projected(lambda ww: T.conv3x3_nhwc(x, ww, bias), r), w, eps=EPS))
-    worst = max(worst, grad_check(_projected(lambda bb: T.conv3x3_nhwc(x, w, bb), r), bias, eps=EPS))
-    # depthwise
-    x, w, bias, r = _t(rng, 2, 3, 5, 2), _t(rng, 2, 1, 3, 3), _t(rng, 2), _t(rng, 2, 3, 5, 2)
-    worst = max(worst, grad_check(_projected(lambda a: T.conv3x3_nhwc(a, w, bias), r), x, eps=EPS))
-    worst = max(worst, grad_check(_projected(lambda ww: T.conv3x3_nhwc(x, ww, bias), r), w, eps=EPS))
-    return max(worst, grad_check(_projected(lambda bb: T.conv3x3_nhwc(x, w, bb), r), bias, eps=EPS))
+        worst = max(worst, grad_check(_projected(lambda a: conv(a, w, bias), r), x, eps=EPS))
+        worst = max(worst, grad_check(_projected(lambda ww: conv(x, ww, bias), r), w, eps=EPS))
+        worst = max(worst, grad_check(_projected(lambda bb: conv(x, w, bb), r), bias, eps=EPS))
+    return worst
 
 
 def _check_bilinear(rng):
-    x = _t(rng, 1, 2, 4, 4)
-    r = _t(rng, 1, 2, 7, 6)
+    x = _map(rng, 1, 2, 4, 4)
+    r = _map(rng, 1, 2, 7, 6)
     return grad_check(_projected(lambda a: T.bilinear_resize(a, 7, 6), r), x, eps=EPS)
 
 
@@ -237,8 +245,8 @@ def _check_conv_ffn(rng):
 
 def _check_neck(rng):
     neck = Neck([4, 8, 12, 16], rng, width=8)
-    maps = [_t(rng, 1, 4, 8, 8), _t(rng, 1, 8, 4, 4), _t(rng, 1, 12, 2, 2), _t(rng, 1, 16, 1, 1)]
-    r = _t(rng, 1, 8, 8, 8)
+    maps = [_map(rng, 1, 4, 8, 8), _map(rng, 1, 8, 4, 4), _map(rng, 1, 12, 2, 2), _map(rng, 1, 16, 1, 1)]
+    r = _map(rng, 1, 8, 8, 8)
 
     def f(deep):
         return T.sum_(neck([maps[0], maps[1], maps[2], deep]) * r)
@@ -247,7 +255,7 @@ def _check_neck(rng):
 
 
 def _check_roi_align(rng):
-    feat = _t(rng, 2, 3, 8, 8)
+    feat = _map(rng, 2, 3, 8, 8)
     boxes = Boxes2D(
         class_id=np.array([0, 1, 2]),
         score=np.ones(3),
@@ -265,13 +273,14 @@ _CELLS = (np.array([0, 1, 1, 0, 1]), np.array([0, 3, 1, 2, 3]), np.array([0, 0, 
 
 
 def _check_patches_at(rng):
-    x, r = _t(rng, 2, 3, 4, 4), _t(rng, 5, 27)
+    # r is drawn [5, C, 9] and laid out in the patches' (tap, channel) column order
+    x, r = _map(rng, 2, 3, 4, 4), Tensor(rng.normal(size=(5, 3, 9)).transpose(0, 2, 1).reshape(5, 27))
     return grad_check(_projected(lambda a: T.patches_at(a, *_CELLS), r), x, eps=EPS)
 
 
 def _check_heads2d(rng):
     heads = Heads2D(6, 3, rng)
-    x = _t(rng, 2, 6, 4, 4)
+    x = _map(rng, 2, 6, 4, 4)
     rs = [_t(rng, 2, 3, 4, 4), _t(rng, 5, 2), _t(rng, 5, 2)]
 
     def f(a):
@@ -285,8 +294,7 @@ def _check_heads2d(rng):
 
 def _check_heads3d(rng):
     heads = Heads3D(6, 3, rng)
-    # channels-last RoIs, drawn channel-major so the trunk's ReLU kinks stay clear
-    x = Tensor(rng.normal(size=(2, 6, 7, 7)).transpose(0, 2, 3, 1).copy())
+    x = _map(rng, 2, 6, 7, 7)
     r1, r2, r3 = _t(rng, 2, 2), _t(rng, 2, 12), _t(rng, 2, 3, 3)
     r4, r5 = _t(rng, 2), _t(rng, 2)
 
@@ -379,7 +387,6 @@ OP_CHECKS = (
     ("softmax", _check_softmax),
     ("layer_norm", _check_layer_norm),
     ("conv2d", _check_conv2d),
-    ("conv3x3_nhwc", _check_conv3x3_nhwc),
     ("bilinear", _check_bilinear),
     ("linear", _check_linear),
     ("attention", _check_attention),

@@ -1,6 +1,7 @@
 """Detection heads on the stride-4 neck map.
 
-2D side: a dense per-class center heatmap, peak decoding with 3x3
+Features are the neck's channels-last map [N, h, w, C]. 2D side: a
+dense per-class center heatmap, peak decoding with 3x3
 suppression, and the sub-cell center offset and box size heads, which
 run only at the cells that are read: object centres in training, peaks
 in inference. 3D side: RoI-
@@ -136,11 +137,11 @@ class DenseHead(Module):
         return self.conv2(T.relu(self.conv1(x)))
 
     def at(self, patches):
-        """The head at M cells from their 3x3 patches [M, C*9]
+        """The head at M cells from their 3x3 patches [M, 9*C]
         (T.patches_at) -> [M, out_ch]: the same parameters as linear layers."""
 
-        def columns(conv):  # weight [O, C, k, k] -> [C*k*k, O]
-            return T.transpose(T.reshape(conv.weight, (conv.weight.shape[0], -1)), (1, 0))
+        def columns(conv):  # weight [O, C, k, k] -> [k*k*C, O], (tap, channel) rows
+            return T.reshape(T.transpose(conv.weight, (2, 3, 1, 0)), (-1, conv.weight.shape[0]))
 
         h = T.relu(T.linear(patches, columns(self.conv1), self.conv1.bias))
         return T.linear(h, columns(self.conv2), self.conv2.bias)
@@ -153,8 +154,9 @@ class Heads2D(Module):
         self.size = DenseHead(in_ch, mid_ch, 2, rng)
 
     def __call__(self, feat):
-        """[N, C, h, w] -> post-sigmoid class heatmap [N, C_cls, h, w]."""
-        return T.sigmoid(self.heat(feat))
+        """[N, h, w, C] -> post-sigmoid class heatmap [N, C_cls, h, w], the
+        layout of the targets and of peak decoding."""
+        return T.transpose(T.sigmoid(self.heat(feat)), (0, 3, 1, 2))
 
     def at(self, feat, image, row, col):
         """Sub-cell offsets (output-map pixels) and sizes (input pixels,
@@ -209,11 +211,11 @@ def roi_crop(feat, boxes, image_index, out_size=(ROI_SIZE, ROI_SIZE)):
     no RoI, so rois holds the valid boxes in order. Differentiable w.r.t. feat.
     """
     if feat.ndim != 4:
-        raise DimensionError(f"expected [N, C, h, w] features, got {feat.shape}")
+        raise DimensionError(f"expected [N, h, w, C] features, got {feat.shape}")
     image_index = np.asarray(image_index, dtype=np.int64)
     if image_index.shape != (len(boxes),):
         raise DimensionError(f"{len(boxes)} boxes but image_index of shape {image_index.shape}")
-    h, w = feat.shape[2], feat.shape[3]
+    h, w = feat.shape[1:3]
     u, v = boxes.center[:, 0], boxes.center[:, 1]
     bw, bh = boxes.size[:, 0], boxes.size[:, 1]
     x1 = np.maximum((u - bw / 2.0) / OUTPUT_STRIDE, 0.0)
@@ -226,8 +228,7 @@ def roi_crop(feat, boxes, image_index, out_size=(ROI_SIZE, ROI_SIZE)):
 
 
 class Heads3D(Module):
-    """Shared 3x3 conv trunk over channels-last [M, r, r, C] RoIs
-    (T.conv3x3_nhwc with `trunk`'s weight and bias), then linear heads on
+    """Shared 3x3 conv trunk over [M, r, r, C] RoIs, then linear heads on
     its mean over the r*r cells."""
 
     def __init__(self, in_ch, num_classes, rng, mid_ch=64):
@@ -242,7 +243,7 @@ class Heads3D(Module):
         if rois.ndim != 4:
             raise DimensionError(f"expected [M, r, r, C] RoIs, got {rois.shape}")
         m = rois.shape[0]
-        x = T.relu(T.conv3x3_nhwc(rois, self.trunk.weight, self.trunk.bias))
+        x = T.relu(self.trunk(rois))
         pooled = T.mean(T.reshape(x, (m, -1, x.shape[3])), axis=1)
         ang = self.fc_angle(pooled)
         size = self.fc_size(pooled)

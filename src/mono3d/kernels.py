@@ -1,19 +1,18 @@
 """Hot numeric kernels, one numpy implementation each.
 
-im2col and col2im carry the NCHW dense conv2d in one 2-D layout,
-[C*kh*kw, N*oh*ow]. im2col builds the forward's patch matrix and, at
-stride 1, the patch matrix of the output gradient's frame, which yields
-both the input and the weight gradient. col2im, its adjoint, serves only
-the input gradient of strided convs. The channels-last 3x3 convs of
-`tensor.conv3x3_nhwc` use neither: patches3x3 builds the dense kernel's
-[N*h*w, 9C] patch matrix in 3C-long runs, and depthwise3x3 runs the
-nine shifted multiply-adds of the depthwise kernel over (w*C)-long rows.
-bilinear_gather and bilinear_scatter are the resize `wy @ x @ wx.T` and
-its adjoint `wy.T @ g @ wx` for the interpolation matrices of
-`tensor.bilinear_resize`; they keep their names because perfbench wraps
-them by name. tap_gather sums a few weighted taps of one image per
-output, and tap_scatter is its adjoint: they carry both the batched
-RoI-align (4 bilinear corners) and `tensor.patches_at` (3x3 cells).
+Maps are channels-last, [N, h, w, C], throughout. im2col builds the one
+patch matrix of every dense conv, [N*oh*ow, kh*kw*C] in (tap, channel)
+column order, for any kernel, stride and padding: the forward's and, at
+stride 1, that of the output gradient's frame, which yields both the
+input and the weight gradient. col2im, its adjoint, serves only the
+input gradient of strided convs. depthwise3x3 runs the nine shifted
+multiply-adds of a depthwise 3x3 conv over (w*C)-long rows.
+bilinear_gather and bilinear_scatter resize along the two spatial axes
+with the interpolation matrices of `tensor.bilinear_resize`, and back;
+they keep their names because perfbench wraps them by name. tap_gather
+sums a few weighted taps of one image per output, and tap_scatter is its
+adjoint: they carry both the batched RoI-align (4 bilinear corners) and
+`tensor.patches_at` (3x3 cells).
 erf serves the exact GELU.
 """
 
@@ -50,69 +49,59 @@ def active_backend():
     return "numpy"
 
 
-def im2col(xp, kh, kw, sh, sw, oh, ow):
-    """Channel-major patch matrix [C*kh*kw, N*oh*ow] of padded input [N, C, Hp, Wp].
+def im2col(xp, kh, kw, stride):
+    """Channels-last patch matrix [N*oh*ow, kh*kw*C] of a padded map xp
+    [N, Hp, Wp, C], oh = (Hp - kh) // stride + 1 (ow likewise).
 
-    Row (c, i, j) holds tap (i, j) of channel c; column (n, y, x) is output
-    pixel (y, x) of image n. So a dense conv forward is the one GEMM
-    W[O, C*kh*kw] @ cols. Any strides of xp work, so a sliced view can
-    be passed without a copy.
+    Row (n, y, x) is output pixel (y, x) of image n; column (i*kw + j)*C + c
+    holds xp[n, y*stride + i, x*stride + j, c]. Where a pixel's C channels
+    are contiguous, the kw taps of one kernel row are one kw*C-long run
+    (21 elements for the 7x7 RGB stem), so the copy moves whole runs. A
+    dense conv forward is then this matrix times the weight's (tap,
+    channel) columns. Any strides of xp work, so a sliced view is read in
+    place, and a 1x1 stride-1 patch matrix of a C-contiguous map is a view
+    of it, not a copy.
     """
-    n, c, _, _ = xp.shape
-    sn, sc, sy, sx = xp.strides
+    n, hp, wp, c = xp.shape
+    oh, ow = (hp - kh) // stride + 1, (wp - kw) // stride + 1
+    sn, sy, sx, sc = xp.strides
     view = np.lib.stride_tricks.as_strided(
         xp,
-        shape=(c, kh, kw, n, oh, ow),
-        strides=(sc, sy, sx, sn, sy * sh, sx * sw),
+        shape=(n, oh, ow, kh, kw, c),
+        strides=(sn, sy * stride, sx * stride, sy, sx, sc),
         writeable=False,
     )
-    return np.ascontiguousarray(view).reshape(c * kh * kw, n * oh * ow)
+    return np.ascontiguousarray(view).reshape(n * oh * ow, kh * kw * c)
 
 
-def col2im(cols, hp, wp, kh, kw, sh, sw, oh, ow):
-    """Adjoint of im2col: [C*kh*kw, N*oh*ow] -> padded-input gradient [N, C, Hp, Wp].
+def col2im(cols, hp, wp, kh, kw, stride):
+    """Adjoint of im2col: [N*oh*ow, kh*kw*C] -> padded-map gradient [N, Hp, Wp, C].
 
-    Adds the kh*kw shifted tap slices in place into a channel-major
-    buffer and returns it as an NCHW view (not contiguous).
+    Adds the kh*kw shifted tap slices in place into one zero frame.
     """
-    c, n = cols.shape[0] // (kh * kw), cols.shape[1] // (oh * ow)
-    xp = np.zeros((c, n, hp, wp), dtype=cols.dtype)
-    cols6 = cols.reshape(c, kh, kw, n, oh, ow)
+    oh, ow = (hp - kh) // stride + 1, (wp - kw) // stride + 1
+    c, n = cols.shape[1] // (kh * kw), cols.shape[0] // (oh * ow)
+    xp = np.zeros((n, hp, wp, c), dtype=cols.dtype)
+    cols6 = cols.reshape(n, oh, ow, kh, kw, c)
     for i in range(kh):
         for j in range(kw):
-            xp[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw] += cols6[:, i, j]
-    return xp.transpose(1, 0, 2, 3)
+            xp[:, i : i + stride * oh : stride, j : j + stride * ow : stride] += cols6[:, :, :, i, j]
+    return xp
 
 
 def bilinear_gather(x, wy, wx):
-    """Separable resampling of the last two axes: wy @ x @ wx.T.
-
-    wy [oh, H] and wx [ow, W] are interpolation matrices, so
-    x [N, C, H, W] -> [N, C, oh, ow].
-    """
-    return wy @ x @ wx.T
+    """Separable resampling of the two spatial axes of x [N, H, W, C]:
+    wy [oh, H] along H, then wx [ow, W] along W -> [N, oh, ow, C]."""
+    n, h, w, c = x.shape
+    t = (wy @ x.reshape(n, h, w * c)).reshape(-1, w, c)  # [N*oh, W, C]
+    return (wx @ t).reshape(n, wy.shape[0], wx.shape[0], c)
 
 
 def bilinear_scatter(g, wy, wx):
-    """Adjoint of bilinear_gather: wy.T @ g @ wx, [N, C, oh, ow] -> [N, C, H, W]."""
-    return wy.T @ g @ wx
-
-
-def patches3x3(xp):
-    """Patch matrix [N*h*w, 9C] of a zero-padded channels-last frame xp
-    [N, h+2, w+2, C], C-contiguous.
-
-    Row (n, y, x) is output pixel (y, x) of image n; column (i*3 + j)*C + c
-    holds xp[n, y + i, x + j, c]. Taps (i, 0..2) are one 3C-long run of xp,
-    so the copy moves 3C elements at a time. A stride-1, padding-1 3x3
-    conv is then this matrix times W.transpose(2, 3, 1, 0).reshape(9C, O).
-    """
-    n, hp, wp, c = xp.shape
-    _, sy, sx, sc = xp.strides
-    view = np.lib.stride_tricks.as_strided(
-        xp, shape=(n, hp - 2, wp - 2, 3, 3 * c), strides=(xp.strides[0], sy, sx, sy, sc), writeable=False,
-    )
-    return np.ascontiguousarray(view).reshape(-1, 9 * c)
+    """Adjoint of bilinear_gather: [N, oh, ow, C] -> [N, H, W, C]."""
+    n, oh, ow, c = g.shape
+    t = (wy.T @ g.reshape(n, oh, ow * c)).reshape(-1, ow, c)  # [N*H, ow, C]
+    return (wx.T @ t).reshape(n, wy.shape[1], wx.shape[1], c)
 
 
 def depthwise3x3(xp, taps):
@@ -135,30 +124,30 @@ def depthwise3x3(xp, taps):
 
 
 def tap_gather(x, image, ys, xs, weights):
-    """Weighted taps of x [N, C, H, W] -> [M, S, C].
+    """Weighted taps of x [N, H, W, C] -> [M, S, C].
 
-    Output (m, s, :) sums weights[m, s, k] * x[image[m], :, ys[m, s, k],
+    Output (m, s, :) sums weights[m, s, k] * x[image[m], ys[m, s, k],
     xs[m, s, k]] over k, in k order; ys, xs and weights are [M, S, K].
     """
     img = image[:, None]
-    out = x[img, :, ys[..., 0], xs[..., 0]] * weights[..., 0, None]  # [M, S, C]
+    out = x[img, ys[..., 0], xs[..., 0]] * weights[..., 0, None]  # [M, S, C]
     for k in range(1, ys.shape[2]):
-        out += x[img, :, ys[..., k], xs[..., k]] * weights[..., k, None]
+        out += x[img, ys[..., k], xs[..., k]] * weights[..., k, None]
     return out
 
 
 def tap_scatter(g, image, ys, xs, weights, n, h, w):
-    """Adjoint of tap_gather: tap grads [M, S, C] -> map grad [N, C, H, W].
+    """Adjoint of tap_gather: tap grads [M, S, C] -> map grad [N, H, W, C].
 
     One weighted bincount over contributions laid out [K, M, S, C], so each
     cell sums them in (k, m, s) order; tap m adds only into image image[m].
     """
     c = g.shape[2]
-    cell = np.ascontiguousarray((image[:, None, None] * (c * h * w) + ys * w + xs).transpose(2, 0, 1))
-    flat = cell[..., None] + np.arange(c) * (h * w)  # [K, M, S, C]
+    cell = np.ascontiguousarray((image[:, None, None] * (h * w) + ys * w + xs).transpose(2, 0, 1))
+    flat = cell[..., None] * c + np.arange(c)  # [K, M, S, C]
     vals = np.multiply(g, weights.transpose(2, 0, 1)[..., None], order="C")
-    dx = np.bincount(flat.ravel(), vals.ravel(), minlength=n * c * h * w)
-    return dx.reshape(n, c, h, w)
+    dx = np.bincount(flat.ravel(), vals.ravel(), minlength=n * h * w * c)
+    return dx.reshape(n, h, w, c)
 
 
 def _horner(z, coefs):

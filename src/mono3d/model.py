@@ -68,7 +68,8 @@ class Detector(Module):
         return next(self.named_parameters())[1].dtype
 
     def features(self, images):
-        """[N, 3, H, W] (or [3, H, W]) -> stride-4 feature map [N, 64, h, w].
+        """[N, 3, H, W] (or [3, H, W]) -> stride-4 feature map [N, h, w, 64],
+        channels last.
 
         A Tensor is used as it is; anything else is read in the detector's dtype.
         """
@@ -158,7 +159,7 @@ class Detector(Module):
             bad = int(np.argmin(valid))
             raise DegenerateGeometryError(
                 f"ground-truth box {tuple(gt.center[bad])}+-{tuple(gt.size[bad])} has no area "
-                f"inside the {feat.shape[2]}x{feat.shape[3]} map"
+                f"inside the {feat.shape[1]}x{feat.shape[2]} map"
             )
         out3d = self.heads3d(rois)
         cls = gt.class_id

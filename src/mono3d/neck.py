@@ -4,23 +4,27 @@ Each level is projected to a common width (1x1 conv, per-pixel channel
 norm, ReLU). Starting from the deepest level, the running map is
 bilinearly upsampled to the next shallower level's size, summed with it,
 and fused by a 3x3 conv + ReLU. The fused map at the shallowest level,
-`width` channels wide, is the neck's output.
+`width` channels wide, is the neck's output. Maps are channels-last,
+[N, h, w, C], as the backbone hands them on.
 """
 
 from . import tensor as T
 from .errors import ConfigError, DimensionError, UsageError
-from .nn import Conv2d, LayerNorm, Module, map_to_tokens, tokens_to_map
+from .nn import Conv2d, LayerNorm, Module
 
 
 class ChannelNorm(Module):
-    """LayerNorm over the channel axis, applied independently per pixel."""
+    """LayerNorm over the channel axis, applied independently per pixel.
+
+    The channels are the last axis, so this is the LayerNorm itself; it
+    sits under `norm` so that parameter names stay `...norm.norm.gamma`.
+    """
 
     def __init__(self, ch):
         self.norm = LayerNorm(ch)
 
     def __call__(self, x):
-        h, w = x.shape[2], x.shape[3]
-        return tokens_to_map(self.norm(map_to_tokens(x)), h, w)
+        return self.norm(x)
 
 
 class ProjectNode(Module):
@@ -44,8 +48,8 @@ def _check_pyramid(features):
     if len(features) != 4:
         raise UsageError(f"neck expects 4 pyramid levels, got {len(features)}")
     for i in range(1, 4):
-        ph, pw = features[i - 1].shape[2], features[i - 1].shape[3]
-        ch, cw = features[i].shape[2], features[i].shape[3]
+        ph, pw = features[i - 1].shape[1:3]
+        ch, cw = features[i].shape[1:3]
         if ch != -(-ph // 2) or cw != -(-pw // 2):
             raise DimensionError(
                 f"level {i} is {ch}x{cw}, expected ceil-half of {ph}x{pw}"
@@ -53,7 +57,7 @@ def _check_pyramid(features):
 
 
 class Neck(Module):
-    """Four pyramid maps -> one [N, width, H/4, W/4] map."""
+    """Four pyramid maps -> one [N, H/4, W/4, width] map."""
 
     def __init__(self, in_channels, rng, width=64):
         if len(in_channels) != 4:
@@ -68,6 +72,6 @@ class Neck(Module):
         x = self.projects[3](features[3])
         for level in (2, 1, 0):
             p = self.projects[level](features[level])
-            up = T.bilinear_resize(x, p.shape[2], p.shape[3])
+            up = T.bilinear_resize(x, p.shape[1], p.shape[2])
             x = self.fuses[level](p + up)
         return x

@@ -62,6 +62,9 @@ class Linear(Module):
 
 
 class Conv2d(Module):
+    """Channels-last conv, [N, h, w, C] -> [N, oh, ow, O], through T.conv2d;
+    the weight keeps the [O, C/groups, k, k] layout."""
+
     def __init__(self, in_ch, out_ch, kernel_size, rng, stride=1, padding=0, groups=1, bias=True):
         fan_out = kernel_size * kernel_size * out_ch // groups
         std = math.sqrt(2.0 / fan_out)
@@ -86,14 +89,3 @@ class LayerNorm(Module):
     def __call__(self, x):
         return T.layer_norm(x, self.gamma, self.beta, self.eps)
 
-
-def tokens_to_map(x, h, w):
-    """[N, H*W, C] tokens -> [N, C, H, W] map."""
-    n, t, c = x.shape
-    return T.transpose(T.reshape(x, (n, h, w, c)), (0, 3, 1, 2))
-
-
-def map_to_tokens(x):
-    """[N, C, H, W] map -> [N, H*W, C] tokens."""
-    n, c, h, w = x.shape
-    return T.reshape(T.transpose(x, (0, 2, 3, 1)), (n, h * w, c))

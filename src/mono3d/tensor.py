@@ -34,7 +34,7 @@ _seq_at_reset = 0
 
 # the name each op records its nodes under
 OP_NAMES = frozenset((
-    "abs", "add", "attention", "bilinear", "clip", "conv2d", "conv3x3_nhwc", "exp", "gelu", "getitem",
+    "abs", "add", "attention", "bilinear", "clip", "conv2d", "exp", "gelu", "getitem",
     "layer_norm", "linear", "log", "matmul", "mean", "mul", "patches_at", "power", "relu",
     "reshape", "roi_align", "sigmoid", "softmax", "sqrt", "stack", "sum", "transpose",
 ))
@@ -562,175 +562,119 @@ def layer_norm(x, gamma, beta, eps=1e-6):
 
 
 def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1):
-    """Dense 2-D cross-correlation, NCHW layout, weight [O, C, kH, kW].
+    """2-D cross-correlation, channels last: x [N, h, w, C] -> [N, oh, ow, O],
+    weight [O, C/groups, kH, kW].
 
-    The forward, gW and gx are one 2-D GEMM each (Chellapilla et al.,
-    2006). The forward multiplies by the input's im2col patch matrix
-    [C*kh*kw, N*oh*ow]. At stride 1 that matrix dies with the forward: the
-    backward builds the im2col [O*kh*kw, N*h*w] of the zero-padded output
-    gradient, and gx is the flipped, channel-transposed kernel times it
-    (Dumoulin & Visin, 2016), gW the flip of it times the channel-major
-    input. Strided convs keep the forward matrix for gW and scatter gx
-    through col2im. gx is not computed when x needs no gradient; its slot
-    is None. groups must be 1: the depthwise 3x3 convs run channels-last
-    through conv3x3_nhwc.
+    Dense (groups 1): the forward, gW and gx are one 2-D GEMM each
+    (Chellapilla et al., 2006). The forward multiplies the padded input's
+    patch matrix [N*oh*ow, kh*kw*C] (kernels.im2col) by the weight's
+    (tap, channel) columns. At stride 1 that matrix dies with the forward:
+    the backward builds the patch matrix [N*h*w, kh*kw*O] of the zero-padded
+    output gradient's frame, and gx is it times the flipped,
+    channel-transposed kernel (Dumoulin & Visin, 2016), gW the flip of its
+    transpose times the input. Strided convs keep the forward matrix for gW
+    and scatter gx through kernels.col2im.
+
+    Depthwise (groups == C == O, weight [C, 1, 3, 3], stride 1, padding 1):
+    nine shifted multiply-adds over one padded [N, h+2, (w+2)*C] frame
+    (kernels.depthwise3x3), each tap's weights tiled into one (w*C)-long
+    row; gx runs the same kernel over the padded output gradient with the
+    taps reversed, and gW is one reduction per tap.
+
+    gx is not computed when x needs no gradient; its slot is None.
     """
     if x.ndim != 4 or weight.ndim != 4:
-        raise DimensionError("conv2d expects 4-D input and weight")
+        raise DimensionError(f"conv2d expects x [N, h, w, C] and a 4-D weight, got {x.shape} and {weight.shape}")
     if stride < 1 or padding < 0:
         raise UsageError("conv2d needs stride >= 1 and padding >= 0")
-    n, c, h, w = x.shape
+    n, h, w, c = x.shape
     o, cg, kh, kw = weight.shape
-    if groups != 1 or cg != c:
+    dense = groups == 1 and cg == c
+    if not dense and not (groups == c == o and cg == 1 and (kh, kw, stride, padding) == (3, 3, 1, 1)):
         raise DimensionError(
-            f"conv2d is dense (groups=1, weight [O, C, kH, kW]); got groups={groups}, input C={c}, "
-            f"weight {weight.shape}. Depthwise 3x3 convs run channels-last through conv3x3_nhwc"
+            f"conv2d is dense (groups=1, weight [O, {c}, kH, kW]) or depthwise 3x3 with stride 1 and "
+            f"padding 1 (groups={c}, weight [{c}, 1, 3, 3]); got groups={groups}, weight {weight.shape}, "
+            f"stride {stride}, padding {padding}"
         )
+    if bias is not None and bias.shape != (o,):
+        raise DimensionError(f"conv2d bias must have shape ({o},), got {bias.shape}")
     oh = (h + 2 * padding - kh) // stride + 1
     ow = (w + 2 * padding - kw) // stride + 1
     if oh < 1 or ow < 1:
         raise DimensionError(f"kernel {kh}x{kw} does not fit {h}x{w} input with padding {padding}")
-    xd, wt = x.data, weight.data
     b = None if bias is None else bias.data
     need_gx = x.requires_grad or x._node is not None
-    hp, wp = h + 2 * padding, w + 2 * padding
-    cols = kernels.im2col(_spread(xd, (n, c, hp, wp), padding, padding), kh, kw, stride, stride, oh, ow)
-    w2 = wt.reshape(o, c * kh * kw)
-    out = _nchw(w2 @ cols, n, oh, ow, b)
+    if dense:
+        out, vjp = _conv_dense(x.data, weight.data, b, stride, padding, need_gx)
+    else:
+        out, vjp = _conv_depthwise(x.data, weight.data, b, need_gx)
     inputs = (x, weight) + ((bias,) if bias is not None else ())
-    if stride == 1:
-        del cols  # the stride-1 backward needs no forward patch matrix
-        return _record("conv2d", out, inputs, _frame_vjp(xd, wt, padding, b is not None, need_gx))
-
-    def vjp(g):
-        g2 = g.transpose(1, 0, 2, 3).reshape(o, n * oh * ow)
-        gw = (g2 @ cols.T).reshape(wt.shape)
-        gx = None
-        if need_gx:
-            gxp = kernels.col2im(w2.T @ g2, hp, wp, kh, kw, stride, stride, oh, ow)
-            gx = np.ascontiguousarray(gxp[:, :, padding : padding + h, padding : padding + w])
-        return (gx, gw) if b is None else (gx, gw, g2.sum(axis=1))
-
     return _record("conv2d", out, inputs, vjp)
 
 
-def _spread(a, shape, top, left):
-    """Zeros of `shape` holding a[..., y, x] at (top + y, left + x): a zero
-    pad; a itself comes back when it already has `shape`."""
+def _pad(a, shape, top, left):
+    """Zeros of `shape` [N, H, W, C] holding a[:, y, x] at (top + y, left + x):
+    a zero pad; a itself comes back when it already has `shape`."""
     if a.shape == shape:
         return a
     out = np.zeros(shape, dtype=a.dtype)
-    h, w = a.shape[-2:]
-    out[..., top : top + h, left : left + w] = a
+    h, w = a.shape[1:3]
+    out[:, top : top + h, left : left + w] = a
     return out
 
 
-def _gradient_frame(g, kh, kw, padding, h, w):
-    """The output gradient of a stride-1 conv laid out so that a
-    correlation with the flipped kernel yields gx [.., h, w].
+def _tall_matmul(a, bt):
+    """a [M, K] @ bt.T for a tall a (M >> O) -> C-contiguous [M, O].
 
-    g[y, x] sits at (kh - 1 - padding + y, kw - 1 - padding + x) of an
-    [h + kh - 1, w + kw - 1] zero frame; rows and columns that fall
-    outside (padding > k - 1) see only padding, so they are left out.
+    Computed as bt @ a.T, an [O, M] product, whose transpose is copied: in
+    that orientation OpenBLAS touches fewer buffer pages, and a toy
+    training step's peak RSS reads ~4 MB lower than with a @ bt.T.
     """
-    n, c, oh, ow = g.shape
-    frame = _spread(g, (n, c, max(padding + h, oh) + kh - 1, max(padding + w, ow) + kw - 1), kh - 1, kw - 1)
-    return frame[:, :, padding : padding + h + kh - 1, padding : padding + w + kw - 1]
+    return np.ascontiguousarray((bt @ a.T).T)
 
 
-def _nchw(m, n, h, w, b):
-    """[O, N*h*w] GEMM result -> contiguous [N, O, h, w], plus bias b if given."""
-    view = m.reshape(-1, n, h, w).transpose(1, 0, 2, 3)
-    if b is None:
-        return np.ascontiguousarray(view)
-    return np.add(view, b[:, None, None], out=np.empty(view.shape, dtype=m.dtype))
-
-
-def _frame_vjp(x, wt, padding, has_bias, need_gx):
-    """vjp of a stride-1 dense conv from one patch matrix, the im2col
-    gcols [O*kh*kw, N*h*w] of the output gradient's frame:
-    gx = W_flip @ gcols and gW = flip(gcols @ x2.T), x2 the channel-major
-    input [C, N*h*w]. Beats col2im for gx (BENCH_conv_gemm.json,
-    stride1_gx_ablation) and needs no forward patch matrix for gW."""
-    n, c, h, w = x.shape
-    o, _, kh, kw = wt.shape
-
-    def vjp(g):
-        gcols = kernels.im2col(_gradient_frame(g, kh, kw, padding, h, w), kh, kw, 1, 1, h, w)
-        x2 = x.transpose(1, 0, 2, 3).reshape(c, n * h * w)
-        gw = (gcols @ x2.T).reshape(o, kh, kw, c)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
-        gx = None
-        if need_gx:
-            w_flip = wt[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, o * kh * kw)
-            gx = _nchw(w_flip @ gcols, n, h, w, None)
-        return (gx, gw, g.sum(axis=(0, 2, 3))) if has_bias else (gx, gw)
-
-    return vjp
-
-
-def conv3x3_nhwc(x, weight, bias=None):
-    """3x3 cross-correlation, stride 1, zero padding 1, channels last:
-    x [N, h, w, C] -> [N, h, w, O], weight in the NCHW layout [O, C, 3, 3]
-    (dense) or [C, 1, 3, 3] (depthwise, O == C), picked by its shape.
-
-    Dense: the [N*h*w, 9C] patch matrix of the padded input
-    (kernels.patches3x3) times the weight's (tap, channel) columns. The
-    backward builds the same matrix of the padded output gradient, as
-    conv2d's stride-1 backward does, so the graph holds no patch matrix:
-    gx is it times the flipped kernel's columns and gW the flip of its
-    transpose times the input. Depthwise: nine shifted multiply-adds over
-    one padded [N, h+2, (w+2)*C] frame (kernels.depthwise3x3), each tap's
-    weights tiled into one (w*C)-long row; gx runs the same kernel over
-    the padded output gradient with the taps reversed, and gW is one
-    reduction per tap. gx is not computed when x needs no gradient; its
-    slot is None.
-    """
-    if x.ndim != 4 or weight.ndim != 4 or weight.shape[2:] != (3, 3):
-        raise DimensionError(f"conv3x3_nhwc needs x [N, h, w, C] and a 3x3 weight, got {x.shape} and {weight.shape}")
-    c = x.shape[3]
-    o, cg = weight.shape[:2]
-    if cg == c:
-        conv = _conv3x3_dense
-    elif cg == 1 and o == c:
-        conv = _conv3x3_depthwise
-    else:
-        raise DimensionError(f"weight {weight.shape} is neither dense [O, {c}, 3, 3] nor depthwise [{c}, 1, 3, 3]")
-    if bias is not None and bias.shape != (o,):
-        raise DimensionError(f"conv3x3_nhwc bias must have shape ({o},), got {bias.shape}")
-    b = None if bias is None else bias.data
-    need_gx = x.requires_grad or x._node is not None
-    out, vjp = conv(x.data, weight.data, b, need_gx)
-    inputs = (x, weight) + ((bias,) if bias is not None else ())
-    return _record("conv3x3_nhwc", out, inputs, vjp)
-
-
-def _pad1(a):
-    """[N, h, w, C] -> [N, h+2, w+2, C] with a zero border."""
-    n, h, w, c = a.shape
-    out = np.zeros((n, h + 2, w + 2, c), dtype=a.dtype)
-    out[:, 1:-1, 1:-1] = a
-    return out
-
-
-def _conv3x3_dense(x, wt, b, need_gx):
-    """Output and vjp of a dense channels-last 3x3 conv: three 2-D GEMMs."""
+def _conv_dense(x, wt, b, stride, padding, need_gx):
+    """Output and vjp of a dense channels-last conv: three 2-D GEMMs."""
     n, h, w, c = x.shape
-    o = wt.shape[0]
-    # [O, 9C] @ patches.T: the other order, patches @ [9C, O], made the BLAS
-    # touch more buffer pages and raised a float32 infer's peak RSS
-    out = wt.transpose(0, 2, 3, 1).reshape(o, 9 * c) @ kernels.patches3x3(_pad1(x)).T  # [O, N*h*w]
+    o, _, kh, kw = wt.shape
+    hp, wp = h + 2 * padding, w + 2 * padding
+    cols = kernels.im2col(_pad(x, (n, hp, wp, c), padding, padding), kh, kw, stride)
+    out = _tall_matmul(cols, wt.transpose(0, 2, 3, 1).reshape(o, kh * kw * c))  # (tap, channel) columns
     if b is not None:
-        out += b[:, None]
+        out += b
+    out = out.reshape(n, (hp - kh) // stride + 1, (wp - kw) // stride + 1, o)
+    has_bias = b is not None
+
+    if stride == 1:
+        del cols  # the stride-1 backward needs no forward patch matrix
+
+        def vjp(g):
+            # g[y, x] sits at (kh - 1 - padding + y, kw - 1 - padding + x) of an
+            # [h + kh - 1, w + kw - 1] frame; rows and columns that fall outside
+            # (padding > k - 1) see only padding, so they are cut off
+            oh, ow = g.shape[1:3]
+            frame = _pad(g, (n, max(padding + h, oh) + kh - 1, max(padding + w, ow) + kw - 1, o), kh - 1, kw - 1)
+            frame = frame[:, padding : padding + h + kh - 1, padding : padding + w + kw - 1]
+            gcols = kernels.im2col(frame, kh, kw, 1)  # [N*h*w, kh*kw*O], columns (i, j, o)
+            gw = (gcols.T @ x.reshape(-1, c)).reshape(kh, kw, o, c)[::-1, ::-1].transpose(2, 3, 0, 1)
+            gx = None
+            if need_gx:
+                w_flip = wt[:, :, ::-1, ::-1].transpose(1, 2, 3, 0).reshape(c, kh * kw * o)
+                gx = _tall_matmul(gcols, w_flip).reshape(x.shape)
+            return (gx, gw, g.reshape(-1, o).sum(axis=0)) if has_bias else (gx, gw)
+
+        return out, vjp
 
     def vjp(g):
-        gcols = kernels.patches3x3(_pad1(g))  # [N*h*w, 9O], columns (i, j, o)
-        gw = (gcols.T @ x.reshape(-1, c)).reshape(3, 3, o, c)[::-1, ::-1].transpose(2, 3, 0, 1)
+        g2 = g.reshape(-1, o)
+        gw = (g2.T @ cols).reshape(o, kh, kw, c).transpose(0, 3, 1, 2)
         gx = None
         if need_gx:
-            gx = (gcols @ wt[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(9 * o, c)).reshape(x.shape)
-        return (gx, gw) if b is None else (gx, gw, g.reshape(-1, o).sum(axis=0))
+            gxp = kernels.col2im(g2 @ wt.transpose(0, 2, 3, 1).reshape(o, kh * kw * c), hp, wp, kh, kw, stride)
+            gx = np.ascontiguousarray(gxp[:, padding : padding + h, padding : padding + w])
+        return (gx, gw, g2.sum(axis=0)) if has_bias else (gx, gw)
 
-    return out.T.reshape(n, h, w, o), vjp  # a channels-last view of [O, N*h*w]
+    return out, vjp
 
 
 def _overlap(d, n):
@@ -744,17 +688,21 @@ def _tiled_taps(wt, w):
     return np.tile(wt.reshape(len(wt), 9).T, (1, w))
 
 
-def _conv3x3_depthwise(x, wt, b, need_gx):
+def _conv_depthwise(x, wt, b, need_gx):
     """Output and vjp of a channels-last 3x3 depthwise conv."""
     n, h, w, c = x.shape
-    out = kernels.depthwise3x3(_pad1(x).reshape(n, h + 2, -1), _tiled_taps(wt, w))
+
+    def frame(a):  # [N, h, w, C] -> zero-padded [N, h+2, (w+2)*C]
+        return _pad(a, (n, h + 2, w + 2, c), 1, 1).reshape(n, h + 2, -1)
+
+    out = kernels.depthwise3x3(frame(x), _tiled_taps(wt, w))
     if b is not None:
         out += np.tile(b, w)
 
     def vjp(g):  # keeps x and wt, not the padded frame or the tiled taps
         gx = None
         if need_gx:
-            gx = kernels.depthwise3x3(_pad1(g).reshape(n, h + 2, -1), _tiled_taps(wt, w)[::-1]).reshape(n, h, w, c)
+            gx = kernels.depthwise3x3(frame(g), _tiled_taps(wt, w)[::-1]).reshape(x.shape)
         gw = np.empty_like(wt)
         for k in range(9):
             i, j = divmod(k, 3)
@@ -766,20 +714,21 @@ def _conv3x3_depthwise(x, wt, b, need_gx):
 
 
 def patches_at(x, image, row, col):
-    """Zero-padded 3x3 neighbourhoods of x [N, C, h, w] at the M cells
-    (image[m], row[m], col[m]) -> [M, C*9].
+    """Zero-padded 3x3 neighbourhoods of x [N, h, w, C] at the M cells
+    (image[m], row[m], col[m]) -> [M, 9*C].
 
-    Column (c, i, j) holds x[image, c, row + i - 1, col + j - 1], zero off
-    the map: the order of weight.reshape(O, -1) for a 3x3 kernel, so
-    patches @ W.T is a padding-1 conv read at those cells only. Cells may
-    repeat; the gradient scatter-adds into the owning image only.
+    Column (i*3 + j)*C + c holds x[image, row + i - 1, col + j - 1, c],
+    zero off the map: the (tap, channel) order of a 3x3 conv's patch
+    matrix (kernels.im2col), so patches @ W.transpose(2, 3, 1, 0).reshape(9C, O)
+    is a padding-1 conv read at those cells only. Cells may repeat; the
+    gradient scatter-adds into the owning image only.
     """
     if x.ndim != 4:
-        raise DimensionError(f"expected [N, C, h, w] features, got {x.shape}")
+        raise DimensionError(f"expected [N, h, w, C] features, got {x.shape}")
     image, row, col = (np.asarray(a, dtype=np.int64) for a in (image, row, col))
     if image.ndim != 1 or not (image.shape == row.shape == col.shape):
         raise DimensionError(f"expected equal [M] index arrays, got {image.shape}, {row.shape}, {col.shape}")
-    n, c, h, w = x.shape
+    n, h, w, c = x.shape
     if np.any((image < 0) | (image >= n) | (row < 0) | (row >= h) | (col < 0) | (col >= w)):
         raise UsageError(f"cells outside the [{n}, {h}, {w}] map")
     di, dj = np.divmod(np.arange(9), 3)
@@ -788,12 +737,12 @@ def patches_at(x, image, row, col):
     ys, xs = np.clip(ys, 0, h - 1)[..., None], np.clip(xs, 0, w - 1)[..., None]
     weights = on[..., None].astype(x.dtype)  # [M, 9, 1] taps, weight 0 off the map
     m = len(image)
-    out = np.ascontiguousarray(kernels.tap_gather(x.data, image, ys, xs, weights).transpose(0, 2, 1))
+    out = kernels.tap_gather(x.data, image, ys, xs, weights)  # [M, 9, C]
 
     def vjp(g):
-        return (kernels.tap_scatter(g.reshape(m, c, 9).transpose(0, 2, 1), image, ys, xs, weights, n, h, w),)
+        return (kernels.tap_scatter(g.reshape(m, 9, c), image, ys, xs, weights, n, h, w),)
 
-    return _record("patches_at", out.reshape(m, c * 9), (x,), vjp)
+    return _record("patches_at", out.reshape(m, 9 * c), (x,), vjp)
 
 
 def _bilinear_axis(src, limit):
@@ -805,7 +754,7 @@ def _bilinear_axis(src, limit):
 
 
 def roi_align(x, boxes, batch_idx, out_size=(7, 7)):
-    """RoIAlign: each box of x[N,C,H,W] sampled on an ry x rx grid -> [M,ry,rx,C].
+    """RoIAlign: each box of x [N, H, W, C] sampled on an ry x rx grid -> [M, ry, rx, C].
 
     boxes[M, 4] are (x1, y1, x2, y2) in map units, pixel edges (the whole
     map is (0, 0, W, H)); the half-pixel sample centers are
@@ -814,14 +763,14 @@ def roi_align(x, boxes, batch_idx, out_size=(7, 7)):
     flows only into that image.
     """
     if x.ndim != 4:
-        raise DimensionError(f"expected [N, C, h, w] features, got {x.shape}")
+        raise DimensionError(f"expected [N, h, w, C] features, got {x.shape}")
     boxes = np.asarray(boxes, dtype=np.float64)
     batch_idx = np.asarray(batch_idx, dtype=np.int64)
     if boxes.ndim != 2 or boxes.shape[1] != 4 or batch_idx.shape != boxes.shape[:1]:
         raise DimensionError(
             f"expected boxes [M, 4] and batch_idx [M], got {boxes.shape} and {batch_idx.shape}"
         )
-    n, c, h, w = x.shape
+    n, h, w, c = x.shape
     if np.any((batch_idx < 0) | (batch_idx >= n)):
         raise UsageError(f"batch_idx outside [0, {n}): {batch_idx}")
     ry, rx = out_size
@@ -864,7 +813,8 @@ def _interp_matrix(out_n, n, dtype=np.float64):
 
 
 def bilinear_resize(x, out_h, out_w):
-    """Resize NCHW maps with exact bilinear weights: Wy @ x @ Wx.T.
+    """Resize maps [N, h, w, C] along axes 1 and 2 with exact bilinear
+    weights: Wy along h, then Wx along w.
 
     Half-pixel centers, clamped to the border (see _interp_matrix); the
     matrices take x's dtype. out == in gives identity matrices, so the
@@ -872,7 +822,7 @@ def bilinear_resize(x, out_h, out_w):
     """
     if out_h < 1 or out_w < 1:
         raise DimensionError("bilinear_resize target size must be >= 1")
-    _, _, h, w = x.shape
+    h, w = x.shape[1:3]
     wy, wx = _interp_matrix(out_h, h, x.dtype), _interp_matrix(out_w, w, x.dtype)
     out = kernels.bilinear_gather(x.data, wy, wx)
 

@@ -83,17 +83,17 @@ def test_criterion_02_pyramid_ceil_contract():
         h, w = (int(v) for v in rng.integers(32, 161, size=2))
         with T.no_grad():
             feats = bb(Tensor(rng.normal(size=(1, 3, h, w))))
-        got = [f.data.shape[2:] for f in feats]
+        got = [f.data.shape[1:3] for f in feats]  # channels-last maps [N, h, w, C]
         want = [(-(-h // s), -(-w // s)) for s in strides]
         assert got == want, (h, w, got)
     b2 = Backbone(backbone_config("b2"), np.random.default_rng(2))
     with T.no_grad():
         feats = b2(Tensor(np.random.default_rng(3).normal(size=(1, 3, 380, 1280))))
     assert [f.data.shape[1:] for f in feats] == [
-        (64, 95, 320),
-        (128, 48, 160),
-        (320, 24, 80),
-        (512, 12, 40),
+        (95, 320, 64),
+        (48, 160, 128),
+        (24, 80, 320),
+        (12, 40, 512),
     ]
 
 

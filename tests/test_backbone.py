@@ -101,9 +101,9 @@ def test_desk_forward_shapes_random_sizes(seed):
         feats = bb(x)
     expected = pyramid_shapes(h, w)
     assert len(feats) == 4
-    for level, f in enumerate(feats):
-        assert f.shape[1] == backbone_config("desk").stages[level].dim
-        assert (f.shape[2], f.shape[3]) == expected[level]
+    for level, f in enumerate(feats):  # channels-last maps
+        assert f.shape[3] == backbone_config("desk").stages[level].dim
+        assert (f.shape[1], f.shape[2]) == expected[level]
 
 
 def test_stride_constants():
@@ -141,8 +141,8 @@ def _probe_far_pixel(use_attention):
     x_pert = x.copy()
     x_pert[0, :, 120:, 248:] += 1.0
     with T.no_grad():
-        base = bb(Tensor(x))[3].data[0, :, 0, 0]
-        pert = bb(Tensor(x_pert))[3].data[0, :, 0, 0]
+        base = bb(Tensor(x))[3].data[0, 0, 0, :]
+        pert = bb(Tensor(x_pert))[3].data[0, 0, 0, :]
     return np.max(np.abs(pert - base))
 
 
@@ -168,8 +168,9 @@ def test_backbone_grad_check():
     bb = Backbone(_tiny_config(), np.random.default_rng(14))
     x = Tensor(np.random.default_rng(15).normal(size=(1, 3, 32, 32)), requires_grad=True)
     prng = np.random.default_rng(40)
-    r0 = Tensor(prng.normal(size=(1, 4, 8, 8)))
-    r1 = Tensor(prng.normal(size=(1, 8, 4, 4)))
+    # channels-last probes of the normals drawn channel-major
+    r0 = Tensor(prng.normal(size=(1, 4, 8, 8)).transpose(0, 2, 3, 1))
+    r1 = Tensor(prng.normal(size=(1, 8, 4, 4)).transpose(0, 2, 3, 1))
 
     def f(t):
         feats = bb(t)
@@ -182,7 +183,7 @@ def test_backbone_grad_check():
 def test_backbone_param_grad_check():
     bb = Backbone(_tiny_config(), np.random.default_rng(17))
     x = Tensor(np.random.default_rng(18).normal(size=(1, 3, 32, 32)))
-    r0 = Tensor(np.random.default_rng(41).normal(size=(1, 4, 8, 8)))
+    r0 = Tensor(np.random.default_rng(41).normal(size=(1, 4, 8, 8)).transpose(0, 2, 3, 1))
     w = dict(bb.named_parameters())["stage_list.0.blocks.0.attn.kv.weight"]
 
     def f(t):

@@ -456,7 +456,9 @@ def test_gradcheck_fault_injection_fails_and_names_op(tmp_path, capsys):
     assert "FAILING:" in text and "relu" in text.split("FAILING:")[1]
 
 
-@pytest.mark.parametrize("op, code", [("linear", 1), ("attention", 1), ("conv3x3_nhwc", 1), ("attentoin", 2)])
+@pytest.mark.parametrize(
+    "op, code", [("linear", 1), ("attention", 1), ("conv2d", 1), ("conv3x3_nhwc", 2), ("attentoin", 2)]
+)
 def test_gradcheck_fault_injection_exit_codes(tmp_path, capsys, op, code):
     # the fused ops' rules are caught; a name that no op records is a bad
     # invocation, not a vacuous pass

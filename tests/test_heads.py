@@ -28,6 +28,11 @@ from mono3d.tensor import Tensor
 import oracles
 
 
+def _map(rng, n, c, h, w):
+    """A channels-last map [n, h, w, c] of the normals drawn as [n, c, h, w]."""
+    return rng.normal(size=(n, c, h, w)).transpose(0, 2, 3, 1).copy()
+
+
 def _zero_params(module):
     for p in module.parameters():
         p.data[...] = 0.0
@@ -45,7 +50,7 @@ CELLS = (np.array([0, 1, 0, 1, 1, 0, 1]), np.array([0, 3, 2, 0, 3, 3, 1]), np.ar
 def test_heads2d_zero_weights():
     heads = Heads2D(8, 3, np.random.default_rng(0))
     _zero_params(heads)
-    x = Tensor(np.random.default_rng(1).normal(size=(2, 8, 4, 6)))
+    x = Tensor(_map(np.random.default_rng(1), 2, 8, 4, 6))
     assert np.allclose(heads(x).data, 0.5)
     offset, size = heads.at(x, *CELLS)
     assert np.array_equal(offset.data, np.zeros((7, 2)))
@@ -54,7 +59,7 @@ def test_heads2d_zero_weights():
 
 def test_heads2d_focal_bias_init():
     heads = Heads2D(8, 3, np.random.default_rng(2))
-    heatmap = heads(Tensor(np.zeros((1, 8, 4, 4))))
+    heatmap = heads(Tensor(np.zeros((1, 4, 4, 8))))
     # zero input isolates the init bias: sigmoid(-2.19) ~ 0.1
     assert np.allclose(heatmap.data, 1.0 / (1.0 + math.exp(2.19)))
     assert abs(heatmap.data[0, 0, 0, 0] - 0.1) < 2e-3
@@ -62,7 +67,7 @@ def test_heads2d_focal_bias_init():
 
 def test_heads2d_range_and_shapes():
     heads = Heads2D(8, 3, np.random.default_rng(3))
-    x = Tensor(np.random.default_rng(4).normal(size=(2, 8, 5, 7)))
+    x = Tensor(_map(np.random.default_rng(4), 2, 8, 5, 7))
     heatmap = heads(x)
     offset, size = heads.at(x, [0, 1, 1], [0, 4, 2], [6, 0, 3])
     assert heatmap.shape == (2, 3, 5, 7)
@@ -74,7 +79,7 @@ def test_heads2d_range_and_shapes():
 @pytest.mark.parametrize("head_name", ["heat", "offset", "size"])
 def test_heads2d_grad_check(head_name):
     heads = Heads2D(4, 3, np.random.default_rng(5))
-    x = Tensor(np.random.default_rng(6).normal(size=(2, 4, 4, 6)), requires_grad=True)
+    x = Tensor(_map(np.random.default_rng(6), 2, 4, 4, 6), requires_grad=True)
     shape = {"heat": (2, 3, 4, 6), "offset": (7, 2), "size": (7, 2)}[head_name]
     r = Tensor(np.random.default_rng(7).normal(size=shape))
 
@@ -88,10 +93,10 @@ def test_heads2d_grad_check(head_name):
 
 
 def test_patches_at_matches_padded_slices():
-    x = np.random.default_rng(10).normal(size=(2, 3, 4, 6))
+    x = _map(np.random.default_rng(10), 2, 3, 4, 6)
     got = T.patches_at(Tensor(x), *CELLS).data
-    padded = np.pad(x, [(0, 0), (0, 0), (1, 1), (1, 1)])
-    want = [padded[n, :, r : r + 3, c : c + 3].reshape(-1) for n, r, c in zip(*CELLS)]
+    padded = np.pad(x, [(0, 0), (1, 1), (1, 1), (0, 0)])
+    want = [padded[n, r : r + 3, c : c + 3].reshape(-1) for n, r, c in zip(*CELLS)]
     assert np.array_equal(got, want)
 
 
@@ -99,17 +104,17 @@ def test_patches_at_gradient_is_the_adjoint():
     # <patches_at(x), g> == <x, vjp(g)>, so each tap's gradient lands on the
     # cell it read, in its own image, and repeated cells add up
     rng = np.random.default_rng(11)
-    x = Tensor(rng.normal(size=(2, 3, 4, 6)), requires_grad=True)
+    x = Tensor(_map(rng, 2, 3, 4, 6), requires_grad=True)
     g = rng.normal(size=(7, 27))
     T.backward(T.sum_(T.patches_at(x, *CELLS) * Tensor(g)))
-    padded = np.zeros((2, 3, 6, 8))
+    padded = np.zeros((2, 6, 8, 3))
     for (n, r, c), gm in zip(zip(*CELLS), g):
-        padded[n, :, r : r + 3, c : c + 3] += gm.reshape(3, 3, 3)
-    np.testing.assert_allclose(x.grad, padded[:, :, 1:-1, 1:-1], rtol=1e-13, atol=1e-13)
+        padded[n, r : r + 3, c : c + 3] += gm.reshape(3, 3, 3)
+    np.testing.assert_allclose(x.grad, padded[:, 1:-1, 1:-1], rtol=1e-13, atol=1e-13)
 
 
 def test_patches_at_validation():
-    x = Tensor(np.zeros((2, 3, 4, 6)))
+    x = Tensor(np.zeros((2, 4, 6, 3)))
     assert T.patches_at(x, [], [], []).shape == (0, 27)
     for cells in (([2], [0], [0]), ([0], [4], [0]), ([0], [0], [-1])):
         with pytest.raises(UsageError):
@@ -123,12 +128,12 @@ def test_patches_at_validation():
 def _dense_then_index(heads, x):
     """The offset and size heads run densely, then read at CELLS."""
     n, r, c = CELLS
-    return heads.offset(x)[n, :, r, c], heads.size(x)[n, :, r, c]
+    return heads.offset(x)[n, r, c], heads.size(x)[n, r, c]
 
 
 def test_heads2d_at_matches_dense_heads_at_the_cells():
     heads = Heads2D(8, 3, np.random.default_rng(12))
-    x = Tensor(np.random.default_rng(13).normal(size=(2, 8, 4, 6)))
+    x = Tensor(_map(np.random.default_rng(13), 2, 8, 4, 6))
     for got, want in zip(heads.at(x, *CELLS), _dense_then_index(heads, x)):
         assert got.dtype == np.float64
         np.testing.assert_allclose(got.data, want.data, rtol=1e-12, atol=1e-12)
@@ -137,7 +142,7 @@ def test_heads2d_at_matches_dense_heads_at_the_cells():
 def test_heads2d_at_gradients_match_dense_heads():
     heads = Heads2D(8, 3, np.random.default_rng(14))
     rng = np.random.default_rng(15)
-    x = Tensor(rng.normal(size=(2, 8, 4, 6)), requires_grad=True)
+    x = Tensor(_map(rng, 2, 8, 4, 6), requires_grad=True)
     probes = [Tensor(rng.normal(size=(7, 2))) for _ in range(2)]
     params = [x] + heads.offset.parameters() + heads.size.parameters()
     grads = []
@@ -266,16 +271,16 @@ def _boxes(*specs):
 
 def test_roi_whole_map_identity():
     rng = np.random.default_rng(10)
-    fmap = rng.normal(size=(2, 3, 7, 7))
+    fmap = _map(rng, 2, 3, 7, 7)
     # box spanning the full 7x7 map in input pixels (28x28 box centered at 14)
     box = ((14.0, 14.0), (28.0, 28.0))
     out, valid = roi_crop(Tensor(fmap), _boxes(box, box), [1, 0], out_size=(7, 7))
     assert valid.tolist() == [True, True]
-    assert np.max(np.abs(out.data.transpose(0, 3, 1, 2) - fmap[::-1])) < 1e-12
+    assert np.max(np.abs(out.data - fmap[::-1])) < 1e-12
 
 
 def test_roi_constant_map():
-    fmap = np.full((2, 2, 6, 6), 3.25)
+    fmap = np.full((2, 6, 6, 2), 3.25)
     boxes = _boxes(((9.0, 13.0), (6.0, 9.0)), ((2.0, 22.0), (12.0, 9.0)))
     out, _ = roi_crop(Tensor(fmap), boxes, [0, 1], out_size=(5, 5))
     assert out.shape == (2, 5, 5, 2)
@@ -285,7 +290,7 @@ def test_roi_constant_map():
 def test_roi_half_pixel_ramp_shift():
     # ramp f[y][x] = x in feature coords; shifting the box by half a feature
     # pixel (2 input px) must shift every sample by exactly 0.5
-    fmap = np.tile(np.arange(16.0), (1, 1, 16, 1))
+    fmap = np.tile(np.arange(16.0)[:, None], (1, 16, 1, 1))
     base = ((24.0, 32.0), (16.0, 16.0))
     shifted = ((26.0, 32.0), (16.0, 16.0))
     out, _ = roi_crop(Tensor(fmap), _boxes(base, shifted), [0, 0], out_size=(4, 4))
@@ -293,7 +298,7 @@ def test_roi_half_pixel_ramp_shift():
 
 
 def test_roi_zero_area_rejected():
-    fmap = Tensor(np.random.default_rng(9).normal(size=(1, 2, 6, 6)))
+    fmap = Tensor(_map(np.random.default_rng(9), 1, 2, 6, 6))
     outside = ((-40.0, 12.0), (8.0, 8.0))
     flat = ((12.0, 12.0), (0.0, 8.0))
     inside = ((12.0, 12.0), (8.0, 8.0))
@@ -306,7 +311,7 @@ def test_roi_zero_area_rejected():
 
 
 def test_roi_rejects_mismatched_image_index():
-    fmap = Tensor(np.zeros((2, 2, 6, 6)))
+    fmap = Tensor(np.zeros((2, 6, 6, 2)))
     box = ((12.0, 12.0), (8.0, 8.0))
     with pytest.raises(DimensionError):
         roi_crop(fmap, _boxes(box, box), [0])
@@ -332,7 +337,7 @@ def test_roi_crop_matches_pointwise_oracle():
     fmap = np.random.default_rng(30).normal(size=(3, 4, 10, 12))
     spec = _border_boxes()
     image_index = [0, 1, 2, 0, 1, 2, 1, 0]
-    out, valid = roi_crop(Tensor(fmap), _boxes(*spec), image_index, out_size=(7, 5))
+    out, valid = roi_crop(Tensor(fmap.transpose(0, 2, 3, 1)), _boxes(*spec), image_index, out_size=(7, 5))
     assert valid.all()
     expected = oracles.roi_align_pointwise(
         fmap, [c for c, _ in spec], [s for _, s in spec], image_index, OUTPUT_STRIDE, (7, 5)
@@ -342,7 +347,7 @@ def test_roi_crop_matches_pointwise_oracle():
 
 
 def test_roi_grad_only_into_owning_images():
-    feat = Tensor(np.random.default_rng(31).normal(size=(3, 4, 10, 12)), requires_grad=True)
+    feat = Tensor(_map(np.random.default_rng(31), 3, 4, 10, 12), requires_grad=True)
     image_index = [0, 2, 2, 0, 2, 0, 0, 2]
     out, _ = roi_crop(feat, _boxes(*_border_boxes()), image_index)
     probe = np.random.default_rng(32).normal(size=out.shape)
@@ -354,7 +359,7 @@ def test_roi_grad_only_into_owning_images():
 
 
 def test_roi_grad_check():
-    feat = Tensor(np.random.default_rng(11).normal(size=(2, 2, 8, 8)), requires_grad=True)
+    feat = Tensor(_map(np.random.default_rng(11), 2, 2, 8, 8), requires_grad=True)
     probe = Tensor(np.random.default_rng(12).normal(size=(3, 2, 7, 7)).transpose(0, 2, 3, 1))
     boxes = _boxes(
         ((13.0, 17.0), (14.0, 10.0)),
@@ -402,8 +407,7 @@ def test_heads3d_zero_weights_give_priors_and_uniform_bins():
 
 def test_heads3d_grad_check():
     heads = Heads3D(4, 3, np.random.default_rng(20))
-    # channels-last RoIs, drawn channel-major
-    roi = Tensor(np.random.default_rng(21).normal(size=(2, 4, 7, 7)).transpose(0, 2, 3, 1).copy(), requires_grad=True)
+    roi = Tensor(_map(np.random.default_rng(21), 2, 4, 7, 7), requires_grad=True)
     rngp = np.random.default_rng(22)
     probes = [Tensor(rngp.normal(size=s)) for s in [(2, 2), (2, 12), (2, 12), (2, 3, 3), (2,), (2,), (2,)]]
 

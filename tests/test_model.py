@@ -69,7 +69,7 @@ def test_unknown_variant_rejected():
 def test_features_shape(desk):
     rng = np.random.default_rng(0)
     out = desk.features(rng.uniform(size=(1, 3, 64, 128)))
-    assert out.shape == (1, 64, 16, 32)
+    assert out.shape == (1, 16, 32, 64)  # channels last
     with pytest.raises(DimensionError):
         desk.features(rng.uniform(size=(1, 4, 64, 128)))
 
@@ -115,7 +115,8 @@ def test_failed_loss_terms_leaves_no_nodes(scene):
 
 def test_toy_step_graph_node_count():
     # one node per linear layer and per attention: the same step with the
-    # attention and the linear layers as separate ops recorded 370 nodes
+    # attention and the linear layers as separate ops recorded 370 nodes,
+    # and with NCHW maps between the token stages 290
     samples = build_synth_dataset(2, (96, 64), seed=7, n_objects=2, z_range=(4.5, 8.0), focal=120.0)
     images = T.stack([s.image for s in samples])
     det = Detector("desk", seed=0)
@@ -123,7 +124,27 @@ def test_toy_step_graph_node_count():
     terms = det.loss_terms(images, [s.targets for s in samples], [s.calib for s in samples])
     total, _ = total_loss(terms, make_weights(tier2=1.0, tier3=1.0))
     T.backward(total)
-    assert T.tape_length() == 290
+    assert T.tape_length() == 261
+
+
+def test_channels_last_maps_record_no_layout_transposes(scene, monkeypatch):
+    # maps stay [N, h, w, C] from the stem to the heads: the only recorded
+    # transposes are the heatmap's to [N, C_cls, h, w] and the four weight
+    # column views of the sparse offset and size heads (NCHW maps recorded 26)
+    calib, batch, targets = scene
+    recorded = []
+    record = T._record
+
+    def spy(name, out_data, inputs, vjp, **kwargs):
+        out = record(name, out_data, inputs, vjp, **kwargs)
+        if out._node is not None:
+            recorded.append(name)
+        return out
+
+    monkeypatch.setattr(T, "_record", spy)
+    Detector("desk", seed=0).loss_terms(batch, targets, calib)
+    assert recorded.count("transpose") == 5
+    assert recorded.count("conv2d") == 21
 
 
 def test_conv_ffn_gelu_and_fc2_read_contiguous_tokens(monkeypatch):
@@ -170,7 +191,7 @@ def test_loss_terms_scores_each_object_at_a_shared_center_cell(desk):
     image = np.random.default_rng(4).uniform(size=(1, 3, IMAGE_SIZE[1], IMAGE_SIZE[0]))
     terms = desk.loss_terms(image, [targets], calib)
     with T.no_grad():
-        pred = desk.heads2d.size(desk.features(image)).data[0, :, 7, 10]
+        pred = desk.heads2d.size(desk.features(image)).data[0, 7, 10]
     want = np.mean(np.abs(pred - targets.size2d))
     np.testing.assert_allclose(float(terms["size2d"].data), want, rtol=1e-12, atol=0.0)
 
@@ -269,7 +290,7 @@ def _infer_per_peak(det, image, calib, k):
     with T.no_grad():
         feat = det.features(image.data.astype(det.dtype))  # as infer casts it
         found = decode_heatmap_peaks(det.heads2d(feat).data[0], k=k)
-        at = (0, slice(None), found.row, found.col)  # [K, 2]: the dense offset and size maps at the peaks
+        at = (0, found.row, found.col)  # [K, 2]: the dense offset and size maps at the peaks
         peaks = found.boxes(det.heads2d.offset(feat).data[at], det.heads2d.size(feat).data[at])
         drops, dets3d = {}, []
         for i in range(len(peaks)):

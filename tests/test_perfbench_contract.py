@@ -6,6 +6,7 @@ the benchmark runs."""
 
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -65,11 +66,15 @@ def test_tracer_records_the_training_path():
         T.backward(total_loss(terms, make_weights())[0])
     finally:
         tracer.uninstall()
-    recorded = {tracer.names[i] for i in tracer._name}
-    assert {"model.loss_terms", "losses", "heads.roi_crop", "tensor.backward"} <= recorded
-    # the channels-last depthwise and RoI trunk convs pass through no
-    # nn.Conv2d call, so their forward time shows only in these spans
-    assert {"backbone.ffn", "heads.heads3d"} <= recorded
+    calls = Counter(tracer.names[i] for i in tracer._name)
+    assert {"model.loss_terms", "losses", "heads.roi_crop", "tensor.backward"} <= set(calls)
+    assert {"backbone.ffn", "heads.heads3d"} <= set(calls)
+    # every conv of the step goes through nn.Conv2d: 4 patch embeds, 3
+    # spatial reductions, 7 neck convs, the heatmap head's 2 and the RoI
+    # trunk, plus one depthwise conv per backbone block
+    assert calls["nn.conv2d"] == 17
+    assert calls["nn.conv2d_dw"] == 4
+    assert calls["kernels.im2col"] > 0
 
 
 def test_box_rows_reads_detections(scene):

@@ -27,12 +27,22 @@ def rt(rng, *shape):
 # ---------------------------------------------------------------------------
 
 
+def _nhwc(a):
+    """A C-contiguous channels-last copy of an [N, C, H, W] array."""
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1))
+
+
+def _conv_oracle(x, w, b, stride, padding, groups=1):
+    """oracles.conv2d_direct (NCHW) of a channels-last x, channels-last out."""
+    return _nhwc(oracles.conv2d_direct(x.transpose(0, 3, 1, 2), w, b, stride, padding, groups))
+
+
 def test_conv2d_all_ones():
-    x = Tensor(np.ones((1, 1, 3, 3)))
+    x = Tensor(np.ones((1, 3, 3, 1)))
     w = Tensor(np.ones((1, 1, 2, 2)))
     out = T.conv2d(x, w)
-    assert out.shape == (1, 1, 2, 2)
-    assert np.array_equal(out.data, np.full((1, 1, 2, 2), 4.0))
+    assert out.shape == (1, 2, 2, 1)
+    assert np.array_equal(out.data, np.full((1, 2, 2, 1), 4.0))
 
 
 def test_conv3x3_nhwc_depthwise_identity():
@@ -40,7 +50,7 @@ def test_conv3x3_nhwc_depthwise_identity():
     x = Tensor(rng.normal(size=(1, 5, 6, 4)))
     w = np.zeros((4, 1, 3, 3))
     w[:, 0, 1, 1] = 1.0
-    out = T.conv3x3_nhwc(x, Tensor(w))
+    out = T.conv2d(x, Tensor(w), padding=1, groups=4)
     assert np.array_equal(out.data, x.data)
 
 
@@ -49,10 +59,44 @@ def test_conv2d_matches_direct_oracle():
     x = rng.uniform(-1, 1, (2, 3, 8, 8))
     w = rng.uniform(-1, 1, (4, 3, 3, 3))
     b = rng.uniform(-1, 1, 4)
-    expected = oracles.conv2d_direct(x, w, b, stride=2, padding=1)
-    got = T.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=2, padding=1)
+    expected = _nhwc(oracles.conv2d_direct(x, w, b, stride=2, padding=1))
+    got = T.conv2d(Tensor(_nhwc(x)), Tensor(w), Tensor(b), stride=2, padding=1)
     assert got.shape == expected.shape
     assert np.max(np.abs(got.data - expected)) < 1e-10
+
+
+# (kernel, stride, padding) on an odd-sized map: with the 3x3 stride-1 cases
+# of test_conv3x3_nhwc_matches_direct_oracle, every kernel size the model
+# runs (1x1 neck and heads, 2x2 stride-2 reduction, 3x3, 7x7 stride-4 stem)
+ORACLE_CASES = {
+    "1x1_s1_p0": (1, 1, 0),
+    "2x2_s2_p0": (2, 2, 0),
+    "3x3_s2_p1": (3, 2, 1),
+    "7x7_s4_p3": (7, 4, 3),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_conv2d_matches_direct_oracle_in_its_dtype(case, dtype):
+    """The channels-last output is the NCHW oracle transposed, in the input's dtype."""
+    k, stride, padding = ORACLE_CASES[case]
+    rng = np.random.default_rng(3)
+    x = rng.uniform(-1, 1, (2, 3, 13, 11))
+    w = rng.uniform(-1, 1, (4, 3, k, k))
+    b = rng.uniform(-1, 1, 4)
+    x, w, b = (a.astype(dtype) for a in (x, w, b))
+    expected = _nhwc(oracles.conv2d_direct(x, w, b, stride, padding))
+    got = T.conv2d(Tensor(_nhwc(x), dtype=dtype), Tensor(w, dtype=dtype), Tensor(b, dtype=dtype), stride, padding)
+    assert got.dtype == dtype and got.shape == expected.shape
+    assert np.max(np.abs(got.data - expected)) < (1e-10 if dtype == np.float64 else 1e-5)
+
+
+def test_im2col_of_a_1x1_stride1_conv_is_a_view_of_its_input():
+    x = np.random.default_rng(4).normal(size=(2, 5, 7, 6))
+    cols = kernels.im2col(x, 1, 1, 1)
+    assert cols.shape == (2 * 5 * 7, 6)
+    assert np.shares_memory(cols, x)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -67,50 +111,55 @@ def test_conv3x3_nhwc_matches_direct_oracle(kind, dtype):
     x, w, b = (a.astype(dtype) for a in (x, w, b))
     groups = 1 if kind == "dense" else 6
     expected = oracles.conv2d_direct(x, w, b, stride=1, padding=1, groups=groups).transpose(0, 2, 3, 1)
-    got = T.conv3x3_nhwc(Tensor(x.transpose(0, 2, 3, 1), dtype=dtype), Tensor(w, dtype=dtype), Tensor(b, dtype=dtype))
+    got = T.conv2d(
+        Tensor(x.transpose(0, 2, 3, 1), dtype=dtype), Tensor(w, dtype=dtype), Tensor(b, dtype=dtype),
+        padding=1, groups=groups,
+    )
     assert got.dtype == dtype and got.shape == expected.shape
     assert np.max(np.abs(got.data - expected)) < (1e-10 if dtype == np.float64 else 1e-5)
 
 
 def test_conv2d_output_size_formula():
-    x = Tensor(np.zeros((1, 2, 11, 9)))
+    x = Tensor(np.zeros((1, 11, 9, 2)))
     w = Tensor(np.zeros((3, 2, 3, 3)))
     out = T.conv2d(x, w, stride=2, padding=1)
-    assert out.shape == (1, 3, (11 + 2 - 3) // 2 + 1, (9 + 2 - 3) // 2 + 1)
+    assert out.shape == (1, (11 + 2 - 3) // 2 + 1, (9 + 2 - 3) // 2 + 1, 3)
 
 
 def test_conv2d_shape_errors():
-    x = Tensor(np.zeros((1, 3, 4, 4)))
+    x = Tensor(np.zeros((1, 4, 4, 3)))
     w = Tensor(np.zeros((2, 4, 3, 3)))
     with pytest.raises(DimensionError):
         T.conv2d(x, w)
     with pytest.raises(DimensionError):
         T.conv2d(x, Tensor(np.zeros((2, 3, 3, 3))), groups=3)
     with pytest.raises(DimensionError, match="groups"):
-        T.conv2d(Tensor(np.zeros((1, 4, 5, 5))), Tensor(np.zeros((4, 2, 3, 3))), padding=1, groups=2)
-    with pytest.raises(DimensionError, match="conv3x3_nhwc"):
-        T.conv2d(Tensor(np.zeros((1, 4, 5, 5))), Tensor(np.zeros((4, 1, 3, 3))), padding=1, groups=4)
+        T.conv2d(Tensor(np.zeros((1, 5, 5, 4))), Tensor(np.zeros((4, 2, 3, 3))), padding=1, groups=2)
+    # depthwise convs are 3x3 with stride 1 and padding 1
+    with pytest.raises(DimensionError, match="depthwise"):
+        T.conv2d(Tensor(np.zeros((1, 5, 5, 4))), Tensor(np.zeros((4, 1, 3, 3))), padding=0, groups=4)
 
 
 def test_conv3x3_nhwc_shape_errors():
     x = Tensor(np.zeros((1, 5, 5, 4)))
-    for w in (np.zeros((4, 4, 1, 1)), np.zeros((4, 2, 3, 3)), np.zeros((3, 1, 3, 3)), np.zeros((4, 3, 3))):
+    for w, groups in ((np.zeros((4, 2, 3, 3)), 1), (np.zeros((3, 1, 3, 3)), 4), (np.zeros((4, 3, 3)), 1)):
         with pytest.raises(DimensionError):
-            T.conv3x3_nhwc(x, Tensor(w))
+            T.conv2d(x, Tensor(w), padding=1, groups=groups)
     with pytest.raises(DimensionError):
-        T.conv3x3_nhwc(Tensor(np.zeros((5, 5, 4))), Tensor(np.zeros((4, 4, 3, 3))))
+        T.conv2d(Tensor(np.zeros((5, 5, 4))), Tensor(np.zeros((4, 4, 3, 3))), padding=1)
     with pytest.raises(DimensionError, match="bias"):
-        T.conv3x3_nhwc(x, Tensor(np.zeros((2, 4, 3, 3))), Tensor(np.zeros(4)))
+        T.conv2d(x, Tensor(np.zeros((2, 4, 3, 3))), Tensor(np.zeros(4)), padding=1)
 
 
 def test_conv2d_nonfinite_input_raises():
-    x = Tensor(np.full((1, 1, 3, 3), np.nan))
+    x = Tensor(np.full((1, 3, 3, 1), np.nan))
     w = Tensor(np.ones((1, 1, 2, 2)))
     with pytest.raises(NumericError):
         T.conv2d(x, w)
 
 
-# (x shape, weight shape, stride, padding, groups): every conv2d branch
+# (NCHW x shape, weight shape, stride, padding, groups): every conv2d branch;
+# x is drawn in this shape and run channels-last
 CONV_CASES = {
     "s1_p0": ((2, 3, 6, 7), (4, 3, 3, 3), 1, 0, 1),
     "s1_p1": ((2, 3, 6, 7), (4, 3, 3, 3), 1, 1, 1),
@@ -121,6 +170,10 @@ CONV_CASES = {
 }
 
 
+def _draw_nhwc(rng, shape, requires_grad=True):
+    return Tensor(_nhwc(rng.uniform(-1, 1, shape)), requires_grad=requires_grad)
+
+
 @pytest.mark.parametrize("case", sorted(CONV_CASES))
 def test_conv2d_forward_and_adjoint_gradients(case):
     """Forward matches the direct loops; gx and gW satisfy the adjoint
@@ -128,20 +181,20 @@ def test_conv2d_forward_and_adjoint_gradients(case):
     of x and w), and gb is g summed over N, H, W."""
     xs, ws, stride, padding, groups = CONV_CASES[case]
     rng = np.random.default_rng(sorted(CONV_CASES).index(case))
-    x, w = rt(rng, *xs), rt(rng, *ws)
+    x, w = _draw_nhwc(rng, xs), rt(rng, *ws)
     b = rt(rng, ws[0])
-    expected = oracles.conv2d_direct(x.data, w.data, b.data, stride, padding, groups)
+    expected = _conv_oracle(x.data, w.data, b.data, stride, padding, groups)
     out = T.conv2d(x, w, b, stride=stride, padding=padding, groups=groups)
     assert out.shape == expected.shape
     assert np.max(np.abs(out.data - expected)) < 1e-10
 
     g = rng.uniform(-1, 1, out.shape)
     T.backward(T.sum_(out * Tensor(g)))
-    linear = np.sum((expected - b.data[:, None, None]) * g)
+    linear = np.sum((expected - b.data) * g)
     scale = np.sum(np.abs(expected) * np.abs(g)) + 1.0
     assert abs(np.sum(x.data * x.grad) - linear) < 1e-10 * scale
     assert abs(np.sum(w.data * w.grad) - linear) < 1e-10 * scale
-    assert np.max(np.abs(b.grad - g.sum(axis=(0, 2, 3)))) < 1e-10
+    assert np.max(np.abs(b.grad - g.sum(axis=(0, 1, 2)))) < 1e-10
 
 
 @pytest.mark.parametrize("xs, ws, padding", [
@@ -151,11 +204,11 @@ def test_conv2d_forward_and_adjoint_gradients(case):
 ])
 def test_conv2d_stride1_vjp_holds_no_patch_matrix(xs, ws, padding):
     """A stride-1 dense conv's graph node keeps x and the weight, not the
-    forward im2col [C*kh*kw, N*oh*ow]."""
+    forward patch matrix [N*oh*ow, kh*kw*C]."""
     rng = np.random.default_rng(5)
-    x, w = rt(rng, *xs), rt(rng, *ws)
+    x, w = _draw_nhwc(rng, xs), rt(rng, *ws)
     out = T.conv2d(x, w, rt(rng, ws[0]), padding=padding)
-    patch_size = ws[1] * ws[2] * ws[3] * xs[0] * out.shape[2] * out.shape[3]
+    patch_size = ws[1] * ws[2] * ws[3] * xs[0] * out.shape[1] * out.shape[2]
     held = [c.cell_contents for c in out._node.vjp.__closure__]
     arrays = [a for a in held if isinstance(a, np.ndarray)]
     assert any(a is x.data for a in arrays)
@@ -167,7 +220,7 @@ def test_conv2d_skips_gx_of_an_input_without_gradient(case):
     """gx is None when x needs no gradient; gW still meets <w, gW> = <conv(x, w), g>."""
     xs, ws, stride, padding, groups = CONV_CASES[case]
     rng = np.random.default_rng(7)
-    x, w = Tensor(rng.uniform(-1, 1, xs)), rt(rng, *ws)
+    x, w = _draw_nhwc(rng, xs, requires_grad=False), rt(rng, *ws)
     out = T.conv2d(x, w, stride=stride, padding=padding, groups=groups)
     g = rng.uniform(-1, 1, out.shape)
     assert out._node.vjp(g)[0] is None
@@ -177,16 +230,16 @@ def test_conv2d_skips_gx_of_an_input_without_gradient(case):
     assert abs(np.sum(w.data * w.grad) - linear) < 1e-10 * (np.sum(np.abs(out.data * g)) + 1.0)
 
 
-# channels-last x shape, weight shape: the two conv3x3_nhwc kernels
+# channels-last x shape, weight shape: the dense and the depthwise 3x3 conv
+# (stride 1, padding 1)
 CONV3X3_CASES = {
     "dense": ((2, 5, 7, 3), (4, 3, 3, 3)),
     "depthwise": ((2, 7, 5, 4), (4, 1, 3, 3)),
 }
 
 
-def _conv3x3_oracle(x, w, b):
-    groups = 1 if w.shape[1] == x.shape[3] else x.shape[3]
-    return oracles.conv2d_direct(x.transpose(0, 3, 1, 2), w, b, 1, 1, groups).transpose(0, 2, 3, 1)
+def _conv3x3(x, w, b=None):
+    return T.conv2d(x, w, b, padding=1, groups=1 if w.shape[1] == x.shape[3] else x.shape[3])
 
 
 @pytest.mark.parametrize("case", sorted(CONV3X3_CASES))
@@ -196,8 +249,8 @@ def test_conv3x3_nhwc_forward_and_adjoint_gradients(case):
     xs, ws = CONV3X3_CASES[case]
     rng = np.random.default_rng(sorted(CONV3X3_CASES).index(case))
     x, w, b = rt(rng, *xs), rt(rng, *ws), rt(rng, ws[0])
-    expected = _conv3x3_oracle(x.data, w.data, b.data)
-    out = T.conv3x3_nhwc(x, w, b)
+    expected = _conv_oracle(x.data, w.data, b.data, 1, 1, 1 if ws[1] == xs[3] else xs[3])
+    out = _conv3x3(x, w, b)
     assert out.shape == expected.shape
     assert np.max(np.abs(out.data - expected)) < 1e-10
 
@@ -216,7 +269,7 @@ def test_conv3x3_nhwc_skips_gx_of_an_input_without_gradient(case):
     xs, ws = CONV3X3_CASES[case]
     rng = np.random.default_rng(7)
     x, w = Tensor(rng.uniform(-1, 1, xs)), rt(rng, *ws)
-    out = T.conv3x3_nhwc(x, w)
+    out = _conv3x3(x, w)
     g = rng.uniform(-1, 1, out.shape)
     assert out._node.vjp(g)[0] is None
     T.backward(T.sum_(out * Tensor(g)))
@@ -226,11 +279,11 @@ def test_conv3x3_nhwc_skips_gx_of_an_input_without_gradient(case):
 
 
 def test_conv3x3_nhwc_dense_vjp_holds_no_patch_matrix():
-    """The dense kernel's graph node keeps x and the weight, not the
+    """The dense 3x3 conv's graph node keeps x and the weight, not the
     [N*h*w, 9C] patch matrix: the backward rebuilds one from the gradient."""
     rng = np.random.default_rng(5)
     x, w = rt(rng, 4, 7, 7, 6), rt(rng, 5, 6, 3, 3)
-    out = T.conv3x3_nhwc(x, w, rt(rng, 5))
+    out = _conv3x3(x, w, rt(rng, 5))
     held = [c.cell_contents for c in out._node.vjp.__closure__]
     arrays = [a for a in held if isinstance(a, np.ndarray)]
     assert any(a is x.data for a in arrays)
@@ -546,13 +599,13 @@ def test_erf_covers_every_element_at_block_edges_and_keeps_shape_and_layout():
 
 def test_bilinear_identity():
     rng = np.random.default_rng(8)
-    x = rng.normal(size=(1, 2, 5, 7))
+    x = rng.normal(size=(1, 5, 7, 2))
     out = T.bilinear_resize(Tensor(x), 5, 7)
     assert np.array_equal(out.data, x)
 
 
 def test_bilinear_constant():
-    out = T.bilinear_resize(Tensor(np.full((1, 1, 3, 3), 2.5)), 8, 5)
+    out = T.bilinear_resize(Tensor(np.full((1, 3, 3, 1), 2.5)), 8, 5)
     assert np.allclose(out.data, 2.5, atol=1e-14)
 
 
@@ -564,33 +617,33 @@ _RESIZE_CASES = ((2, 3, 4, 6), (8, 12, 16, 24), (5, 7, 8, 11), (6, 6, 4, 3), (4,
 def test_bilinear_2x2_to_4x4_golden():
     img = np.array([[0.0, 1.0], [2.0, 3.0]])
     expected = oracles.bilinear_resize_direct(img, 4, 4)
-    out = T.bilinear_resize(Tensor(img[None, None]), 4, 4)
-    assert np.max(np.abs(out.data[0, 0] - expected)) < 1e-14
+    out = T.bilinear_resize(Tensor(img[None, :, :, None]), 4, 4)
+    assert np.max(np.abs(out.data[0, :, :, 0] - expected)) < 1e-14
     # corners replicate, centers interpolate at quarter weights
     assert out.data[0, 0, 0, 0] == 0.0
-    assert out.data[0, 0, 3, 3] == 3.0
-    assert out.data[0, 0, 1, 1] == pytest.approx(0.75 * 0.75 * 0 + 0.75 * 0.25 * 1 + 0.25 * 0.75 * 2 + 0.25 * 0.25 * 3)
+    assert out.data[0, 3, 3, 0] == 3.0
+    assert out.data[0, 1, 1, 0] == pytest.approx(0.75 * 0.75 * 0 + 0.75 * 0.25 * 1 + 0.25 * 0.75 * 2 + 0.25 * 0.25 * 3)
     # the same oracle at the other shapes
     rng = np.random.default_rng(9)
     for h, w, oh, ow in _RESIZE_CASES:
         img = rng.normal(size=(h, w))
-        out = T.bilinear_resize(Tensor(img[None, None]), oh, ow)
-        assert out.shape == (1, 1, oh, ow)
-        err = np.max(np.abs(out.data[0, 0] - oracles.bilinear_resize_direct(img, oh, ow)))
+        out = T.bilinear_resize(Tensor(img[None, :, :, None]), oh, ow)
+        assert out.shape == (1, oh, ow, 1)
+        err = np.max(np.abs(out.data[0, :, :, 0] - oracles.bilinear_resize_direct(img, oh, ow)))
         assert err < 1e-12, ((h, w, oh, ow), err)
 
 
 def test_bilinear_resize_adjoint():
     rng = np.random.default_rng(10)
-    x = Tensor(rng.normal(size=(3, 4, 5, 7)), requires_grad=True)
-    g = rng.normal(size=(3, 4, 8, 11))
+    x = Tensor(rng.normal(size=(3, 5, 7, 4)), requires_grad=True)
+    g = rng.normal(size=(3, 8, 11, 4))
     out = T.bilinear_resize(x, 8, 11)
     T.backward(T.sum_(out * Tensor(g)))
     assert abs(np.sum(out.data * g) - np.sum(x.data * x.grad)) < 1e-12
 
 
 def test_bilinear_resize_keeps_float32():
-    x = np.random.default_rng(11).normal(size=(2, 3, 5, 7))
+    x = np.random.default_rng(11).normal(size=(2, 5, 7, 3))
     got = T.bilinear_resize(Tensor(x, dtype=np.float32), 8, 11)
     assert got.dtype == np.float32
     want = T.bilinear_resize(Tensor(x), 8, 11)
@@ -599,7 +652,7 @@ def test_bilinear_resize_keeps_float32():
 
 
 def test_roi_align_keeps_float32():
-    x = np.random.default_rng(12).normal(size=(2, 3, 6, 8))
+    x = np.random.default_rng(12).normal(size=(2, 6, 8, 3))
     boxes = np.array([[0.5, 1.0, 6.5, 5.0], [2.0, 0.0, 8.0, 6.0], [1.2, 2.3, 3.4, 4.5]])
     batch_idx = np.array([0, 1, 1])
     got = T.roi_align(Tensor(x, dtype=np.float32), boxes, batch_idx, (3, 4))
@@ -624,13 +677,12 @@ def _taps(rng, image, s, k, h, w):
 def test_tap_gather_sums_weighted_taps_and_scatter_is_its_adjoint(k):
     rng = np.random.default_rng(14)
     n, c, h, w, s = 2, 3, 5, 6, 7
-    x, g = rng.normal(size=(n, c, h, w)), rng.normal(size=(4, c, s)).transpose(0, 2, 1)
+    x, g = rng.normal(size=(n, h, w, c)), rng.normal(size=(4, s, c))
     image, ys, xs, weights = _taps(rng, np.array([0, 1, 1, 0]), s, k, h, w)
     out = kernels.tap_gather(x, image, ys, xs, weights)
-    want = np.zeros((4, c, s))
+    want = np.zeros((4, s, c))
     for m, si, ki in np.ndindex(4, s, k):
-        want[m, :, si] += weights[m, si, ki] * x[image[m], :, ys[m, si, ki], xs[m, si, ki]]
-    want = want.transpose(0, 2, 1)  # [M, S, C]
+        want[m, si] += weights[m, si, ki] * x[image[m], ys[m, si, ki], xs[m, si, ki]]
     np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
     dx = kernels.tap_scatter(g, image, ys, xs, weights, n, h, w)
     assert dx.shape == x.shape
@@ -640,13 +692,13 @@ def test_tap_gather_sums_weighted_taps_and_scatter_is_its_adjoint(k):
 def test_tap_scatter_writes_only_into_the_taps_image():
     rng = np.random.default_rng(15)
     image, ys, xs, weights = _taps(rng, np.zeros(3, dtype=np.int64), 5, 4, 4, 4)
-    dx = kernels.tap_scatter(rng.normal(size=(3, 2, 5)).transpose(0, 2, 1), image, ys, xs, weights, 2, 4, 4)
+    dx = kernels.tap_scatter(rng.normal(size=(3, 5, 2)), image, ys, xs, weights, 2, 4, 4)
     assert np.any(dx[0] != 0.0) and not np.any(dx[1])
 
 
 def test_tap_gather_keeps_float32():
     rng = np.random.default_rng(16)
-    x = rng.normal(size=(2, 3, 5, 6)).astype(np.float32)
+    x = rng.normal(size=(2, 5, 6, 3)).astype(np.float32)
     image, ys, xs, weights = _taps(rng, np.array([1, 0]), 3, 4, 5, 6)
     out = kernels.tap_gather(x, image, ys, xs, weights.astype(np.float32))
     assert out.dtype == np.float32 and out.shape == (2, 3, 3)  # [M, S, C]
@@ -806,14 +858,14 @@ def test_grad_check_linear_is_exact():
 
 def test_grad_check_composite_graph():
     rng = np.random.default_rng(9)
-    x = rt(rng, 1, 2, 6, 6)
+    x = _draw_nhwc(rng, (1, 2, 6, 6))
     w = Tensor(rng.uniform(-1, 1, (3, 2, 3, 3)))
     g = Tensor(np.ones(6 * 6), requires_grad=False)
     b = Tensor(np.zeros(6 * 6), requires_grad=False)
 
     def f(t):
         y = T.conv2d(t, w, padding=1)
-        y = T.reshape(y, (1, 3, 36))
+        y = T.reshape(T.transpose(y, (0, 3, 1, 2)), (1, 3, 36))
         y = T.layer_norm(y, g, b)
         y = T.softmax_lastdim(y)
         return T.sum_(y * y)
@@ -906,7 +958,7 @@ def test_python_scalar_arithmetic_keeps_float32(op):
 @pytest.mark.parametrize("seed", range(20))
 def test_grad_check_core_ops_many_seeds(seed):
     rng = np.random.default_rng(100 + seed)
-    x = rt(rng, 2, 3, 5, 4)
+    x = _draw_nhwc(rng, (2, 3, 5, 4))
     w = Tensor(rng.uniform(-1, 1, (4, 3, 3, 3)))
     bias = Tensor(rng.uniform(-1, 1, 4))
     assert T.grad_check(lambda t: T.sum_(T.conv2d(t, w, bias, stride=2, padding=1) ** 2), x) < 1e-4
@@ -925,13 +977,13 @@ def test_grad_check_core_ops_many_seeds(seed):
     assert T.grad_check(lambda t: T.sum_(T.gelu(t)), u) < 1e-4
     assert T.grad_check(lambda t: T.sum_(T.sigmoid(t) * t), u) < 1e-4
 
-    im = rt(rng, 1, 2, 4, 5)
+    im = _draw_nhwc(rng, (1, 2, 4, 5))
     assert T.grad_check(lambda t: T.sum_(T.bilinear_resize(t, 7, 3) ** 2), im) < 1e-4
 
 
 def test_grad_check_weight_and_bias_paths():
     rng = np.random.default_rng(11)
-    x = Tensor(rng.uniform(-1, 1, (2, 2, 5, 5)))
+    x = _draw_nhwc(rng, (2, 2, 5, 5), requires_grad=False)
     w = rt(rng, 3, 2, 3, 3)
     assert T.grad_check(lambda t: T.sum_(T.conv2d(x, t, padding=1) ** 2), w) < 1e-4
     b = rt(rng, 3)
@@ -963,7 +1015,7 @@ def test_grad_check_structural_ops():
 def test_forward_determinism_bitwise():
     def run():
         rng = np.random.default_rng(77)
-        x = Tensor(rng.uniform(-1, 1, (2, 3, 9, 9)))
+        x = _draw_nhwc(rng, (2, 3, 9, 9), requires_grad=False)
         w = Tensor(rng.uniform(-1, 1, (4, 3, 3, 3)))
         y = T.conv2d(x, w, stride=2, padding=1)
         y = T.softmax_lastdim(T.reshape(y, (2, 4, 25)))
