@@ -7,10 +7,11 @@ profile <- --config file <- --set <- flags. An override of a key the
 command does not read is a bad invocation; a config file may hold keys
 of other commands, which are dropped. After the command returns, `main`
 echoes `command` plus the resolved keys as config.json into the output
-directory. Every command writes only inside that directory and is
-deterministic given (config, seed). Exit codes: 0 success, 1 failed
-check or pipeline error, 2 bad invocation (flags, config keys, config
-file, missing inputs).
+directory; `infer`, `eval` and `train-toy` also write their drop, skip
+and file-error counts there as counters.json. Every command writes only
+inside that directory and is deterministic given (config, seed). Exit
+codes: 0 success, 1 failed check or pipeline error, 2 bad invocation
+(flags, config keys, config file, missing inputs).
 """
 
 import argparse
@@ -18,6 +19,7 @@ import inspect
 import json
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -98,6 +100,12 @@ def _read_text(path):
         return fh.read()
 
 
+def _write_counters(out_dir, counters):
+    """The run's drop, skip and error counts as counters.json."""
+    text = json.dumps(counters, sort_keys=True, indent=1) + "\n"
+    _write_text(os.path.join(out_dir, "counters.json"), text)
+
+
 def cmd_synth(out_dir, n_images, image_width, image_height, data_seed, n_objects, z_min, z_max, focal):
     os.makedirs(out_dir, exist_ok=True)
     samples = build_synth_dataset(
@@ -138,6 +146,10 @@ def cmd_train_toy(
     ckpt_path = os.path.join(out_dir, "model.ckpt")
     save_checkpoint(ckpt_path, detector)
     _write_scenes(out_dir, samples)
+    skipped = Counter()
+    for sample in samples:
+        skipped.update(sample.targets.skipped)
+    _write_counters(out_dir, {"targets_skipped": dict(skipped)})
     heat = result.history["heatmap"]
     print(f"trained {variant} for {epochs} epochs on {len(samples)} scenes")
     print(f"heatmap loss: epoch-1 {heat[0]:.6g} -> final {heat[-1]:.6g} (ratio {heat[-1] / heat[0]:.4g})")
@@ -166,6 +178,7 @@ def cmd_infer(out_dir, checkpoint, image, calib, k, score_threshold, overlay):
     os.makedirs(os.path.join(out_dir, "predictions"), exist_ok=True)
     pred_path = os.path.join(out_dir, "predictions", stem + ".txt")
     _write_text(pred_path, text)
+    _write_counters(out_dir, {"infer_drops": drops, "write_predictions_drops": pred_drops})
     print(f"{len(dets)} detections -> {pred_path}")
     if drops or pred_drops:
         print(f"dropped: {dict(sorted({**drops, **pred_drops}.items()))}")
@@ -192,6 +205,7 @@ def cmd_eval(out_dir, pred_dir, gt_dir, calib_dir, thresholds):
     with open(os.path.join(out_dir, "eval_records.jsonl"), "w", encoding="ascii") as fh:
         for rec in report.to_records():
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    _write_counters(out_dir, {"file_errors": len(report.errors)})
     print(text, end="")
     if report.errors:
         print(f"{len(report.errors)} file errors:", file=sys.stderr)

@@ -7,16 +7,20 @@ precision envelope and averaged. Ground truth outside the evaluated
 difficulty bucket is ignored rather than missed: a prediction that only
 overlaps an ignored box consumes it and drops out of the count.
 
-IoU is computed once per same-class prediction x ground-truth pair per
-image, and all those pairs of a split go to one batched
-`geometry.pair_iou` call (one footprint intersection gives both the 3D
-and the BEV value; pairs whose footprints are apart are not clipped).
-Only the pairs with IoU > 0 are kept: each prediction gets, per metric,
-the list of (ground-truth index, IoU) of the boxes it overlaps, and a
-matching pass walks only those. Every threshold is in (0, 1], so a
-zero-IoU pair can never match. The lists, the difficulty of each
-ground-truth box and each class's score order are shared by both
-metrics and every report cell.
+The evaluator works on label tables (`kitti.parse_label_table`): each
+label file is a list of types and a float64 array [n, 15]. The tables of
+a split are stacked, and everything the 36 report cells share is
+computed once, as arrays: each box's class, each ground-truth box's
+difficulty level, each prediction's rank in its class's score order,
+and the same-class prediction x ground-truth pairs of every image, whose
+IoUs come from one batched `geometry.pair_iou` call (one footprint
+intersection gives both the 3D and the BEV value). The pairs with
+IoU > 0 are kept, per class and metric, sorted by (score rank,
+ground-truth index). Every threshold is in (0, 1], so a zero-IoU pair
+can never match. The matching passes of one class, metric and threshold
+(one per difficulty) keep the pairs at or above the threshold and walk,
+in Python and in score order, only the predictions that have one; every
+other prediction is a false positive, set as an array.
 """
 
 import os
@@ -26,10 +30,12 @@ import numpy as np
 
 from .errors import UsageError
 from .geometry import pair_iou
-# unused here; perfbench/spans.py wraps evaluation.iou_3d / iou_bev by name
-from .geometry import iou_3d, iou_bev
 from .heads import CLASS_NAMES
-from .kitti import ParseError, parse_calib_file, parse_label_file
+from .kitti import ParseError, parse_calib_file, parse_label_table
+
+# not called here; perfbench/spans.py wraps these three names on this module
+from .geometry import iou_3d, iou_bev
+from .kitti import parse_label_file
 
 DIFFICULTIES = ("Easy", "Moderate", "Hard")
 _LEVEL = {"Easy": 0, "Moderate": 1, "Hard": 2, "Ignored": 3}
@@ -44,15 +50,28 @@ _DIFFICULTY_RULES = (
     ("Moderate", 25.0, 1, 0.30),
     ("Hard", 25.0, 2, 0.50),
 )
+_CLASS_ID = {cls: c for c, cls in enumerate(CLASS_NAMES)}
+# columns of a label table row: (x, y, z, h, w, l, yaw) and the score
+_BOX_COLUMNS = [10, 11, 12, 7, 8, 9, 13]
+_SCORE = 14
+
+
+def difficulty_levels(height, occluded, truncated):
+    """Arrays of 2D box height, occlusion and truncation -> the level
+    (index into DIFFICULTIES, 3 for Ignored) of the easiest bucket each
+    box qualifies for."""
+    levels = np.full(np.shape(height), _LEVEL["Ignored"], dtype=np.intp)
+    for name, min_h, max_occ, max_trunc in reversed(_DIFFICULTY_RULES):
+        levels[(height >= min_h) & (occluded <= max_occ) & (truncated <= max_trunc)] = _LEVEL[name]
+    return levels
 
 
 def assign_difficulty(rec):
     """Easiest KITTI difficulty bucket the record qualifies for."""
-    height = rec.bbox[3] - rec.bbox[1]
-    for name, min_h, max_occ, max_trunc in _DIFFICULTY_RULES:
-        if height >= min_h and rec.occluded <= max_occ and rec.truncated <= max_trunc:
-            return name
-    return "Ignored"
+    level = difficulty_levels(
+        np.array([rec.bbox[3] - rec.bbox[1]]), np.array([rec.occluded]), np.array([rec.truncated])
+    )[0]
+    return (*DIFFICULTIES, "Ignored")[level]
 
 
 @dataclass(frozen=True)
@@ -74,104 +93,125 @@ class EvalConfig:
                     )
 
 
+def _stack(tables):
+    """Per-image label tables -> (class id [n] (-1 for other types), image
+    index [n], numbers [n, 15]), images in list order, boxes in file order."""
+    types = [t for image_types, _ in tables for t in image_types]
+    cls = np.array([_CLASS_ID.get(t, -1) for t in types], dtype=np.intp)
+    image = np.repeat(np.arange(len(tables)), [len(t) for t, _ in tables])
+    numbers = np.concatenate([n for _, n in tables]) if tables else np.empty((0, _SCORE + 1))
+    return cls, image, numbers
+
+
 @dataclass(frozen=True)
-class _ClassData:
-    """One class's matching inputs, shared by every report cell.
+class _Split:
+    """What every report cell of a split shares.
 
-    Within an image the class's predictions and ground truth are indexed
-    in input order. `flat` holds (image, prediction index, score) in
-    descending score order, ties in input order; `levels[image]` the
-    difficulty level of each ground-truth box; `candidates[image][metric]`
-    one list per prediction of (ground-truth index, IoU) for the boxes
-    with IoU > 0, in ground-truth order, for images with both.
+    `gt_level[j]` is ground-truth box j's difficulty level. Per class,
+    `npos[cls][t]` counts its ground truth at level <= t and `n_pred[cls]`
+    its predictions. `pairs[cls, metric]` holds (score rank, ground-truth
+    index, IoU) of the class's prediction x ground-truth pairs with
+    IoU > 0, sorted by rank, then ground-truth index.
     """
 
-    flat: list
-    levels: dict
-    candidates: dict
+    gt_level: np.ndarray
+    npos: dict
+    n_pred: dict
+    pairs: dict
 
 
-def _prepare(predictions, ground_truth, classes):
-    """class -> _ClassData; every IoU, difficulty and sort done once.
+def _prepare(pred_tables, gt_tables):
+    """Aligned per-image prediction and ground-truth tables -> _Split; every
+    IoU, difficulty and sort done once, as arrays."""
+    p_cls, p_img, p_num = _stack(pred_tables)
+    g_cls, g_img, g_num = _stack(gt_tables)
+    gt_level = difficulty_levels(g_num[:, 6] - g_num[:, 4], g_num[:, 1], g_num[:, 0])
+    # rank of each prediction in its class's descending score order, ties
+    # in input order
+    rank = np.zeros(len(p_cls), dtype=np.intp)
+    npos, n_pred = {}, {}
+    for c, cls in enumerate(CLASS_NAMES):
+        members = np.flatnonzero(p_cls == c)
+        rank[members[np.argsort(-p_num[members, _SCORE], kind="stable")]] = np.arange(len(members))
+        n_pred[cls] = len(members)
+        per_level = np.bincount(gt_level[g_cls == c], minlength=len(_LEVEL))
+        npos[cls] = np.cumsum(per_level).tolist()
+    # same-class, same-image pairs: each prediction against the run of
+    # ground truth with its (class, image) key, in ground-truth order
+    n_img = len(gt_tables)
+    g_key = np.where(g_cls >= 0, g_cls * n_img + g_img, -1)
+    p_key = np.where(p_cls >= 0, p_cls * n_img + p_img, -2)
+    g_order = np.argsort(g_key, kind="stable")
+    g_key = g_key[g_order]
+    lo = np.searchsorted(g_key, p_key, side="left")
+    count = np.searchsorted(g_key, p_key, side="right") - lo
+    ia = np.repeat(np.arange(len(p_cls)), count)
+    ib = g_order[np.arange(len(ia)) + np.repeat(lo - (np.cumsum(count) - count), count)]
+    t3d, tbev = pair_iou(p_num[:, _BOX_COLUMNS], g_num[:, _BOX_COLUMNS], ia, ib)
+    # a prediction's pairs are adjacent and in ground-truth order, so a
+    # stable sort by (class, rank) gives each class's pairs in the order
+    # its matching passes read them
+    order = np.argsort(p_cls[ia] * len(p_cls) + rank[ia], kind="stable")
+    ia, ib, t3d, tbev = ia[order], ib[order], t3d[order], tbev[order]
+    pairs = {}
+    for metric, iou in (("3D", t3d), ("BEV", tbev)):
+        hit = iou > 0.0
+        a, b, v = ia[hit], ib[hit], iou[hit]
+        bounds = np.searchsorted(p_cls[a], np.arange(len(CLASS_NAMES) + 1)).tolist()
+        for c, cls in enumerate(CLASS_NAMES):
+            run = slice(bounds[c], bounds[c + 1])
+            pairs[cls, metric] = (rank[a[run]], b[run], v[run])
+    return _Split(gt_level=gt_level, npos=npos, n_pred=n_pred, pairs=pairs)
 
-    The same-class prediction x ground-truth pairs of every image and
-    class go to one `pair_iou` call; the pairs with IoU > 0 are picked
-    out of its result and appended to their prediction's lists.
-    """
-    images = sorted(set(predictions) | set(ground_truth))
-    prepared = {}
-    rows_a, rows_b, gt_index, ia, ib = [], [], [], [], []
-    lists = {metric: [] for metric in METRICS}  # per prediction in rows_a
-    for cls in classes:
-        flat, levels, candidates = [], {}, {}
-        for img in images:
-            preds = [rec for rec in predictions.get(img, []) if rec.type == cls]
-            gts = [rec for rec in ground_truth.get(img, []) if rec.type == cls]
-            for idx, rec in enumerate(preds):
-                if rec.score is None:
-                    raise UsageError(f"prediction without score in image {img}")
-                flat.append((img, idx, rec.score))
-            levels[img] = [_LEVEL[assign_difficulty(rec)] for rec in gts]
-            if preds and gts:
-                ia.append(np.repeat(np.arange(len(preds)) + len(rows_a), len(gts)))
-                ib.append(np.tile(np.arange(len(gts)) + len(rows_b), len(preds)))
-                candidates[img] = {metric: [[] for _ in preds] for metric in METRICS}
-                for metric in METRICS:
-                    lists[metric].extend(candidates[img][metric])
-                rows_a.extend((*r.location, *r.dimensions, r.rotation_y) for r in preds)
-                rows_b.extend((*r.location, *r.dimensions, r.rotation_y) for r in gts)
-                gt_index.extend(range(len(gts)))
-        flat.sort(key=lambda item: -item[2])  # stable: ties keep input order
-        prepared[cls] = _ClassData(flat=flat, levels=levels, candidates=candidates)
-    if ia:
-        ia, ib = np.concatenate(ia), np.concatenate(ib)
-        t3d, tbev = pair_iou(rows_a, rows_b, ia, ib)
-        for metric, iou in (("3D", t3d), ("BEV", tbev)):
-            hit = np.flatnonzero(iou > 0.0)
-            rows = lists[metric]
-            # pairs run by prediction, then ground truth: each list is in gt order
-            for a, b, v in zip(ia[hit].tolist(), ib[hit].tolist(), iou[hit].tolist()):
-                rows[a].append((gt_index[b], v))
-    return prepared
 
-
-def _greedy_curve(data, difficulty, metric, iou_threshold):
-    """One matching pass -> (recalls, precisions, counted GT, matched GT,
-    class preds); recalls and precisions have one entry per counted
-    prediction, in score order."""
-    target = _LEVEL[difficulty]
-    npos = sum(level <= target for levels in data.levels.values() for level in levels)
-    if npos == 0:
-        return None, None, 0, 0, len(data.flat)
-
-    taken = set()
-    hits = []  # 1 for a true positive, 0 for a false one
-    for img, idx, _ in data.flat:
-        levels = data.levels[img]
-        row = data.candidates[img][metric][idx] if img in data.candidates else ()
-        # best open counted and best open ignored ground truth at or above
-        # the threshold, first index on ties, in one pass
-        best_iou, best_key = -1.0, None
-        ign_iou, ign_key = -1.0, None
-        for j, v in row:
-            if v < iou_threshold or (img, j) in taken:
-                continue
-            if levels[j] <= target:
-                if v > best_iou:
-                    best_iou, best_key = v, (img, j)
-            elif v > ign_iou:
-                ign_iou, ign_key = v, (img, j)
-        if best_key is not None:
-            taken.add(best_key)
-            hits.append(1)
-        elif ign_key is not None:
-            taken.add(ign_key)
-        else:
-            hits.append(0)
-    tp = np.cumsum(hits, dtype=np.int64)
-    matched = int(tp[-1]) if hits else 0
-    # integer true division is correctly rounded, as tp / npos in Python
-    return tp / npos, tp / np.arange(1, len(tp) + 1), npos, matched, len(data.flat)
+def _match(split, cls, metric, iou_threshold):
+    """The matching passes of one class, metric and threshold at each of
+    DIFFICULTIES -> one (recalls, precisions, counted GT, matched GT, class
+    preds) per difficulty; recalls and precisions have one entry per
+    counted prediction, in score order."""
+    n_pred = split.n_pred[cls]
+    rank, gt, iou = split.pairs[cls, metric]
+    keep = iou >= iou_threshold
+    rank, gt, iou = rank[keep], gt[keep], iou[keep]
+    level = split.gt_level[gt]
+    gt, iou = gt.tolist(), iou.tolist()
+    # the runs of pairs of each walked prediction: [edges[k], edges[k + 1])
+    edges = [0, *(np.flatnonzero(rank[1:] != rank[:-1]) + 1).tolist(), len(rank)]
+    rank = rank.tolist()
+    curves = []
+    for target in range(len(DIFFICULTIES)):
+        npos = split.npos[cls][target]
+        if npos == 0:
+            curves.append((None, None, 0, 0, n_pred))
+            continue
+        hit = np.zeros(n_pred, dtype=bool)
+        kept = np.ones(n_pred, dtype=bool)
+        counted = (level <= target).tolist()
+        taken = set()
+        for start, stop in zip(edges, edges[1:]):
+            # best open counted and best open ignored ground truth, first
+            # index on ties, in one pass
+            best_iou, best = -1.0, None
+            ign_iou, ign = -1.0, None
+            for i in range(start, stop):
+                j = gt[i]
+                if j in taken:
+                    continue
+                if counted[i]:
+                    if iou[i] > best_iou:
+                        best_iou, best = iou[i], j
+                elif iou[i] > ign_iou:
+                    ign_iou, ign = iou[i], j
+            if best is not None:
+                taken.add(best)
+                hit[rank[start]] = True
+            elif ign is not None:
+                taken.add(ign)
+                kept[rank[start]] = False
+        tp = np.cumsum(hit[kept], dtype=np.int64)
+        # integer true division is correctly rounded, as tp / npos in Python
+        curves.append((tp / npos, tp / np.arange(1, len(tp) + 1), npos, int(hit.sum()), n_pred))
+    return curves
 
 
 def _mean_envelope(recalls, precisions):
@@ -182,6 +222,16 @@ def _mean_envelope(recalls, precisions):
     for v in suffix_max[np.searchsorted(recalls, RECALL_POINTS, side="left")].tolist():
         total += v  # left to right, as the AP oracle adds
     return total / 40.0 * 100.0
+
+
+def _record_table(records):
+    """LabelRecords -> a label table, as kitti.parse_label_table gives."""
+    numbers = [
+        (r.truncated, r.occluded, r.alpha, *r.bbox, *r.dimensions, *r.location, r.rotation_y,
+         np.nan if r.score is None else r.score)
+        for r in records
+    ]
+    return [r.type for r in records], np.array(numbers, dtype=np.float64).reshape(-1, _SCORE + 1)
 
 
 def ap_r40(predictions, ground_truth, cls, difficulty, metric="3D", iou_threshold=0.7):
@@ -198,8 +248,17 @@ def ap_r40(predictions, ground_truth, cls, difficulty, metric="3D", iou_threshol
         raise UsageError(f"unknown metric {metric!r}")
     if not (0.0 < iou_threshold <= 1.0):
         raise UsageError("iou_threshold must be in (0, 1]")
-    data = _prepare(predictions, ground_truth, (cls,))[cls]
-    recalls, precisions, npos, _, _ = _greedy_curve(data, difficulty, metric, iou_threshold)
+    images = sorted(set(predictions) | set(ground_truth))
+    pred_tables, gt_tables = [], []
+    for img in images:
+        preds = [rec for rec in predictions.get(img, []) if rec.type == cls]
+        if any(rec.score is None for rec in preds):
+            raise UsageError(f"prediction without score in image {img}")
+        pred_tables.append(_record_table(preds))
+        gts = [rec for rec in ground_truth.get(img, []) if rec.type == cls]
+        gt_tables.append(_record_table(gts))
+    split = _prepare(pred_tables, gt_tables)
+    recalls, precisions, npos, _, _ = _match(split, cls, metric, iou_threshold)[_LEVEL[difficulty]]
     if npos == 0:
         return None
     return _mean_envelope(recalls, precisions)
@@ -287,28 +346,27 @@ def evaluate_split(pred_dir, gt_dir, calib_dir=None, cfg=None):
     """
     cfg = cfg or EvalConfig()
     errors = []
-    ground_truth = {}
-    predictions = {}
+    gt_tables, pred_tables = [], []
     for image_id in _image_ids(gt_dir):
         gt_path = os.path.join(gt_dir, image_id + ".txt")
         try:
-            ground_truth[image_id] = parse_label_file(_read_text(gt_path))
+            gt_tables.append(parse_label_table(_read_text(gt_path)))
         except (ParseError, OSError) as exc:
             errors.append(f"{gt_path}: {exc}")
             continue
         pred_path = os.path.join(pred_dir, image_id + ".txt")
         if not os.path.exists(pred_path):
             errors.append(f"{pred_path}: missing prediction file")
-            predictions[image_id] = []
+            pred_tables.append(_record_table([]))
         else:
             try:
-                parsed = parse_label_file(_read_text(pred_path))
-                if any(rec.score is None for rec in parsed):
+                types, numbers = parse_label_table(_read_text(pred_path))
+                if np.isnan(numbers[:, _SCORE]).any():
                     raise ParseError("prediction line without a score field")
-                predictions[image_id] = parsed
+                pred_tables.append((types, numbers))
             except (ParseError, OSError) as exc:
                 errors.append(f"{pred_path}: {exc}")
-                predictions[image_id] = []
+                pred_tables.append(_record_table([]))
         if calib_dir is not None:
             calib_path = os.path.join(calib_dir, image_id + ".txt")
             try:
@@ -316,18 +374,17 @@ def evaluate_split(pred_dir, gt_dir, calib_dir=None, cfg=None):
             except (ParseError, OSError) as exc:
                 errors.append(f"{calib_path}: {exc}")
 
-    prepared = _prepare(predictions, ground_truth, CLASS_NAMES)
+    split = _prepare(pred_tables, gt_tables)
     cells = {}
     for set_name, pairs in cfg.threshold_sets:
         thresholds = dict(pairs)
         for metric in METRICS:
             for cls in CLASS_NAMES:
-                for difficulty in DIFFICULTIES:
-                    recalls, precisions, npos, matched, n_pred = _greedy_curve(
-                        prepared[cls], difficulty, metric, thresholds[cls]
-                    )
+                curves = _match(split, cls, metric, thresholds[cls])
+                for difficulty, curve in zip(DIFFICULTIES, curves):
+                    recalls, precisions, npos, matched, n_pred = curve
                     ap = _mean_envelope(recalls, precisions) if npos > 0 else None
                     cells[(set_name, metric, cls, difficulty)] = ApCell(
                         ap=ap, n_gt=npos, n_pred=n_pred, matched=matched
                     )
-    return EvalReport(cells=cells, errors=errors, n_images=len(ground_truth))
+    return EvalReport(cells=cells, errors=errors, n_images=len(gt_tables))

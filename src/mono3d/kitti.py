@@ -97,31 +97,9 @@ def _parse_float(tokens, k, line, line_no):
         ) from None
 
 
-def _label_numbers(tokens, line, line_no):
-    """The float fields tokens[1:] of one label line; a field that is not
-    a finite number raises ParseError at its column."""
-    try:
-        nums = list(map(float, tokens[1:]))
-    except ValueError:
-        # field by field, to raise at the first bad one's column
-        nums = [_parse_float(tokens, k, line, line_no) for k in range(1, len(tokens))]
-    # one check per record: the sum is finite unless a field is not, or
-    # finite fields overflow it, which the scan below lets through
-    if not math.isfinite(sum(nums)):
-        for k, v in enumerate(nums, start=1):
-            if not math.isfinite(v):
-                raise ParseError(
-                    f"expected a finite number, got {tokens[k]!r}",
-                    line_no,
-                    _token_columns(line)[k][0],
-                )
-    return nums
-
-
-def parse_label_file(text):
-    """Text -> list of LabelRecord; 15 fields per line, 16 with a score.
-    Every number field must be finite."""
-    records = []
+def _raise_at_first_bad_field(text):
+    """Walk the label lines one by one and raise a ParseError at the first
+    line and column that breaks a rule of parse_label_table."""
     for line_no, line in enumerate(text.splitlines(), start=1):
         tokens = line.split()
         if not tokens:
@@ -132,25 +110,71 @@ def parse_label_file(text):
                 line_no,
                 _token_columns(line)[0][0],
             )
-        nums = _label_numbers(tokens, line, line_no)
+        nums = [_parse_float(tokens, k, line, line_no) for k in range(1, len(tokens))]
+        for k, v in enumerate(nums, start=1):
+            if not math.isfinite(v):
+                raise ParseError(
+                    f"expected a finite number, got {tokens[k]!r}",
+                    line_no,
+                    _token_columns(line)[k][0],
+                )
         if not nums[1].is_integer():
             raise ParseError(
                 f"expected an integer, got {tokens[2]!r}", line_no, _token_columns(line)[2][0]
             )
-        records.append(
-            LabelRecord(
-                type=tokens[0],
-                truncated=nums[0],
-                occluded=int(nums[1]),
-                alpha=nums[2],
-                bbox=tuple(nums[3:7]),
-                dimensions=tuple(nums[7:10]),
-                location=tuple(nums[10:13]),
-                rotation_y=nums[13],
-                score=nums[14] if len(nums) > 14 else None,
-            )
+
+
+def parse_label_table(text):
+    """Text -> (types, numbers): the type of each label line, and its number
+    fields as a float64 array [n, 15] (NaN in the score column of a
+    15-field line). Blank lines are skipped. A line must have 15 or 16
+    fields, every number field must be finite and the occlusion field an
+    integer; otherwise a ParseError names the first bad line and column.
+    """
+    rows = [tokens for tokens in map(str.split, text.splitlines()) if tokens]
+    widths = set(map(len, rows))
+    try:
+        if not widths <= {LABEL_FIELDS_GT, LABEL_FIELDS_PRED}:
+            raise ValueError("irregular field count")
+        flat = np.array(list(map(float, [tok for tokens in rows for tok in tokens[1:]])))
+        if not np.isfinite(flat).all():
+            raise ValueError("non-finite field")
+        if widths == {LABEL_FIELDS_PRED}:
+            numbers = flat.reshape(len(rows), LABEL_FIELDS_PRED - 1)
+        else:  # row by row: each line's fields, then NaN in a missing score
+            numbers = np.full((len(rows), LABEL_FIELDS_PRED - 1), np.nan)
+            width = np.array(list(map(len, rows)))[:, None]
+            numbers[np.arange(1, LABEL_FIELDS_PRED) < width] = flat
+        if not all(map(float.is_integer, numbers[:, 1].tolist())):
+            raise ValueError("fractional occlusion")
+    except ValueError:
+        _raise_at_first_bad_field(text)
+        raise
+    return [tokens[0] for tokens in rows], numbers
+
+
+def _label_records(types, numbers):
+    """A label table -> list of LabelRecord (score None where it is NaN)."""
+    return [
+        LabelRecord(
+            type=cls,
+            truncated=row[0],
+            occluded=int(row[1]),
+            alpha=row[2],
+            bbox=tuple(row[3:7]),
+            dimensions=tuple(row[7:10]),
+            location=tuple(row[10:13]),
+            rotation_y=row[13],
+            score=None if math.isnan(row[14]) else row[14],
         )
-    return records
+        for cls, row in zip(types, numbers.tolist())
+    ]
+
+
+def parse_label_file(text):
+    """Text -> list of LabelRecord; 15 fields per line, 16 with a score.
+    Every number field must be finite."""
+    return _label_records(*parse_label_table(text))
 
 
 def format_label_line(rec):

@@ -377,6 +377,38 @@ def test_infer_writes_predictions_and_overlay(toy_run, tmp_path, capsys):
     assert "detections ->" in capsys.readouterr().out
 
 
+def test_infer_counters_match_the_dropped_line(toy_run, tmp_path, capsys):
+    out = tmp_path / "inf"
+    code = main(
+        [
+            "infer",
+            "--checkpoint", str(toy_run / "model.ckpt"),
+            "--image", str(toy_run / "images" / "000000.ppm"),
+            "--calib", str(toy_run / "calibs" / "000000.txt"),
+            "--score-threshold", "0.0",
+            "--no-overlay",
+            "--out", str(out),
+        ]
+    )
+    assert code == 0
+    (line,) = [s for s in capsys.readouterr().out.splitlines() if s.startswith("dropped: ")]
+    counters = json.loads(_read(out / "counters.json"))
+    assert set(counters) == {"infer_drops", "write_predictions_drops"}
+    merged = {**counters["infer_drops"], **counters["write_predictions_drops"]}
+    assert line == f"dropped: {dict(sorted(merged.items()))}"
+    assert sum(merged.values()) > 0
+
+
+def test_train_toy_and_eval_write_counters(toy_run, tmp_path):
+    assert json.loads(_read(toy_run / "counters.json")) == {"targets_skipped": {}}
+    labels = toy_run / "labels"
+    pred = tmp_path / "pred"
+    pred.mkdir()  # no prediction files: one file error per image
+    out = tmp_path / "ev"
+    assert main(["eval", "--pred", str(pred), "--gt", str(labels), "--out", str(out)]) == 0
+    assert json.loads(_read(out / "counters.json")) == {"file_errors": len(_listdir(labels))}
+
+
 def test_render_overlay_draws_only_boxes_in_front_of_the_camera():
     calib = CameraCalib(np.array([[70.0, 0, 48, 0], [0, 70.0, 32, 0], [0, 0, 1, 0]]))
     image = np.zeros((64, 96, 3), dtype=np.uint8)

@@ -7,12 +7,15 @@ import pytest
 from mono3d.errors import UsageError
 from mono3d.evaluation import (
     DIFFICULTIES,
+    METRICS,
     EvalConfig,
     OFFICIAL_IOU,
     RELAXED_IOU,
     _prepare,
+    _record_table,
     ap_r40,
     assign_difficulty,
+    difficulty_levels,
     evaluate_split,
 )
 from mono3d.geometry import iou_3d, iou_bev, iou_pairs
@@ -135,6 +138,31 @@ def test_assign_difficulty(h2d, occ, trunc, expected):
     rec = _record(h2d=h2d, occ=occ, trunc=trunc)
     assert assign_difficulty(rec) == expected
     assert oracles.difficulty_reference(h2d, occ, trunc) == expected
+
+
+def test_vectorised_difficulty_levels_at_the_boundaries():
+    def below(v):
+        return float(np.nextafter(v, -np.inf))
+
+    def above(v):
+        return float(np.nextafter(v, np.inf))
+
+    heights = [25.0, below(25.0), 40.0, below(40.0), 60.0, 10.0, -1.0]
+    occlusions = [-1, 0, 1, 2, 3]
+    truncations = [-1.0, 0.0, 0.15, above(0.15), 0.30, above(0.30), 0.50, above(0.50)]
+    grid = [(h, o, t) for h in heights for o in occlusions for t in truncations]
+    h, o, t = (np.array(v, dtype=np.float64) for v in zip(*grid))
+    levels = difficulty_levels(h, o, t).tolist()
+    names = (*DIFFICULTIES, "Ignored")
+    # DontCare-style boxes carry -1 for truncation and occlusion; a box
+    # from the image's top row has its height as its bottom, exactly
+    records = [replace(_record(occ=oo, trunc=tt), bbox=(0.0, 0.0, 10.0, hh)) for hh, oo, tt in grid]
+    for record, (hh, oo, tt), level in zip(records, grid, levels):
+        assert names[level] == assign_difficulty(record) == oracles.difficulty_reference(hh, oo, tt)
+    # the evaluator reads the height off the stacked table's bbox columns
+    split = _prepare([_record_table([])], [_record_table(records)])
+    assert split.gt_level.tolist() == levels
+    assert sorted(set(levels)) == [0, 1, 2, 3]
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +414,118 @@ def test_split_cells_bitwise_vs_bruteforce(tmp_path):
     assert checked >= 24
 
 
+def _contested_split():
+    """Car labels where the order of the greedy walk decides the outcome."""
+    gt, preds = {}, {}
+    # equal scores: ties keep input order, so the first of two tied
+    # predictions on one box takes it and the second is a false positive
+    gt["000000"] = [_record(), _record(loc=(8.0, 1.5, 30.0))]
+    preds["000000"] = [
+        _record(loc=(0.1, 1.5, 20.0), score=0.8),
+        _record(loc=(-0.1, 1.5, 20.0), score=0.8),
+        _record(loc=(8.0, 1.5, 30.1), score=0.8),
+    ]
+    # equal IoUs against two ground-truth boxes: duplicate boxes, the first
+    # index wins, and the next prediction takes the copy; a Moderate box
+    # before its Easy copy is ignored at Easy, where the copy is counted
+    gt["000001"] = [_record(), _record(), _record(loc=(6.0, 1.5, 25.0), h2d=30.0, occ=1),
+                    _record(loc=(6.0, 1.5, 25.0))]
+    preds["000001"] = [
+        _record(loc=(0.2, 1.5, 20.0), score=0.9),
+        _record(loc=(0.0, 1.5, 20.2), score=0.7),
+        _record(loc=(6.1, 1.5, 25.0), score=0.6),
+        _record(loc=(6.0, 1.5, 25.1), score=0.5),
+    ]
+    # two predictions claiming one box: the higher score takes it even with
+    # the lower IoU, and the other is false. At 0.5 the third one reaches
+    # both boxes equally and takes the second, the first being taken, so
+    # the last one, which reaches only the second, is false
+    gt["000002"] = [_record(), _record(loc=(1.6, 1.5, 20.0))]
+    preds["000002"] = [
+        _record(loc=(0.3, 1.5, 20.0), score=0.95),
+        _record(loc=(0.05, 1.5, 20.0), score=0.9),
+        _record(loc=(0.8, 1.5, 20.0), score=0.85),
+        _record(loc=(1.5, 1.5, 20.0), score=0.4),
+    ]
+    # an ignored box overlapping a counted one: the counted box is taken
+    # first even at a lower IoU, a match to the ignored box consumes it and
+    # drops the prediction, and a third prediction finds both taken
+    gt["000003"] = [_record(), _record(loc=(0.5, 1.5, 20.0), h2d=20.0)]
+    preds["000003"] = [
+        _record(loc=(0.45, 1.5, 20.0), score=0.75),
+        _record(loc=(0.5, 1.5, 20.05), score=0.65),
+        _record(loc=(0.25, 1.5, 20.0), score=0.55),
+    ]
+    # equal IoUs that decide a later match: the top prediction lies inside
+    # two boxes of one size, so both IoUs are its volume over theirs; with
+    # axis-aligned boxes and binary fractions that is bit for bit. It takes
+    # the first box, the only one the second prediction reaches at 0.7.
+    # Counted boxes, then the same with ignored boxes, where the second
+    # prediction is left false, not dropped, ahead of every hit
+    big = (1.5, 4.0, 8.0)
+    for img, h2d, scores in (("000004", 50.0, (0.45, 0.35)), ("000005", 20.0, (0.99, 0.98))):
+        gt[img] = [_record(loc=(-0.25, 1.5, 20.0), dims=big, yaw=0.0, h2d=h2d),
+                   _record(loc=(0.25, 1.5, 20.0), dims=big, yaw=0.0, h2d=h2d)]
+        preds[img] = [_record(dims=(1.5, 3.5, 7.0), yaw=0.0, score=scores[0]),
+                      _record(loc=(-1.5, 1.5, 20.0), dims=big, yaw=0.0, score=scores[1])]
+    # and a match no other prediction contests, to an ignored box: it
+    # drops out ahead of every hit
+    gt["000006"] = [_record(h2d=20.0)]
+    preds["000006"] = [_record(loc=(0.1, 1.5, 20.0), score=0.97)]
+    return gt, preds
+
+
+def test_contested_split_cells_bitwise_vs_bruteforce(tmp_path):
+    gt, preds = _contested_split()
+    # what is on disk: labels are written to two decimals
+    gt = {img: parse_label_file(write_labels(recs)) for img, recs in gt.items()}
+    preds = {img: parse_label_file(write_labels(recs)) for img, recs in preds.items()}
+    # the walk has work: boxes that two predictions reach at the threshold
+    for metric, thr in (("3D", 0.7), ("BEV", 0.7), ("3D", 0.5)):
+        pair = _pair_iou(metric)
+        reached = [
+            sum(pair(p, g) >= thr for p in preds[img])
+            for img in gt for g in gt[img]
+        ]
+        assert sum(n > 1 for n in reached) >= 4
+        for img in ("000004", "000005"):
+            (top, second), (first, other) = preds[img], gt[img]
+            assert pair(top, first) == pair(top, other) >= 0.7
+            assert pair(second, first) >= 0.7 > pair(second, other) > 0.5
+    pred_dir, gt_dir = _write_split(tmp_path, gt, preds)
+    report = evaluate_split(pred_dir, gt_dir)
+    assert report.errors == [] and len(report.cells) == 36
+    checked = 0
+    for (set_name, metric, cls, diff), cell in report.cells.items():
+        thr = dict(OFFICIAL_IOU if set_name == "official" else RELAXED_IOU)[cls]
+        pair = _pair_iou(metric)
+        want = oracles.ap_r40_bruteforce(preds, gt, cls, diff, pair, thr)
+        counts = oracles.match_counts_bruteforce(preds, gt, cls, diff, pair, thr)
+        assert (cell.n_gt, cell.matched, cell.n_pred) == counts
+        assert cell.ap == want
+        if cls == "Car":
+            assert cell.ap == ap_r40(preds, gt, cls, diff, metric, thr)
+            assert 0.0 < want < 100.0
+            checked += 1
+    assert checked == 12
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_contested_split_pinned_counts(metric):
+    gt, preds = _contested_split()
+    # at 0.7 every counted box but 000004's second is matched. Of the 19
+    # predictions, six are false: 000000's second (tied) one, 000002's
+    # second and third, 000003's last, and the second of 000004 and of
+    # 000005. 000003's second and the top ones of 000005 and 000006 drop
+    # out on ignored boxes, and at Easy so does 000001's last, on the
+    # Moderate duplicate that Moderate counts
+    for diff, want in (("Easy", (10, 9, 19)), ("Moderate", (11, 10, 19)), ("Hard", (11, 10, 19))):
+        pair = _pair_iou(metric)
+        assert oracles.match_counts_bruteforce(preds, gt, "Car", diff, pair, 0.7) == want
+        got = ap_r40(preds, gt, "Car", diff, metric, 0.7)
+        assert got == oracles.ap_r40_bruteforce(preds, gt, "Car", diff, pair, 0.7)
+
+
 def test_prepare_split_tables_equal_per_image_iou_pairs():
     rng = np.random.default_rng(16)
     gt, preds = _corpus(rng, n_images=60)
@@ -396,37 +536,59 @@ def test_prepare_split_tables_equal_per_image_iou_pairs():
     gt["000901"] = [_record(), _record(cls="Pedestrian", dims=ped, loc=(2.0, 1.6, 12.0))]
     gt["000902"] = [_record(), _record(loc=(3.0, 1.5, 20.0))]
     preds["000902"] = [_record(dims=(1.5, 1.6, 0.0), score=0.9), _record(loc=(0.1, 1.5, 20.0), score=0.5)]
-    prepared = _prepare(preds, gt, CLASS_NAMES)
+    images = sorted(set(gt) | set(preds))
+    split = _prepare(
+        [_record_table(preds.get(img, [])) for img in images],
+        [_record_table(gt.get(img, [])) for img in images],
+    )
+    # the oracle: per image and class, the iou_pairs table; a prediction's
+    # rank is its place in the class's score order (ties in input order),
+    # a ground-truth box's index its place in the stacked split
+    gt_index, start = {}, 0
+    for img in images:
+        gt_index[img] = start
+        start += len(gt.get(img, []))
     n_pairs = n_kept = 0
+    rank_of = {}
     for cls in CLASS_NAMES:
-        want = {}
-        for img in sorted(set(gt) | set(preds)):
-            p = [_row(r) for r in preds.get(img, []) if r.type == cls]
-            g = [_row(r) for r in gt.get(img, []) if r.type == cls]
+        want = {"3D": [], "BEV": []}
+        flat = [(img, k, r) for img in images for k, r in enumerate(preds.get(img, [])) if r.type == cls]
+        rank = {(img, k): n for n, (img, k, _) in enumerate(sorted(flat, key=lambda e: -e[2].score))}
+        for img in images:
+            p = [(k, r) for k, r in enumerate(preds.get(img, [])) if r.type == cls]
+            g = [(j, r) for j, r in enumerate(gt.get(img, [])) if r.type == cls]
             if p and g:
-                t3d, tbev = iou_pairs(p, g)
-                # exactly the entries > 0, in ground-truth order
-                want[img] = {
-                    metric: [[(j, v) for j, v in enumerate(row) if v > 0.0] for row in table.tolist()]
-                    for metric, table in (("3D", t3d), ("BEV", tbev))
-                }
+                t3d, tbev = iou_pairs([_row(r) for _, r in p], [_row(r) for _, r in g])
+                for metric, table in (("3D", t3d), ("BEV", tbev)):
+                    for (k, _), row in zip(p, table.tolist()):
+                        want[metric] += [
+                            (rank[img, k], gt_index[img] + j, v) for (j, _), v in zip(g, row) if v > 0.0
+                        ]
                 n_pairs += len(p) * len(g)
                 n_kept += np.count_nonzero(tbev)
-        got = prepared[cls].candidates
-        assert got == want
-        # == on floats > 0 is bit equality; the indices are ints
-        for img, metrics in got.items():
-            for rows in metrics.values():
-                for row in rows:
-                    assert all(type(j) is int and type(v) is float for j, v in row)
+            rank_of.update({(cls, img, k): rank[img, k] for k, _ in p})
+        for metric in METRICS:
+            got = list(zip(*(a.tolist() for a in split.pairs[cls, metric])))
+            # == on floats > 0 is bit equality; ranks and indices are ints
+            assert got == sorted(want[metric])
+            assert all(type(r) is int and type(j) is int and type(v) is float for r, j, v in got)
     # the split's pairs cross a clip-block boundary (256 pairs), and most
     # of them do not overlap
     assert n_pairs > 256 and 0 < n_kept < n_pairs // 2
-    assert "000900" not in prepared["Car"].candidates and "000901" not in prepared["Car"].candidates
-    zero_area = prepared["Car"].candidates["000902"]
-    assert zero_area["3D"][0] == [] and zero_area["BEV"][0] == []
-    j, v = zero_area["BEV"][1][0]
-    assert j == 0 and v > 0.5
+    # no pair touches an image with predictions only or ground truth only
+    gt_only = {gt_index["000901"], gt_index["000901"] + 1}
+    pred_only = {("Car", rank_of["Car", "000900", 0]), ("Cyclist", rank_of["Cyclist", "000900", 1])}
+    for (cls, _), (ranks, gts, _) in split.pairs.items():
+        assert not gt_only & set(gts.tolist())
+        assert not pred_only & {(cls, r) for r in ranks.tolist()}
+    # the zero-area prediction has no pair; the one beside it overlaps
+    # the image's first box
+    zero_area, beside = rank_of["Car", "000902", 0], rank_of["Car", "000902", 1]
+    for metric in METRICS:
+        assert zero_area not in split.pairs["Car", metric][0].tolist()
+    ranks, gts, ious = split.pairs["Car", "BEV"]
+    at = np.flatnonzero(ranks == beside)[0]
+    assert gts[at] == gt_index["000902"] and ious[at] > 0.5
 
 
 def test_split_empty_prediction_dir(tmp_path):

@@ -13,6 +13,7 @@ from mono3d.kitti import (
     format_label_line,
     parse_calib_file,
     parse_label_file,
+    parse_label_table,
     read_ppm,
     write_calib,
     write_labels,
@@ -124,6 +125,97 @@ def test_parse_never_crashes_on_noise():
         with pytest.raises(ParseError) as exc_info:
             parse_label_file(text)
         assert exc_info.value.line is not None
+
+
+def _bits(v):
+    """A float's bit pattern; equal patterns are bit-identical values."""
+    return np.float64(v).view(np.uint64).item()
+
+
+def _reference_record(score=None):
+    return LabelRecord(
+        type="Car",
+        truncated=0.0,
+        occluded=0,
+        alpha=-1.58,
+        bbox=(587.01, 173.33, 614.12, 200.12),
+        dimensions=(1.65, 1.67, 3.64),
+        location=(-0.65, 1.71, 46.70),
+        rotation_y=-1.59,
+        score=score,
+    )
+
+
+def test_mixed_fifteen_and_sixteen_field_lines():
+    text = "\n".join([REFERENCE_LINE + " 0.25", REFERENCE_LINE, REFERENCE_LINE + " -0.0"]) + "\n"
+    records = parse_label_file(text)
+    assert records == [_reference_record(0.25), _reference_record(), _reference_record(-0.0)]
+    assert math.copysign(1.0, records[2].score) == -1.0
+    types, numbers = parse_label_table(text)
+    assert types == ["Car"] * 3 and numbers.shape == (3, 15) and numbers.dtype == np.float64
+    assert numbers[0, 14] == 0.25 and math.isnan(numbers[1, 14]) and numbers[2, 14] == 0.0
+    assert np.array_equal(numbers[:, :14], np.repeat(numbers[:1, :14], 3, axis=0))
+
+
+def test_blank_whitespace_and_crlf_lines():
+    text = "\r\n" + REFERENCE_LINE + "\r\n \t \r\n\n" + REFERENCE_LINE + " 0.5\r\n   \r\n"
+    assert parse_label_file(text) == [_reference_record(), _reference_record(0.5)]
+    assert parse_label_file("\r\n  \t\r\n") == []
+    types, numbers = parse_label_table(" \n\r\n")
+    assert types == [] and numbers.shape == (0, 15)
+    # blank lines still count: a bad field is placed on its own line
+    with pytest.raises(ParseError) as exc_info:
+        parse_label_file(text + "Car 0.00 0 x\r\n")
+    assert exc_info.value.line == 7 and exc_info.value.column == 1
+
+
+_OCCLUDED_LINE = "Car 0.00 2.5 " + REFERENCE_LINE.split(" ", 3)[3]
+
+
+@pytest.mark.parametrize(
+    "line, token, message",
+    [
+        (REFERENCE_LINE.replace("587.01", "57x.01"), "57x.01", "expected a number"),
+        (REFERENCE_LINE.replace("46.70", "inf"), "inf", "finite"),
+        (_OCCLUDED_LINE, "2.5", "integer"),
+        (REFERENCE_LINE + " 0.5 0.9", "Car", "expected 15 or 16 fields, got 17"),
+    ],
+)
+def test_bad_field_on_line_three_of_a_regular_file(line, token, message):
+    for regular in (REFERENCE_LINE, REFERENCE_LINE + " 0.5"):
+        text = "\n".join([regular] * 2 + [line] + [regular] * 3) + "\n"
+        with pytest.raises(ParseError) as exc_info:
+            parse_label_table(text)
+        assert exc_info.value.line == 3 and message in str(exc_info.value)
+        assert exc_info.value.column == line.index(token) + 1
+        with pytest.raises(ParseError) as again:
+            parse_label_file(text)
+        assert str(again.value) == str(exc_info.value)
+
+
+def test_label_table_agrees_with_records_bit_for_bit():
+    rng = np.random.default_rng(3)
+    lines = []
+    for k in range(40):
+        values = rng.normal(scale=50.0, size=14)
+        values[1] = int(rng.integers(-1, 4))
+        cls = CLASS_NAMES[k % 3] if k % 7 else "DontCare"
+        line = " ".join([cls] + [repr(float(v)) for v in values])
+        if k % 3:
+            line += f" {rng.uniform():.17g}"
+        lines.append(line)
+    types, numbers = parse_label_table("\n".join(lines))
+    records = parse_label_file("\n".join(lines))
+    assert types == [r.type for r in records]
+    for rec, row in zip(records, numbers.tolist()):
+        fields = (rec.truncated, rec.occluded, rec.alpha, *rec.bbox, *rec.dimensions,
+                  *rec.location, rec.rotation_y)
+        assert [_bits(v) for v in fields] == [_bits(v) for v in row[:14]]
+        assert (rec.score is None) == math.isnan(row[14])
+        assert rec.score is None or _bits(rec.score) == _bits(row[14])
+    # and every field is the text's float, bit for bit
+    flat = [float(tok) for line in lines for tok in line.split()[1:]]
+    assert [_bits(v) for v in flat] == [_bits(v) for v in numbers[~np.isnan(numbers)]]
 
 
 # ---------------------------------------------------------------------------
