@@ -7,9 +7,12 @@ named `kernel[N,h,w,C]` (the unpadded input, float64 unless marked f32):
 im2col on the toy step's hot 3x3 neck conv input, the 7x7 stride-4 stem
 of a toy batch and a 3x3 conv at desk KITTI size; col2im on the toy
 step's second patch embed (3x3, stride 2); depthwise3x3 on the four
-toy-step FFN maps and desk stage 1 at KITTI size. A composite row times
-a full desk backbone forward/backward pass, which exercises im2col and
-col2im the way training does.
+toy-step FFN maps and desk stage 1 at KITTI size. tensor.layer_norm's
+forward, which runs 23 times per desk image, has rows
+`layer_norm[N,tokens,C]`: a toy step's stage-1 tokens and a 48 x 160
+desk stage-1 token map in f32. A composite row times a full desk
+backbone forward/backward pass, which exercises im2col and col2im the
+way training does.
 
 Usage: python3 benchmarks/bench_kernels.py [--repeats N] [--quick]
 """
@@ -67,6 +70,7 @@ def build_workloads(quick):
 
     return [
         *_conv_rows(rng, scale),
+        *_layer_norm_rows(rng, scale),
         (_row("col2im", (n, h, w, c), np.float64), lambda: kernels.col2im(cols, hp, wp, 3, 3, 2)),
         ("bilinear_gather", lambda: kernels.bilinear_gather(feat, wy, wx)),
         ("bilinear_scatter", lambda: kernels.bilinear_scatter(gout, wy, wx)),
@@ -94,6 +98,15 @@ def _conv_rows(rng, scale):
         xp = rng.normal(size=(n, h + 2, (w + 2) * c)).astype(dtype)
         taps = rng.normal(size=(9, w * c)).astype(dtype)
         rows.append((_row("depthwise3x3", (n, h, w, c), dtype), lambda xp=xp, taps=taps: kernels.depthwise3x3(xp, taps)))
+    return rows
+
+
+def _layer_norm_rows(rng, scale):
+    rows = []
+    for (n, t, c), dtype in (((8, 384, 16), np.float64), ((1, 7680, 16), np.float32)):
+        x = Tensor(rng.normal(size=(n, t // scale, c)), dtype=dtype)
+        gamma, beta = (Tensor(rng.normal(size=c), dtype=dtype) for _ in range(2))
+        rows.append((_row("layer_norm", x.shape, dtype), lambda x=x, g=gamma, b=beta: T.layer_norm(x, g, b)))
     return rows
 
 

@@ -106,6 +106,8 @@ class Heads3DOutput:
     bias_mu: Tensor  # [M] depth bias, meters
     bias_log_sigma: Tensor  # [M]
 
+    __getitem__ = _Rows.__getitem__  # out[rows]: the outputs of those RoIs
+
 
 @dataclass
 class Detections3D(_Rows):

@@ -177,20 +177,18 @@ def parse_label_file(text):
     return _label_records(*parse_label_table(text))
 
 
+# type, truncated, occluded, alpha, bbox (4), dimensions (3), location (3),
+# rotation_y; a prediction line adds _SCORE_FIELD
+_LABEL_LINE = "{} {:.2f} {:d}" + " {:.2f}" * 12
+_SCORE_FIELD = " {:.6f}"
+
+
 def format_label_line(rec):
-    parts = [
-        rec.type,
-        f"{rec.truncated:.2f}",
-        str(int(rec.occluded)),
-        f"{rec.alpha:.2f}",
-        *(f"{v:.2f}" for v in rec.bbox),
-        *(f"{v:.2f}" for v in rec.dimensions),
-        *(f"{v:.2f}" for v in rec.location),
-        f"{rec.rotation_y:.2f}",
-    ]
-    if rec.score is not None:
-        parts.append(f"{rec.score:.6f}")
-    return " ".join(parts)
+    line = _LABEL_LINE.format(
+        rec.type, rec.truncated, int(rec.occluded), rec.alpha,
+        *rec.bbox, *rec.dimensions, *rec.location, rec.rotation_y,
+    )
+    return line if rec.score is None else line + _SCORE_FIELD.format(rec.score)
 
 
 def write_labels(records):
@@ -238,28 +236,21 @@ def write_predictions(dets, calib, image_size, class_names, drop_count=None):
         drop_count["behind_camera"] = drop_count.get("behind_camera", 0) + int(behind.sum())
     pix, _ = calib.project(corners[~behind])
     pix = pix.reshape(-1, 8, 2)
-    lo, hi = pix.min(axis=1).tolist(), pix.max(axis=1).tolist()
     kept = dets[~behind]
-    fields = zip(kept.class_id.tolist(), kept.score.tolist(), kept.rows.tolist(), lo, hi)
-    lines = []
-    for class_id, score, (x, y, z, h, w, length, yaw), (u0, v0), (u1, v1) in fields:
-        left = min(max(u0, 0.0), float(width))
-        right = min(max(u1, 0.0), float(width))
-        top = min(max(v0, 0.0), float(height))
-        bottom = min(max(v1, 0.0), float(height))
-        rec = LabelRecord(
-            type=class_names[class_id],
-            truncated=0.0,
-            occluded=0,
-            alpha=compute_alpha(yaw, x, z),
-            bbox=(left, top, right, bottom),
-            dimensions=(h, w, length),
-            location=(x, y, z),
-            rotation_y=yaw,
-            score=score,
-        )
-        lines.append(format_label_line(rec))
-    return "".join(line + "\n" for line in lines)
+    x, z, yaw = (kept.rows[:, j] for j in (0, 2, 6))
+    # compute_alpha's ops, one row at a time for math.atan2, then elementwise
+    alpha = wrap_angle(yaw - np.array([math.atan2(a, b) for a, b in zip(x.tolist(), z.tolist())]))
+    # (left, top, right, bottom), clamped to the image as min(max(v, 0), limit)
+    bbox = np.concatenate([pix.min(axis=1), pix.max(axis=1)], axis=1)
+    limit = np.array([width, height, width, height], dtype=np.float64)
+    bbox = np.where(bbox < 0.0, 0.0, bbox)
+    bbox = np.where(limit < bbox, limit, bbox)
+    # _LABEL_LINE's numeric fields after occluded, then the score
+    table = np.column_stack([alpha, bbox, kept.rows[:, [3, 4, 5, 0, 1, 2, 6]], kept.score]).tolist()
+    line = _LABEL_LINE + _SCORE_FIELD + "\n"
+    return "".join(
+        line.format(class_names[c], 0.0, 0, *values) for c, values in zip(kept.class_id.tolist(), table)
+    )
 
 
 def write_ppm(path, image):

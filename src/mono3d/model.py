@@ -85,7 +85,10 @@ class Detector(Module):
         """One image -> (Detections3D, drop-count dict), no gradients.
 
         The image is cast to the detector's dtype; decoding runs in float64.
-        The 2D offset and size heads run only at the heatmap's peaks.
+        The 2D offset and size heads, the RoI crop and the 3D heads are
+        class-agnostic, so they run once per distinct peak cell: peaks of
+        several classes at one cell share its box and its 3D-head row, and
+        differ only in class and score. Drops are counted per peak.
         """
         with T.no_grad():
             feat = self.features(image.data if isinstance(image, Tensor) else image)
@@ -93,19 +96,31 @@ class Detector(Module):
                 raise UsageError(f"infer takes a single image, got batch of {feat.shape[0]}")
             heatmap = self.heads2d(feat)
             peaks = decode_heatmap_peaks(heatmap.data[0], k=k, threshold=score_threshold)
-            offset, size = self.heads2d.at(feat, np.zeros(len(peaks), dtype=np.int64), peaks.row, peaks.col)
-            boxes = peaks.boxes(offset.data, size.data)
-            drops = {}
+            _, first, cell = np.unique(
+                peaks.row * feat.shape[2] + peaks.col, return_index=True, return_inverse=True
+            )
+            at = peaks[first]
+            offset, size = self.heads2d.at(feat, np.zeros(len(at), dtype=np.int64), at.row, at.col)
+            boxes = at.boxes(offset.data, size.data)
             flat = boxes.size[:, 1] <= MIN_H2D_PIXELS
-            if flat.any():
-                drops["h2d_degenerate"] = int(np.sum(flat))
-            kept = boxes[~flat]
-            rois, valid = roi_crop(feat, kept, np.zeros(len(kept), dtype=np.int64))
-            if not valid.all():
-                drops["roi_degenerate"] = int(np.sum(~valid))
+            upright = boxes[~flat]
+            rois, valid = roi_crop(feat, upright, np.zeros(len(upright), dtype=np.int64))
+            live = np.zeros(len(boxes), dtype=bool)
+            live[~flat] = valid
+            drops = {}
+            peak_flat, peak_live = flat[cell], live[cell]
+            if peak_flat.any():
+                drops["h2d_degenerate"] = int(np.sum(peak_flat))
+            outside = ~peak_flat & ~peak_live
+            if outside.any():
+                drops["roi_degenerate"] = int(np.sum(outside))
             dets3d = Detections3D.empty()
-            if valid.any():
-                dets3d, dropped = decode_box3d(kept[valid], self.heads3d(rois), calib)
+            if live.any():
+                out3d = self.heads3d(rois)
+                kept = np.flatnonzero(peak_live)  # in peak order
+                rows = (np.cumsum(live) - 1)[cell[kept]]  # their cells' RoI rows
+                per_peak = Boxes2D(peaks.class_id, peaks.score, boxes.center[cell], boxes.size[cell])
+                dets3d, dropped = decode_box3d(per_peak[kept], out3d[rows], calib)
                 drops.update(dropped)
         return dets3d, drops
 

@@ -20,6 +20,7 @@ checkpoint runs its no-grad forward in float32 from the image to the
 heads.
 """
 
+import functools
 import heapq
 import math
 
@@ -543,12 +544,23 @@ def layer_norm(x, gamma, beta, eps=1e-6):
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise DimensionError(f"gamma/beta must have shape ({d},)")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = np.mean(xc * xc, axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out_data = xhat * gamma.data + beta.data
+    # the ops of mean, (xc * xc).mean, 1 / sqrt(var + eps) and
+    # xhat * gamma + beta, in order, on reused buffers: bit-equal to them
+    mu = np.add.reduce(x.data, axis=-1, keepdims=True)
+    mu /= d
+    xhat = x.data - mu
+    sq = np.multiply(xhat, xhat)
+    inv = np.add.reduce(sq, axis=-1, keepdims=True)
+    inv /= d
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    if sq.dtype == np.result_type(sq, gamma.data, beta.data):
+        out_data = np.multiply(xhat, gamma.data, out=sq)
+        out_data += beta.data
+    else:
+        out_data = xhat * gamma.data + beta.data
 
     def vjp(g):
         gg = g * gamma.data
@@ -796,20 +808,24 @@ def roi_align(x, boxes, batch_idx, out_size=(7, 7)):
     return _record("roi_align", out, (x,), vjp)
 
 
+@functools.lru_cache(maxsize=256)
 def _interp_matrix(out_n, n, dtype=np.float64):
     """[out_n, n] bilinear weights at half-pixel centers, clamped at the border.
 
     Row i holds 1 - f at floor(src) and f at floor(src) + 1, with
     src = (i + 0.5) * n / out_n - 0.5; where the clamp makes the two
     columns equal the weights add, so every row sums to 1. The weights are
-    computed in float64 and returned in `dtype`.
+    computed in float64 and returned in `dtype`. The result is cached per
+    (out_n, n, dtype) and read-only.
     """
     i0, i1, f = _bilinear_axis((np.arange(out_n) + 0.5) * (n / out_n) - 0.5, n)
     rows = np.arange(out_n)
     m = np.zeros((out_n, n))
     m[rows, i0] += 1.0 - f
     m[rows, i1] += f
-    return m.astype(dtype, copy=False)
+    m = m.astype(dtype, copy=False)
+    m.flags.writeable = False
+    return m
 
 
 def bilinear_resize(x, out_h, out_w):

@@ -24,4 +24,5 @@ def test_bench_kernels_quick_prints_one_row_per_kernel():
         if fn.__module__ == kernels.__name__ and not name.startswith("_")
     ]
     public.remove("active_backend")  # a run fact, not a kernel
-    assert sorted(rows) == sorted(public + ["desk_fwd_bwd"]), proc.stdout
+    # besides the kernels: the composite step and tensor.layer_norm
+    assert sorted(rows) == sorted(public + ["desk_fwd_bwd", "layer_norm"]), proc.stdout

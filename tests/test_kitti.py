@@ -426,6 +426,52 @@ def test_behind_camera_excluded_with_diagnostic():
         assert rec.bbox != pytest.approx(_envelope(_detection(loc=other), calib), abs=0.5)
 
 
+def _fstring_line(rec):
+    """A label line one f-string field at a time, as KITTI's devkit writes it."""
+    numbers = (rec.alpha, *rec.bbox, *rec.dimensions, *rec.location, rec.rotation_y)
+    line = f"{rec.type} {rec.truncated:.2f} {int(rec.occluded)} " + " ".join(f"{v:.2f}" for v in numbers)
+    return line if rec.score is None else line + f" {rec.score:.6f}"
+
+
+def test_write_predictions_equals_label_record_rendering():
+    calib, (width, height) = _calib(), (1242, 375)
+    rng = np.random.default_rng(41)
+    n = 400
+    rows = np.column_stack([
+        rng.uniform(-25.0, 25.0, n), rng.uniform(0.5, 2.5, n), rng.uniform(-6.0, 60.0, n),
+        rng.uniform(0.3, 4.5, (n, 3)), rng.uniform(-math.pi, math.pi, n),
+    ])
+    score = rng.uniform(0.0, 1.0, n)
+    # fields that print as -0.00, exact binary halves x.xx5 (round half to
+    # even at 2 decimals), scores with 6 decimals and halves at the 7th
+    rows[0:40, 0] = rng.choice([-0.004, -0.0, -0.001, 0.004], 40)
+    rows[40:80, 1] = rng.choice([-0.0049, -0.0], 40)
+    rows[80:160, 3:6] = rng.choice([0.125, 0.375, 1.125, 2.625, 3.875], (80, 3))
+    rows[160:200, 6] = rng.choice([-0.004, 0.125, -1.375, 2.875], 40)
+    score[200:260] = np.round(score[200:260], 6)
+    score[260:300] = rng.choice([0.5000005, 0.0000005, 0.25, 0.9999995], 40)
+    dets = Detections3D(rng.integers(0, 3, n), score, rows, np.full(n, 0.2))
+
+    drops = {}
+    text = write_predictions(dets, calib, (width, height), CLASS_NAMES, drop_count=drops)
+    want = []
+    for det in (dets[[i]] for i in range(n)):
+        pix, depth = calib.project(box3d_corners(det.rows))
+        if det.rows[0, 2] <= 0.0 or np.any(depth <= 0.0):
+            continue
+        x, y, z, h, w, length, yaw = det.rows[0].tolist()
+        rec = LabelRecord(
+            type=CLASS_NAMES[int(det.class_id[0])], truncated=0.0, occluded=0,
+            alpha=compute_alpha(yaw, x, z), bbox=_envelope(det, calib, width, height),
+            dimensions=(h, w, length), location=(x, y, z), rotation_y=yaw, score=float(det.score[0]),
+        )
+        assert format_label_line(rec) == _fstring_line(rec)
+        want.append(format_label_line(rec) + "\n")
+    assert 0 < drops["behind_camera"] == n - len(want)
+    assert text == "".join(want)
+    assert " -0.00 " in text and " 1.12 " in text and " 0.500000\n" in text
+
+
 def test_write_predictions_empty():
     assert write_predictions(Detections3D.empty(), _calib(), (1242, 375), CLASS_NAMES) == ""
 

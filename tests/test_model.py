@@ -14,7 +14,15 @@ from mono3d.errors import (
     NumericError,
     UsageError,
 )
-from mono3d.heads import MIN_H2D_PIXELS, Detections3D, Heads3D, decode_heatmap_peaks, roi_crop
+from mono3d.heads import (
+    CLASS_PRIORS,
+    MIN_H2D_PIXELS,
+    Detections3D,
+    Heads2D,
+    Heads3D,
+    decode_heatmap_peaks,
+    roi_crop,
+)
 from mono3d.kitti import LabelRecord
 from mono3d.losses import LOSS_TERMS, assign_targets, make_weights, total_loss
 from mono3d.model import Detector, load_checkpoint, load_detector, manifest_path, save_checkpoint
@@ -285,8 +293,10 @@ def _load(path, dtype=np.float32):
     return det
 
 
-def _infer_per_peak(det, image, calib, k):
-    """Reference loop: crop, 3D heads and scalar decode one peak at a time."""
+def _infer_per_peak(det, image, calib, k, cells=None):
+    """Reference loop: crop, 3D heads and scalar decode one peak at a time.
+    A given `cells` set collects the (row, col) of each peak that reaches
+    the 3D heads."""
     with T.no_grad():
         feat = det.features(image.data.astype(det.dtype))  # as infer casts it
         found = decode_heatmap_peaks(det.heads2d(feat).data[0], k=k)
@@ -301,6 +311,8 @@ def _infer_per_peak(det, image, calib, k):
             if not valid[0]:
                 drops["roi_degenerate"] = drops.get("roi_degenerate", 0) + 1
                 continue
+            if cells is not None:
+                cells.add((found.row[i], found.col[i]))
             d3 = oracles.decode_box3d_scalar(
                 peaks.class_id[i], peaks.score[i], peaks.center[i], peaks.size[i],
                 det.heads3d(roi), calib,
@@ -314,16 +326,22 @@ def _infer_per_peak(det, image, calib, k):
     return dets3d, drops
 
 
-def _count_heads3d_calls(monkeypatch):
+def _count_rows(monkeypatch, owner, name, rows):
+    """Patch method owner.name to record rows(*args), the row count of
+    each call's input; returns the list of counts."""
     calls = []
-    orig = Heads3D.__call__
+    orig = getattr(owner, name)
 
-    def counted(self, rois):
-        calls.append(rois.shape[0])
-        return orig(self, rois)
+    def counted(self, *args):
+        calls.append(rows(*args))
+        return orig(self, *args)
 
-    monkeypatch.setattr(Heads3D, "__call__", counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def _count_heads3d_calls(monkeypatch):
+    return _count_rows(monkeypatch, Heads3D, "__call__", lambda rois: rois.shape[0])
 
 
 def test_batched_infer_matches_per_peak_loop(toy_checkpoint, monkeypatch):
@@ -333,12 +351,13 @@ def test_batched_infer_matches_per_peak_loop(toy_checkpoint, monkeypatch):
     det = _load(path, np.float64)
     reasons = set()
     for image in images:
-        want, want_drops = _infer_per_peak(det, image, calib, k=50)
+        cells = set()
+        want, want_drops = _infer_per_peak(det, image, calib, k=50, cells=cells)
         calls = _count_heads3d_calls(monkeypatch)
         got, drops = det.infer(image, calib, k=50)
         monkeypatch.undo()
-        decoded = len(got) + drops.get("nonpositive_depth", 0) + drops.get("nonpositive_dimension", 0)
-        assert calls == [decoded]
+        # one 3D-head row per distinct cell among the peaks that reach it
+        assert calls == [len(cells)]
         assert drops == want_drops
         assert len(got) + sum(drops.values()) == 50
         assert len(got) == len(want) > 0
@@ -351,6 +370,41 @@ def test_batched_infer_matches_per_peak_loop(toy_checkpoint, monkeypatch):
         )
         reasons.update(drops)
     assert {"h2d_degenerate", "roi_degenerate"} <= reasons
+
+
+def test_infer_runs_the_heads_once_per_shared_cell(toy_checkpoint, monkeypatch):
+    path, calib, images = toy_checkpoint
+    det = _load(path, np.float64)
+    # all classes get class 0's heatmap, so every peak cell is shared by
+    # three classes; zero size residuals leave each class its prior
+    heat = det.heads2d.heat.conv2
+    heat.weight.data[1:] = heat.weight.data[0]
+    heat.bias.data[1:] = heat.bias.data[0]
+    det.heads3d.fc_size.weight.data[:, :-1] = 0.0
+    det.heads3d.fc_size.bias.data[:-1] = 0.0
+    image = images[0]
+    with T.no_grad():
+        found = decode_heatmap_peaks(det.heads2d(det.features(image.data)).data[0], k=50)
+    cells = set()
+    want, want_drops = _infer_per_peak(det, image, calib, k=50, cells=cells)
+
+    at_rows = _count_rows(monkeypatch, Heads2D, "at", lambda feat, image, row, col: len(row))
+    heads3d_rows = _count_heads3d_calls(monkeypatch)
+    got, drops = det.infer(image, calib, k=50)
+    monkeypatch.undo()
+
+    distinct = set(zip(found.row.tolist(), found.col.tolist()))
+    assert len(found) == 50 and len(distinct) == 17  # ceil(50 / 3): three classes per cell
+    assert at_rows == [len(distinct)] and heads3d_rows == [len(cells)]
+    assert drops == want_drops
+    assert got.class_id.tolist() == [w[0] for w in want] and set(got.class_id.tolist()) == {0, 1, 2}
+    np.testing.assert_allclose(
+        np.column_stack([got.rows, got.score, got.depth_sigma]),
+        [(*row, score, sigma) for _, score, row, sigma in want],
+        rtol=1e-9,
+        atol=0.0,
+    )
+    assert np.array_equal(got.dimensions, CLASS_PRIORS[got.class_id])
 
 
 @pytest.mark.parametrize(

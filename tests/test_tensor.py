@@ -534,6 +534,24 @@ def test_layer_norm_mean_property():
     assert np.max(np.abs(out.data.mean(axis=-1))) < 1e-10
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("d", [16, 32, 64, 128])
+@pytest.mark.parametrize("lead", [(3, 5), (2, 3, 4)])
+def test_layer_norm_forward_is_bit_equal_to_the_textbook_expression(dtype, d, lead):
+    rng = np.random.default_rng(d + len(lead))
+    x = (rng.normal(size=lead + (d,)) * 3.0 + 0.7).astype(dtype)
+    gamma, beta = rng.normal(size=d).astype(dtype), rng.normal(size=d).astype(dtype)
+    eps = 1e-6
+    mu = x.mean(-1, keepdims=True)
+    xc = x - mu
+    var = np.mean(xc * xc, -1, keepdims=True)
+    xhat = xc * (1 / np.sqrt(var + eps))
+    want = xhat * gamma + beta
+    got = T.layer_norm(Tensor(x, dtype=dtype), Tensor(gamma, dtype=dtype), Tensor(beta, dtype=dtype), eps)
+    assert got.dtype == want.dtype == dtype
+    assert np.array_equal(got.data, want)
+
+
 def test_gelu_values():
     assert T.gelu(Tensor(0.0)).item() == 0.0
     assert T.gelu(Tensor(20.0)).item() == pytest.approx(20.0, abs=1e-12)
@@ -649,6 +667,32 @@ def test_bilinear_resize_keeps_float32():
     want = T.bilinear_resize(Tensor(x), 8, 11)
     assert want.dtype == np.float64
     np.testing.assert_allclose(got.data, want.data, rtol=0, atol=1e-6)
+
+
+def test_interp_matrices_are_cached_read_only():
+    for dtype in (np.float64, np.float32):
+        m = T._interp_matrix(11, 7, np.dtype(dtype))
+        assert m is T._interp_matrix(11, 7, np.dtype(dtype)) and m.dtype == dtype
+        assert not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0, 0] = 1.0
+        # the cached weights are the ones a fresh build gives
+        assert np.array_equal(m, T._interp_matrix.__wrapped__(11, 7, dtype))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_bilinear_resize_with_cached_matrices_is_unchanged(dtype):
+    rng = np.random.default_rng(13)
+    for h, w, oh, ow in _RESIZE_CASES:
+        x = rng.normal(size=(2, h, w, 3)).astype(dtype)
+        g = rng.normal(size=(2, oh, ow, 3)).astype(dtype)
+        wy, wx = (T._interp_matrix.__wrapped__(o, n, dtype) for o, n in ((oh, h), (ow, w)))
+        for _ in range(2):  # the first call may build the matrices, the second reads the cache
+            xt = Tensor(x, requires_grad=True, dtype=dtype)
+            out = T.bilinear_resize(xt, oh, ow)
+            T.backward(T.sum_(out * Tensor(g, dtype=dtype)))
+            assert np.array_equal(out.data, kernels.bilinear_gather(x, wy, wx))
+            assert np.array_equal(xt.grad, kernels.bilinear_scatter(g, wy, wx))
 
 
 def test_roi_align_keeps_float32():
