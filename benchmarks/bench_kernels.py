@@ -7,7 +7,10 @@ named `kernel[N,h,w,C]` (the unpadded input, float64 unless marked f32):
 im2col on the toy step's hot 3x3 neck conv input, the 7x7 stride-4 stem
 of a toy batch and a 3x3 conv at desk KITTI size; col2im on the toy
 step's second patch embed (3x3, stride 2); depthwise3x3 on the four
-toy-step FFN maps and desk stage 1 at KITTI size. tensor.layer_norm's
+toy-step FFN maps and desk stage 1 at KITTI size. T.conv2d's forward,
+which runs stride-1 and depthwise convs in row bands, has rows
+`conv2d[N,h,w,C]` (a 64->64 3x3 conv at desk KITTI size, f32) and
+`conv2d_dw[N,h,w,C]` (b2's stage-1 FFN depthwise conv). tensor.layer_norm's
 forward, which runs 23 times per desk image, has rows
 `layer_norm[N,tokens,C]`: a toy step's stage-1 tokens and a 48 x 160
 desk stage-1 token map in f32. A composite row times a full desk
@@ -82,8 +85,9 @@ def build_workloads(quick):
 
 
 def _conv_rows(rng, scale):
-    """im2col rows (kernel k, stride s) and depthwise3x3 rows on zero-padded
-    channels-last frames."""
+    """im2col rows (kernel k, stride s, padding k // 2) and depthwise3x3
+    rows, each over a whole map, and T.conv2d forward rows of the maps
+    that take several bands."""
     dense = [((8, 16, 24, 64), 3, 1, np.float64), ((8, 64, 96, 3), 7, 4, np.float64),
              ((1, 96, 320, 64), 3, 1, np.float32)]
     depthwise = [((8, 16, 24, 32), np.float64), ((8, 8, 12, 64), np.float64), ((8, 4, 6, 128), np.float64),
@@ -91,13 +95,22 @@ def _conv_rows(rng, scale):
     rows = []
     for (n, h, w, c), k, s, dtype in dense:
         h, w = h // scale, w // scale
-        xp = rng.normal(size=(n, h + k - 1, w + k - 1, c)).astype(dtype)  # padded by k // 2
-        rows.append((_row("im2col", (n, h, w, c), dtype), lambda xp=xp, k=k, s=s: kernels.im2col(xp, k, k, s)))
+        x = rng.normal(size=(n, h, w, c)).astype(dtype)
+        rows.append((_row("im2col", x.shape, dtype), lambda x=x, k=k, s=s: kernels.im2col(x, k, k, s, (k // 2, k // 2))))
     for (n, h, w, c), dtype in depthwise:
         h, w = max(h // scale, 1), max(w // scale, 1)
-        xp = rng.normal(size=(n, h + 2, (w + 2) * c)).astype(dtype)
-        taps = rng.normal(size=(9, w * c)).astype(dtype)
-        rows.append((_row("depthwise3x3", (n, h, w, c), dtype), lambda xp=xp, taps=taps: kernels.depthwise3x3(xp, taps)))
+        x = rng.normal(size=(n, h, w, c)).astype(dtype)
+        taps, out = rng.normal(size=(9, w * c)).astype(dtype), np.empty_like(x)
+        rows.append((
+            _row("depthwise3x3", x.shape, dtype),
+            lambda x=x, taps=taps, out=out: kernels.depthwise3x3(x, taps, slice(None), slice(None), out),
+        ))
+    # a desk KITTI-size stage-1 3x3 conv and a b2 stage-1 FFN depthwise conv
+    for name, (n, h, w, c), groups, dtype in (("conv2d", (1, 96, 320, 64), 1, np.float32),
+                                              ("conv2d_dw", (1, 95, 320, 512), 512, np.float64)):
+        x = Tensor(rng.normal(size=(n, h // scale, w // scale, c)), dtype=dtype)
+        wt = Tensor(rng.normal(size=(c, c // groups, 3, 3)), dtype=dtype)
+        rows.append((_row(name, x.shape, dtype), lambda x=x, wt=wt, g=groups: T.conv2d(x, wt, padding=1, groups=g)))
     return rows
 
 

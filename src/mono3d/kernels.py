@@ -1,12 +1,16 @@
 """Hot numeric kernels, one numpy implementation each.
 
-Maps are channels-last, [N, h, w, C], throughout. im2col builds the one
-patch matrix of every dense conv, [N*oh*ow, kh*kw*C] in (tap, channel)
-column order, for any kernel, stride and padding: the forward's and, at
-stride 1, that of the output gradient's frame, which yields both the
-input and the weight gradient. col2im, its adjoint, serves only the
-input gradient of strided convs. depthwise3x3 runs the nine shifted
-multiply-adds of a depthwise 3x3 conv over (w*C)-long rows.
+Maps are channels-last, [N, h, w, C], throughout. im2col builds the
+patch rows of every dense conv, [pixels, kh*kw*C] in (tap, channel)
+column order, for any kernel, stride and padding, from a zero frame of
+only the rows and columns they read: the forward's and, at stride 1,
+those of the output gradient's frame, which yield both the input and the
+weight gradient. A stride-1 conv asks for one band of output pixels at a
+time, so its frame stays in cache and its rows reuse one buffer. col2im,
+its adjoint, serves only the input gradient of strided convs.
+depthwise3x3 runs the nine shifted multiply-adds of a depthwise 3x3 conv
+over one band's zero-padded frame, along rows of the band's pixels
+times C.
 bilinear_gather and bilinear_scatter resize along the two spatial axes
 with the interpolation matrices of `tensor.bilinear_resize`, and back;
 they keep their names because perfbench wraps them by name. tap_gather
@@ -49,29 +53,53 @@ def active_backend():
     return "numpy"
 
 
-def im2col(xp, kh, kw, stride):
-    """Channels-last patch matrix [N*oh*ow, kh*kw*C] of a padded map xp
-    [N, Hp, Wp, C], oh = (Hp - kh) // stride + 1 (ow likewise).
+def im2col(x, kh, kw, stride, padding=(0, 0), shape=None, out=None):
+    """Channels-last patch matrix [N*oh*ow, kh*kw*C] of x [N, h, w, C]
+    framed by zeros: padding (top, left) zero rows and columns lie before
+    x, and as many after it as the output grid shape (oh, ow) reads (by
+    default oh = (h + 2*top - kh) // stride + 1, ow likewise); a negative
+    padding skips rows or columns of x.
 
     Row (n, y, x) is output pixel (y, x) of image n; column (i*kw + j)*C + c
-    holds xp[n, y*stride + i, x*stride + j, c]. Where a pixel's C channels
-    are contiguous, the kw taps of one kernel row are one kw*C-long run
-    (21 elements for the 7x7 RGB stem), so the copy moves whole runs. A
-    dense conv forward is then this matrix times the weight's (tap,
-    channel) columns. Any strides of xp work, so a sliced view is read in
-    place, and a 1x1 stride-1 patch matrix of a C-contiguous map is a view
-    of it, not a copy.
+    holds x[n, y*stride + i - top, x*stride + j - left, c], or 0 where that
+    falls outside x. Only the rows and columns the grid reads are framed
+    (a view of x where they need no zeros), so the frame of one band of
+    output pixels stays in cache; its patches are then one strided copy.
+    Where a pixel's C channels are contiguous, a kernel row's kw taps are
+    one kw*C-long run (21 elements for the 7x7 RGB stem), so the copy
+    moves whole runs. A dense conv forward is this matrix times the
+    weight's (tap, channel) columns. A 1x1 stride-1 patch matrix of a
+    C-contiguous map with no padding is a view of it, not a copy.
+    Otherwise the matrix is written to the front of out, a 1-D buffer of
+    x's dtype, when one is given (the bands of one conv share one buffer).
     """
-    n, hp, wp, c = xp.shape
-    oh, ow = (hp - kh) // stride + 1, (wp - kw) // stride + 1
-    sn, sy, sx, sc = xp.strides
+    n, h, w, c = x.shape
+    top, left = padding
+    oh, ow = shape or ((h + 2 * top - kh) // stride + 1, (w + 2 * left - kw) // stride + 1)
+    if (kh, kw, stride, top, left, oh, ow) == (1, 1, 1, 0, 0, h, w):
+        return x.reshape(n * h * w, c)
+    frame = _framed(x, -top, (oh - 1) * stride + kh - top, -left, (ow - 1) * stride + kw - left)
+    sn, sy, sx, sc = frame.strides
     view = np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(n, oh, ow, kh, kw, c),
-        strides=(sn, sy * stride, sx * stride, sy, sx, sc),
-        writeable=False,
+        frame, (n, oh, ow, kh, kw, c), (sn, sy * stride, sx * stride, sy, sx, sc), writeable=False
     )
-    return np.ascontiguousarray(view).reshape(n * oh * ow, kh * kw * c)
+    if out is None:
+        return np.ascontiguousarray(view).reshape(n * oh * ow, kh * kw * c)
+    cols = out[: view.size].reshape(view.shape)
+    np.copyto(cols, view)
+    return cols.reshape(n * oh * ow, kh * kw * c)
+
+
+def _framed(x, y0, y1, x0, x1):
+    """Rows y0..y1 - 1 and columns x0..x1 - 1 of x [N, h, w, C], zero where
+    they fall outside x: a view of x when none does, else a new array."""
+    n, h, w, c = x.shape
+    if 0 <= y0 and y1 <= h and 0 <= x0 and x1 <= w:
+        return x if (y0, y1, x0, x1) == (0, h, 0, w) else x[:, y0:y1, x0:x1]
+    (fy, sy), (fx, sx) = _window_overlap(y0, y1, h), _window_overlap(x0, x1, w)
+    frame = np.zeros((n, y1 - y0, x1 - x0, c), dtype=x.dtype)
+    frame[:, fy, fx] = x[:, sy, sx]
+    return frame
 
 
 def col2im(cols, hp, wp, kh, kw, stride):
@@ -104,23 +132,36 @@ def bilinear_scatter(g, wy, wx):
     return (wx.T @ t).reshape(n, wy.shape[1], wx.shape[1], c)
 
 
-def depthwise3x3(xp, taps):
-    """3x3 depthwise correlation of a zero-padded channels-last frame
-    xp [N, h+2, (w+2)*C] -> [N, h, w*C].
+def depthwise3x3(x, taps, rows, cols, out=None):
+    """3x3 depthwise correlation of x [N, h, w, C], zero-padded by 1, over
+    the output window rows x cols (slices of output rows and pixels) ->
+    [N, len(rows), len(cols), C], written into out when it is given (its
+    pixels C-contiguous runs).
 
-    taps [9, w*C] holds tap k = (i, j)'s per-channel weights tiled w times
-    along the row, so out[n, y, x*C + c] sums taps[k, x*C + c] *
-    xp[n, y + i, (x + j)*C + c] over k in order 0..8, and every numpy
-    inner loop covers a whole (w*C)-long row.
+    Only the window's zero-padded frame [N, rows + 2, (cols + 2)*C] is
+    built, so it stays in cache. taps [9, >= len(cols)*C] holds tap
+    k = (i, j)'s per-channel weights tiled along the row, so out[n, y, x, c]
+    sums taps[k, x*C + c] * frame[n, y + i, (x + j)*C + c] over k in order
+    0..8, and every numpy inner loop covers a whole (len(cols)*C)-long row.
     """
-    h, wc = xp.shape[1] - 2, taps.shape[1]
-    c = (xp.shape[2] - wc) // 2
-    out = np.multiply(xp[:, :h, :wc], taps[0])
-    term = np.empty_like(out)
+    n, h, w, c = x.shape
+    (y0, y1), (x0, x1) = rows.indices(h)[:2], cols.indices(w)[:2]
+    ry, wc = y1 - y0, (x1 - x0) * c
+    frame = _framed(x, y0 - 1, y1 + 1, x0 - 1, x1 + 1).reshape(n, ry + 2, -1)
+    o = None if out is None else np.reshape(out, (n, ry, wc), copy=False)
+    o = np.multiply(frame[:, :ry, :wc], taps[0, :wc], out=o)
+    term = np.empty_like(o)
     for k in range(1, 9):
         i, j = divmod(k, 3)
-        out += np.multiply(xp[:, i : i + h, j * c : j * c + wc], taps[k], out=term)
-    return out
+        o += np.multiply(frame[:, i : i + ry, j * c : j * c + wc], taps[k, :wc], out=term)
+    return o.reshape(n, ry, x1 - x0, c)
+
+
+def _window_overlap(a, b, n):
+    """Slices (window, source) of the source indices a..b - 1 that fall in
+    [0, n): window index t reads source index a + t."""
+    lo, hi = max(a, 0), min(b, n)
+    return slice(lo - a, max(hi, lo) - a), slice(lo, max(hi, lo))
 
 
 def tap_gather(x, image, ys, xs, weights):

@@ -479,6 +479,9 @@ def linear(x, w, b=None):
 
 
 ATTENTION_CHUNK = 2048  # query rows per block of attention logits
+# bytes of a conv band's working set: the patch rows of a stride-1 dense
+# conv's forward and backward, the in-flight arrays and taps of a depthwise conv
+CONV_BAND_BYTES = 4 * 2**20
 
 
 def _attention_probs(q, k_t, scale):
@@ -563,12 +566,18 @@ def layer_norm(x, gamma, beta, eps=1e-6):
         out_data = xhat * gamma.data + beta.data
 
     def vjp(g):
-        gg = g * gamma.data
-        m1 = gg.mean(axis=-1, keepdims=True)
-        m2 = (gg * xhat).mean(axis=-1, keepdims=True)
-        gx = (gg - m1 - xhat * m2) * inv
-        axes = tuple(range(g.ndim - 1))
-        return gx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
+        # gx = (g*gamma - mean(g*gamma) - xhat * mean(g*gamma*xhat)) * inv, with
+        # the two row means as GEMVs with gamma and a = g * xhat formed once
+        g2, xh2 = g.reshape(-1, d), xhat.reshape(-1, d)
+        a = g2 * xh2
+        g_gamma = a.sum(axis=0)
+        m1 = (g2 @ gamma.data) / d
+        m2 = (a @ gamma.data) / d
+        gx = g2 * gamma.data
+        gx -= m1[:, None]
+        gx -= np.multiply(xh2, m2[:, None], out=a)
+        gx *= inv.reshape(-1, 1)
+        return gx.reshape(g.shape), g_gamma, g2.sum(axis=0)
 
     return _record("layer_norm", out_data, (x, gamma, beta), vjp)
 
@@ -577,21 +586,31 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1):
     """2-D cross-correlation, channels last: x [N, h, w, C] -> [N, oh, ow, O],
     weight [O, C/groups, kH, kW].
 
-    Dense (groups 1): the forward, gW and gx are one 2-D GEMM each
-    (Chellapilla et al., 2006). The forward multiplies the padded input's
-    patch matrix [N*oh*ow, kh*kw*C] (kernels.im2col) by the weight's
-    (tap, channel) columns. At stride 1 that matrix dies with the forward:
-    the backward builds the patch matrix [N*h*w, kh*kw*O] of the zero-padded
-    output gradient's frame, and gx is it times the flipped,
-    channel-transposed kernel (Dumoulin & Visin, 2016), gW the flip of its
-    transpose times the input. Strided convs keep the forward matrix for gW
-    and scatter gx through kernels.col2im.
+    Dense (groups 1): the forward, gW and gx are 2-D GEMMs (Chellapilla et
+    al., 2006). The forward multiplies the zero-padded input's patch rows
+    [pixels, kh*kw*C] (kernels.im2col, which frames only the rows and
+    columns they read) by the weight's (tap, channel) columns. At stride 1
+    it runs one band of output pixels at a time, each band's patch rows at
+    most CONV_BAND_BYTES (MEC, Cho & Brand, 2017): whole images while they
+    fit, else bands of rows of one image, else runs of pixels of one row. A
+    map that fits is one band, and a 1x1 conv with no padding multiplies x
+    itself. The backward bands x's grid the same way: a band's patch rows
+    of the zero-padded output gradient's frame times the flipped,
+    channel-transposed kernel are its gx rows (Dumoulin & Visin, 2016), and
+    their transpose times the band of x is its term of gW. Strided convs
+    build one patch matrix, which the backward keeps for gW; gx is
+    scattered through kernels.col2im.
 
     Depthwise (groups == C == O, weight [C, 1, 3, 3], stride 1, padding 1):
-    nine shifted multiply-adds over one padded [N, h+2, (w+2)*C] frame
-    (kernels.depthwise3x3), each tap's weights tiled into one (w*C)-long
-    row; gx runs the same kernel over the padded output gradient with the
-    taps reversed, and gW is one reduction per tap.
+    nine shifted multiply-adds (kernels.depthwise3x3) over the zero-padded
+    frame of one band at a time, whose frame, output, product term and
+    tiled taps take at most CONV_BAND_BYTES (Zhang, Lo & Lu, 2020); gx runs
+    the same kernel over the output gradient's bands with the taps
+    reversed, and gW is one reduction per tap and band.
+
+    Forward and gx are bit-equal to one band's whenever each band's GEMM
+    is large enough for the BLAS library to sum it as it sums the whole;
+    gW, summed band by band, differs by rounding.
 
     gx is not computed when x needs no gradient; its slot is None.
     """
@@ -624,55 +643,106 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1):
     return _record("conv2d", out, inputs, vjp)
 
 
-def _pad(a, shape, top, left):
-    """Zeros of `shape` [N, H, W, C] holding a[:, y, x] at (top + y, left + x):
-    a zero pad; a itself comes back when it already has `shape`."""
-    if a.shape == shape:
-        return a
-    out = np.zeros(shape, dtype=a.dtype)
-    h, w = a.shape[1:3]
-    out[:, top : top + h, left : left + w] = a
-    return out
+def _bands(n, h, w, pixel_bytes, extra_rows=0):
+    """Windows (images, rows, pixels) of slices tiling an [n, h, w] output
+    grid, each taking at most CONV_BAND_BYTES, where a window of r rows of
+    p pixels takes (r + extra_rows) * p * pixel_bytes: whole images while
+    one fits, else bands of whole rows of one image, else runs of pixels of
+    one row (one pixel at the least). A grid that fits is one window; the
+    others are cut into the fewest, most even pieces."""
+    per = CONV_BAND_BYTES // pixel_bytes  # pixels, counting the extra rows
+    k = per // ((h + extra_rows) * w)
+    if k >= n:
+        return [(slice(0, n), slice(0, h), slice(0, w))]
+    if k >= 1:
+        return [(ni, slice(0, h), slice(0, w)) for ni in _even_runs(n, k)]
+    r = per // w - extra_rows
+    if r >= 1:
+        return [(slice(i, i + 1), yi, slice(0, w)) for i in range(n) for yi in _even_runs(h, r)]
+    p = max(1, per // (1 + extra_rows))
+    return [(slice(i, i + 1), slice(y, y + 1), xi) for i in range(n) for y in range(h) for xi in _even_runs(w, p)]
 
 
-def _tall_matmul(a, bt):
-    """a [M, K] @ bt.T for a tall a (M >> O) -> C-contiguous [M, O].
+def _even_runs(n, k):
+    """Slices cutting range(n) into the fewest runs of at most k, whose
+    lengths differ by one at most."""
+    m = -(-n // k)
+    return [slice(i * n // m, (i + 1) * n // m) for i in range(m)]
 
-    Computed as bt @ a.T, an [O, M] product, whose transpose is copied: in
-    that orientation OpenBLAS touches fewer buffer pages, and a toy
-    training step's peak RSS reads ~4 MB lower than with a @ bt.T.
+
+def _patches(a, window, kh, kw, top, left, out=None):
+    """kernels.im2col rows of one output window (images, rows, pixels) of a
+    stride-1 conv of a [N, h, w, C] zero-padded by (top, left); out as there."""
+    ni, yi, xi = window
+    return kernels.im2col(
+        a[ni], kh, kw, 1, (top - yi.start, left - xi.start), (yi.stop - yi.start, xi.stop - xi.start), out=out
+    )
+
+
+def _band_buffer(bands, row_size, dtype):
+    """One 1-D buffer for the largest window's patch rows of row_size values
+    each, so that a conv's bands reuse one allocation; None for one band,
+    whose rows im2col allocates itself."""
+    if len(bands) == 1:
+        return None
+    pixels = max((ni.stop - ni.start) * (yi.stop - yi.start) * (xi.stop - xi.start) for ni, yi, xi in bands)
+    return np.empty(pixels * row_size, dtype=dtype)
+
+
+def _gemm_t(a, bt):
+    """a [M, K] @ bt.T -> [M, O], as the transposed view of bt @ a.T.
+
+    Kept in that orientation, the forward's float32 sums are the ones the
+    trained infer_toy reference was recorded with. It does not move
+    memory: with 4 MB bands a toy training step's ru_maxrss reads ~88 MB
+    either way.
     """
-    return np.ascontiguousarray((bt @ a.T).T)
+    return (bt @ a.T).T
 
 
 def _conv_dense(x, wt, b, stride, padding, need_gx):
-    """Output and vjp of a dense channels-last conv: three 2-D GEMMs."""
+    """Output and vjp of a dense channels-last conv: 2-D GEMMs over the
+    patch rows of each band (one band for a strided conv, whose backward
+    reads the whole forward patch matrix for gW)."""
     n, h, w, c = x.shape
     o, _, kh, kw = wt.shape
-    hp, wp = h + 2 * padding, w + 2 * padding
-    cols = kernels.im2col(_pad(x, (n, hp, wp, c), padding, padding), kh, kw, stride)
-    out = _tall_matmul(cols, wt.transpose(0, 2, 3, 1).reshape(o, kh * kw * c))  # (tap, channel) columns
+    oh, ow = (h + 2 * padding - kh) // stride + 1, (w + 2 * padding - kw) // stride + 1
+    w_cols = wt.transpose(0, 2, 3, 1).reshape(o, kh * kw * c)  # (tap, channel) columns
+    item = np.result_type(x, wt).itemsize
+    one_view = (kh, kw, padding) == (1, 1, 0)  # the patch matrix is x itself
+    bands = [] if stride > 1 or one_view else _bands(n, oh, ow, kh * kw * c * item)
+    if len(bands) < 2:  # one patch matrix, and the output allocated after it
+        cols = kernels.im2col(x, kh, kw, stride, (padding, padding))
+        out = np.ascontiguousarray(_gemm_t(cols, w_cols)).reshape(n, oh, ow, o)
+    else:
+        buf = _band_buffer(bands, kh * kw * c, x.dtype)
+        out = np.empty((n, oh, ow, o), dtype=np.result_type(x, wt))
+        for win in bands:
+            dst = out[win]
+            dst[...] = _gemm_t(_patches(x, win, kh, kw, padding, padding, buf), w_cols).reshape(dst.shape)
     if b is not None:
         out += b
-    out = out.reshape(n, (hp - kh) // stride + 1, (wp - kw) // stride + 1, o)
     has_bias = b is not None
 
     if stride == 1:
-        del cols  # the stride-1 backward needs no forward patch matrix
 
         def vjp(g):
-            # g[y, x] sits at (kh - 1 - padding + y, kw - 1 - padding + x) of an
-            # [h + kh - 1, w + kw - 1] frame; rows and columns that fall outside
-            # (padding > k - 1) see only padding, so they are cut off
-            oh, ow = g.shape[1:3]
-            frame = _pad(g, (n, max(padding + h, oh) + kh - 1, max(padding + w, ow) + kw - 1, o), kh - 1, kw - 1)
-            frame = frame[:, padding : padding + h + kh - 1, padding : padding + w + kw - 1]
-            gcols = kernels.im2col(frame, kh, kw, 1)  # [N*h*w, kh*kw*O], columns (i, j, o)
-            gw = (gcols.T @ x.reshape(-1, c)).reshape(kh, kw, o, c)[::-1, ::-1].transpose(2, 3, 0, 1)
-            gx = None
-            if need_gx:
-                w_flip = wt[:, :, ::-1, ::-1].transpose(1, 2, 3, 0).reshape(c, kh * kw * o)
-                gx = _tall_matmul(gcols, w_flip).reshape(x.shape)
+            # gx[y, x] is the patch of g at (y, x) with padding kh - 1 - padding
+            # (negative: rows that see only padding are skipped) times the
+            # flipped, channel-transposed kernel; gW sums the patches' outer
+            # products with x, band by band
+            gw = np.zeros((kh * kw * o, c), dtype=np.result_type(g, x))
+            gx = np.empty(x.shape, dtype=np.result_type(g, wt)) if need_gx else None
+            w_flip = wt[:, :, ::-1, ::-1].transpose(1, 2, 3, 0).reshape(c, kh * kw * o)
+            bands = [(slice(0, n), slice(0, h), slice(0, w))] if one_view else _bands(n, h, w, kh * kw * o * item)
+            buf = _band_buffer(bands, kh * kw * o, g.dtype)
+            for win in bands:
+                gcols = _patches(g, win, kh, kw, kh - 1 - padding, kw - 1 - padding, buf)  # columns (i, j, o)
+                gw += gcols.T @ x[win].reshape(-1, c)
+                if need_gx:
+                    dst = gx[win]
+                    dst[...] = _gemm_t(gcols, w_flip).reshape(dst.shape)
+            gw = gw.reshape(kh, kw, o, c)[::-1, ::-1].transpose(2, 3, 0, 1)
             return (gx, gw, g.reshape(-1, o).sum(axis=0)) if has_bias else (gx, gw)
 
         return out, vjp
@@ -682,17 +752,12 @@ def _conv_dense(x, wt, b, stride, padding, need_gx):
         gw = (g2.T @ cols).reshape(o, kh, kw, c).transpose(0, 3, 1, 2)
         gx = None
         if need_gx:
+            hp, wp = h + 2 * padding, w + 2 * padding
             gxp = kernels.col2im(g2 @ wt.transpose(0, 2, 3, 1).reshape(o, kh * kw * c), hp, wp, kh, kw, stride)
             gx = np.ascontiguousarray(gxp[:, padding : padding + h, padding : padding + w])
         return (gx, gw, g2.sum(axis=0)) if has_bias else (gx, gw)
 
     return out, vjp
-
-
-def _overlap(d, n):
-    """Slices (out, src) of an axis of length n where out index y reads src
-    index y + d in range: the taps of a zero-padded conv that hit the map."""
-    return slice(max(0, -d), n - max(0, d)), slice(max(0, d), n - max(0, -d))
 
 
 def _tiled_taps(wt, w):
@@ -701,28 +766,43 @@ def _tiled_taps(wt, w):
 
 
 def _conv_depthwise(x, wt, b, need_gx):
-    """Output and vjp of a channels-last 3x3 depthwise conv."""
+    """Output and vjp of a channels-last 3x3 depthwise conv, band by band.
+
+    A band's working set is its padded frame, output and product term
+    (three arrays of its size) and, as about four more rows of them, the
+    frame's two halo rows and the nine tap rows."""
     n, h, w, c = x.shape
-
-    def frame(a):  # [N, h, w, C] -> zero-padded [N, h+2, (w+2)*C]
-        return _pad(a, (n, h + 2, w + 2, c), 1, 1).reshape(n, h + 2, -1)
-
-    out = kernels.depthwise3x3(frame(x), _tiled_taps(wt, w))
+    bands = _bands(n, h, w, 3 * c * np.result_type(x, wt).itemsize, extra_rows=4)
+    width = max(xi.stop - xi.start for _, _, xi in bands)  # pixels of the widest window
+    out = _depthwise_bands(x, _tiled_taps(wt, width), bands)
     if b is not None:
-        out += np.tile(b, w)
+        out += b
 
-    def vjp(g):  # keeps x and wt, not the padded frame or the tiled taps
-        gx = None
-        if need_gx:
-            gx = kernels.depthwise3x3(frame(g), _tiled_taps(wt, w)[::-1]).reshape(x.shape)
-        gw = np.empty_like(wt)
-        for k in range(9):
-            i, j = divmod(k, 3)
-            (oy, sy), (ox, sx) = _overlap(i - 1, h), _overlap(j - 1, w)
-            gw[:, 0, i, j] = np.einsum("nyxc,nyxc->c", g[:, oy, ox], x[:, sy, sx])
+    def vjp(g):  # keeps x and wt, not the tiled taps
+        gx = _depthwise_bands(g, _tiled_taps(wt, width)[::-1], bands) if need_gx else None
+        gw = np.zeros((9, c), dtype=wt.dtype)
+        for ni, yi, xi in bands:
+            gb = g[ni, yi, xi]
+            for k in range(9):
+                i, j = divmod(k, 3)
+                oy, sy = kernels._window_overlap(yi.start + i - 1, yi.stop + i - 1, h)
+                ox, sx = kernels._window_overlap(xi.start + j - 1, xi.stop + j - 1, w)
+                gw[k] += np.einsum("nyxc,nyxc->c", gb[:, oy, ox], x[ni, sy, sx])
+        gw = gw.T.reshape(wt.shape)
         return (gx, gw) if b is None else (gx, gw, g.reshape(-1, c).sum(axis=0))
 
-    return out.reshape(x.shape), vjp
+    return out, vjp
+
+
+def _depthwise_bands(a, taps, bands):
+    """kernels.depthwise3x3 of a [N, h, w, C] over each band -> [N, h, w, C];
+    the kernel allocates a single band's output itself, after its frame."""
+    if len(bands) == 1:
+        return kernels.depthwise3x3(a, taps, *bands[0][1:])
+    out = np.empty(a.shape, dtype=np.result_type(a, taps))
+    for ni, yi, xi in bands:
+        kernels.depthwise3x3(a[ni], taps, yi, xi, out[ni, yi, xi])
+    return out
 
 
 def patches_at(x, image, row, col):

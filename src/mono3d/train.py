@@ -22,7 +22,14 @@ CSV_HEADER = "epoch," + ",".join(LOSS_TERMS) + "," + ",".join("w_" + t for t in 
 
 class Adam:
     """Bias-corrected Adam over a parameter list; parameters without a
-    gradient this step keep their state and value."""
+    gradient this step keep their state and value.
+
+    The update runs in place through two scratch buffers as long as the
+    largest parameter, in the operation order of the textbook expressions
+    m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
+    p -= lr (m / c1) / (sqrt(v / c2) + eps), so each value is bit-equal
+    to theirs.
+    """
 
     def __init__(self, params, lr, betas=(0.9, 0.999), eps=1e-8):
         if lr <= 0.0:
@@ -34,6 +41,8 @@ class Adam:
         self.t = 0
         self.m = [np.zeros(p.shape) for p in self.params]
         self.v = [np.zeros(p.shape) for p in self.params]
+        size = max((p.size for p in self.params), default=0)
+        self._scratch = (np.empty(size), np.empty(size))
 
     def step(self):
         self.t += 1
@@ -43,11 +52,20 @@ class Adam:
             if p.grad is None:
                 continue
             g = p.grad
+            s1, s2 = (s[: p.size].reshape(p.shape) for s in self._scratch)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += np.multiply(g, 1.0 - self.beta1, out=s1)
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            np.multiply(g, 1.0 - self.beta2, out=s1)
+            s1 *= g
+            v += s1
+            np.divide(v, c2, out=s2)
+            np.sqrt(s2, out=s2)
+            s2 += self.eps
+            np.divide(m, c1, out=s1)
+            s1 *= self.lr
+            s1 /= s2
+            p.data -= s1
 
 
 def lr_factor(epoch, warmup_epochs=5, decay_epochs=(90, 120), decay=0.1):

@@ -24,5 +24,6 @@ def test_bench_kernels_quick_prints_one_row_per_kernel():
         if fn.__module__ == kernels.__name__ and not name.startswith("_")
     ]
     public.remove("active_backend")  # a run fact, not a kernel
-    # besides the kernels: the composite step and tensor.layer_norm
-    assert sorted(rows) == sorted(public + ["desk_fwd_bwd", "layer_norm"]), proc.stdout
+    # besides the kernels: the composite step, tensor.layer_norm and the
+    # banded dense and depthwise T.conv2d forwards
+    assert sorted(rows) == sorted(public + ["conv2d", "conv2d_dw", "desk_fwd_bwd", "layer_norm"]), proc.stdout

@@ -290,6 +290,140 @@ def test_conv3x3_nhwc_dense_vjp_holds_no_patch_matrix():
     assert all(a is x.data or a.size < x.size for a in arrays)
 
 
+# single images with odd h, by padding, and the budget each case is run
+# under: it cuts the forward's and the backward's grid into several bands of
+# whole rows, ~100 pixels each; a GEMM over only a few patch rows may take
+# another summation order in the BLAS library
+BAND_CASES = {
+    "p0": ((1, 37, 16, 32), (32, 32, 3, 3), 0, 294912),
+    "p1": ((1, 37, 16, 32), (32, 32, 3, 3), 1, 294912),
+    "p2": ((1, 37, 16, 32), (32, 32, 3, 3), 2, 294912),
+    "depthwise": ((1, 37, 16, 32), (32, 1, 3, 3), 1, 147456),
+}
+
+
+def _conv_in_bands(monkeypatch, budget, x, w, b, padding, g):
+    """Forward and vjp of one conv under budget -> (out, gx, gW, gb)."""
+    monkeypatch.setattr(T, "CONV_BAND_BYTES", budget)
+    groups = x.shape[3] if w.shape[1] == 1 else 1
+    out = T.conv2d(Tensor(x, requires_grad=True), Tensor(w), Tensor(b), padding=padding, groups=groups)
+    return (out.data, *out._node.vjp(g))
+
+
+def _assert_bands_match_one_band(split, whole):
+    """Forward, gx and gb bit-equal; gW within 1e-13 of its largest entry,
+    since the bands' partial sums over pixels are added band by band."""
+    for got, want in zip(split, whole):
+        assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(split[0], whole[0]) and np.array_equal(split[1], whole[1])
+    assert np.max(np.abs(split[2] - whole[2])) <= 1e-13 * np.max(np.abs(whole[2]))
+    assert np.array_equal(split[3], whole[3])
+
+
+@pytest.mark.parametrize("case", sorted(BAND_CASES))
+def test_conv_row_bands_match_one_band(case, monkeypatch):
+    """The budget splits the single image into several bands of whole rows,
+    forward and backward; each band runs the same taps (depthwise) or the
+    same GEMM sums (dense) on the same zero-padded values as one band."""
+    xs, ws, padding, budget = BAND_CASES[case]
+    rng = np.random.default_rng(sorted(BAND_CASES).index(case))
+    x, w, b = rng.normal(size=xs), rng.normal(size=ws), rng.normal(size=ws[0])
+    n, h, wd, c = xs
+    dense = ws[1] > 1
+    oh, ow = (h + 2 * padding - 2, wd + 2 * padding - 2) if dense else (h, wd)
+    g = rng.normal(size=(n, oh, ow, ws[0]))
+    monkeypatch.setattr(T, "CONV_BAND_BYTES", budget)
+    pixel_bytes, extra = (9 * c * 8, 0) if dense else (3 * c * 8, 4)
+    for grid in ((oh, ow), (h, wd)):
+        bands = T._bands(n, *grid, pixel_bytes, extra)
+        assert len(bands) > 2 and all(ni == slice(0, 1) and xi == slice(0, grid[1]) for ni, _, xi in bands)
+    split = _conv_in_bands(monkeypatch, budget, x, w, b, padding, g)
+    whole = _conv_in_bands(monkeypatch, 2**40, x, w, b, padding, g)
+    _assert_bands_match_one_band(split, whole)
+
+
+def test_neck_conv_bands_are_bit_equal_to_one_band(monkeypatch):
+    """The toy step's [8, 16, 24, 64] 64->64 3x3 conv runs in four bands of
+    two images under the default budget; its forward and gx equal the one
+    patch matrix's bit for bit."""
+    rng = np.random.default_rng(8)
+    x, w, b = rng.normal(size=(8, 16, 24, 64)), rng.normal(size=(64, 64, 3, 3)), rng.normal(size=64)
+    g = rng.normal(size=(8, 16, 24, 64))
+    assert len(T._bands(8, 16, 24, 9 * 64 * 8)) == 4
+    split = _conv_in_bands(monkeypatch, T.CONV_BAND_BYTES, x, w, b, 1, g)
+    whole = _conv_in_bands(monkeypatch, 2**40, x, w, b, 1, g)
+    _assert_bands_match_one_band(split, whole)
+
+
+def test_conv_bands_split_wide_rows_into_pixel_runs(monkeypatch):
+    """A row wider than the budget runs as pixel runs of one row, and the
+    depthwise conv stays bit-equal to one band."""
+    monkeypatch.setattr(T, "CONV_BAND_BYTES", 4096)
+    bands = T._bands(2, 3, 41, 3 * 8 * 8, extra_rows=4)
+    assert {yi.stop - yi.start for _, yi, _ in bands} == {1} and len({xi.start for _, _, xi in bands}) > 2
+    covered = np.zeros((2, 3, 41), dtype=int)
+    for ni, yi, xi in bands:
+        covered[ni, yi, xi] += 1
+    assert np.all(covered == 1)
+    rng = np.random.default_rng(9)
+    x, w, b, g = rng.normal(size=(2, 3, 41, 8)), rng.normal(size=(8, 1, 3, 3)), rng.normal(size=8), rng.normal(size=(2, 3, 41, 8))
+    split = _conv_in_bands(monkeypatch, 4096, x, w, b, 1, g)
+    whole = _conv_in_bands(monkeypatch, 2**40, x, w, b, 1, g)
+    _assert_bands_match_one_band(split, whole)
+
+
+@pytest.mark.parametrize("padding, groups", [(0, 1), (1, 1), (2, 1), (1, 5)])
+def test_conv2d_grad_check_in_several_bands(padding, groups, monkeypatch):
+    """Central differences agree with the banded gx and gW."""
+    monkeypatch.setattr(T, "CONV_BAND_BYTES", 2048)
+    rng = np.random.default_rng(10 + padding + groups)
+    x = Tensor(rng.uniform(-1, 1, (2, 9, 6, 5)), requires_grad=True)
+    w = Tensor(rng.uniform(-1, 1, (4, 5, 3, 3) if groups == 1 else (5, 1, 3, 3)), requires_grad=True)
+    if groups == 1:
+        assert len(T._bands(2, 9 + 2 * padding - 2, 6 + 2 * padding - 2, 9 * 5 * 8)) > 2
+    else:
+        assert len(T._bands(2, 9, 6, 3 * 5 * 8, extra_rows=4)) > 2
+    r = rng.uniform(-1, 1, T.conv2d(x, w, padding=padding, groups=groups).shape)
+    T.reset_tape()
+    loss = lambda a, b: T.sum_(T.conv2d(a, b, padding=padding, groups=groups) * Tensor(r))
+    assert T.grad_check(lambda a: loss(a, w), x) < 1e-5
+    assert T.grad_check(lambda b: loss(x, b), w) < 1e-5
+
+
+def test_1x1_stride1_conv_runs_on_a_view_whatever_the_budget(monkeypatch):
+    """A 1x1 stride-1 conv with no padding is one band whose patch matrix
+    is its input (and, backward, its output gradient) seen as rows."""
+    monkeypatch.setattr(T, "CONV_BAND_BYTES", 256)
+    seen = []
+    im2col = kernels.im2col
+    monkeypatch.setattr(kernels, "im2col", lambda x, *a, **k: seen.append((x, im2col(x, *a, **k))) or seen[-1][1])
+    rng = np.random.default_rng(12)
+    x = Tensor(rng.normal(size=(2, 5, 7, 6)), requires_grad=True)
+    out = T.conv2d(x, Tensor(rng.normal(size=(4, 6, 1, 1)), requires_grad=True))
+    out._node.vjp(rng.normal(size=out.shape))
+    assert len(seen) == 2 and all(np.shares_memory(cols, src) for src, cols in seen)
+    assert seen[0][0] is x.data or np.shares_memory(seen[0][0], x.data)
+
+
+def test_desk_toy_step_peaks_under_48_mb():
+    """The toy batch's loss_terms and backward peak under 48 MB: the
+    stride-1 convs build their patch rows one band at a time (53.1 MB with
+    one [N*h*w, 9*64] patch matrix per conv)."""
+    samples = build_synth_dataset(8, (96, 64), seed=7, n_objects=2, z_range=(4.5, 8.0), focal=120.0)
+    images = T.stack([s.image for s in samples])
+    targets, calibs = [s.targets for s in samples], [s.calib for s in samples]
+    det = Detector("desk", seed=0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        terms = det.loss_terms(images, targets, calibs)
+        T.backward(total_loss(terms, make_weights())[0])
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 48e6, f"{peak / 1e6:.1f} MB peak through loss_terms and backward"
+
+
 def test_desk_loss_terms_forward_keeps_under_90_mb():
     """One toy batch (8 x 96x64) through the desk loss keeps its graph under
     90 MB: no stride-1 conv holds its forward patch matrix."""

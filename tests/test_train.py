@@ -67,6 +67,32 @@ def test_adam_skips_gradless_params():
         Adam([x], lr=0.0)
 
 
+def test_adam_steps_bit_equal_the_textbook_update():
+    """Eight in-place steps over parameters of several shapes, with one
+    gradless step, leave m, v and every parameter bit-equal to the
+    textbook expressions evaluated with fresh arrays."""
+    rng = np.random.default_rng(11)
+    params = [Tensor(rng.normal(size=shape), requires_grad=True) for shape in ((3, 4), (7,), (2, 3, 5))]
+    want = [p.data.copy() for p in params]
+    m, v = [np.zeros_like(w) for w in want], [np.zeros_like(w) for w in want]
+    lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+    opt = Adam(params, lr, betas=(b1, b2), eps=eps)
+    for t in range(1, 9):
+        for k, p in enumerate(params):
+            p.grad = None if (t, k) == (3, 1) else rng.normal(size=p.shape)
+        opt.step()
+        c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+        for k, p in enumerate(params):
+            if p.grad is None:
+                continue
+            g = p.grad
+            m[k] = b1 * m[k] + (1.0 - b1) * g
+            v[k] = b2 * v[k] + (1.0 - b2) * g * g
+            want[k] = want[k] - lr * (m[k] / c1) / (np.sqrt(v[k] / c2) + eps)
+    for k, p in enumerate(params):
+        assert np.array_equal(p.data, want[k]) and np.array_equal(opt.m[k], m[k]) and np.array_equal(opt.v[k], v[k])
+
+
 def test_build_synth_dataset_deterministic():
     a = build_synth_dataset(3, (64, 64), seed=5, n_objects=1, z_range=(5.0, 9.0), focal=100.0)
     b = build_synth_dataset(3, (64, 64), seed=5, n_objects=1, z_range=(5.0, 9.0), focal=100.0)
