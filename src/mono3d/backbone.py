@@ -65,17 +65,6 @@ def backbone_config(name, use_attention=True):
     return BackboneConfig(name=name, stages=stages, use_attention=use_attention)
 
 
-def pyramid_shapes(height, width):
-    """Expected (h, w) per pyramid level: iterated ceil division by 4,2,2,2."""
-    shapes = []
-    h, w = height, width
-    for step in (4, 2, 2, 2):
-        h = -(-h // step)
-        w = -(-w // step)
-        shapes.append((h, w))
-    return shapes
-
-
 class PatchEmbed(Module):
     """Overlapping conv downsample to tokens. Output dims are ceil(in/stride)."""
 

@@ -3,9 +3,9 @@
 Each command's parameter list is the list of config keys it reads; every
 flag's dest is one of those keys, and `mono3d <command> --help` lists
 them with their defaults. A command resolves its keys as defaults <-
-profile <- --config file <- --set <- flags. An override of a key the
-command does not read is a bad invocation; a config file may hold keys
-of other commands, which are dropped. After the command returns, `main`
+--config file <- --set <- flags. An override of a key the command does
+not read is a bad invocation; a config file may hold keys of other
+commands, which are dropped. After the command returns, `main`
 echoes `command` plus the resolved keys as config.json into the output
 directory; `infer`, `eval` and `train-toy` also write their drop, skip
 and file-error counts there as counters.json. Every command writes only
@@ -23,7 +23,7 @@ from collections import Counter
 
 import numpy as np
 
-from .config import TOY_PROFILE, echo_config, load_config_file, resolve_config
+from .config import echo_config, load_config_file, resolve_config
 from .errors import (
     ConfigError,
     DegenerateGeometryError,
@@ -247,16 +247,12 @@ _COMMANDS = {
     "eval": cmd_eval,
     "synth": cmd_synth,
 }
-_PROFILES = {"train-toy": TOY_PROFILE}
 
 
 def _resolve(command, file_cfg=None, overrides=None):
     """The config of one command: its parameters are the keys it reads."""
     keys = inspect.signature(_COMMANDS[command]).parameters
-    return resolve_config(
-        file_cfg=file_cfg, overrides=overrides, profile=_PROFILES.get(command), keys=keys,
-        command=command,
-    )
+    return resolve_config(file_cfg=file_cfg, overrides=overrides, keys=keys, command=command)
 
 
 def _add_command(commands, name, summary):

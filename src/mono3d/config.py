@@ -1,13 +1,14 @@
 """Run configuration: a flat JSON object with layered overrides.
 
-Precedence, lowest to highest: built-in defaults, then a profile, then a
-config file, then explicit overrides (CLI flags). A run resolves only
-the keys its command reads: an override of any other key is an error,
-while a config file may hold the keys of other commands, which are
-type-checked and then dropped. The resolved keys are echoed as JSON into
-the run's output directory so every run is reproducible from its
-artifacts. The toy-training profile scales the full-size optimizer
-settings down to the synthetic desk regime.
+Precedence, lowest to highest: built-in defaults, then a config file,
+then explicit overrides (CLI flags). A run resolves only the keys its
+command reads: an override of any other key is an error, while a config
+file may hold the keys of other commands, which are type-checked and
+then dropped. The resolved keys are echoed as JSON into the run's output
+directory so every run is reproducible from its artifacts. The optimizer
+defaults are those of `train-toy`, the one command that reads them: the
+synthetic desk regime; a KITTI-scale run sets its own in a config file
+(configs/kitti_full.json).
 """
 
 import json
@@ -15,7 +16,6 @@ import math
 
 from .errors import ConfigError
 
-# full-size training defaults (KITTI regime); toy runs override via TOY_PROFILE
 DEFAULTS = {
     "out_dir": "out",
     "checkpoint": "",
@@ -26,12 +26,12 @@ DEFAULTS = {
     "calib_dir": "",
     "variant": "desk",
     "attention": True,
-    "lr": 1.25e-3,
-    "decay_epochs": [90, 120],
+    "lr": 2.5e-4,
+    "decay_epochs": [150, 180],
     "decay": 0.1,
     "warmup_epochs": 5,
     "batch_size": 12,
-    "epochs": 140,
+    "epochs": 200,
     "htl_ramp": 20,
     "n_images": 8,
     "image_width": 96,
@@ -49,13 +49,6 @@ DEFAULTS = {
     "fault_op": "",
     "gradcheck_seeds": 20,
     "pipeline": True,
-}
-
-# scaled-down optimizer settings for overfitting 8 synthetic scenes on a CPU
-TOY_PROFILE = {
-    "lr": 2.5e-4,
-    "decay_epochs": [150, 180],
-    "epochs": 200,
 }
 
 _THRESHOLD_CHOICES = ("official", "relaxed", "both")
@@ -104,15 +97,15 @@ def load_config_file(path):
     return {key: _check_value(key, value) for key, value in raw.items()}
 
 
-def resolve_config(file_cfg=None, overrides=None, profile=None, keys=None, command="this command"):
-    """defaults <- profile <- file <- overrides, for `keys` (default: all).
+def resolve_config(file_cfg=None, overrides=None, keys=None, command="this command"):
+    """defaults <- file <- overrides, for `keys` (default: all).
 
     Every layer is type-checked. An override of a key outside `keys` is
-    an error that names `command`; the profile and the file may hold other
-    keys, which are left out of the result.
+    an error that names `command`; the file may hold other keys, which
+    are left out of the result.
     """
     layers = [{key: _check_value(key, value) for key, value in (layer or {}).items()}
-              for layer in (profile, file_cfg, overrides)]
+              for layer in (file_cfg, overrides)]
     cfg = {key: DEFAULTS[key] for key in (DEFAULTS if keys is None else keys)}
     for key in layers[-1]:
         if key not in cfg:

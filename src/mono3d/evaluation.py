@@ -66,14 +66,6 @@ def difficulty_levels(height, occluded, truncated):
     return levels
 
 
-def assign_difficulty(rec):
-    """Easiest KITTI difficulty bucket the record qualifies for."""
-    level = difficulty_levels(
-        np.array([rec.bbox[3] - rec.bbox[1]]), np.array([rec.occluded]), np.array([rec.truncated])
-    )[0]
-    return (*DIFFICULTIES, "Ignored")[level]
-
-
 @dataclass(frozen=True)
 class EvalConfig:
     threshold_sets: tuple = (("official", OFFICIAL_IOU), ("relaxed", RELAXED_IOU))
@@ -224,46 +216,6 @@ def _mean_envelope(recalls, precisions):
     return total / 40.0 * 100.0
 
 
-def _record_table(records):
-    """LabelRecords -> a label table, as kitti.parse_label_table gives."""
-    numbers = [
-        (r.truncated, r.occluded, r.alpha, *r.bbox, *r.dimensions, *r.location, r.rotation_y,
-         np.nan if r.score is None else r.score)
-        for r in records
-    ]
-    return [r.type for r in records], np.array(numbers, dtype=np.float64).reshape(-1, _SCORE + 1)
-
-
-def ap_r40(predictions, ground_truth, cls, difficulty, metric="3D", iou_threshold=0.7):
-    """AP percent, or None when the class/difficulty cell has no ground truth.
-
-    `predictions` and `ground_truth` map image id -> list of records
-    (predictions must carry scores).
-    """
-    if cls not in CLASS_NAMES:
-        raise UsageError(f"unknown class {cls!r}")
-    if difficulty not in DIFFICULTIES:
-        raise UsageError(f"unknown difficulty {difficulty!r}")
-    if metric not in METRICS:
-        raise UsageError(f"unknown metric {metric!r}")
-    if not (0.0 < iou_threshold <= 1.0):
-        raise UsageError("iou_threshold must be in (0, 1]")
-    images = sorted(set(predictions) | set(ground_truth))
-    pred_tables, gt_tables = [], []
-    for img in images:
-        preds = [rec for rec in predictions.get(img, []) if rec.type == cls]
-        if any(rec.score is None for rec in preds):
-            raise UsageError(f"prediction without score in image {img}")
-        pred_tables.append(_record_table(preds))
-        gts = [rec for rec in ground_truth.get(img, []) if rec.type == cls]
-        gt_tables.append(_record_table(gts))
-    split = _prepare(pred_tables, gt_tables)
-    recalls, precisions, npos, _, _ = _match(split, cls, metric, iou_threshold)[_LEVEL[difficulty]]
-    if npos == 0:
-        return None
-    return _mean_envelope(recalls, precisions)
-
-
 @dataclass(frozen=True)
 class ApCell:
     ap: float  # None when undefined (no counted ground truth)
@@ -355,18 +307,18 @@ def evaluate_split(pred_dir, gt_dir, calib_dir=None, cfg=None):
             errors.append(f"{gt_path}: {exc}")
             continue
         pred_path = os.path.join(pred_dir, image_id + ".txt")
+        table = ([], np.empty((0, _SCORE + 1)))  # no predictions
         if not os.path.exists(pred_path):
             errors.append(f"{pred_path}: missing prediction file")
-            pred_tables.append(_record_table([]))
         else:
             try:
                 types, numbers = parse_label_table(_read_text(pred_path))
                 if np.isnan(numbers[:, _SCORE]).any():
                     raise ParseError("prediction line without a score field")
-                pred_tables.append((types, numbers))
+                table = (types, numbers)
             except (ParseError, OSError) as exc:
                 errors.append(f"{pred_path}: {exc}")
-                pred_tables.append(_record_table([]))
+        pred_tables.append(table)
         if calib_dir is not None:
             calib_path = os.path.join(calib_dir, image_id + ".txt")
             try:

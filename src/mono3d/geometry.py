@@ -12,8 +12,7 @@ index arrays of the pairs to compare, computes each footprint once per
 box and clips all the pairs as arrays, with every value bit-equal to the
 scalar Sutherland-Hodgman clip and `np.sum` area of one pair. Pairs
 whose footprints' axis-aligned extents are apart are never clipped:
-their IoU is 0.0. `iou_pairs` is its all-pairs table, and `iou_bev` and
-`iou_3d` its one-pair case.
+their IoU is 0.0. `iou_bev` and `iou_3d` are its one-pair case.
 """
 
 import numpy as np
@@ -212,15 +211,6 @@ def pair_iou(rows_a, rows_b, ia, ib):
     union = area_a[ia] * h_a[ia] + area_b[ib] * h_b[ib] - inter_vol
     out_3d[live] = _ratio(inter_vol, union)
     return out_3d, out_bev
-
-
-def iou_pairs(rows_a, rows_b):
-    """IoU of every pair of two row arrays -> (iou_3d [A, B], iou_bev [A, B])."""
-    n_a, n_b = len(rows_a), len(rows_b)
-    ia = np.repeat(np.arange(n_a), n_b)
-    ib = np.tile(np.arange(n_b), n_a)
-    t3d, tbev = pair_iou(rows_a, rows_b, ia, ib)
-    return t3d.reshape(n_a, n_b), tbev.reshape(n_a, n_b)
 
 
 def iou_bev(row_a, row_b):

@@ -150,8 +150,8 @@ class DenseHead(Module):
 
 
 class Heads2D(Module):
-    def __init__(self, in_ch, num_classes, rng, mid_ch=64):
-        self.heat = DenseHead(in_ch, mid_ch, num_classes, rng, bias_init=HEATMAP_BIAS_INIT)
+    def __init__(self, in_ch, rng, mid_ch=64):
+        self.heat = DenseHead(in_ch, mid_ch, len(CLASS_NAMES), rng, bias_init=HEATMAP_BIAS_INIT)
         self.offset = DenseHead(in_ch, mid_ch, 2, rng)
         self.size = DenseHead(in_ch, mid_ch, 2, rng)
 
@@ -233,12 +233,11 @@ class Heads3D(Module):
     """Shared 3x3 conv trunk over [M, r, r, C] RoIs, then linear heads on
     its mean over the r*r cells."""
 
-    def __init__(self, in_ch, num_classes, rng, mid_ch=64):
+    def __init__(self, in_ch, rng, mid_ch=64):
         self.trunk = Conv2d(in_ch, mid_ch, 3, rng, padding=1)
-        self.num_classes = num_classes
         self.fc_offset = Linear(mid_ch, 2, rng)
         self.fc_angle = Linear(mid_ch, 2 * NUM_ANGLE_BINS, rng)
-        self.fc_size = Linear(mid_ch, 3 * num_classes + 1, rng)
+        self.fc_size = Linear(mid_ch, 3 * len(CLASS_NAMES) + 1, rng)
         self.fc_bias = Linear(mid_ch, 2, rng)
 
     def __call__(self, rois):
@@ -254,8 +253,8 @@ class Heads3D(Module):
             offset3d=self.fc_offset(pooled),
             angle_logits=ang[:, :NUM_ANGLE_BINS],
             angle_residuals=ang[:, NUM_ANGLE_BINS:],
-            size_residuals=T.reshape(size[:, : 3 * self.num_classes], (m, self.num_classes, 3)),
-            h_log_sigma=size[:, 3 * self.num_classes],
+            size_residuals=T.reshape(size[:, :-1], (m, -1, 3)),
+            h_log_sigma=size[:, -1],
             bias_mu=bias[:, 0],
             bias_log_sigma=bias[:, 1],
         )

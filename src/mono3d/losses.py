@@ -91,7 +91,7 @@ def draw_gaussian(heatmap, row, col, radius):
     np.maximum(patch, g, out=patch)
 
 
-def assign_targets(labels, calib, image_size, num_classes=len(CLASS_NAMES)):
+def assign_targets(labels, calib, image_size):
     """Ground-truth records -> the dense class heatmap + per-object targets.
 
     Center cells are floor(center / stride); offsets are the fractional
@@ -101,7 +101,7 @@ def assign_targets(labels, calib, image_size, num_classes=len(CLASS_NAMES)):
     width, height = image_size
     hm_h = -(-height // OUTPUT_STRIDE)
     hm_w = -(-width // OUTPUT_STRIDE)
-    heatmap = np.zeros((num_classes, hm_h, hm_w))
+    heatmap = np.zeros((len(CLASS_NAMES), hm_h, hm_w))
     classes, cells, offsets2d = [], [], []
     centers, sizes, offsets3d, sizes3d, bins, residuals, depths = [], [], [], [], [], [], []
     skipped = {}
@@ -287,21 +287,21 @@ def _progress(history, terms, upto):
     return float(np.mean(vals)) if vals else 0.0
 
 
-def htl_weights(epoch, history, ramp_epochs=20):
-    """Tier weights at `epoch` given per-term loss history of prior epochs.
+def htl_weights(epoch, history, previous=None, ramp_epochs=20):
+    """Tier weights at `epoch` given per-term loss history of prior epochs
+    and `previous`, the weights at epoch - 1 (None before epoch 0).
 
-    Tier 1 is always 1. Tiers 2 and 3 take the running max over epochs of
+    Tier 1 is always 1. Tiers 2 and 3 are a running max over epochs of
     ramp(e) * progress(e), where ramp rises linearly to 1 over
     ramp_epochs and progress is the clamped mean fractional improvement
-    of the tier's prerequisite tasks since epoch 0. The running max makes
+    of the tier's prerequisite tasks since epoch 0: the previous weight
+    or this epoch's value, whichever is larger. The running max makes
     the schedule monotone non-decreasing.
     """
     if epoch < 0:
         raise UsageError("epoch must be >= 0")
-    w2 = 0.0
-    w3 = 0.0
-    for e in range(1, epoch + 1):
-        ramp = min(e / float(ramp_epochs), 1.0)
-        w2 = max(w2, ramp * _progress(history, TIER1, e))
-        w3 = max(w3, ramp * _progress(history, TIER1 + TIER2, e))
+    w2, w3 = (0.0, 0.0) if previous is None else (previous["offset3d"], previous["depth"])
+    ramp = min(epoch / float(ramp_epochs), 1.0)
+    w2 = max(w2, ramp * _progress(history, TIER1, epoch))
+    w3 = max(w3, ramp * _progress(history, TIER1 + TIER2, epoch))
     return make_weights(tier2=w2, tier3=w3)

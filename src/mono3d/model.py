@@ -5,8 +5,8 @@ and the dense 2D / RoI 3D heads into one module; provides the nine named
 training loss terms over a batch, single-image inference to one
 Detections3D, and a flat little-endian float32 checkpoint with a JSON
 sidecar manifest mapping parameter names to (offset, shape). The
-manifest's variant, attention flag and class count define the model:
-`load_detector` builds it from them.
+manifest's variant and attention flag define the model: `load_detector`
+builds it from them. The heads predict the classes of CLASS_NAMES.
 
 A detector computes in its parameters' dtype. A fresh one is float64,
 which training and gradient checks need. Loading a checkpoint keeps its
@@ -22,7 +22,6 @@ from . import tensor as T
 from .backbone import Backbone, BackboneConfig, backbone_config
 from .errors import ConfigError, DegenerateGeometryError, DimensionError, UsageError
 from .heads import (
-    CLASS_NAMES,
     CLASS_PRIORS,
     MIN_H2D_PIXELS,
     Boxes2D,
@@ -46,7 +45,7 @@ CHECKPOINT_FORMAT = "mono3d-flat-f32"
 class Detector(Module):
     """Monocular image -> 3D boxes through one shared stride-4 feature map."""
 
-    def __init__(self, variant="desk", use_attention=True, seed=0, num_classes=len(CLASS_NAMES)):
+    def __init__(self, variant="desk", use_attention=True, seed=0):
         if isinstance(variant, BackboneConfig):
             cfg = variant
         else:
@@ -55,12 +54,11 @@ class Detector(Module):
         self.config = cfg
         self.variant = cfg.name
         self.use_attention = cfg.use_attention
-        self.num_classes = int(num_classes)
         self.seed = int(seed)
         self.backbone = Backbone(cfg, rng)
         self.neck = Neck([s.dim for s in cfg.stages], rng)
-        self.heads2d = Heads2D(self.neck.width, self.num_classes, rng)
-        self.heads3d = Heads3D(self.neck.width, self.num_classes, rng)
+        self.heads2d = Heads2D(self.neck.width, rng)
+        self.heads3d = Heads3D(self.neck.width, rng)
 
     @property
     def dtype(self):
@@ -223,7 +221,6 @@ def save_checkpoint(path, detector):
         "dtype": CHECKPOINT_DTYPE,
         "variant": detector.variant,
         "use_attention": detector.use_attention,
-        "num_classes": detector.num_classes,
         "total_elements": offset,
         "params": entries,
     }
@@ -237,13 +234,13 @@ def save_checkpoint(path, detector):
 def _read_manifest(path):
     """Checkpoint `path`'s manifest, checked to hold every field
     load_checkpoint reads, with dtype CHECKPOINT_DTYPE, a string variant,
-    a boolean attention flag, a class count >= 1 and non-negative integer
-    offsets, dims and total; UsageError naming the manifest otherwise."""
+    a boolean attention flag and non-negative integer offsets, dims and
+    total; UsageError naming the manifest otherwise."""
     mpath = manifest_path(path)
     with open(mpath, "r", encoding="ascii") as fh:
         try:
             manifest = json.load(fh)
-            absent = {"format", "dtype", "variant", "use_attention", "num_classes"} - set(manifest)
+            absent = {"format", "dtype", "variant", "use_attention"} - set(manifest)
             if absent:
                 raise KeyError(sorted(absent))
             if manifest["dtype"] != CHECKPOINT_DTYPE:
@@ -252,8 +249,6 @@ def _read_manifest(path):
                 raise ValueError(f"variant {manifest['variant']!r} is not a string")
             if type(manifest["use_attention"]) is not bool:
                 raise ValueError(f"use_attention {manifest['use_attention']!r} is not a boolean")
-            if type(manifest["num_classes"]) is not int or manifest["num_classes"] < 1:
-                raise ValueError(f"num_classes {manifest['num_classes']!r} is not an integer >= 1")
             counts = [manifest["total_elements"]]
             for entry in manifest["params"].values():
                 counts += [entry["offset"], *entry["shape"]]
@@ -269,9 +264,9 @@ def _read_manifest(path):
 def load_checkpoint(path, detector):
     """Load a checkpoint written by save_checkpoint into a matching detector.
 
-    Variant, attention setting, class count, parameter names, and shapes
-    must all match; mismatch errors name both the checkpoint's and the
-    model's side. In offset order the entries must tile [0, total_elements)
+    Variant, attention setting, parameter names, and shapes must all
+    match; mismatch errors name both the checkpoint's and the model's
+    side. In offset order the entries must tile [0, total_elements)
     exactly, as save_checkpoint writes them. Each parameter becomes the
     file's float32 values, so the detector then infers in float32 and
     `loss_terms` refuses it.
@@ -281,15 +276,10 @@ def load_checkpoint(path, detector):
         raise UsageError(f"unrecognized checkpoint format {manifest['format']!r}")
     ck_variant = manifest["variant"]
     ck_attention = manifest["use_attention"]
-    ck_classes = manifest["num_classes"]
     if ck_variant != detector.variant or ck_attention != detector.use_attention:
         raise UsageError(
             f"checkpoint holds variant {ck_variant!r} (attention={ck_attention}), "
             f"model is variant {detector.variant!r} (attention={detector.use_attention})"
-        )
-    if ck_classes != detector.num_classes:
-        raise UsageError(
-            f"checkpoint holds {ck_classes} classes, model has {detector.num_classes}"
         )
 
     params = dict(detector.named_parameters())
@@ -324,15 +314,13 @@ def load_checkpoint(path, detector):
 def load_detector(path):
     """The Detector that checkpoint `path` describes, with its parameters loaded.
 
-    The manifest's variant, attention setting and class count define the
-    model; a variant outside the backbone table is a UsageError naming the
+    The manifest's variant and attention setting define the model; a
+    variant outside the backbone table is a UsageError naming the
     manifest. The detector infers in float32 (see load_checkpoint).
     """
     manifest = _read_manifest(path)
     try:
-        detector = Detector(
-            manifest["variant"], manifest["use_attention"], num_classes=manifest["num_classes"]
-        )
+        detector = Detector(manifest["variant"], manifest["use_attention"])
     except ConfigError as exc:
         raise UsageError(f"checkpoint manifest {manifest_path(path)}: {exc}") from None
     load_checkpoint(path, detector)

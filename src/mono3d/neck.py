@@ -1,7 +1,8 @@
 """Iterative aggregation of the feature pyramid into one stride-4 map.
 
-Each level is projected to a common width (1x1 conv, per-pixel channel
-norm, ReLU). Starting from the deepest level, the running map is
+Each level is projected to a common width (1x1 conv, LayerNorm, ReLU);
+the channels are the last axis, so the LayerNorm normalises each pixel's
+channels. Starting from the deepest level, the running map is
 bilinearly upsampled to the next shallower level's size, summed with it,
 and fused by a 3x3 conv + ReLU. The fused map at the shallowest level,
 `width` channels wide, is the neck's output. Maps are channels-last,
@@ -13,24 +14,10 @@ from .errors import ConfigError, DimensionError, UsageError
 from .nn import Conv2d, LayerNorm, Module
 
 
-class ChannelNorm(Module):
-    """LayerNorm over the channel axis, applied independently per pixel.
-
-    The channels are the last axis, so this is the LayerNorm itself; it
-    sits under `norm` so that parameter names stay `...norm.norm.gamma`.
-    """
-
-    def __init__(self, ch):
-        self.norm = LayerNorm(ch)
-
-    def __call__(self, x):
-        return self.norm(x)
-
-
 class ProjectNode(Module):
     def __init__(self, in_ch, out_ch, rng):
         self.conv = Conv2d(in_ch, out_ch, 1, rng)
-        self.norm = ChannelNorm(out_ch)
+        self.norm = LayerNorm(out_ch)
 
     def __call__(self, x):
         return T.relu(self.norm(self.conv(x)))

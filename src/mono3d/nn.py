@@ -40,9 +40,6 @@ class Module:
     def parameters(self):
         return [p for _, p in self.named_parameters()]
 
-    def num_parameters(self):
-        return sum(p.size for p in self.parameters())
-
     def zero_grads(self):
         for p in self.parameters():
             p.grad = None

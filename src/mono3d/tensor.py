@@ -36,8 +36,8 @@ _seq_at_reset = 0
 # the name each op records its nodes under
 OP_NAMES = frozenset((
     "abs", "add", "attention", "bilinear", "clip", "conv2d", "exp", "gelu", "getitem",
-    "layer_norm", "linear", "log", "matmul", "mean", "mul", "patches_at", "power", "relu",
-    "reshape", "roi_align", "sigmoid", "softmax", "sqrt", "stack", "sum", "transpose",
+    "layer_norm", "linear", "log", "mean", "mul", "patches_at", "power", "relu", "reshape",
+    "roi_align", "sigmoid", "sqrt", "stack", "sum", "transpose",
 ))
 
 # op names whose backward rule is deliberately corrupted (gradcheck negative
@@ -162,9 +162,6 @@ class Tensor:
 
     def __pow__(self, exponent):
         return power(self, exponent)
-
-    def __matmul__(self, other):
-        return matmul_batched(self, other)
 
     def __getitem__(self, idx):
         return getitem(self, idx)
@@ -416,36 +413,6 @@ def mean(a, axis=None, keepdims=False):
 # ---------------------------------------------------------------------------
 # linear algebra / nn ops
 # ---------------------------------------------------------------------------
-
-
-def matmul_batched(a, b):
-    """Batched matmul with broadcastable leading dims: [..., M, K] @ [..., K, P]."""
-    if a.ndim < 2 or b.ndim < 2:
-        raise DimensionError("matmul operands need at least 2 dims")
-    if a.shape[-1] != b.shape[-2]:
-        raise DimensionError(f"inner dims disagree: {a.shape} @ {b.shape}")
-
-    def vjp(g):
-        ga = _reduce_broadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-        gb = _reduce_broadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
-        return ga, gb
-
-    return _record("matmul", a.data @ b.data, (a, b), vjp)
-
-
-def softmax_lastdim(x):
-    """Numerically stable softmax over the last dim (max subtraction)."""
-    if x.shape[-1] < 1:
-        raise DimensionError("softmax needs a non-empty last dim")
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=-1, keepdims=True)
-
-    def vjp(g):
-        dot = np.sum(g * out_data, axis=-1, keepdims=True)
-        return (out_data * (g - dot),)
-
-    return _record("softmax", out_data, (x,), vjp)
 
 
 def linear(x, w, b=None):

@@ -141,7 +141,7 @@ def train_detector(
     lines = [CSV_HEADER]
     weights = None
     for epoch in range(epochs):
-        weights = htl_weights(epoch, history, ramp_epochs=htl_ramp)
+        weights = htl_weights(epoch, history, weights, ramp_epochs=htl_ramp)
         opt.lr = lr * lr_factor(epoch, warmup_epochs, decay_epochs, decay)
         order = rng.permutation(len(dataset))
         sums = dict.fromkeys(LOSS_TERMS, 0.0)

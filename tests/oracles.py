@@ -4,7 +4,11 @@ Everything here is deliberately naive (plain loops, series expansions) and
 shares no code with the package paths it checks. The one exception to
 "naive" is the scanline raster IoU, which counts lattice points per row by
 interval so a 2000 x 2000 grid stays fast; it is itself checked against
-`raster_iou_pointwise`, which tests every point.
+`raster_iou_pointwise`, which tests every point. `matmul_batched` and
+`softmax_lastdim` are ops of the engine that no model path records: they
+record through the engine's `_record`, so that graphs built from them
+backpropagate, and they are the unfused references for `attention` and
+`linear`.
 """
 
 import gc
@@ -12,16 +16,17 @@ import math
 
 import numpy as np
 
+from mono3d import tensor as T
+from mono3d.errors import DimensionError
+
 
 def live_graph_nodes(collect=True):
     """Autodiff graph nodes alive in the process, found by the garbage
     collector rather than by any counter of the engine. `collect=False`
     skips the collection, so only what reference counting freed is gone."""
-    from mono3d.tensor import _Node
-
     if collect:
         gc.collect()
-    return sum(isinstance(o, _Node) for o in gc.get_objects())
+    return sum(isinstance(o, T._Node) for o in gc.get_objects())
 
 
 def conv2d_direct(x, w, b, stride, padding, groups=1):
@@ -62,6 +67,64 @@ def matmul_loops(a, b):
                     acc += a[bi, i, t] * b[bi, t, j]
                 out[bi, i, j] = acc
     return out
+
+
+def matmul_batched(a, b):
+    """Batched matmul of Tensors with broadcastable leading dims:
+    [..., M, K] @ [..., K, P], recorded as "matmul"."""
+    if a.ndim < 2 or b.ndim < 2:
+        raise DimensionError("matmul operands need at least 2 dims")
+    if a.shape[-1] != b.shape[-2]:
+        raise DimensionError(f"inner dims disagree: {a.shape} @ {b.shape}")
+
+    def vjp(g):
+        ga = T._reduce_broadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
+        gb = T._reduce_broadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+        return ga, gb
+
+    return T._record("matmul", a.data @ b.data, (a, b), vjp)
+
+
+def softmax_lastdim(x):
+    """Numerically stable softmax of a Tensor over its last dim (max
+    subtraction), recorded as "softmax"."""
+    if x.shape[-1] < 1:
+        raise DimensionError("softmax needs a non-empty last dim")
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    out_data = e / e.sum(axis=-1, keepdims=True)
+
+    def vjp(g):
+        dot = np.sum(g * out_data, axis=-1, keepdims=True)
+        return (out_data * (g - dot),)
+
+    return T._record("softmax", out_data, (x,), vjp)
+
+
+def htl_weights_all_history(epoch, history, ramp_epochs=20):
+    """(tier-2, tier-3) task weights at `epoch`, recomputed from the whole
+    loss history: the max over epochs e = 1..epoch of ramp(e) * progress(e),
+    progress being the clamped mean fractional loss reduction of the
+    tier's prerequisite terms from epoch 0 to epoch e - 1."""
+    tier1 = ("heatmap", "offset2d", "size2d")
+    tier2 = ("offset3d", "w3d", "l3d", "h3d", "angle")
+
+    def progress(terms, upto):
+        vals = []
+        for term in terms:
+            series = history.get(term, [])
+            if len(series) < upto:
+                return 0.0
+            first, last = series[0], series[upto - 1]
+            vals.append(1.0 if first <= 0.0 else min(max(1.0 - last / first, 0.0), 1.0))
+        return float(np.mean(vals))
+
+    w2 = w3 = 0.0
+    for e in range(1, epoch + 1):
+        ramp = min(e / float(ramp_epochs), 1.0)
+        w2 = max(w2, ramp * progress(tier1, e))
+        w3 = max(w3, ramp * progress(tier1 + tier2, e))
+    return w2, w3
 
 
 def erf_series(x, terms=40):

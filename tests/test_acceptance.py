@@ -15,13 +15,13 @@ import numpy as np
 import pytest
 
 import oracles
-from test_evaluation import _corpus, _pair_iou, _row
+from test_evaluation import _ap, _corpus, _pair_iou, _row
 
 from mono3d import tensor as T
 from mono3d.backbone import Backbone, backbone_config
 from mono3d.cli import main
 from mono3d.errors import ParseError, UsageError
-from mono3d.evaluation import DIFFICULTIES, OFFICIAL_IOU, RELAXED_IOU, ap_r40
+from mono3d.evaluation import DIFFICULTIES, OFFICIAL_IOU, RELAXED_IOU
 from mono3d.geometry import box3d_corners, iou_3d, iou_bev, pair_iou
 from mono3d.gradcheck import run_suite
 from mono3d.heads import (
@@ -66,8 +66,9 @@ def test_gradient_suite_catches_a_fault_in_every_op():
     for op in sorted(T.OP_NAMES):
         result = run_suite(seeds=1, include_pipeline=False, fault_op=op)
         assert not result.passed and op in result.failing(), (op, result.failing())
-    # the suite's component names are not all op names: those are refused
-    for name in ("matmul_batched", "softmax_lastdim", "bilinear_resize", "attentoin"):
+    # the suite's component names are not all op names, and matmul and
+    # softmax are test references that no model path records: those are refused
+    for name in ("matmul", "softmax", "matmul_batched", "softmax_lastdim", "bilinear_resize", "attentoin"):
         with pytest.raises(UsageError, match="known ops"):
             run_suite(seeds=1, include_pipeline=False, fault_op=name)
 
@@ -148,7 +149,7 @@ def test_criterion_04_ap_bitwise_vs_bruteforce():
         pair = _pair_iou(metric)
         for cls, thr in cells:
             for diff in DIFFICULTIES:
-                got = ap_r40(preds, gt, cls, diff, metric, thr)
+                got = _ap(preds, gt, cls, diff, metric, thr)
                 want = oracles.ap_r40_bruteforce(preds, gt, cls, diff, pair, thr)
                 assert got == want if want is not None else got is None
                 checked += got is not None
@@ -159,7 +160,7 @@ def test_criterion_04_ap_bitwise_vs_bruteforce():
     for metric in ("3D", "BEV"):
         for cls, thr in cells:
             for diff in DIFFICULTIES:
-                ap = ap_r40(perfect, gt, cls, diff, metric, thr)
+                ap = _ap(perfect, gt, cls, diff, metric, thr)
                 if ap is not None:
                     assert ap == 100.0
                     defined += 1
@@ -168,8 +169,8 @@ def test_criterion_04_ap_bitwise_vs_bruteforce():
     for metric in ("3D", "BEV"):
         for cls, thr in cells:
             for diff in DIFFICULTIES:
-                if ap_r40(perfect, gt, cls, diff, metric, thr) is not None:
-                    assert ap_r40({}, gt, cls, diff, metric, thr) == 0.0
+                if _ap(perfect, gt, cls, diff, metric, thr) is not None:
+                    assert _ap({}, gt, cls, diff, metric, thr) == 0.0
 
 
 # -- 5: box codec round trip and depth projection ------------------------------
@@ -318,10 +319,11 @@ def test_criterion_07_task_tier_schedule():
         t: list(np.maximum(np.linspace(1.0, 0.05, 40) + rng.normal(scale=0.1, size=40), 0.0))
         for t in LOSS_TERMS
     }
-    prev = htl_weights(0, history).values
+    # (the weights carried from epoch to epoch, as train_detector carries them)
+    prev = htl_weights(0, history)
     for epoch in range(1, 41):
-        cur = htl_weights(epoch, history, ramp_epochs=20).values
-        assert all(c >= p for c, p in zip(cur, prev))
+        cur = htl_weights(epoch, history, prev, ramp_epochs=20)
+        assert all(c >= p for c, p in zip(cur.values, prev.values))
         prev = cur
     # vanished prerequisite losses + completed ramp: every weight is 1
     done = {t: [1.0] + [0.0] * 39 for t in LOSS_TERMS}

@@ -9,7 +9,6 @@ from mono3d.backbone import (
     SpatialReductionAttention,
     StageConfig,
     backbone_config,
-    pyramid_shapes,
 )
 from mono3d.errors import ConfigError, DimensionError
 from mono3d.tensor import Tensor
@@ -43,19 +42,18 @@ def _tiny_config(use_attention=True):
 
 
 def test_pyramid_shapes_matches_conv_formula():
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        h = int(rng.integers(32, 600))
-        w = int(rng.integers(32, 600))
-        assert pyramid_shapes(h, w) == _shapes_by_conv_formula(h, w)
+    # the formula's (kernel, stride, padding) are the backbone's patch embeds
+    bb = Backbone(backbone_config("desk"), np.random.default_rng(0))
+    embeds = [stage.embed.proj for stage in bb.stage_list]
+    assert [(e.weight.shape[2], e.stride, e.padding) for e in embeds] == _STAGE_CONVS
 
 
 def test_pyramid_shapes_is_iterated_ceil_division():
     rng = np.random.default_rng(1)
-    for _ in range(50):
+    for _ in range(250):
         h = int(rng.integers(32, 2000))
         w = int(rng.integers(32, 2000))
-        got = pyramid_shapes(h, w)
+        got = _shapes_by_conv_formula(h, w)
         ch, cw = h, w
         for level, step in enumerate((4, 2, 2, 2)):
             ch = (ch + step - 1) // step
@@ -64,7 +62,7 @@ def test_pyramid_shapes_is_iterated_ceil_division():
 
 
 def test_reference_input_shape_table():
-    assert pyramid_shapes(380, 1280) == [(95, 320), (48, 160), (24, 80), (12, 40)]
+    assert _shapes_by_conv_formula(380, 1280) == [(95, 320), (48, 160), (24, 80), (12, 40)]
 
 
 def test_variant_tables():
@@ -99,7 +97,7 @@ def test_desk_forward_shapes_random_sizes(seed):
     x = Tensor(rng.normal(size=(1, 3, h, w)))
     with T.no_grad():
         feats = bb(x)
-    expected = pyramid_shapes(h, w)
+    expected = _shapes_by_conv_formula(h, w)
     assert len(feats) == 4
     for level, f in enumerate(feats):  # channels-last maps
         assert f.shape[3] == backbone_config("desk").stages[level].dim
@@ -254,6 +252,6 @@ def test_input_validation():
 
 def test_desk_parameter_count_frozen():
     bb = Backbone(backbone_config("desk"), np.random.default_rng(21))
-    assert bb.num_parameters() == 331088
+    assert sum(p.size for p in bb.parameters()) == 331088
     ablated = Backbone(backbone_config("desk", use_attention=False), np.random.default_rng(22))
-    assert ablated.num_parameters() == 193360
+    assert sum(p.size for p in ablated.parameters()) == 193360

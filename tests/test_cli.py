@@ -312,10 +312,10 @@ def test_train_toy_writes_artifacts(toy_run):
     assert rows[0].startswith("epoch,heatmap,") and rows[0].count(",") == 18
 
 
-def test_train_toy_applies_profile_under_flags(toy_run):
+def test_train_toy_applies_flags_over_defaults(toy_run):
     cfg = _echoed(toy_run, "train-toy")
-    assert cfg["epochs"] == 2  # flag beats profile
-    assert cfg["lr"] == 2.5e-4  # profile beats full-scale default
+    assert cfg["epochs"] == 2  # flag beats default
+    assert cfg["lr"] == 2.5e-4  # the default
     assert cfg["decay_epochs"] == [150, 180]
 
 
@@ -336,7 +336,7 @@ def test_train_toy_from_shared_config_echoes_only_its_keys(tmp_path):
     assert code == 0
     cfg = _echoed(out, "train-toy")
     assert "thresholds" not in cfg and "k" not in cfg and "score_threshold" not in cfg
-    assert cfg["htl_ramp"] == 20 and cfg["decay_epochs"] == [90, 120]  # file beats profile
+    assert cfg["htl_ramp"] == 20 and cfg["decay_epochs"] == [90, 120]  # file beats defaults
 
 
 def test_infer_missing_flags_exit_2(tmp_path, capsys):
@@ -489,7 +489,8 @@ def test_gradcheck_fault_injection_fails_and_names_op(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "op, code", [("linear", 1), ("attention", 1), ("conv2d", 1), ("conv3x3_nhwc", 2), ("attentoin", 2)]
+    "op, code",
+    [("linear", 1), ("attention", 1), ("conv2d", 1), ("conv3x3_nhwc", 2), ("matmul", 2), ("attentoin", 2)],
 )
 def test_gradcheck_fault_injection_exit_codes(tmp_path, capsys, op, code):
     # the fused ops' rules are caught; a name that no op records is a bad

@@ -1,4 +1,4 @@
-"""Config layering: defaults <- profile <- file <- overrides, strict keys."""
+"""Config layering: defaults <- file <- overrides, strict keys."""
 
 import json
 import os
@@ -6,7 +6,7 @@ import os
 import pytest
 
 from mono3d.cli import main
-from mono3d.config import DEFAULTS, TOY_PROFILE, echo_config, load_config_file, resolve_config
+from mono3d.config import DEFAULTS, echo_config, load_config_file, resolve_config
 from mono3d.errors import ConfigError
 
 
@@ -16,35 +16,22 @@ def test_defaults_resolve_unchanged():
     assert cfg is not DEFAULTS  # caller gets a private copy
 
 
-def test_full_scale_training_defaults_pinned():
+def test_toy_training_defaults_pinned():
+    # the optimizer settings of train-toy, the one command that reads them
     cfg = resolve_config()
-    assert cfg["lr"] == 1.25e-3
-    assert cfg["decay_epochs"] == [90, 120]
+    assert cfg["lr"] == 2.5e-4
+    assert cfg["decay_epochs"] == [150, 180]
     assert cfg["decay"] == 0.1
     assert cfg["warmup_epochs"] == 5
     assert cfg["batch_size"] == 12
-    assert cfg["epochs"] == 140
-
-
-def test_toy_profile_scales_optimizer_down():
-    cfg = resolve_config(profile=TOY_PROFILE)
-    assert cfg["lr"] == 2.5e-4
     assert cfg["epochs"] == 200
-    assert cfg["decay_epochs"] == [150, 180]
-    # everything else untouched
-    assert cfg["batch_size"] == DEFAULTS["batch_size"]
-    assert cfg["warmup_epochs"] == DEFAULTS["warmup_epochs"]
 
 
-def test_precedence_profile_file_overrides():
-    cfg = resolve_config(
-        file_cfg={"lr": 3e-4, "epochs": 50},
-        overrides={"lr": 7e-4},
-        profile=TOY_PROFILE,
-    )
+def test_precedence_file_overrides():
+    cfg = resolve_config(file_cfg={"lr": 3e-4, "epochs": 50}, overrides={"lr": 7e-4})
     assert cfg["lr"] == 7e-4  # flag beats file
-    assert cfg["epochs"] == 50  # file beats profile
-    assert cfg["decay_epochs"] == [150, 180]  # profile beats defaults
+    assert cfg["epochs"] == 50  # file beats defaults
+    assert cfg["decay_epochs"] == [150, 180]  # defaults where neither sets it
 
 
 def test_unknown_key_rejected():
@@ -171,7 +158,7 @@ def test_shipped_full_scale_config_validates():
 
 def test_keys_restrict_resolution_and_overrides():
     keys = ("out_dir", "z_min", "z_max", "lr")
-    cfg = resolve_config(file_cfg={"lr": 3e-4, "k": 5}, profile=TOY_PROFILE, keys=keys)
+    cfg = resolve_config(file_cfg={"lr": 3e-4, "k": 5}, keys=keys)
     assert cfg == {"out_dir": "out", "z_min": 4.5, "z_max": 8.0, "lr": 3e-4}
     with pytest.raises(ConfigError, match="synth does not read config key 'k'"):
         resolve_config(overrides={"k": 5}, keys=keys, command="synth")
@@ -180,7 +167,7 @@ def test_keys_restrict_resolution_and_overrides():
     with pytest.raises(ConfigError, match="wants a number"):  # file keys are still type-checked
         resolve_config(file_cfg={"k": "five"}, keys=keys)
     # a file key outside `keys` is neither applied nor range-checked
-    assert resolve_config(file_cfg={"z_min": -1.0, "k": 0}, keys=("lr",)) == {"lr": 1.25e-3}
+    assert resolve_config(file_cfg={"z_min": -1.0, "k": 0}, keys=("lr",)) == {"lr": 2.5e-4}
 
 
 def test_echo_config_writes_sorted_json(tmp_path):

@@ -11,18 +11,18 @@ from mono3d.evaluation import (
     EvalConfig,
     OFFICIAL_IOU,
     RELAXED_IOU,
+    _match,
+    _mean_envelope,
     _prepare,
-    _record_table,
-    ap_r40,
-    assign_difficulty,
     difficulty_levels,
     evaluate_split,
 )
-from mono3d.geometry import iou_3d, iou_bev, iou_pairs
+from mono3d.geometry import iou_3d, iou_bev
 from mono3d.heads import CLASS_NAMES, wrap_angle
 from mono3d.kitti import CameraCalib, LabelRecord, parse_label_file, write_calib, write_labels
 
 import oracles
+from test_geometry import iou_pairs
 
 _BASE_DIMS = {
     "Car": (1.5, 1.6, 3.9),
@@ -115,6 +115,27 @@ def _pair_iou(metric):
     return lambda p, g: fn(_row(p), _row(g))
 
 
+def _table(records):
+    """LabelRecords -> a label table, as kitti.parse_label_table gives."""
+    numbers = [
+        (r.truncated, r.occluded, r.alpha, *r.bbox, *r.dimensions, *r.location, r.rotation_y,
+         np.nan if r.score is None else r.score)
+        for r in records
+    ]
+    return [r.type for r in records], np.array(numbers, dtype=np.float64).reshape(-1, 15)
+
+
+def _ap(predictions, ground_truth, cls, difficulty, metric, iou_threshold):
+    """AP of one report cell of the images of `predictions` and
+    `ground_truth` (image id -> records), through evaluate_split's path;
+    None when the cell has no counted ground truth."""
+    images = sorted(set(predictions) | set(ground_truth))
+    split = _prepare([_table(predictions.get(img, [])) for img in images],
+                     [_table(ground_truth.get(img, [])) for img in images])
+    recalls, precisions, npos, _, _ = _match(split, cls, metric, iou_threshold)[DIFFICULTIES.index(difficulty)]
+    return _mean_envelope(recalls, precisions) if npos else None
+
+
 # ---------------------------------------------------------------------------
 # difficulty buckets
 # ---------------------------------------------------------------------------
@@ -135,8 +156,8 @@ def _pair_iou(metric):
     ],
 )
 def test_assign_difficulty(h2d, occ, trunc, expected):
-    rec = _record(h2d=h2d, occ=occ, trunc=trunc)
-    assert assign_difficulty(rec) == expected
+    level = difficulty_levels(np.array([h2d]), np.array([occ]), np.array([trunc]))[0]
+    assert (*DIFFICULTIES, "Ignored")[level] == expected
     assert oracles.difficulty_reference(h2d, occ, trunc) == expected
 
 
@@ -157,16 +178,16 @@ def test_vectorised_difficulty_levels_at_the_boundaries():
     # DontCare-style boxes carry -1 for truncation and occlusion; a box
     # from the image's top row has its height as its bottom, exactly
     records = [replace(_record(occ=oo, trunc=tt), bbox=(0.0, 0.0, 10.0, hh)) for hh, oo, tt in grid]
-    for record, (hh, oo, tt), level in zip(records, grid, levels):
-        assert names[level] == assign_difficulty(record) == oracles.difficulty_reference(hh, oo, tt)
+    for (hh, oo, tt), level in zip(grid, levels):
+        assert names[level] == oracles.difficulty_reference(hh, oo, tt)
     # the evaluator reads the height off the stacked table's bbox columns
-    split = _prepare([_record_table([])], [_record_table(records)])
+    split = _prepare([_table([])], [_table(records)])
     assert split.gt_level.tolist() == levels
     assert sorted(set(levels)) == [0, 1, 2, 3]
 
 
 # ---------------------------------------------------------------------------
-# ap_r40 pinned instances
+# single-cell AP pinned instances
 # ---------------------------------------------------------------------------
 
 
@@ -176,19 +197,19 @@ def test_exact_match_plus_false_positive_is_50():
     fp = _record(loc=(-10.0, 1.5, 50.0), score=0.8)
     gt = {"000000": [a, b]}
     preds = {"000000": [replace(a, score=0.9), fp]}
-    assert ap_r40(preds, gt, "Car", "Easy", "3D", 0.7) == 50.0
+    assert _ap(preds, gt, "Car", "Easy", "3D", 0.7) == 50.0
 
 
 def test_no_predictions_zero_ap():
     gt = {"000000": [_record()]}
-    assert ap_r40({}, gt, "Car", "Easy", "3D", 0.7) == 0.0
+    assert _ap({}, gt, "Car", "Easy", "3D", 0.7) == 0.0
 
 
 def test_no_gt_not_applicable():
     preds = {"000000": [_record(score=0.9)]}
-    assert ap_r40(preds, {}, "Car", "Easy", "3D", 0.7) is None
+    assert _ap(preds, {}, "Car", "Easy", "3D", 0.7) is None
     gt = {"000000": [_record(h2d=20.0)]}  # below every height threshold
-    assert ap_r40({}, gt, "Car", "Easy", "3D", 0.7) is None
+    assert _ap({}, gt, "Car", "Easy", "3D", 0.7) is None
 
 
 def test_ignored_gt_neither_fn_nor_fp():
@@ -197,8 +218,8 @@ def test_ignored_gt_neither_fn_nor_fp():
     gt = {"000000": [easy, hidden]}
     preds = {"000000": [replace(hidden, score=0.9), replace(easy, score=0.8)]}
     # the hit on the ignored box is dropped from the count entirely
-    assert ap_r40(preds, gt, "Car", "Easy", "3D", 0.7) == 100.0
-    assert ap_r40(preds, gt, "Car", "Hard", "3D", 0.7) == 100.0
+    assert _ap(preds, gt, "Car", "Easy", "3D", 0.7) == 100.0
+    assert _ap(preds, gt, "Car", "Hard", "3D", 0.7) == 100.0
 
 
 def test_duplicate_prediction_counts_as_fp():
@@ -212,7 +233,7 @@ def test_duplicate_prediction_counts_as_fp():
             replace(b, score=0.8),
         ]
     }
-    ap = ap_r40(preds, gt, "Car", "Easy", "3D", 0.7)
+    ap = _ap(preds, gt, "Car", "Easy", "3D", 0.7)
     # envelope: 1.0 up to recall 0.5, then 2/3
     assert ap == pytest.approx((20 * 1.0 + 20 * (2.0 / 3.0)) / 40.0 * 100.0, abs=1e-12)
 
@@ -225,7 +246,7 @@ def test_gt_as_predictions_is_100_everywhere():
     for metric in ("3D", "BEV"):
         for cls, thr in OFFICIAL_IOU:
             for diff in DIFFICULTIES:
-                ap = ap_r40(preds, gt, cls, diff, metric, thr)
+                ap = _ap(preds, gt, cls, diff, metric, thr)
                 if ap is not None:
                     assert ap == 100.0
                     defined += 1
@@ -245,7 +266,7 @@ def test_ap_bitwise_vs_bruteforce(metric):
     checked = 0
     for cls, thr in tuple(OFFICIAL_IOU) + tuple(RELAXED_IOU):
         for diff in DIFFICULTIES:
-            got = ap_r40(preds, gt, cls, diff, metric, thr)
+            got = _ap(preds, gt, cls, diff, metric, thr)
             want = oracles.ap_r40_bruteforce(preds, gt, cls, diff, pair, thr)
             if want is None:
                 assert got is None
@@ -264,8 +285,8 @@ def test_score_monotone_invariance():
     }
     for cls, thr in (("Car", 0.7), ("Pedestrian", 0.5)):
         for diff in DIFFICULTIES:
-            a = ap_r40(preds, gt, cls, diff, "3D", thr)
-            b = ap_r40(transformed, gt, cls, diff, "3D", thr)
+            a = _ap(preds, gt, cls, diff, "3D", thr)
+            b = _ap(transformed, gt, cls, diff, "3D", thr)
             assert a == b or (a is None and b is None)
 
 
@@ -276,8 +297,8 @@ def test_adding_false_positive_never_increases_ap():
     with_fp = {img: list(recs) for img, recs in preds.items()}
     with_fp["000000"] = with_fp["000000"] + [far_fp]
     for diff in DIFFICULTIES:
-        base = ap_r40(preds, gt, "Car", diff, "3D", 0.7)
-        worse = ap_r40(with_fp, gt, "Car", diff, "3D", 0.7)
+        base = _ap(preds, gt, "Car", diff, "3D", 0.7)
+        worse = _ap(with_fp, gt, "Car", diff, "3D", 0.7)
         if base is not None:
             assert worse <= base
 
@@ -285,21 +306,6 @@ def test_adding_false_positive_never_increases_ap():
 # ---------------------------------------------------------------------------
 # argument validation
 # ---------------------------------------------------------------------------
-
-
-def test_ap_rejects_bad_arguments():
-    gt = {"000000": [_record()]}
-    preds = {"000000": [_record(score=0.9)]}
-    with pytest.raises(UsageError):
-        ap_r40(preds, gt, "Van", "Easy")
-    with pytest.raises(UsageError):
-        ap_r40(preds, gt, "Car", "Trivial")
-    with pytest.raises(UsageError):
-        ap_r40(preds, gt, "Car", "Easy", "2D")
-    with pytest.raises(UsageError):
-        ap_r40(preds, gt, "Car", "Easy", "3D", 0.0)
-    with pytest.raises(UsageError):
-        ap_r40({"000000": [_record()]}, gt, "Car", "Easy")  # missing score
 
 
 def test_eval_config_threshold_validation():
@@ -504,7 +510,7 @@ def test_contested_split_cells_bitwise_vs_bruteforce(tmp_path):
         assert (cell.n_gt, cell.matched, cell.n_pred) == counts
         assert cell.ap == want
         if cls == "Car":
-            assert cell.ap == ap_r40(preds, gt, cls, diff, metric, thr)
+            assert cell.ap == _ap(preds, gt, cls, diff, metric, thr)
             assert 0.0 < want < 100.0
             checked += 1
     assert checked == 12
@@ -522,7 +528,7 @@ def test_contested_split_pinned_counts(metric):
     for diff, want in (("Easy", (10, 9, 19)), ("Moderate", (11, 10, 19)), ("Hard", (11, 10, 19))):
         pair = _pair_iou(metric)
         assert oracles.match_counts_bruteforce(preds, gt, "Car", diff, pair, 0.7) == want
-        got = ap_r40(preds, gt, "Car", diff, metric, 0.7)
+        got = _ap(preds, gt, "Car", diff, metric, 0.7)
         assert got == oracles.ap_r40_bruteforce(preds, gt, "Car", diff, pair, 0.7)
 
 
@@ -537,10 +543,7 @@ def test_prepare_split_tables_equal_per_image_iou_pairs():
     gt["000902"] = [_record(), _record(loc=(3.0, 1.5, 20.0))]
     preds["000902"] = [_record(dims=(1.5, 1.6, 0.0), score=0.9), _record(loc=(0.1, 1.5, 20.0), score=0.5)]
     images = sorted(set(gt) | set(preds))
-    split = _prepare(
-        [_record_table(preds.get(img, [])) for img in images],
-        [_record_table(gt.get(img, [])) for img in images],
-    )
+    split = _prepare([_table(preds.get(img, [])) for img in images], [_table(gt.get(img, [])) for img in images])
     # the oracle: per image and class, the iou_pairs table; a prediction's
     # rank is its place in the class's score order (ties in input order),
     # a ground-truth box's index its place in the stacked split

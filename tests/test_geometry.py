@@ -11,12 +11,19 @@ from mono3d.geometry import (
     convex_clip,
     iou_3d,
     iou_bev,
-    iou_pairs,
     pair_iou,
     polygon_area,
 )
 
 import oracles
+
+
+def iou_pairs(rows_a, rows_b):
+    """pair_iou over every (a, b) pair -> (iou_3d [A, B], iou_bev [A, B])."""
+    rows_a, rows_b = np.asarray(rows_a), np.asarray(rows_b)
+    ia = np.repeat(np.arange(len(rows_a)), len(rows_b))
+    ib = np.tile(np.arange(len(rows_b)), len(rows_a))
+    return tuple(t.reshape(len(rows_a), len(rows_b)) for t in pair_iou(rows_a, rows_b, ia, ib))
 
 
 def _box(x=0.0, y=0.0, z=0.0, h=1.0, w=1.0, l=1.0, yaw=0.0):

@@ -389,9 +389,17 @@ def test_htl_epoch_zero():
         assert w[term] == 0.0
 
 
+def _htl_through(epoch, history, ramp_epochs=20):
+    """htl_weights carried from epoch 0 to `epoch`, as train_detector carries them."""
+    w = None
+    for e in range(epoch + 1):
+        w = htl_weights(e, history, w, ramp_epochs=ramp_epochs)
+    return w
+
+
 def test_htl_stalled_pretasks_stay_zero():
     history = {t: [2.0] * 30 for t in LOSS_TERMS}
-    w = htl_weights(25, history)
+    w = _htl_through(25, history)
     assert w["offset3d"] == 0.0
     assert w["depth"] == 0.0
 
@@ -400,7 +408,7 @@ def test_htl_full_progress_reaches_one():
     history = {}
     for t in LOSS_TERMS:
         history[t] = [1.0] + [0.0] * 39
-    w = htl_weights(40, history, ramp_epochs=20)
+    w = _htl_through(40, history, ramp_epochs=20)
     assert all(w[t] == 1.0 for t in LOSS_TERMS)
 
 
@@ -409,13 +417,30 @@ def test_htl_monotone_in_epoch():
     n = 40
     history = {t: list(np.abs(rng.normal(size=n)) + 0.01) for t in LOSS_TERMS}
     prev2 = prev3 = -1.0
+    w = None
     for e in range(n):
-        w = htl_weights(e, history)
+        w = htl_weights(e, history, w)
         assert w["offset3d"] >= prev2
         assert w["depth"] >= prev3
         prev2, prev3 = w["offset3d"], w["depth"]
         assert 0.0 <= w["offset3d"] <= 1.0
         assert 0.0 <= w["depth"] <= 1.0
+
+
+def test_htl_running_max_equals_the_all_history_formula():
+    # 200 epochs, as a toy run: falling losses with noise, a term that
+    # rises first and a term that reaches zero
+    rng = np.random.default_rng(12)
+    n = 200
+    history = {t: list(np.linspace(3.0, 0.2, n) * rng.uniform(0.8, 1.2, n)) for t in LOSS_TERMS}
+    history["angle"] = list(np.concatenate([np.linspace(1.0, 4.0, 30), np.linspace(4.0, 0.5, n - 30)]))
+    history["offset2d"][120:] = [0.0] * (n - 120)
+    w = None
+    for e in range(n + 1):
+        w = htl_weights(e, history, w, ramp_epochs=20)
+        want = oracles.htl_weights_all_history(e, history, ramp_epochs=20)
+        assert (w["offset3d"].hex(), w["depth"].hex()) == tuple(v.hex() for v in want)
+    assert 0.0 < w["offset3d"] < 1.0 and 0.0 < w["depth"] < 1.0
 
 
 def test_htl_rejects_negative_epoch():

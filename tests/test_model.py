@@ -26,6 +26,7 @@ from mono3d.heads import (
 from mono3d.kitti import LabelRecord
 from mono3d.losses import LOSS_TERMS, assign_targets, make_weights, total_loss
 from mono3d.model import Detector, load_checkpoint, load_detector, manifest_path, save_checkpoint
+from mono3d.tensor import Tensor
 from mono3d.synth import make_default_calib, synth_scene
 from mono3d.train import build_synth_dataset, train_detector
 
@@ -511,22 +512,22 @@ def test_desk_checkpoint_layout_pinned(desk):
     # parameter changes it, and old desk checkpoints would stop loading
     layout = sorted((name, list(p.shape)) for name, p in desk.named_parameters())
     digest = hashlib.sha256(json.dumps(layout).encode("ascii")).hexdigest()
-    assert digest == "06bb5960271facd56a52fc5c327ce94947ab0fdc77d74c9c18687c29fe94e143"
+    assert digest == "62a35fe523c7c1082160f8a1e3d3dc0d584645819d12d4f3a7908cda4bd5464e"
     assert len(layout) == 144
-    assert desk.num_parameters() == 608637
+    assert sum(p.size for p in desk.parameters()) == 608637
 
 
 def test_load_detector_builds_the_model_the_manifest_describes(toy_checkpoint, tmp_path):
     path = toy_checkpoint[0]
     det = load_detector(path)
-    assert (det.variant, det.use_attention, det.num_classes) == ("desk", True, 3)
+    assert (det.variant, det.use_attention) == ("desk", True)
     want = _load(path)
     for (name, p), (_, q) in zip(det.named_parameters(), want.named_parameters()):
         assert p.dtype == np.float32 and np.array_equal(p.data, q.data), name
     ablated = tmp_path / "ablated.ckpt"
-    save_checkpoint(ablated, Detector("desk", use_attention=False, seed=3, num_classes=2))
+    save_checkpoint(ablated, Detector("desk", use_attention=False, seed=3))
     det = load_detector(ablated)
-    assert (det.variant, det.use_attention, det.num_classes) == ("desk", False, 2)
+    assert (det.variant, det.use_attention) == ("desk", False)
 
 
 def test_checkpoint_variant_mismatch_names_both(tmp_path):
@@ -545,10 +546,21 @@ def test_checkpoint_attention_mismatch(tmp_path):
 
 
 def test_checkpoint_class_count_mismatch(tmp_path):
+    # heads for 5 classes: refused by name before any peak of class 3 or 4
+    # could index CLASS_PRIORS
+    det = Detector("desk", seed=0)
+    heat, size = det.heads2d.heat.conv2, det.heads3d.fc_size
+    heat.weight = Tensor(np.zeros((5,) + heat.weight.shape[1:]), requires_grad=True)
+    heat.bias = Tensor(np.zeros(5), requires_grad=True)
+    size.weight = Tensor(np.zeros((size.weight.shape[0], 3 * 5 + 1)), requires_grad=True)
+    size.bias = Tensor(np.zeros(3 * 5 + 1), requires_grad=True)
     path = tmp_path / "c.ckpt"
-    save_checkpoint(path, Detector(_tiny_config(), seed=0, num_classes=2))
-    with pytest.raises(UsageError, match="2 classes.*3"):
-        load_checkpoint(path, Detector(_tiny_config(), seed=0, num_classes=3))
+    save_checkpoint(path, det)
+    # a manifest that also names its class count, as older ones did
+    side = tmp_path / "c.ckpt.json"
+    side.write_text(json.dumps({**json.loads(side.read_text()), "num_classes": 5}))
+    with pytest.raises(UsageError, match=r"'heads2d\.heat\.conv2\.weight' has shape \(5, 64, 1, 1\), model has \(3,"):
+        load_detector(path)
 
 
 def test_checkpoint_truncated_file_rejected(tmp_path):
@@ -597,7 +609,6 @@ def test_checkpoint_tampered_manifest_rejected(tmp_path):
         lambda m, e: m.update(dtype="<f8"),
         lambda m, e: m.update(total_elements=m["total_elements"] + 8),
         lambda m, e: m.update(use_attention="yes"),
-        lambda m, e: m.update(num_classes=0),
     ]
     for edit in edits:
         bad = json.loads(json.dumps(manifest))

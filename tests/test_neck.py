@@ -4,7 +4,7 @@ import pytest
 from mono3d import tensor as T
 from mono3d.backbone import Backbone, backbone_config
 from mono3d.errors import ConfigError, DimensionError, UsageError
-from mono3d.neck import ChannelNorm, Neck
+from mono3d.neck import Neck, ProjectNode
 from mono3d.tensor import Tensor
 
 DESK_CH = (16, 32, 64, 128)
@@ -91,10 +91,10 @@ def test_non_halving_dims_rejected():
 
 def test_channel_norm_normalizes_per_pixel():
     rng = np.random.default_rng(17)
-    cn = ChannelNorm(8)
+    norm = ProjectNode(8, 8, np.random.default_rng(0)).norm  # a LayerNorm over the last axis
     x = _map(rng, 2, 8, 3, 4)
     with T.no_grad():
-        out = cn(x)
+        out = norm(x)
     assert np.max(np.abs(out.data.mean(axis=3))) < 1e-10
 
 

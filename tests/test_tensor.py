@@ -10,6 +10,7 @@ import pytest
 from mono3d import kernels
 from mono3d import tensor as T
 from mono3d.errors import DimensionError, NumericError, UsageError
+from mono3d.gradcheck import EPS, THRESHOLD, _projected, _t
 from mono3d.losses import make_weights, total_loss
 from mono3d.model import Detector
 from mono3d.tensor import Tensor
@@ -471,12 +472,12 @@ def test_desk_toy_step_keeps_only_what_backward_reads():
 def test_matmul_identity():
     rng = np.random.default_rng(3)
     b = rng.normal(size=(3, 5))
-    out = T.matmul_batched(Tensor(np.eye(3)), Tensor(b))
+    out = oracles.matmul_batched(Tensor(np.eye(3)), Tensor(b))
     assert np.array_equal(out.data, b)
 
 
 def test_matmul_hand_case():
-    out = T.matmul_batched(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]))
+    out = oracles.matmul_batched(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]))
     assert out.data.tolist() == [[11.0]]
 
 
@@ -485,13 +486,36 @@ def test_matmul_matches_loop_oracle():
     a = rng.uniform(-1, 1, (4, 5, 6))
     b = rng.uniform(-1, 1, (4, 6, 3))
     expected = oracles.matmul_loops(a, b)
-    got = T.matmul_batched(Tensor(a), Tensor(b))
+    got = oracles.matmul_batched(Tensor(a), Tensor(b))
     assert np.max(np.abs(got.data - expected)) < 1e-12
 
 
 def test_matmul_inner_dim_mismatch():
     with pytest.raises(DimensionError):
-        T.matmul_batched(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
+        oracles.matmul_batched(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
+
+
+def _check_matmul(rng):
+    x, y = _t(rng, 2, 3, 4), _t(rng, 2, 4, 2)
+    r = _t(rng, 2, 3, 2)
+    worst = T.grad_check(_projected(lambda a: oracles.matmul_batched(a, y), r), x, eps=EPS)
+    return max(worst, T.grad_check(_projected(lambda b: oracles.matmul_batched(x, b), r), y, eps=EPS))
+
+
+def _check_softmax(rng):
+    x, r = _t(rng, 2, 5), _t(rng, 2, 5)
+    return T.grad_check(_projected(oracles.softmax_lastdim, r), x, eps=EPS)
+
+
+def test_reference_matmul_and_softmax_pass_the_gradient_suite():
+    # the unfused references' backward rules, checked as the suite checks
+    # a component: 20 seeds under THRESHOLD, and a 1% fault is caught
+    for check in (_check_matmul, _check_softmax):
+        assert max(check(np.random.default_rng(s)) for s in range(20)) < THRESHOLD
+    for name, check in (("matmul", _check_matmul), ("softmax", _check_softmax)):
+        T._fault_ops.add(name)  # not an OP_NAMES op, so inject_fault refuses it
+        assert check(np.random.default_rng(0)) >= THRESHOLD
+        T.clear_faults()
 
 
 # ---------------------------------------------------------------------------
@@ -505,8 +529,8 @@ def test_linear_equals_matmul_plus_bias_bitwise(dtype):
     x, w, b = (Tensor(rng.normal(size=shape), dtype=dtype) for shape in ((2, 5, 4), (4, 3), (3,)))
     got = T.linear(x, w, b)
     assert got.dtype == dtype and got.shape == (2, 5, 3)
-    assert np.array_equal(got.data, (T.matmul_batched(x, w) + b).data)
-    assert np.array_equal(T.linear(x, w).data, T.matmul_batched(x, w).data)
+    assert np.array_equal(got.data, (oracles.matmul_batched(x, w) + b).data)
+    assert np.array_equal(T.linear(x, w).data, oracles.matmul_batched(x, w).data)
 
 
 def test_linear_is_one_node_with_the_chain_gradients():
@@ -519,7 +543,7 @@ def test_linear_is_one_node_with_the_chain_gradients():
     fused = [t.grad.copy() for t in (x, w, b)]
     for t in (x, w, b):
         t.zero_grad()
-    T.backward(T.sum_((T.matmul_batched(x, w) + b) * r))
+    T.backward(T.sum_((oracles.matmul_batched(x, w) + b) * r))
     for got, t in zip(fused, (x, w, b)):
         np.testing.assert_allclose(got, t.grad, rtol=1e-13, atol=1e-15)
 
@@ -552,8 +576,8 @@ def _unfused_attention(q, kv, num_heads, scale):
     qh = T.transpose(T.reshape(q, (n, t, num_heads, hd)), (0, 2, 1, 3))
     kvh = T.transpose(T.reshape(kv, (n, s, 2, num_heads, hd)), (2, 0, 3, 1, 4))
     k, v = kvh[0], kvh[1]
-    attn = T.softmax_lastdim(T.matmul_batched(qh, T.transpose(k, (0, 1, 3, 2))) * scale)
-    return T.reshape(T.transpose(T.matmul_batched(attn, v), (0, 2, 1, 3)), (n, t, c))
+    attn = oracles.softmax_lastdim(oracles.matmul_batched(qh, T.transpose(k, (0, 1, 3, 2))) * scale)
+    return T.reshape(T.transpose(oracles.matmul_batched(attn, v), (0, 2, 1, 3)), (n, t, c))
 
 
 # one query block, and two with a short second one
@@ -617,12 +641,12 @@ def test_attention_shape_errors():
 
 
 def test_softmax_constant_slice_uniform():
-    out = T.softmax_lastdim(Tensor(np.full((2, 7), 3.3)))
+    out = oracles.softmax_lastdim(Tensor(np.full((2, 7), 3.3)))
     assert np.allclose(out.data, 1.0 / 7, atol=1e-15)
 
 
 def test_softmax_extreme_logits_stable():
-    out = T.softmax_lastdim(Tensor([1000.0, 0.0]))
+    out = oracles.softmax_lastdim(Tensor([1000.0, 0.0]))
     assert np.all(np.isfinite(out.data))
     assert out.data[0] == pytest.approx(1.0)
     assert out.data[1] == pytest.approx(0.0, abs=1e-300)
@@ -631,7 +655,7 @@ def test_softmax_extreme_logits_stable():
 def test_softmax_sums_and_order():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(4, 9))
-    out = T.softmax_lastdim(Tensor(x)).data
+    out = oracles.softmax_lastdim(Tensor(x)).data
     assert np.max(np.abs(out.sum(axis=-1) - 1.0)) < 1e-12
     for row_in, row_out in zip(x, out):
         assert np.array_equal(np.argsort(row_in), np.argsort(row_out))
@@ -639,7 +663,7 @@ def test_softmax_sums_and_order():
 
 def test_softmax_empty_lastdim():
     with pytest.raises(DimensionError):
-        T.softmax_lastdim(Tensor(np.zeros((3, 0))))
+        oracles.softmax_lastdim(Tensor(np.zeros((3, 0))))
 
 
 def test_layer_norm_constant_slice():
@@ -1045,7 +1069,7 @@ def test_grad_check_composite_graph():
         y = T.conv2d(t, w, padding=1)
         y = T.reshape(T.transpose(y, (0, 3, 1, 2)), (1, 3, 36))
         y = T.layer_norm(y, g, b)
-        y = T.softmax_lastdim(y)
+        y = oracles.softmax_lastdim(y)
         return T.sum_(y * y)
 
     assert T.grad_check(f, x) < 1e-4
@@ -1144,7 +1168,7 @@ def test_grad_check_core_ops_many_seeds(seed):
     a = rt(rng, 3, 4)
     m = Tensor(rng.uniform(-1, 1, (4, 5)))
     # sum of a softmax is constant, so square it to get a usable loss
-    assert T.grad_check(lambda t: T.sum_(T.softmax_lastdim(t @ m) ** 2), a) < 1e-4
+    assert T.grad_check(lambda t: T.sum_(oracles.softmax_lastdim(oracles.matmul_batched(t, m)) ** 2), a) < 1e-4
 
     v = rt(rng, 4, 6)
     gm = Tensor(rng.uniform(0.5, 1.5, 6))
@@ -1196,7 +1220,7 @@ def test_forward_determinism_bitwise():
         x = _draw_nhwc(rng, (2, 3, 9, 9), requires_grad=False)
         w = Tensor(rng.uniform(-1, 1, (4, 3, 3, 3)))
         y = T.conv2d(x, w, stride=2, padding=1)
-        y = T.softmax_lastdim(T.reshape(y, (2, 4, 25)))
+        y = oracles.softmax_lastdim(T.reshape(y, (2, 4, 25)))
         return y.data.copy()
 
     assert np.array_equal(run(), run())
