@@ -9,7 +9,8 @@ of a toy batch and a 3x3 conv at desk KITTI size; col2im on the toy
 step's second patch embed (3x3, stride 2); depthwise3x3 on the four
 toy-step FFN maps and desk stage 1 at KITTI size. T.conv2d's forward,
 which runs stride-1 and depthwise convs in row bands, has rows
-`conv2d[N,h,w,C]` (a 64->64 3x3 conv at desk KITTI size, f32) and
+`conv2d[N,h,w,C]` (64->64 3x3 convs, f32: one at desk KITTI size and
+the RoI trunk of an infer_toy image, 18 crops of 7 x 7) and
 `conv2d_dw[N,h,w,C]` (b2's stage-1 FFN depthwise conv). tensor.layer_norm's
 forward, which runs 23 times per desk image, has rows
 `layer_norm[N,tokens,C]`: a toy step's stage-1 tokens and a 48 x 160
@@ -105,8 +106,10 @@ def _conv_rows(rng, scale):
             _row("depthwise3x3", x.shape, dtype),
             lambda x=x, taps=taps, out=out: kernels.depthwise3x3(x, taps, slice(None), slice(None), out),
         ))
-    # a desk KITTI-size stage-1 3x3 conv and a b2 stage-1 FFN depthwise conv
+    # a desk KITTI-size stage-1 3x3 conv, infer_toy's RoI-trunk conv over
+    # 18 crops and a b2 stage-1 FFN depthwise conv
     for name, (n, h, w, c), groups, dtype in (("conv2d", (1, 96, 320, 64), 1, np.float32),
+                                              ("conv2d", (18, 7, 7, 64), 1, np.float32),
                                               ("conv2d_dw", (1, 95, 320, 512), 512, np.float64)):
         x = Tensor(rng.normal(size=(n, h // scale, w // scale, c)), dtype=dtype)
         wt = Tensor(rng.normal(size=(c, c // groups, 3, 3)), dtype=dtype)

@@ -554,19 +554,20 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1):
     weight [O, C/groups, kH, kW].
 
     Dense (groups 1): the forward, gW and gx are 2-D GEMMs (Chellapilla et
-    al., 2006). The forward multiplies the zero-padded input's patch rows
+    al., 2006). The forward is the zero-padded input's patch rows
     [pixels, kh*kw*C] (kernels.im2col, which frames only the rows and
-    columns they read) by the weight's (tap, channel) columns. At stride 1
-    it runs one band of output pixels at a time, each band's patch rows at
-    most CONV_BAND_BYTES (MEC, Cho & Brand, 2017): whole images while they
-    fit, else bands of rows of one image, else runs of pixels of one row. A
-    map that fits is one band, and a 1x1 conv with no padding multiplies x
-    itself. The backward bands x's grid the same way: a band's patch rows
-    of the zero-padded output gradient's frame times the flipped,
-    channel-transposed kernel are its gx rows (Dumoulin & Visin, 2016), and
-    their transpose times the band of x is its term of gW. Strided convs
-    build one patch matrix, which the backward keeps for gW; gx is
-    scattered through kernels.col2im.
+    columns they read) times the weight's (tap, channel) columns, written
+    into the output band. At stride 1 it runs one band of output pixels at
+    a time, each band's patch rows at most CONV_BAND_BYTES (MEC, Cho &
+    Brand, 2017): whole images while they fit, else bands of rows of one
+    image, else runs of pixels of one row. A map that fits is one band,
+    and a 1x1 conv with no padding multiplies x itself. The backward bands
+    x's grid the same way: a band's patch rows of the zero-padded output
+    gradient's frame times the flipped, channel-transposed kernel are its
+    gx rows (Dumoulin & Visin, 2016), written into gx's band, and their
+    transpose times the band of x is its term of gW. Strided convs build
+    one patch matrix, which the backward keeps for gW; gx is scattered
+    through kernels.col2im.
 
     Depthwise (groups == C == O, weight [C, 1, 3, 3], stride 1, padding 1):
     nine shifted multiply-adds (kernels.depthwise3x3) over the zero-padded
@@ -656,17 +657,6 @@ def _band_buffer(bands, row_size, dtype):
     return np.empty(pixels * row_size, dtype=dtype)
 
 
-def _gemm_t(a, bt):
-    """a [M, K] @ bt.T -> [M, O], as the transposed view of bt @ a.T.
-
-    Kept in that orientation, the forward's float32 sums are the ones the
-    trained infer_toy reference was recorded with. It does not move
-    memory: with 4 MB bands a toy training step's ru_maxrss reads ~88 MB
-    either way.
-    """
-    return (bt @ a.T).T
-
-
 def _conv_dense(x, wt, b, stride, padding, need_gx):
     """Output and vjp of a dense channels-last conv: 2-D GEMMs over the
     patch rows of each band (one band for a strided conv, whose backward
@@ -680,13 +670,13 @@ def _conv_dense(x, wt, b, stride, padding, need_gx):
     bands = [] if stride > 1 or one_view else _bands(n, oh, ow, kh * kw * c * item)
     if len(bands) < 2:  # one patch matrix, and the output allocated after it
         cols = kernels.im2col(x, kh, kw, stride, (padding, padding))
-        out = np.ascontiguousarray(_gemm_t(cols, w_cols)).reshape(n, oh, ow, o)
+        out = (cols @ w_cols.T).reshape(n, oh, ow, o)
     else:
         buf = _band_buffer(bands, kh * kw * c, x.dtype)
         out = np.empty((n, oh, ow, o), dtype=np.result_type(x, wt))
-        for win in bands:
-            dst = out[win]
-            dst[...] = _gemm_t(_patches(x, win, kh, kw, padding, padding, buf), w_cols).reshape(dst.shape)
+        for win in bands:  # each window is contiguous; copy=False raises if one were not
+            cols = _patches(x, win, kh, kw, padding, padding, buf)
+            np.matmul(cols, w_cols.T, out=np.reshape(out[win], (-1, o), copy=False))
     if b is not None:
         out += b
     has_bias = b is not None
@@ -707,8 +697,7 @@ def _conv_dense(x, wt, b, stride, padding, need_gx):
                 gcols = _patches(g, win, kh, kw, kh - 1 - padding, kw - 1 - padding, buf)  # columns (i, j, o)
                 gw += gcols.T @ x[win].reshape(-1, c)
                 if need_gx:
-                    dst = gx[win]
-                    dst[...] = _gemm_t(gcols, w_flip).reshape(dst.shape)
+                    np.matmul(gcols, w_flip.T, out=np.reshape(gx[win], (-1, c), copy=False))
             gw = gw.reshape(kh, kw, o, c)[::-1, ::-1].transpose(2, 3, 0, 1)
             return (gx, gw, g.reshape(-1, o).sum(axis=0)) if has_bias else (gx, gw)
 
@@ -929,9 +918,9 @@ def backward(loss):
                 else:
                     grads[ref] = gi
                     heapq.heappush(heap, (-ref.seq, ref))
+            elif ref.grad is None:
+                ref.grad = np.array(gi, dtype=ref.data.dtype, order="C")  # a copy: gi may be shared or read-only
             else:
-                if ref.grad is None:
-                    ref.grad = np.zeros_like(ref.data)
                 ref.grad += gi
 
 

@@ -406,6 +406,59 @@ def test_1x1_stride1_conv_runs_on_a_view_whatever_the_budget(monkeypatch):
     assert seen[0][0] is x.data or np.shares_memory(seen[0][0], x.data)
 
 
+# x shape, kernel, stride, padding, and the patch rows a band holds under
+# the patched budget (None: the default budget)
+DENSE_PATHS = {
+    "strided": ((2, 9, 13, 8), 3, 2, 1, None),
+    "1x1 view": ((2, 9, 13, 8), 1, 1, 0, 1),
+    "one band": ((2, 9, 13, 8), 3, 1, 1, None),
+    "images": ((4, 12, 12, 32), 3, 1, 1, 300),
+    "rows": ((1, 37, 16, 32), 3, 1, 1, 128),
+    "pixel runs": ((1, 3, 300, 32), 3, 1, 1, 150),
+}
+
+
+def _band_kind(bands, n, h, w):
+    """Which cut _bands made of an [n, h, w] grid."""
+    if len(bands) == 1:
+        return "one band"
+    if all((yi, xi) == (slice(0, h), slice(0, w)) for _, yi, xi in bands):
+        return "images"
+    if all(xi == slice(0, w) for _, _, xi in bands):
+        return "rows"
+    return "pixel runs"
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("path", list(DENSE_PATHS))
+def test_dense_conv_writes_c_contiguous_rows_bit_equal_to_one_band(path, dtype, monkeypatch):
+    """Every dense path returns a C-contiguous [N, oh, ow, O] output; the
+    banded ones (whole images, row bands, pixel runs) write forward and gx
+    bit-equal to one band's. Each band keeps 128+ patch rows: a GEMM of a
+    few dozen rows may take another summation order in the BLAS library."""
+    xs, k, stride, padding, pixels = DENSE_PATHS[path]
+    n, h, w, c = xs
+    oh, ow = (h + 2 * padding - k) // stride + 1, (w + 2 * padding - k) // stride + 1
+    rng = np.random.default_rng(list(DENSE_PATHS).index(path))
+    x, wt, b = (rng.normal(size=s).astype(dtype) for s in (xs, (c, c, k, k), c))
+    g = rng.normal(size=(n, oh, ow, c)).astype(dtype)
+    item = np.dtype(dtype).itemsize
+
+    def conv(budget):
+        monkeypatch.setattr(T, "CONV_BAND_BYTES", budget)
+        out = T.conv2d(Tensor(x, True, dtype), Tensor(wt, dtype=dtype), Tensor(b, dtype=dtype), stride, padding)
+        assert out.data.shape == (n, oh, ow, c) and out.dtype == dtype and out.data.flags.c_contiguous
+        return out.data, out._node.vjp(g)[0]
+
+    budget = T.CONV_BAND_BYTES if pixels is None else pixels * k * k * c * item
+    banded = conv(budget)
+    if stride == 1 and k > 1:
+        for grid in ((oh, ow), (h, w)):  # forward, then gx
+            assert _band_kind(T._bands(n, *grid, k * k * c * item), n, *grid) == path
+        whole = conv(2**40)
+        assert np.array_equal(banded[0], whole[0]) and np.array_equal(banded[1], whole[1])
+
+
 def test_desk_toy_step_peaks_under_48_mb():
     """The toy batch's loss_terms and backward peak under 48 MB: the
     stride-1 convs build their patch rows one band at a time (53.1 MB with
@@ -932,6 +985,19 @@ def test_backward_accumulates_until_reset():
     x.zero_grad()
     T.backward(loss)
     assert np.array_equal(x.grad, 2 * np.ones(3))
+
+
+def test_leaf_grads_are_writable_copies_in_the_leaf_dtype():
+    # add's vjp hands both leaves the same gradient array
+    a, b = (Tensor(np.ones((2, 3)), requires_grad=True) for _ in range(2))
+    T.backward(T.sum_(a + b))
+    assert not np.shares_memory(a.grad, b.grad)
+    a.grad += 1.0
+    assert np.array_equal(a.grad, np.full((2, 3), 2.0)) and np.array_equal(b.grad, np.ones((2, 3)))
+    # a float32 leaf times a float64 tensor takes a float64 gradient
+    x = Tensor(np.ones(3), requires_grad=True, dtype=np.float32)
+    T.backward(T.sum_(x * Tensor(np.full(3, 0.1))))
+    assert x.grad.dtype == np.float32 and np.array_equal(x.grad, np.full(3, 0.1, dtype=np.float32))
 
 
 def test_backward_runs_each_node_once_after_its_consumers():
