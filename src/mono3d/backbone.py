@@ -170,10 +170,10 @@ class Backbone(Module):
     """Image [N, 3, H, W] -> four channels-last maps [N, h, w, C] at strides
     4/8/16/32 (ceil division)."""
 
-    def __init__(self, config, rng, in_ch=3):
+    def __init__(self, config, rng):
         self.config = config
         self.stage_list = []
-        prev = in_ch
+        prev = 3  # RGB
         for i, cfg in enumerate(config.stages):
             kernel, stride = (7, 4) if i == 0 else (3, 2)
             self.stage_list.append(Stage(prev, cfg, kernel, stride, rng, config.use_attention))

@@ -18,7 +18,7 @@ import numpy as np
 from . import tensor as T
 from .backbone import ConvFFN, EncoderBlock
 from .errors import UsageError
-from .heads import Boxes2D, Heads2D, Heads3D, gup_depth, roi_crop
+from .heads import Boxes2D, Heads2D, Heads3D, cell_patches, gup_depth, roi_crop
 from .losses import angle_loss, assign_targets, depth_loss, focal_loss, l1_masked, laplacian_nll, total_loss, make_weights
 from .model import Detector
 from .neck import Neck
@@ -242,7 +242,13 @@ def _check_neck(rng):
     return grad_check(f, maps[3], eps=EPS, max_entries=16, rng=rng)
 
 
-def _check_roi_align(rng):
+# 2 images of a 4x4 map: corner, edge and interior cells, (1, 3, 0) twice
+_CELLS = (np.array([0, 1, 1, 0, 1]), np.array([0, 3, 1, 2, 3]), np.array([0, 0, 2, 3, 0]))
+
+
+def _check_taps(rng):
+    # both tables the heads read through: RoIAlign's 4 bilinear corners per
+    # sample, then 3x3 cells of one tap each
     feat = _map(rng, 2, 3, 8, 8)
     boxes = Boxes2D(
         class_id=np.array([0, 1, 2]),
@@ -251,19 +257,12 @@ def _check_roi_align(rng):
         size=np.array([[10.0, 12.0], [14.0, 8.0], [9.0, 11.0]]),
     )
     r = _t(rng, 3, 7, 7, 3)
-    return grad_check(
+    worst = grad_check(
         _projected(lambda a: roi_crop(a, boxes, [0, 1, 1])[0], r), feat, eps=EPS, max_entries=24, rng=rng
     )
-
-
-# 2 images of a 4x4 map: corner, edge and interior cells, (1, 3, 0) twice
-_CELLS = (np.array([0, 1, 1, 0, 1]), np.array([0, 3, 1, 2, 3]), np.array([0, 0, 2, 3, 0]))
-
-
-def _check_patches_at(rng):
     # r is drawn [5, C, 9] and laid out in the patches' (tap, channel) column order
     x, r = _map(rng, 2, 3, 4, 4), Tensor(rng.normal(size=(5, 3, 9)).transpose(0, 2, 1).reshape(5, 27))
-    return grad_check(_projected(lambda a: T.patches_at(a, *_CELLS), r), x, eps=EPS)
+    return max(worst, grad_check(_projected(lambda a: cell_patches(a, *_CELLS), r), x, eps=EPS))
 
 
 def _check_heads2d(rng):
@@ -379,8 +378,7 @@ OP_CHECKS = (
     ("attention_block", _check_attention_block),
     ("conv_ffn", _check_conv_ffn),
     ("neck", _check_neck),
-    ("roi_align", _check_roi_align),
-    ("patches_at", _check_patches_at),
+    ("taps", _check_taps),
     ("heads2d", _check_heads2d),
     ("heads3d", _check_heads3d),
     ("focal_loss", _check_focal_loss),

@@ -10,6 +10,10 @@ projected-center offset, multi-bin heading, per-class size residuals
 with height uncertainty, and a depth bias. Depth itself is not regressed
 directly: it is projected from the estimated 3D height through the
 camera geometry, with uncertainty propagated from the height and bias.
+
+Both sparse reads of the map are tables for the one op T.taps: 3x3
+cells of one tap (cell_patches) and RoIAlign samples of four bilinear
+corners (roi_crop).
 """
 
 import math
@@ -36,6 +40,7 @@ OUTPUT_STRIDE = 4
 ROI_SIZE = 7
 HEATMAP_BIAS_INIT = -2.19  # sigmoid(-2.19) ~ 0.1, the usual focal-loss prior
 MIN_H2D_PIXELS = 1.0
+HEAD_WIDTH = 64  # hidden channels of every head
 
 
 def wrap_angle(a):
@@ -130,9 +135,9 @@ class Detections3D(_Rows):
 class DenseHead(Module):
     """3x3 conv + ReLU + 1x1 conv."""
 
-    def __init__(self, in_ch, mid_ch, out_ch, rng, bias_init=0.0):
-        self.conv1 = Conv2d(in_ch, mid_ch, 3, rng, padding=1)
-        self.conv2 = Conv2d(mid_ch, out_ch, 1, rng)
+    def __init__(self, in_ch, out_ch, rng, bias_init=0.0):
+        self.conv1 = Conv2d(in_ch, HEAD_WIDTH, 3, rng, padding=1)
+        self.conv2 = Conv2d(HEAD_WIDTH, out_ch, 1, rng)
         self.conv2.bias.data[:] = bias_init
 
     def __call__(self, x):
@@ -140,7 +145,7 @@ class DenseHead(Module):
 
     def at(self, patches):
         """The head at M cells from their 3x3 patches [M, 9*C]
-        (T.patches_at) -> [M, out_ch]: the same parameters as linear layers."""
+        (cell_patches) -> [M, out_ch]: the same parameters as linear layers."""
 
         def columns(conv):  # weight [O, C, k, k] -> [k*k*C, O], (tap, channel) rows
             return T.reshape(T.transpose(conv.weight, (2, 3, 1, 0)), (-1, conv.weight.shape[0]))
@@ -150,10 +155,10 @@ class DenseHead(Module):
 
 
 class Heads2D(Module):
-    def __init__(self, in_ch, rng, mid_ch=64):
-        self.heat = DenseHead(in_ch, mid_ch, len(CLASS_NAMES), rng, bias_init=HEATMAP_BIAS_INIT)
-        self.offset = DenseHead(in_ch, mid_ch, 2, rng)
-        self.size = DenseHead(in_ch, mid_ch, 2, rng)
+    def __init__(self, in_ch, rng):
+        self.heat = DenseHead(in_ch, len(CLASS_NAMES), rng, bias_init=HEATMAP_BIAS_INIT)
+        self.offset = DenseHead(in_ch, 2, rng)
+        self.size = DenseHead(in_ch, 2, rng)
 
     def __call__(self, feat):
         """[N, h, w, C] -> post-sigmoid class heatmap [N, C_cls, h, w], the
@@ -164,8 +169,32 @@ class Heads2D(Module):
         """Sub-cell offsets (output-map pixels) and sizes (input pixels,
         (w, h)), each [M, 2], at the cells (image[m], row[m], col[m]) of
         feat; both heads run on one gather of the cells' 3x3 patches."""
-        patches = T.patches_at(feat, image, row, col)
+        patches = cell_patches(feat, image, row, col)
         return self.offset.at(patches), self.size.at(patches)
+
+
+def cell_patches(feat, image, row, col):
+    """Zero-padded 3x3 neighbourhoods of feat [N, h, w, C] at the M cells
+    (image[m], row[m], col[m]) -> [M, 9*C].
+
+    Column (i*3 + j)*C + c holds feat[image, row + i - 1, col + j - 1, c],
+    zero off the map: the (tap, channel) order of a 3x3 conv's patch
+    matrix (kernels.im2col), so DenseHead.at is a padding-1 conv read at
+    those cells only. A tap off the map has weight 0. Cells may repeat;
+    the gradient scatter-adds into the owning image only.
+    """
+    image, row, col = (np.asarray(a, dtype=np.int64) for a in (image, row, col))
+    if image.ndim != 1 or not (image.shape == row.shape == col.shape):
+        raise DimensionError(f"expected equal [M] index arrays, got {image.shape}, {row.shape}, {col.shape}")
+    h, w = feat.shape[1:3]
+    if np.any((row < 0) | (row >= h) | (col < 0) | (col >= w)):
+        raise UsageError(f"cells outside the {h}x{w} map")
+    di, dj = np.divmod(np.arange(9), 3)
+    ys, xs = row[:, None] + di - 1, col[:, None] + dj - 1  # [M, 9]
+    on = (ys >= 0) & (ys < h) & (xs >= 0) & (xs < w)
+    ys, xs = np.clip(ys, 0, h - 1)[..., None], np.clip(xs, 0, w - 1)[..., None]
+    patches = T.taps(feat, image, ys, xs, on[..., None].astype(feat.dtype))  # [M, 9, C]
+    return T.reshape(patches, (len(image), 9 * feat.shape[3]))
 
 
 def suppress_non_peaks(hm):
@@ -207,10 +236,14 @@ def roi_crop(feat, boxes, image_index, out_size=(ROI_SIZE, ROI_SIZE)):
     """RoI-aligned bilinear crops of Boxes2D rows from the stride-4 map.
 
     Box m (input pixels) comes from image image_index[m] and maps to
-    feature coords at 1/stride, clipped to the map; r x r half-pixel sample
-    centers span it (see tensor.roi_align). Returns (rois [V, r, r, C],
-    valid [M] bool): a box with no area inside the map is invalid and gets
-    no RoI, so rois holds the valid boxes in order. Differentiable w.r.t. feat.
+    feature coords at 1/stride, clipped to the map: pixel edges, so the
+    whole map is (0, 0, w, h). An ry x rx grid of half-pixel sample centers
+    spans it, y = y1 + (i + 0.5) * (y2 - y1) / ry - 0.5 in index space,
+    clamped at the border, each read as its 4 bilinear corners through
+    T.taps. Returns (rois [V, ry, rx, C], valid [M] bool): a box with no
+    area inside the map is invalid and gets no RoI, so rois holds the
+    valid boxes in order. Differentiable w.r.t. feat, and each RoI's
+    gradient flows only into its own image.
     """
     if feat.ndim != 4:
         raise DimensionError(f"expected [N, h, w, C] features, got {feat.shape}")
@@ -225,20 +258,29 @@ def roi_crop(feat, boxes, image_index, out_size=(ROI_SIZE, ROI_SIZE)):
     y1 = np.maximum((v - bh / 2.0) / OUTPUT_STRIDE, 0.0)
     y2 = np.minimum((v + bh / 2.0) / OUTPUT_STRIDE, float(h))
     valid = (x2 - x1 > 0.0) & (y2 - y1 > 0.0)
-    rects = np.stack([x1, y1, x2, y2], axis=1)[valid]
-    return T.roi_align(feat, rects, image_index[valid], out_size), valid
+    x1, y1, x2, y2 = (a[valid, None] for a in (x1, y1, x2, y2))
+    ry, rx = out_size
+    iy0, iy1, fy = T._bilinear_axis(y1 + (np.arange(ry) + 0.5) * (y2 - y1) / ry - 0.5, h)
+    ix0, ix1, fx = T._bilinear_axis(x1 + (np.arange(rx) + 0.5) * (x2 - x1) / rx - 0.5, w)
+    fy, fx = fy.astype(feat.dtype, copy=False), fx.astype(feat.dtype, copy=False)
+    # sample (i, j) is 4 taps, its corners 00, 01, 10, 11 in that order
+    rows = np.stack([iy0, iy0, iy1, iy1], axis=-1)[:, :, None]  # [V, ry, 1, 4]
+    cols = np.stack([ix0, ix1, ix0, ix1], axis=-1)[:, None]  # [V, 1, rx, 4]
+    wy = np.stack([1.0 - fy, 1.0 - fy, fy, fy], axis=-1)[:, :, None]
+    wx = np.stack([1.0 - fx, fx, 1.0 - fx, fx], axis=-1)[:, None]
+    return T.taps(feat, image_index[valid], *np.broadcast_arrays(rows, cols, wy * wx)), valid
 
 
 class Heads3D(Module):
     """Shared 3x3 conv trunk over [M, r, r, C] RoIs, then linear heads on
     its mean over the r*r cells."""
 
-    def __init__(self, in_ch, rng, mid_ch=64):
-        self.trunk = Conv2d(in_ch, mid_ch, 3, rng, padding=1)
-        self.fc_offset = Linear(mid_ch, 2, rng)
-        self.fc_angle = Linear(mid_ch, 2 * NUM_ANGLE_BINS, rng)
-        self.fc_size = Linear(mid_ch, 3 * len(CLASS_NAMES) + 1, rng)
-        self.fc_bias = Linear(mid_ch, 2, rng)
+    def __init__(self, in_ch, rng):
+        self.trunk = Conv2d(in_ch, HEAD_WIDTH, 3, rng, padding=1)
+        self.fc_offset = Linear(HEAD_WIDTH, 2, rng)
+        self.fc_angle = Linear(HEAD_WIDTH, 2 * NUM_ANGLE_BINS, rng)
+        self.fc_size = Linear(HEAD_WIDTH, 3 * len(CLASS_NAMES) + 1, rng)
+        self.fc_bias = Linear(HEAD_WIDTH, 2, rng)
 
     def __call__(self, rois):
         if rois.ndim != 4:

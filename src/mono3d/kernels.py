@@ -15,8 +15,9 @@ bilinear_gather and bilinear_scatter resize along the two spatial axes
 with the interpolation matrices of `tensor.bilinear_resize`, and back;
 they keep their names because perfbench wraps them by name. tap_gather
 sums a few weighted taps of one image per output, and tap_scatter is its
-adjoint: they carry both the batched RoI-align (4 bilinear corners) and
-`tensor.patches_at` (3x3 cells).
+adjoint: they are the forward and backward of `tensor.taps`, which reads
+both the batched RoI-align samples (4 bilinear corners) and the 3x3 cell
+patches of the 2D heads.
 erf serves the exact GELU.
 """
 

@@ -33,6 +33,8 @@ LOSS_TERMS = (
 )
 TIER1 = ("heatmap", "offset2d", "size2d")
 TIER2 = ("offset3d", "w3d", "l3d", "h3d", "angle")
+FOCAL_ALPHA, FOCAL_BETA = 2.0, 4.0  # CenterNet's focal-loss exponents
+MIN_OVERLAP = 0.7  # the IoU a heatmap peak's Gaussian radius keeps (CenterNet)
 
 
 @dataclass
@@ -55,22 +57,22 @@ class TargetMaps:
         return len(self.class_ids)
 
 
-def gaussian_radius(box_hw, min_overlap=0.7):
-    """Smallest center-shift radius keeping IoU >= min_overlap (CenterNet)."""
+def gaussian_radius(box_hw):
+    """Smallest center-shift radius keeping IoU >= MIN_OVERLAP (CenterNet)."""
     height, width = box_hw
     a1 = 1.0
     b1 = height + width
-    c1 = width * height * (1.0 - min_overlap) / (1.0 + min_overlap)
+    c1 = width * height * (1.0 - MIN_OVERLAP) / (1.0 + MIN_OVERLAP)
     r1 = (b1 - math.sqrt(max(b1 * b1 - 4.0 * a1 * c1, 0.0))) / 2.0
 
     a2 = 4.0
     b2 = 2.0 * (height + width)
-    c2 = (1.0 - min_overlap) * width * height
+    c2 = (1.0 - MIN_OVERLAP) * width * height
     r2 = (b2 - math.sqrt(max(b2 * b2 - 4.0 * a2 * c2, 0.0))) / 2.0
 
-    a3 = 4.0 * min_overlap
-    b3 = -2.0 * min_overlap * (height + width)
-    c3 = (min_overlap - 1.0) * width * height
+    a3 = 4.0 * MIN_OVERLAP
+    b3 = -2.0 * MIN_OVERLAP * (height + width)
+    c3 = (MIN_OVERLAP - 1.0) * width * height
     r3 = (b3 + math.sqrt(max(b3 * b3 - 4.0 * a3 * c3, 0.0))) / 2.0
     return min(r1, r2, r3)
 
@@ -170,7 +172,7 @@ def _zero_scalar():
     return Tensor(np.zeros(()))
 
 
-def focal_loss(pred, gt, alpha=2.0, beta=4.0):
+def focal_loss(pred, gt):
     """Penalty-reduced pixelwise focal loss, normalized by max(#pos, 1)."""
     gt = np.asarray(gt, dtype=np.float64)
     if pred.shape != gt.shape:
@@ -178,8 +180,8 @@ def focal_loss(pred, gt, alpha=2.0, beta=4.0):
     pos = (gt == 1.0).astype(np.float64)
     npos = float(pos.sum())
     p = T.clip(pred, 1e-12, 1.0 - 1e-12)
-    pos_term = T.log(p) * ((1.0 - p) ** alpha) * pos
-    neg_term = T.log(1.0 - p) * (p**alpha) * ((1.0 - gt) ** beta) * (1.0 - pos)
+    pos_term = T.log(p) * ((1.0 - p) ** FOCAL_ALPHA) * pos
+    neg_term = T.log(1.0 - p) * (p**FOCAL_ALPHA) * ((1.0 - gt) ** FOCAL_BETA) * (1.0 - pos)
     return -(T.sum_(pos_term) + T.sum_(neg_term)) * (1.0 / max(npos, 1.0))
 
 

@@ -59,16 +59,16 @@ class Linear(Module):
 
 
 class Conv2d(Module):
-    """Channels-last conv, [N, h, w, C] -> [N, oh, ow, O], through T.conv2d;
-    the weight keeps the [O, C/groups, k, k] layout."""
+    """Channels-last conv with a bias, [N, h, w, C] -> [N, oh, ow, O],
+    through T.conv2d; the weight keeps the [O, C/groups, k, k] layout."""
 
-    def __init__(self, in_ch, out_ch, kernel_size, rng, stride=1, padding=0, groups=1, bias=True):
+    def __init__(self, in_ch, out_ch, kernel_size, rng, stride=1, padding=0, groups=1):
         fan_out = kernel_size * kernel_size * out_ch // groups
         std = math.sqrt(2.0 / fan_out)
         self.weight = _param(
             rng.standard_normal((out_ch, in_ch // groups, kernel_size, kernel_size)) * std
         )
-        self.bias = _param(np.zeros(out_ch)) if bias else None
+        self.bias = _param(np.zeros(out_ch))
         self.stride = stride
         self.padding = padding
         self.groups = groups

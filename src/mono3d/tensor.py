@@ -36,8 +36,8 @@ _seq_at_reset = 0
 # the name each op records its nodes under
 OP_NAMES = frozenset((
     "abs", "add", "attention", "bilinear", "clip", "conv2d", "exp", "gelu", "getitem",
-    "layer_norm", "linear", "log", "mean", "mul", "patches_at", "power", "relu", "reshape",
-    "roi_align", "sigmoid", "sqrt", "stack", "sum", "transpose",
+    "layer_norm", "linear", "log", "mean", "mul", "power", "relu", "reshape", "sigmoid",
+    "sqrt", "stack", "sum", "taps", "transpose",
 ))
 
 # op names whose backward rule is deliberately corrupted (gradcheck negative
@@ -761,36 +761,30 @@ def _depthwise_bands(a, taps, bands):
     return out
 
 
-def patches_at(x, image, row, col):
-    """Zero-padded 3x3 neighbourhoods of x [N, h, w, C] at the M cells
-    (image[m], row[m], col[m]) -> [M, 9*C].
+def taps(x, image, ys, xs, weights):
+    """Weighted taps of x [N, h, w, C] -> [M, *grid, C]: output (m, *s)
+    sums weights[m, *s, k] * x[image[m], ys[m, *s, k], xs[m, *s, k]] over k.
 
-    Column (i*3 + j)*C + c holds x[image, row + i - 1, col + j - 1, c],
-    zero off the map: the (tap, channel) order of a 3x3 conv's patch
-    matrix (kernels.im2col), so patches @ W.transpose(2, 3, 1, 0).reshape(9C, O)
-    is a padding-1 conv read at those cells only. Cells may repeat; the
-    gradient scatter-adds into the owning image only.
+    ys, xs and weights are [M, *grid, K] tables; every tap index lies on
+    the map (a tap off it is a clamped index of weight 0). Output m reads
+    only image image[m], and its gradient flows only into that image
+    (the heads' tables: heads.cell_patches and heads.roi_crop).
     """
     if x.ndim != 4:
         raise DimensionError(f"expected [N, h, w, C] features, got {x.shape}")
-    image, row, col = (np.asarray(a, dtype=np.int64) for a in (image, row, col))
-    if image.ndim != 1 or not (image.shape == row.shape == col.shape):
-        raise DimensionError(f"expected equal [M] index arrays, got {image.shape}, {row.shape}, {col.shape}")
     n, h, w, c = x.shape
-    if np.any((image < 0) | (image >= n) | (row < 0) | (row >= h) | (col < 0) | (col >= w)):
-        raise UsageError(f"cells outside the [{n}, {h}, {w}] map")
-    di, dj = np.divmod(np.arange(9), 3)
-    ys, xs = row[:, None] + di - 1, col[:, None] + dj - 1  # [M, 9]
-    on = (ys >= 0) & (ys < h) & (xs >= 0) & (xs < w)
-    ys, xs = np.clip(ys, 0, h - 1)[..., None], np.clip(xs, 0, w - 1)[..., None]
-    weights = on[..., None].astype(x.dtype)  # [M, 9, 1] taps, weight 0 off the map
-    m = len(image)
-    out = kernels.tap_gather(x.data, image, ys, xs, weights)  # [M, 9, C]
+    image = np.asarray(image, dtype=np.int64)
+    if np.any((image < 0) | (image >= n)):
+        raise UsageError(f"image index outside [0, {n}): {image}")
+    m, grid, k = len(image), ys.shape[1:-1], ys.shape[-1]
+    s = math.prod(grid)
+    ys, xs, weights = (np.reshape(a, (m, s, k)) for a in (ys, xs, weights))
+    out = kernels.tap_gather(x.data, image, ys, xs, weights)
 
     def vjp(g):
-        return (kernels.tap_scatter(g.reshape(m, 9, c), image, ys, xs, weights, n, h, w),)
+        return (kernels.tap_scatter(g.reshape(m, s, c), image, ys, xs, weights, n, h, w),)
 
-    return _record("patches_at", out.reshape(m, 9 * c), (x,), vjp)
+    return _record("taps", out.reshape((m,) + grid + (c,)), (x,), vjp)
 
 
 def _bilinear_axis(src, limit):
@@ -799,49 +793,6 @@ def _bilinear_axis(src, limit):
     i0 = np.floor(s).astype(np.int64)
     i1 = np.minimum(i0 + 1, limit - 1)
     return i0, i1, s - i0
-
-
-def roi_align(x, boxes, batch_idx, out_size=(7, 7)):
-    """RoIAlign: each box of x [N, H, W, C] sampled on an ry x rx grid -> [M, ry, rx, C].
-
-    boxes[M, 4] are (x1, y1, x2, y2) in map units, pixel edges (the whole
-    map is (0, 0, W, H)); the half-pixel sample centers are
-    y = y1 + (i + 0.5) * (y2 - y1) / ry - 0.5 in index space, clamped at
-    the border. RoI m reads only image batch_idx[m], and its gradient
-    flows only into that image.
-    """
-    if x.ndim != 4:
-        raise DimensionError(f"expected [N, h, w, C] features, got {x.shape}")
-    boxes = np.asarray(boxes, dtype=np.float64)
-    batch_idx = np.asarray(batch_idx, dtype=np.int64)
-    if boxes.ndim != 2 or boxes.shape[1] != 4 or batch_idx.shape != boxes.shape[:1]:
-        raise DimensionError(
-            f"expected boxes [M, 4] and batch_idx [M], got {boxes.shape} and {batch_idx.shape}"
-        )
-    n, h, w, c = x.shape
-    if np.any((batch_idx < 0) | (batch_idx >= n)):
-        raise UsageError(f"batch_idx outside [0, {n}): {batch_idx}")
-    ry, rx = out_size
-    x1, y1, x2, y2 = (boxes[:, k, None] for k in range(4))
-    ys = y1 + (np.arange(ry) + 0.5) * (y2 - y1) / ry - 0.5
-    xs = x1 + (np.arange(rx) + 0.5) * (x2 - x1) / rx - 0.5
-    iy0, iy1, fy = _bilinear_axis(ys, h)
-    ix0, ix1, fx = _bilinear_axis(xs, w)
-    fy, fx = fy.astype(x.dtype, copy=False), fx.astype(x.dtype, copy=False)
-    # sample (i, j) is 4 taps, its corners 00, 01, 10, 11 in that order
-    m = len(batch_idx)
-    grid = (m, ry, rx, 4)
-    rows = np.stack([iy0, iy0, iy1, iy1], axis=-1)[:, :, None]  # [M, ry, 1, 4]
-    cols = np.stack([ix0, ix1, ix0, ix1], axis=-1)[:, None]  # [M, 1, rx, 4]
-    wy = np.stack([1.0 - fy, 1.0 - fy, fy, fy], axis=-1)[:, :, None]
-    wx = np.stack([1.0 - fx, fx, 1.0 - fx, fx], axis=-1)[:, None]
-    tys, txs, weights = (np.broadcast_to(a, grid).reshape(m, ry * rx, 4) for a in (rows, cols, wy * wx))
-    out = kernels.tap_gather(x.data, batch_idx, tys, txs, weights).reshape(m, ry, rx, c)
-
-    def vjp(g):
-        return (kernels.tap_scatter(g.reshape(m, ry * rx, c), batch_idx, tys, txs, weights, n, h, w),)
-
-    return _record("roi_align", out, (x,), vjp)
 
 
 @functools.lru_cache(maxsize=256)

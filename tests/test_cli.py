@@ -490,7 +490,8 @@ def test_gradcheck_fault_injection_fails_and_names_op(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "op, code",
-    [("linear", 1), ("attention", 1), ("conv2d", 1), ("conv3x3_nhwc", 2), ("matmul", 2), ("attentoin", 2)],
+    [("linear", 1), ("attention", 1), ("conv2d", 1), ("taps", 1), ("conv3x3_nhwc", 2), ("matmul", 2),
+     ("roi_align", 2), ("patches_at", 2), ("attentoin", 2)],
 )
 def test_gradcheck_fault_injection_exit_codes(tmp_path, capsys, op, code):
     # the fused ops' rules are caught; a name that no op records is a bad

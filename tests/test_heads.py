@@ -13,6 +13,7 @@ from mono3d.heads import (
     Heads2D,
     Heads3D,
     Heads3DOutput,
+    cell_patches,
     decode_angle,
     decode_box3d,
     decode_heatmap_peaks,
@@ -92,37 +93,37 @@ def test_heads2d_grad_check(head_name):
     assert T.grad_check(f, x, max_entries=24, rng=np.random.default_rng(8)) < 1e-4
 
 
-def test_patches_at_matches_padded_slices():
+def test_cell_patches_match_padded_slices():
     x = _map(np.random.default_rng(10), 2, 3, 4, 6)
-    got = T.patches_at(Tensor(x), *CELLS).data
+    got = cell_patches(Tensor(x), *CELLS).data
     padded = np.pad(x, [(0, 0), (1, 1), (1, 1), (0, 0)])
     want = [padded[n, r : r + 3, c : c + 3].reshape(-1) for n, r, c in zip(*CELLS)]
     assert np.array_equal(got, want)
 
 
-def test_patches_at_gradient_is_the_adjoint():
-    # <patches_at(x), g> == <x, vjp(g)>, so each tap's gradient lands on the
+def test_cell_patches_gradient_is_the_adjoint():
+    # <cell_patches(x), g> == <x, vjp(g)>, so each tap's gradient lands on the
     # cell it read, in its own image, and repeated cells add up
     rng = np.random.default_rng(11)
     x = Tensor(_map(rng, 2, 3, 4, 6), requires_grad=True)
     g = rng.normal(size=(7, 27))
-    T.backward(T.sum_(T.patches_at(x, *CELLS) * Tensor(g)))
+    T.backward(T.sum_(cell_patches(x, *CELLS) * Tensor(g)))
     padded = np.zeros((2, 6, 8, 3))
     for (n, r, c), gm in zip(zip(*CELLS), g):
         padded[n, r : r + 3, c : c + 3] += gm.reshape(3, 3, 3)
     np.testing.assert_allclose(x.grad, padded[:, 1:-1, 1:-1], rtol=1e-13, atol=1e-13)
 
 
-def test_patches_at_validation():
+def test_cell_patches_validation():
     x = Tensor(np.zeros((2, 4, 6, 3)))
-    assert T.patches_at(x, [], [], []).shape == (0, 27)
+    assert cell_patches(x, [], [], []).shape == (0, 27)
     for cells in (([2], [0], [0]), ([0], [4], [0]), ([0], [0], [-1])):
         with pytest.raises(UsageError):
-            T.patches_at(x, *cells)
+            cell_patches(x, *cells)
     with pytest.raises(DimensionError):
-        T.patches_at(x, [0, 1], [0], [0])
+        cell_patches(x, [0, 1], [0], [0])
     with pytest.raises(DimensionError):
-        T.patches_at(Tensor(np.zeros((3, 4, 6))), [0], [0], [0])
+        cell_patches(Tensor(np.zeros((3, 4, 6))), [0], [0], [0])
 
 
 def _dense_then_index(heads, x):
@@ -317,6 +318,18 @@ def test_roi_rejects_mismatched_image_index():
         roi_crop(fmap, _boxes(box, box), [0])
     with pytest.raises(UsageError):
         roi_crop(fmap, _boxes(box), [2])
+
+
+def test_roi_crop_keeps_float32():
+    # a non-square grid, so a swap of the row and column tables shows
+    x = np.random.default_rng(12).normal(size=(2, 6, 8, 3))
+    boxes = _boxes(((14.0, 12.0), (24.0, 16.0)), ((20.0, 12.0), (24.0, 24.0)), ((9.2, 13.6), (8.8, 8.8)))
+    image_index = [0, 1, 1]
+    got, _ = roi_crop(Tensor(x, dtype=np.float32), boxes, image_index, out_size=(3, 4))
+    assert got.dtype == np.float32 and got.shape == (3, 3, 4, 3)
+    want, _ = roi_crop(Tensor(x), boxes, image_index, out_size=(3, 4))
+    assert want.dtype == np.float64
+    np.testing.assert_allclose(got.data, want.data, rtol=0, atol=1e-6)
 
 
 def _border_boxes():

@@ -125,7 +125,8 @@ def test_failed_loss_terms_leaves_no_nodes(scene):
 def test_toy_step_graph_node_count():
     # one node per linear layer and per attention: the same step with the
     # attention and the linear layers as separate ops recorded 370 nodes,
-    # and with NCHW maps between the token stages 290
+    # and with NCHW maps between the token stages 290; the 2D heads' cell
+    # patches are one taps node and one reshape node (a view)
     samples = build_synth_dataset(2, (96, 64), seed=7, n_objects=2, z_range=(4.5, 8.0), focal=120.0)
     images = T.stack([s.image for s in samples])
     det = Detector("desk", seed=0)
@@ -133,7 +134,7 @@ def test_toy_step_graph_node_count():
     terms = det.loss_terms(images, [s.targets for s in samples], [s.calib for s in samples])
     total, _ = total_loss(terms, make_weights(tier2=1.0, tier3=1.0))
     T.backward(total)
-    assert T.tape_length() == 261
+    assert T.tape_length() == 262
 
 
 def test_channels_last_maps_record_no_layout_transposes(scene, monkeypatch):
@@ -208,7 +209,8 @@ def test_loss_terms_scores_each_object_at_a_shared_center_cell(desk):
 def test_offset_and_size_heads_run_no_conv(desk, scene, monkeypatch):
     # loss_terms and infer run the 2D offset and size heads at the read
     # cells only: no conv2d takes their weights, and each call gathers the
-    # cells' patches once for both heads
+    # cells' patches once for both heads: one taps record for the cells and
+    # one for the RoIs
     calib, batch, targets = scene
     sparse = {id(p) for p in desk.heads2d.offset.parameters() + desk.heads2d.size.parameters()}
     recorded = []
@@ -224,7 +226,7 @@ def test_offset_and_size_heads_run_no_conv(desk, scene, monkeypatch):
         call()
         convs = [ids for name, ids in recorded if name == "conv2d"]
         assert convs and not any(ids & sparse for ids in convs)
-        assert [name for name, _ in recorded].count("patches_at") == 1
+        assert [name for name, _ in recorded].count("taps") == 2
 
 
 def test_loss_terms_zero_area_gt_box_raises(desk, scene):
@@ -439,7 +441,8 @@ def test_loaded_detector_infers_in_float32(toy_checkpoint, monkeypatch):
 
     monkeypatch.setattr(T, "_record", spy)
     dets, _ = det.infer(images[0], calib, k=50)
-    assert len(dets) > 0 and any(name == "roi_align" for name, _ in recorded)
+    # one taps record reads the peak cells, the other the RoIs
+    assert len(dets) > 0 and [name for name, _ in recorded].count("taps") == 2
     assert [op for op in recorded if op[1] != np.float32] == []
 
 

@@ -906,17 +906,6 @@ def test_bilinear_resize_with_cached_matrices_is_unchanged(dtype):
             assert np.array_equal(xt.grad, kernels.bilinear_scatter(g, wy, wx))
 
 
-def test_roi_align_keeps_float32():
-    x = np.random.default_rng(12).normal(size=(2, 6, 8, 3))
-    boxes = np.array([[0.5, 1.0, 6.5, 5.0], [2.0, 0.0, 8.0, 6.0], [1.2, 2.3, 3.4, 4.5]])
-    batch_idx = np.array([0, 1, 1])
-    got = T.roi_align(Tensor(x, dtype=np.float32), boxes, batch_idx, (3, 4))
-    assert got.dtype == np.float32
-    want = T.roi_align(Tensor(x), boxes, batch_idx, (3, 4))
-    assert want.dtype == np.float64
-    np.testing.assert_allclose(got.data, want.data, rtol=0, atol=1e-6)
-
-
 def _taps(rng, image, s, k, h, w):
     """[M, S, K] taps on an h x w map, with a repeated tap and zero weights."""
     m = len(image)
